@@ -33,8 +33,33 @@ type Reader struct {
 	Range float64
 }
 
-// Covers reports whether the reader can interrogate a tag at q.
-func (r Reader) Covers(q Point) bool { return r.Pos.Dist(q) <= r.Range }
+// coversBand is the relative margin around R² inside which Covers defers
+// to math.Hypot. dx²+dy² carries at most a few ulps (~1e-15) of relative
+// error, so outside the band its verdict cannot differ from Hypot's.
+const coversBand = 1e-9
+
+// minNormal is the smallest normal float64. Below it, or at infinity, the
+// squared comparison's relative-error argument breaks down.
+const minNormal = 0x1p-1022
+
+// Covers reports whether the reader can interrogate a tag at q. Its
+// verdict is exactly r.Pos.Dist(q) <= r.Range for every input, but it
+// compares squared distances and pays for math.Hypot only on points
+// within a relative 1e-9 of the range edge, when R² is zero, subnormal
+// or infinite, or when dx²+dy² overflows or is NaN.
+func (r Reader) Covers(q Point) bool {
+	dx, dy := r.Pos.X-q.X, r.Pos.Y-q.Y
+	if r2 := r.Range * r.Range; r.Range > 0 && r2 >= minNormal && r2 <= math.MaxFloat64 {
+		d2 := dx*dx + dy*dy
+		if d2 < r2*(1-coversBand) {
+			return true
+		}
+		if d2 > r2*(1+coversBand) {
+			return false
+		}
+	}
+	return math.Hypot(dx, dy) <= r.Range
+}
 
 // PlacedTag pairs a tag with its position.
 type PlacedTag struct {

@@ -147,23 +147,30 @@ func (a *Auditor) seriesFor(detector string, strength int) *series {
 	key := detector + "\x00" + strconv.Itoa(strength)
 	a.mu.Lock()
 	s, ok := a.series[key]
+	a.mu.Unlock()
 	if ok {
-		a.mu.Unlock()
 		return s
 	}
-	s = &series{detector: detector, strength: strength}
-	a.series[key] = s
-	a.mu.Unlock()
 
 	// Register outside a.mu: the registry has its own lock, and the
 	// gauge callbacks below must stay lock-free (they run during the
-	// registry's exposition walk).
+	// registry's exposition walk). The counters exist before the series
+	// is published, so a round on another worker never observes a nil
+	// cell; Counter is get-or-create, so a racing creator shares them.
+	s = &series{detector: detector, strength: strength}
 	base := []obs.Label{obs.L("detector", detector), obs.L("l", strconv.Itoa(strength))}
 	const cellsHelp = "Slot verdicts audited against the ground-truth oracle, by confusion cell."
 	for c := Cell(0); c < numCells; c++ {
 		s.cells[c] = a.reg.Counter("sim_audit_verdicts_total", cellsHelp,
 			append(append([]obs.Label{}, base...), obs.L("cell", c.String()))...)
 	}
+	a.mu.Lock()
+	if prev, ok := a.series[key]; ok {
+		a.mu.Unlock()
+		return prev
+	}
+	a.series[key] = s
+	a.mu.Unlock()
 	a.reg.GaugeFunc("sim_audit_false_single_rate",
 		"Measured false singles per ground-truth collided slot.",
 		func() float64 { return ratio(s.cells[CellFalseSingle].Value(), s.trueCollided.Load()) },

@@ -38,7 +38,7 @@ func TestStoreSteadyStateAllocatesNothing(t *testing.T) {
 	// Push the high-water mark past what the churn loop needs.
 	var hs []Handle
 	for i := 0; i < 256; i++ {
-		hs = append(hs, st.Alloc(1, 1, 0, 100))
+		hs = append(hs, st.Alloc(0, 100))
 	}
 	for _, h := range hs {
 		st.Release(h)
@@ -46,7 +46,7 @@ func TestStoreSteadyStateAllocatesNothing(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() {
 		var batch [64]Handle
 		for i := range batch {
-			batch[i] = st.Alloc(2, 2, 0, 100)
+			batch[i] = st.Alloc(0, 100)
 		}
 		for _, h := range batch {
 			st.SetSeen(3, h)

@@ -44,20 +44,14 @@ type engine struct {
 	groups [][]int
 	costs  slotCosts
 
-	// Coverage index: the arena divided into read-range-sized cells,
-	// each listing the readers whose disc intersects it, so an arrival
-	// touches O(covering readers) instead of O(readers).
-	cellSize    float64
-	cells       int
-	cellReaders [][]int32
+	cover    *coverIndex
+	arrivals arrivalFeed
 
-	// covered[slot] records whether the tag admitted into the slot is
-	// inside any reader's range; only covered tags can ever be read,
-	// so only they count toward the miss rate.
-	covered []bool
-
-	arrRng      prng.Source
-	nextArrival float64
+	// departCov holds, per store slot at the coverage stride, the
+	// clear-list recorded when the slot's tag was admitted (see
+	// arrivalBatch): the header says whether the tag was covered, and
+	// only covered tags can ever be read or count toward the miss rate.
+	departCov []int32
 
 	newlyRead []Handle // per-group merge scratch
 
@@ -87,7 +81,7 @@ func RunContext(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 		e.groups[c] = append(e.groups[c], id)
 	}
 
-	e.buildCoverageIndex()
+	e.cover = newCoverIndex(e.floor, spec.SideMetres, spec.ReadRangeMetres)
 
 	det := detect.NewQCD(spec.Strength, spec.IDBits)
 	tm := timing.Model{TauMicros: spec.TauMicros}
@@ -108,11 +102,21 @@ func RunContext(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 		e.rds[i].ccq.wDepth = spec.PriorityWeightDepth
 		master.SplitInto(&e.rds[i].rng)
 	}
-	master.SplitInto(&e.arrRng)
-	e.nextArrival = e.arrRng.Exp(1e6 / spec.ArrivalsPerSecond)
+	stream := &e.arrivals.stream
+	*stream = arrivalStream{
+		side:     spec.SideMetres,
+		dwell:    spec.DwellMicros,
+		expDwell: spec.ExponentialDwell,
+		gap:      1e6 / spec.ArrivalsPerSecond,
+		cov:      e.cover,
+	}
+	master.SplitInto(&stream.rng)
+	stream.next = stream.rng.Exp(stream.gap)
 
 	expectedLive := int(spec.ArrivalsPerSecond*spec.DwellMicros/1e6) + 64
-	e.store = NewStore(spec.Readers, expectedLive+expectedLive/2)
+	capHint := expectedLive + expectedLive/2
+	e.store = NewStore(spec.Readers, capHint)
+	e.departCov = make([]int32, 0, capHint*e.cover.stride)
 	dwellTicks := int(spec.DwellMicros/spec.TickMicros) + 1
 	buckets := 2*dwellTicks + 64
 	if buckets > 1<<15 {
@@ -125,9 +129,16 @@ func RunContext(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
+	// A group's arrival count is Poisson: four standard deviations above
+	// its mean sizes the batches, and a busier group grows them once.
+	perGroup := spec.ArrivalsPerSecond * spec.SessionMicros / 1e6
+	batchHint := int(math.Min(perGroup+4*math.Sqrt(perGroup)+16, 1<<14))
+	e.arrivals.start(batchHint, workers > 1)
+
 	epochSpan := float64(ncolors) * spec.SessionMicros
 	now := 0.0
 	var err error
+	e.arrivals.prefetch(now)
 	for now < spec.DurationMicros {
 		if cerr := ctx.Err(); cerr != nil {
 			err = cerr
@@ -135,7 +146,15 @@ func RunContext(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 		}
 		for c := 0; c < ncolors; c++ {
 			groupStart := now + float64(c)*spec.SessionMicros
-			e.advanceTo(groupStart)
+			batch := e.arrivals.next(groupStart)
+			// Draw the next boundary's arrivals while this one admits
+			// and its colour class runs.
+			if c+1 < ncolors {
+				e.arrivals.prefetch(now + float64(c+1)*spec.SessionMicros)
+			} else if now+epochSpan < spec.DurationMicros {
+				e.arrivals.prefetch(now + epochSpan)
+			}
+			e.advanceTo(groupStart, batch)
 			e.runGroup(e.groups[c], groupStart, workers, opts.Scratch)
 			e.mergeGroup(e.groups[c])
 		}
@@ -149,6 +168,7 @@ func RunContext(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 		}
 	}
 	e.res.SimMicros = now
+	e.arrivals.stop()
 
 	// Drain: fire every remaining departure so tags still in the field
 	// classify by their read state, exactly as mobility.Run drains.
@@ -161,120 +181,47 @@ func RunContext(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	return e.res, err
 }
 
-// buildCoverageIndex precomputes, per read-range-sized cell, the readers
-// whose disc intersects the cell's rectangle (distance from the reader
-// to the rect at most the range).
-func (e *engine) buildCoverageIndex() {
-	e.cellSize = e.spec.ReadRangeMetres
-	e.cells = int(math.Ceil(e.spec.SideMetres / e.cellSize))
-	if e.cells < 1 {
-		e.cells = 1
-	}
-	e.cellReaders = make([][]int32, e.cells*e.cells)
-	for _, r := range e.floor.Readers {
-		lo := func(v float64) int {
-			c := int((v - r.Range) / e.cellSize)
-			if c < 0 {
-				c = 0
-			}
-			return c
-		}
-		hi := func(v float64) int {
-			c := int((v + r.Range) / e.cellSize)
-			if c > e.cells-1 {
-				c = e.cells - 1
-			}
-			return c
-		}
-		for cx := lo(r.Pos.X); cx <= hi(r.Pos.X); cx++ {
-			for cy := lo(r.Pos.Y); cy <= hi(r.Pos.Y); cy++ {
-				x0, x1 := float64(cx)*e.cellSize, float64(cx+1)*e.cellSize
-				y0, y1 := float64(cy)*e.cellSize, float64(cy+1)*e.cellSize
-				dx := math.Max(0, math.Max(x0-r.Pos.X, r.Pos.X-x1))
-				dy := math.Max(0, math.Max(y0-r.Pos.Y, r.Pos.Y-y1))
-				if dx*dx+dy*dy <= r.Range*r.Range {
-					i := cy*e.cells + cx
-					e.cellReaders[i] = append(e.cellReaders[i], int32(r.ID))
-				}
-			}
-		}
-	}
-}
-
-// coveringReaders iterates the readers covering (x, y), via the cell
-// index plus an exact range check.
-func (e *engine) coveringReaders(x, y float64, visit func(id int32)) {
-	cx, cy := int(x/e.cellSize), int(y/e.cellSize)
-	if cx > e.cells-1 {
-		cx = e.cells - 1
-	}
-	if cy > e.cells-1 {
-		cy = e.cells - 1
-	}
-	for _, id := range e.cellReaders[cy*e.cells+cx] {
-		r := e.floor.Readers[id]
-		if r.Covers(deploy.Point{X: x, Y: y}) {
-			visit(id)
-		}
-	}
-}
-
 // advanceTo moves the simulation clock to a group boundary: departures
 // fire first (wheel order), then every arrival due by the boundary is
 // admitted, in arrival order. Both sequences are single-threaded and
-// fully determined by the spec.
-func (e *engine) advanceTo(at float64) {
+// fully determined by the spec; the arrivals' draws and coverage were
+// done ahead, off this path.
+func (e *engine) advanceTo(at float64, arrivals *arrivalBatch) {
 	e.wheel.AdvanceTo(at, e.onDepart)
-	gap := 1e6 / e.spec.ArrivalsPerSecond
-	for e.nextArrival <= at {
-		e.admit(e.nextArrival)
-		e.nextArrival += e.arrRng.Exp(gap)
+	s := e.cover.stride
+	for i, a := range arrivals.tags {
+		h := e.store.Alloc(a.arrive, a.leave)
+		push, clear := arrivals.lists[2*i*s:(2*i+1)*s], arrivals.lists[(2*i+1)*s:(2*i+2)*s]
+		if base := int(h.index()) * s; base == len(e.departCov) {
+			e.departCov = append(e.departCov, clear...)
+		} else {
+			copy(e.departCov[base:base+s], clear)
+		}
+		for _, id := range push[1 : 1+push[0]] {
+			e.rds[id].pushNewcomer(h)
+		}
+		e.res.Arrived++
+		if push[0] > 0 {
+			e.res.Covered++
+		}
+		e.wheel.Schedule(a.leave, uint64(h))
 	}
-}
-
-// admit brings one tag into the arena: position and dwell draws, store
-// slot, newcomer push to every covering reader, departure scheduling.
-func (e *engine) admit(arrive float64) {
-	x := e.arrRng.Float64() * e.spec.SideMetres
-	y := e.arrRng.Float64() * e.spec.SideMetres
-	dwell := e.spec.DwellMicros
-	if e.spec.ExponentialDwell {
-		dwell = e.arrRng.Exp(dwell)
-	}
-	leave := arrive + dwell
-	h := e.store.Alloc(float32(x), float32(y), arrive, leave)
-	idx := int(h.index())
-	for len(e.covered) <= idx {
-		e.covered = append(e.covered, false)
-	}
-	ncov := 0
-	e.coveringReaders(x, y, func(id int32) {
-		e.rds[id].pushNewcomer(h)
-		ncov++
-	})
-	e.covered[idx] = ncov > 0
-	e.res.Arrived++
-	if ncov > 0 {
-		e.res.Covered++
-	}
-	e.wheel.Schedule(leave, uint64(h))
 }
 
 // onDepart retires a departing tag: a covered tag that was never read
-// counts as missed (reads were already counted at merge time), its seen
-// bits clear so the slot recycles clean, and the slot returns to the
-// free list.
+// counts as missed (reads were already counted at merge time), the seen
+// bits on its admit-time clear-list clear so the slot recycles clean,
+// and the slot returns to the free list.
 func (e *engine) onDepart(payload uint64) {
 	h := Handle(payload)
-	idx := int(h.index())
-	if e.covered[idx] {
+	base := int(h.index()) * e.cover.stride
+	if n := e.departCov[base]; n != uncovered {
 		if e.store.FirstRead(h) < 0 {
 			e.res.Missed++
 		}
-		x, y := e.store.Pos(h)
-		e.coveringReaders(float64(x), float64(y), func(id int32) {
+		for _, id := range e.departCov[base+1 : base+1+int(n)] {
 			e.store.ClearSeen(int(id), h)
-		})
+		}
 	}
 	e.store.Release(h)
 }

@@ -8,9 +8,10 @@
 // Three structural choices make a million tags through a hundred readers
 // a minutes-of-wall-time workload instead of an overnight one:
 //
-//   - Event-driven time: arrivals come off a lazily-advanced Poisson
-//     stream and departures off a bucket-pooled time wheel (Wheel), so
-//     advancing the clock costs O(events), never O(live tags).
+//   - Event-driven time: arrivals come off a Poisson stream, drawn with
+//     their coverage one colour group ahead of the clock, and departures
+//     off a bucket-pooled time wheel (Wheel), so advancing the clock
+//     costs O(events), never O(live tags).
 //   - Colour-class parallelism: readers of one interference colour are
 //     mutually safe by construction, so they run concurrently — one
 //     goroutine per reader over pooled scratch — while determinism is
@@ -22,7 +23,7 @@
 //     re-inventory of the reader's whole field.
 //
 // The per-tag state itself is a struct-of-arrays store (Store): packed
-// position/dwell/first-read columns plus word-packed per-reader seen
+// dwell/first-read columns plus word-packed per-reader seen
 // bitmaps, with no per-tag heap objects at all.
 package scenario
 

@@ -25,11 +25,10 @@ func (h Handle) gen() uint32  { return uint32(uint64(h) >> 32) }
 // filter on it concurrently within a colour group (they observe the
 // pre-group value, which is exactly the determinism contract).
 type Store struct {
-	posX, posY []float32
-	arriveAt   []float64
-	leaveAt    []float64
-	firstRead  []float64
-	gen        []uint32
+	arriveAt  []float64
+	leaveAt   []float64
+	firstRead []float64
+	gen       []uint32
 
 	// seen[r] holds reader r's word-packed per-slot bitmap: has this
 	// reader already read the tag in the slot (pending global merge).
@@ -46,8 +45,6 @@ func NewStore(readers, capHint int) *Store {
 		capHint = 1
 	}
 	s := &Store{
-		posX:      make([]float32, 0, capHint),
-		posY:      make([]float32, 0, capHint),
 		arriveAt:  make([]float64, 0, capHint),
 		leaveAt:   make([]float64, 0, capHint),
 		firstRead: make([]float64, 0, capHint),
@@ -67,20 +64,16 @@ func (s *Store) Cap() int { return len(s.gen) }
 
 // Alloc admits a tag and returns its handle. The slot comes from the
 // free list when one exists; otherwise every column grows by one.
-func (s *Store) Alloc(x, y float32, arrive, leave float64) Handle {
+func (s *Store) Alloc(arrive, leave float64) Handle {
 	var idx int32
 	if n := len(s.free); n > 0 {
 		idx = s.free[n-1]
 		s.free = s.free[:n-1]
-		s.posX[idx] = x
-		s.posY[idx] = y
 		s.arriveAt[idx] = arrive
 		s.leaveAt[idx] = leave
 		s.firstRead[idx] = -1
 	} else {
 		idx = int32(len(s.gen))
-		s.posX = append(s.posX, x)
-		s.posY = append(s.posY, y)
 		s.arriveAt = append(s.arriveAt, arrive)
 		s.leaveAt = append(s.leaveAt, leave)
 		s.firstRead = append(s.firstRead, -1)
@@ -112,13 +105,8 @@ func (s *Store) Valid(h Handle) bool {
 	return s.gen[h.index()] == h.gen()
 }
 
-// Pos returns the tag's position. ArriveAt/LeaveAt/FirstRead return the
-// corresponding columns; they are meaningful only while Valid(h).
-func (s *Store) Pos(h Handle) (x, y float32) {
-	idx := h.index()
-	return s.posX[idx], s.posY[idx]
-}
-
+// ArriveAt/LeaveAt/FirstRead return the corresponding columns; they are
+// meaningful only while Valid(h).
 func (s *Store) ArriveAt(h Handle) float64  { return s.arriveAt[h.index()] }
 func (s *Store) LeaveAt(h Handle) float64   { return s.leaveAt[h.index()] }
 func (s *Store) FirstRead(h Handle) float64 { return s.firstRead[h.index()] }

@@ -24,4 +24,7 @@ go run ./cmd/scenariosmoke
 echo "==> observability smoke (traced sweep, span tree, statusz, history, SLO alert cycle)"
 go run ./cmd/obssmoke
 
+echo "==> benchmark harness tests (bench/ is a module of its own, outside ./...)"
+(cd bench && go test ./...)
+
 echo "==> ok"
