@@ -51,6 +51,20 @@ func BenchmarkStatModeQAdaptive500(b *testing.B) {
 	}
 }
 
+// BenchmarkStatModeQAdaptiveCaseIV is the stat-mode Gen-2 session at
+// the paper's Case IV scale (50000 tags, QCD-8, Gen-2 defaults), one
+// session per iteration with pooled scratch: the per-slot binomial draw
+// that dominates stat-mode Q-adaptive sweeps.
+func BenchmarkStatModeQAdaptiveCaseIV(b *testing.B) {
+	var sc StatScratch
+	rng := prng.New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rng.Seed(uint64(i) + 1)
+		RunQAdaptiveStat(50000, qcd8Stat, DefaultQConfig(), tm, rng, StatOptions{Scratch: &sc})
+	}
+}
+
 // BenchmarkStatModeFSA500 mirrors BenchmarkFSA500QCD in stat mode.
 func BenchmarkStatModeFSA500(b *testing.B) {
 	var sc StatScratch

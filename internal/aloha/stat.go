@@ -110,14 +110,51 @@ func (o StatOptions) scratch() *StatScratch {
 }
 
 // StatScratch pools the working set of stat-mode rounds: the bulk draw
-// buffers, the Bernoulli coin batch and the occupancy masks. The zero
-// value is ready; not safe for concurrent use.
+// buffers, the Bernoulli coin batch, the occupancy masks and the
+// Q-adaptive slot-law table. The zero value is ready; not safe for
+// concurrent use.
 type StatScratch struct {
 	draws  []int32 // per-tag slot draws of the current frame
 	groups []int32 // EDFSA per-tag group draws
 	gsize  []int32 // EDFSA per-group member counts
 	coins  []uint64
 	occ    sched.Occupancy
+	laws   *slotLawTable
+}
+
+// slotLawTable caches prng.NewSlotLaw(2^q - slot) for the first
+// slotLawSlots slots of each q up to slotLawQs-1, rows built the first
+// time their q is reached: 24 KiB, where nearly every Q-adaptive draw
+// lands (a Gen-2 round restarts within a handful of slots).
+type slotLawTable struct {
+	built uint32 // bit q set once row q is filled
+	rows  [slotLawQs][slotLawSlots]prng.SlotLaw
+}
+
+const (
+	slotLawQs    = 16 // q = 0..15, the Gen-2 range
+	slotLawSlots = 64
+)
+
+// slotLaws returns the cached laws of the first slots of a 2^q-slot
+// round, row[slot] being the law of Binomial(·, 1/(2^q - slot)); it is
+// nil when q is past the table.
+func (sc *StatScratch) slotLaws(q int) []prng.SlotLaw {
+	if q >= slotLawQs {
+		return nil
+	}
+	if sc.laws == nil {
+		sc.laws = new(slotLawTable)
+	}
+	frameSlots := 1 << uint(q)
+	row := sc.laws.rows[q][:min(slotLawSlots, frameSlots)]
+	if sc.laws.built&(1<<uint(q)) == 0 {
+		for slot := range row {
+			row[slot] = prng.NewSlotLaw(frameSlots - slot)
+		}
+		sc.laws.built |= 1 << uint(q)
+	}
+	return row
 }
 
 func growInt32Buf(s []int32, n int) []int32 {
@@ -356,10 +393,13 @@ func RunEDFSAStat(n int, model StatModel, cfg EDFSAConfig, tm timing.Model, rng 
 // distribution-identical to bulk drawing. Q-update and restart rules
 // match the exact engine line for line; miss coins are drawn lazily per
 // visited collided slot (a restart makes the visited count
-// data-dependent, so there is no batch to size).
+// data-dependent, so there is no batch to size). The binomial's
+// constants depend only on the slots left, so the round's first slots
+// read them from the scratch's slot-law table.
 func RunQAdaptiveStat(n int, model StatModel, cfg QConfig, tm timing.Model, rng *prng.Source, opt StatOptions) *metrics.Session {
 	cfg.validate()
 	s := opt.session()
+	sc := opt.scratch()
 	canMiss := model.canMiss()
 	cb := int64(model.ContentionBits)
 	extra := int64(model.IDPhaseBits)
@@ -373,22 +413,35 @@ func RunQAdaptiveStat(n int, model StatModel, cfg QConfig, tm timing.Model, rng 
 			panic(fmt.Sprintf("aloha: stat Q-adaptive exceeded slot cap identifying %d tags", n))
 		}
 		q := int(math.Round(qfp))
+		// qfp rounds to q exactly while it stays in [q-0.5, q+0.5):
+		// q±0.5 is representable and qfp >= 0, so this is math.Round's
+		// half-away-from-zero rule without the call.
+		qlo, qhi := float64(q)-0.5, float64(q)+0.5
 		s.Census.Frames++
 		frameSlots := 1 << uint(q)
+		laws := sc.slotLaws(q)
 		// Tags that respond in a visited slot leave the round (identified
 		// tags for good, collision losers until the next Query), so the
 		// conditional binomial thins as slots are revealed.
 		roundActive := remaining
 
 		for slot := 0; slot < frameSlots && remaining > 0; slot++ {
-			m := rng.Binomial(roundActive, 1/float64(frameSlots-slot))
+			var m int
+			if slot < len(laws) {
+				m = rng.BinomialSlot(roundActive, &laws[slot])
+			} else {
+				law := prng.NewSlotLaw(frameSlots - slot)
+				m = rng.BinomialSlot(roundActive, &law)
+			}
 			roundActive -= m
 			bits += cb
 			slots++
 			switch {
 			case m == 0:
 				s.Census.Idle++
-				qfp = math.Max(0, qfp-cfg.C)
+				if qfp -= cfg.C; qfp < 0 {
+					qfp = 0
+				}
 			case m == 1:
 				bits += extra
 				s.Census.Single++
@@ -419,9 +472,11 @@ func RunQAdaptiveStat(n int, model StatModel, cfg QConfig, tm timing.Model, rng 
 						opt.Observe(signal.Collided, signal.Collided, m)
 					}
 				}
-				qfp = math.Min(cfg.MaxQ, qfp+cfg.C)
+				if qfp += cfg.C; qfp > cfg.MaxQ {
+					qfp = cfg.MaxQ
+				}
 			}
-			if int(math.Round(qfp)) != q {
+			if qfp < qlo || qfp >= qhi {
 				break // QueryAdjust: restart the round with the new Q
 			}
 		}

@@ -2,6 +2,7 @@ package aloha
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/detect"
@@ -163,5 +164,108 @@ func TestStatScratchReuse(t *testing.T) {
 		if fresh != pooled {
 			t.Fatalf("seed %d: pooled census %+v != fresh %+v", seed, pooled, fresh)
 		}
+	}
+}
+
+// qAdaptiveStatReference is RunQAdaptiveStat in its plain form: one
+// Binomial(R, 1/(slots left)) per visited slot with the constants
+// recomputed, math.Round for the QueryAdjust test and math.Max/Min
+// clamps. The slot-law table must reproduce it bit for bit.
+func qAdaptiveStatReference(n int, model StatModel, cfg QConfig, rng *prng.Source) *metrics.Session {
+	s := &metrics.Session{}
+	cb, extra := int64(model.ContentionBits), int64(model.IDPhaseBits)
+	remaining, qfp := n, cfg.InitialQ
+	var bits int64
+	for remaining > 0 {
+		q := int(math.Round(qfp))
+		s.Census.Frames++
+		frameSlots := 1 << uint(q)
+		active := remaining
+		for slot := 0; slot < frameSlots && remaining > 0; slot++ {
+			m := rng.Binomial(active, 1/float64(frameSlots-slot))
+			active -= m
+			bits += cb
+			switch {
+			case m == 0:
+				s.Census.Idle++
+				qfp = math.Max(0, qfp-cfg.C)
+			case m == 1:
+				bits += extra
+				s.Census.Single++
+				s.TagsIdentified++
+				s.DelaysMicros = append(s.DelaysMicros, float64(bits)*tm.TauMicros)
+				remaining--
+			default:
+				s.Census.Collided++
+				s.Detection.TrueCollided++
+				e := model.missExponent(m)
+				if model.canMiss() && e >= 0 && e < 64 && rng.Uint64() < 1<<uint(64-e) {
+					bits += extra
+					s.Detection.FalseSingle++
+					s.Detection.Phantom++
+				} else {
+					s.Detection.DetectedCollided++
+				}
+				qfp = math.Min(cfg.MaxQ, qfp+cfg.C)
+			}
+			if int(math.Round(qfp)) != q {
+				break
+			}
+		}
+	}
+	s.Bits = bits
+	s.TimeMicros = float64(bits) * tm.TauMicros
+	return s
+}
+
+// TestQAdaptiveStatMatchesReference pins RunQAdaptiveStat to the plain
+// per-slot formulation: table rows and the laws past them, a Q step
+// that lands on q±0.5 exactly, Q_fp held at a MaxQ of 6.2, and q above
+// the table (70000 tags under MaxQ 18).
+func TestQAdaptiveStatMatchesReference(t *testing.T) {
+	models := []StatModel{
+		{Name: "QCD-4", ContentionBits: 16, IDPhaseBits: 64, Strength: 4},
+		{Name: "CRC-CD", ContentionBits: 96, MissExp: 32},
+		{Name: "oracle", ContentionBits: 64, MissExp: -1},
+	}
+	cfgs := []QConfig{DefaultQConfig(), {InitialQ: 2.5, C: 0.5, MaxQ: 18}, {InitialQ: 0, C: 0.1, MaxQ: 15}, {InitialQ: 4, C: 0.3, MaxQ: 6.2}}
+	var sc StatScratch
+	for _, n := range []int{1, 64, 500, 70000} {
+		for ci, cfg := range cfgs {
+			for mi, model := range models {
+				if n == 70000 && (ci != 1 || mi != 0) {
+					continue // one large session covers q > 15
+				}
+				seed := uint64(n*100 + ci*10 + mi)
+				refRng, rng := prng.New(seed), prng.New(seed)
+				want := qAdaptiveStatReference(n, model, cfg, refRng)
+				got := RunQAdaptiveStat(n, model, cfg, tm, rng, StatOptions{Scratch: &sc})
+				if got.Census != want.Census || got.Detection != want.Detection || got.Bits != want.Bits ||
+					got.TimeMicros != want.TimeMicros || got.TagsIdentified != want.TagsIdentified ||
+					!slices.Equal(got.DelaysMicros, want.DelaysMicros) || rng.Uint64() != refRng.Uint64() {
+					t.Fatalf("n=%d cfg=%+v model=%s: session diverged from the per-slot reference", n, cfg, model.Name)
+				}
+			}
+		}
+	}
+}
+
+// TestSlotLawTable pins every table row, built in either order, to
+// prng.NewSlotLaw of the slots left, and q past the table to no row.
+func TestSlotLawTable(t *testing.T) {
+	var sc StatScratch
+	for _, q := range []int{15, 0, 7, 1, 6, 14, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13, 7, 15} {
+		row := sc.slotLaws(q)
+		if want := min(slotLawSlots, 1<<q); len(row) != want {
+			t.Fatalf("q=%d: row length %d, want %d", q, len(row), want)
+		}
+		for slot, law := range row {
+			if law != prng.NewSlotLaw(1<<q-slot) {
+				t.Fatalf("q=%d slot=%d: law is not NewSlotLaw(%d)", q, slot, 1<<q-slot)
+			}
+		}
+	}
+	if row := sc.slotLaws(slotLawQs); row != nil {
+		t.Errorf("q=%d: got a %d-law row past the table", slotLawQs, len(row))
 	}
 }

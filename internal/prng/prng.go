@@ -184,7 +184,8 @@ const binomialInversionCap = 64
 // tags each pick uniformly among the F slots of a frame and slots are
 // revealed in order, the count in the next slot given the past is
 // Binomial(remaining, 1/(slots left)), the sequential decomposition of
-// the multinomial.
+// the multinomial. BinomialSlot is the same draw with the constants of
+// p = 1/(slots left) looked up instead of recomputed.
 //
 // Small means draw by CDF inversion (exact up to float64 rounding, O(np)
 // expected iterations); means above binomialInversionCap use a clamped
@@ -202,6 +203,49 @@ func (s *Source) Binomial(n int, p float64) int {
 	if p == 1 {
 		return n
 	}
+	q := 1 - p
+	return s.binomial(n, p, p/q, math.Log(q))
+}
+
+// SlotLaw holds the constants of Binomial(·, 1/L), the responder count
+// of the next of L slots left: p = 1/L, r = p/(1-p) and logq = log(1-p).
+// They depend only on L, so a caller drawing slot after slot can build
+// them once per L instead of paying a division pair and a Log per draw.
+type SlotLaw struct {
+	p, r, logq float64
+}
+
+// NewSlotLaw returns the law of Binomial(·, 1/L), computed exactly as
+// Binomial(n, 1/float64(L)) computes it, so draws through it carry the
+// same bits. It panics if L < 1.
+func NewSlotLaw(L int) SlotLaw {
+	if L < 1 {
+		panic("prng: NewSlotLaw with L < 1")
+	}
+	p := 1 / float64(L)
+	q := 1 - p
+	return SlotLaw{p: p, r: p / q, logq: math.Log(q)}
+}
+
+// BinomialSlot returns a draw from Binomial(n, 1/L) for law =
+// NewSlotLaw(L): the same value, from the same stream consumption, as
+// Binomial(n, 1/float64(L)). It panics if n < 0.
+func (s *Source) BinomialSlot(n int, law *SlotLaw) int {
+	if n < 0 {
+		panic("prng: BinomialSlot with negative n")
+	}
+	if n == 0 {
+		return 0
+	}
+	if law.p == 1 {
+		return n
+	}
+	return s.binomial(n, law.p, law.r, law.logq)
+}
+
+// binomial draws Binomial(n, p) for n > 0 and 0 < p < 1, given
+// r = p/(1-p) and logq = log(1-p).
+func (s *Source) binomial(n int, p, r, logq float64) int {
 	mean := float64(n) * p
 	if mean > binomialInversionCap {
 		// Normal approximation N(np, np(1-p)), rounded and clamped. At
@@ -222,9 +266,7 @@ func (s *Source) Binomial(n int, p float64) int {
 	// CDF inversion via the pmf recurrence
 	// P(k+1) = P(k) · (n-k)/(k+1) · p/(1-p), seeded at P(0) = (1-p)^n.
 	u := s.Float64()
-	q := 1 - p
-	r := p / q
-	pk := math.Exp(float64(n) * math.Log(q))
+	pk := math.Exp(float64(n) * logq)
 	cum := pk
 	k := 0
 	for cum <= u && k < n {

@@ -344,6 +344,91 @@ func TestBinomialLargeMeanMoments(t *testing.T) {
 	}
 }
 
+// slotLawLs samples L over [1, 2^15]: every L up to 300, then a
+// geometric ladder with each rung's neighbours, then the top.
+func slotLawLs() []int {
+	var ls []int
+	for L := 1; L <= 300; L++ {
+		ls = append(ls, L)
+	}
+	for L := 301; L < 1<<15; L = L*9/8 + 1 {
+		ls = append(ls, L-1, L, L+1)
+	}
+	for L := 1<<15 - 2; L <= 1<<15; L++ {
+		ls = append(ls, L)
+	}
+	return ls
+}
+
+// TestBinomialSlotMatchesBinomial pins BinomialSlot(n, NewSlotLaw(L))
+// to Binomial(n, 1/float64(L)) draw for draw on identical streams:
+// same value and same stream consumption, both sides of the mean = 64
+// switch to the normal approximation.
+func TestBinomialSlotMatchesBinomial(t *testing.T) {
+	const draws = 8
+	for _, L := range slotLawLs() {
+		law := NewSlotLaw(L)
+		// The constants themselves carry Binomial's bits, so draws agree
+		// even where u lands within an ulp of a CDF step.
+		p := 1 / float64(L)
+		if law.p != p || law.r != p/(1-p) || law.logq != math.Log(1-p) {
+			t.Fatalf("NewSlotLaw(%d) = %+v, not Binomial's constants", L, law)
+		}
+		for _, n := range []int{0, 1, 2, 64*L - 1, 64 * L, 64*L + 1, 50000} {
+			seed := uint64(L)<<20 ^ uint64(n)
+			a, b := New(seed), New(seed)
+			for i := 0; i < draws; i++ {
+				want := a.Binomial(n, 1/float64(L))
+				if got := b.BinomialSlot(n, &law); got != want {
+					t.Fatalf("L=%d n=%d draw %d: BinomialSlot = %d, Binomial = %d", L, n, i, got, want)
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("L=%d n=%d: BinomialSlot consumed a different number of raw draws", L, n)
+			}
+		}
+	}
+}
+
+func TestBinomialSlotPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"NewSlotLaw(0)":      func() { NewSlotLaw(0) },
+		"BinomialSlot(-1,·)": func() { law := NewSlotLaw(2); New(1).BinomialSlot(-1, &law) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// FuzzBinomialSlot extends the differential test to arbitrary seeds,
+// counts and slot numbers.
+func FuzzBinomialSlot(f *testing.F) {
+	f.Add(uint64(1), uint32(500), uint16(16))
+	f.Add(uint64(2), uint32(64), uint16(1))
+	f.Add(uint64(3), uint32(50000), uint16(781))
+	f.Add(uint64(4), uint32(0), uint16(1<<15-1))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint32, l uint16) {
+		L := int(l)%(1<<15) + 1
+		law := NewSlotLaw(L)
+		a, b := New(seed), New(seed)
+		for i := 0; i < 4; i++ {
+			want := a.Binomial(int(n), 1/float64(L))
+			if got := b.BinomialSlot(int(n), &law); got != want {
+				t.Fatalf("L=%d n=%d draw %d: BinomialSlot = %d, Binomial = %d", L, n, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("L=%d n=%d: stream consumption differs", L, n)
+		}
+	})
+}
+
 func BenchmarkUint64(b *testing.B) {
 	s := New(1)
 	b.ReportAllocs()

@@ -119,13 +119,17 @@ func (c *Cache) GetOrigin(key, origin string) (any, bool) {
 	return el.Value.(*entry).val, true
 }
 
-// Contains reports whether key is cached without touching recency or the
-// hit/miss counters.
-func (c *Cache) Contains(key string) bool {
+// Peek returns the value stored under key without touching recency or
+// the hit/miss counters: a second look by a caller whose one counted
+// lookup already missed.
+func (c *Cache) Peek(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*entry).val, true
 }
 
 // Put stores val under key, evicting the least recently used entry if

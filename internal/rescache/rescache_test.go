@@ -121,27 +121,41 @@ func TestLRUEviction(t *testing.T) {
 	}
 	c.Get("k0")    // k0 now most recent; k1 is the LRU
 	c.Put("k3", 3) // evicts k1
-	if c.Contains("k1") {
+	if has(c, "k1") {
 		t.Error("k1 survived eviction")
 	}
 	for _, want := range []string{"k0", "k2", "k3"} {
-		if !c.Contains(want) {
+		if !has(c, want) {
 			t.Errorf("%s missing after eviction", want)
 		}
 	}
 	if c.Len() != 3 {
 		t.Errorf("len = %d, want 3", c.Len())
 	}
+	// Peek counts nothing and leaves recency alone: k2 is still the LRU.
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Errorf("Peek moved the counters: %+v", st)
+	}
+	c.Put("k4", 4)
+	if has(c, "k2") {
+		t.Error("Peek refreshed k2's recency")
+	}
+}
+
+// has reports whether key is cached, through the uncounted Peek.
+func has(c *Cache, key string) bool {
+	_, ok := c.Peek(key)
+	return ok
 }
 
 func TestZeroCapacityClamped(t *testing.T) {
 	c := New(0)
 	c.Put("a", 1)
-	if !c.Contains("a") {
+	if !has(c, "a") {
 		t.Error("capacity-clamped cache dropped its only entry")
 	}
 	c.Put("b", 2)
-	if c.Contains("a") || !c.Contains("b") {
+	if has(c, "a") || !has(c, "b") {
 		t.Error("capacity-1 cache did not evict the older entry")
 	}
 }

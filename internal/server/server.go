@@ -276,6 +276,10 @@ type Server struct {
 
 	sweeps *sweep.Runner
 
+	// testHookAfterLookup, when set, runs in handleSubmit between its
+	// cache lookup and taking mu, so a test can finish a job there.
+	testHookAfterLookup func()
+
 	mu          sync.Mutex
 	byID        map[string]*experiment
 	order       []string
@@ -469,19 +473,28 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // onJobDone records latency and, on success, publishes the result bytes
-// to the cache and releases the in-flight coalescing slot.
+// to the cache and then releases the in-flight coalescing slot. The
+// order matters: a duplicate submission that finds no in-flight job
+// under mu re-checks the cache, so it must find the bytes there.
 func (s *Server) onJobDone(snap jobs.Snapshot) {
 	s.lat.Observe(snap.Latency().Seconds())
 
 	s.mu.Lock()
 	exp, ok := s.byID[snap.ID]
-	if ok && s.inflight[exp.key] == snap.ID {
-		delete(s.inflight, exp.key)
-	}
 	s.mu.Unlock()
 	if !ok {
 		return // a sweep cell: the sweep runner's OnCellDone hook covers it
 	}
+	if snap.Status == jobs.StatusDone {
+		if body, isRaw := snap.Result.(json.RawMessage); isRaw {
+			s.cache.Put(exp.key, body)
+		}
+	}
+	s.mu.Lock()
+	if s.inflight[exp.key] == snap.ID {
+		delete(s.inflight, exp.key)
+	}
+	s.mu.Unlock()
 	var qw, rt time.Duration
 	if !snap.StartedAt.IsZero() {
 		qw = snap.StartedAt.Sub(snap.EnqueuedAt)
@@ -494,11 +507,6 @@ func (s *Server) onJobDone(snap jobs.Snapshot) {
 	s.emitWide(wideOfJob(exp, snap, qw, rt))
 	if snap.Status == jobs.StatusFailed {
 		s.hist.Annotate("job", exp.id+" failed") // nil-safe when history is off
-	}
-	if snap.Status == jobs.StatusDone {
-		if body, isRaw := snap.Result.(json.RawMessage); isRaw {
-			s.cache.Put(exp.key, body)
-		}
 	}
 	// The run is over: fold its tracer's overflow into the shared drop
 	// counter and retire the event stream (subscribers drain the replay
@@ -527,18 +535,40 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := obs.SpanFrom(r.Context()) // request span, from the trace middleware
 
-	// Cache hit: mint a terminal record served from the stored bytes.
-	// The single GetOrigin call is the submission's one counted lookup —
-	// the short-circuit below must not consult the cache again.
+	// The single GetOrigin call is the submission's one counted lookup;
+	// the re-check below must not count again.
 	lookStart := time.Now()
 	val, hit := s.cache.GetOrigin(key, originJob)
 	s.jobLat.lookup.Observe(time.Since(lookStart).Seconds())
+	if s.testHookAfterLookup != nil {
+		s.testHookAfterLookup()
+	}
+
+	s.mu.Lock()
+	if !hit {
+		// Coalesce onto a live identical experiment if one exists.
+		if liveID, ok := s.inflight[key]; ok {
+			if exp, ok := s.byID[liveID]; ok {
+				resp := s.responseOfLocked(exp)
+				s.mu.Unlock()
+				if sc.Valid() {
+					now := time.Now()
+					sc.Complete("jobs", "coalesced", now, now, obs.SA("id", exp.id))
+				}
+				s.logSubmit(exp.id, false, true)
+				writeJSON(w, http.StatusOK, resp)
+				return
+			}
+		}
+		// No live job: one that held the key may have finished since the
+		// lookup. It cached its bytes before releasing the key.
+		val, hit = s.cache.Peek(key)
+	}
 	if hit {
-		body := val.(json.RawMessage)
-		s.mu.Lock()
+		// Cache hit: mint a terminal record served from the stored bytes.
 		exp := s.newRecordLocked(key, cfg)
 		exp.cached = true
-		exp.result = body
+		exp.result = val.(json.RawMessage)
 		exp.traceID = sc.TraceID()
 		resp := s.responseOfLocked(exp)
 		s.mu.Unlock()
@@ -548,22 +578,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.logSubmit(exp.id, true, false)
 		writeJSON(w, http.StatusOK, resp)
 		return
-	}
-
-	s.mu.Lock()
-	// Coalesce onto a live identical experiment if one exists.
-	if liveID, ok := s.inflight[key]; ok {
-		if exp, ok := s.byID[liveID]; ok {
-			resp := s.responseOfLocked(exp)
-			s.mu.Unlock()
-			if sc.Valid() {
-				now := time.Now()
-				sc.Complete("jobs", "coalesced", now, now, obs.SA("id", exp.id))
-			}
-			s.logSubmit(exp.id, false, true)
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
 	}
 	exp := s.newRecordLocked(key, cfg)
 	exp.traceID = sc.TraceID()

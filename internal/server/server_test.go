@@ -169,6 +169,73 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 	}
 }
 
+// TestDuplicateAfterJobFinishesIsServedFromCache forces the coalescing
+// gap behind the bound above: a duplicate whose cache lookup misses
+// while the first job is queued, and which reaches the in-flight check
+// only after that job has finished and released its key, must be
+// served the cached bytes instead of running the experiment again.
+func TestDuplicateAfterJobFinishesIsServedFromCache(t *testing.T) {
+	s, c := startServer(t, Options{Workers: 1, QueueDepth: 8, CacheSize: 16})
+	ctx := context.Background()
+
+	// Hold the only worker so the first submission stays queued.
+	release := make(chan struct{})
+	if err := s.pool.Submit("hold", func(context.Context) (any, error) {
+		<-release
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := c.Submit(ctx, fastCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The worker runs jobs in order and returns from onJobDone before it
+	// takes the next one, so this job starting means the first
+	// submission is finished, cached and out of the in-flight map.
+	firstSettled := make(chan struct{})
+	if err := s.pool.Submit("after-first", func(context.Context) (any, error) {
+		close(firstSettled)
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	missed := make(chan struct{})
+	s.testHookAfterLookup = func() {
+		close(missed)
+		<-firstSettled
+	}
+	body, err := json.Marshal(SubmitRequest{Config: fastCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/experiments", bytes.NewReader(body)))
+	}()
+	<-missed // the duplicate's lookup missed: the first job is still queued
+	close(release)
+	<-served
+
+	var dup ExperimentResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &dup); err != nil {
+		t.Fatalf("duplicate response %d: %v", rec.Code, err)
+	}
+	if rec.Code != 200 || !dup.Cached {
+		t.Fatalf("duplicate got HTTP %d, cached=%v (id %s): it ran the experiment again", rec.Code, dup.Cached, dup.ID)
+	}
+	done, err := c.Wait(ctx, first.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(done.Result, dup.Result) {
+		t.Error("duplicate served different bytes from the first run's result")
+	}
+}
+
 func TestSubmitValidationAndNotFound(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 4})
 	ctx := context.Background()

@@ -33,6 +33,16 @@ var goldenCases = []struct {
 	{"fsa_qcd_impaired", sim.Config{Tags: 100, Seed: 17, Rounds: 5, Algorithm: sim.AlgFSA, FrameSize: 64, Detector: sim.DetQCD, BER: 0.001, CaptureProb: 0.2}},
 	{"fsa_qcd_strength32", sim.Config{Tags: 80, Seed: 23, Rounds: 5, Algorithm: sim.AlgFSA, FrameSize: 64, Detector: sim.DetQCD, Strength: 32}},
 	{"bt_crccd_id96", sim.Config{Tags: 50, IDBits: 96, Seed: 29, Rounds: 5, Algorithm: sim.AlgBT, Detector: sim.DetCRCCD}},
+
+	// Stat mode. These were generated before the stat Q-adaptive engine
+	// looked its slot laws up in a table, which must not move a bit.
+	{"stat_qadaptive_qcd4", sim.Config{Mode: sim.ModeStat, Tags: 500, Seed: 31, Rounds: 20, Algorithm: sim.AlgQAdaptive, Detector: sim.DetQCD, Strength: 4}},
+	{"stat_qadaptive_qcd8", sim.Config{Mode: sim.ModeStat, Tags: 500, Seed: 37, Rounds: 20, Algorithm: sim.AlgQAdaptive, Detector: sim.DetQCD, Strength: 8}},
+	{"stat_qadaptive_qcd16", sim.Config{Mode: sim.ModeStat, Tags: 500, Seed: 41, Rounds: 20, Algorithm: sim.AlgQAdaptive, Detector: sim.DetQCD, Strength: 16}},
+	{"stat_qadaptive_crccd", sim.Config{Mode: sim.ModeStat, Tags: 500, Seed: 43, Rounds: 20, Algorithm: sim.AlgQAdaptive, Detector: sim.DetCRCCD}},
+	{"stat_qadaptive_qcd8_5000", sim.Config{Mode: sim.ModeStat, Tags: 5000, Seed: 47, Rounds: 5, Algorithm: sim.AlgQAdaptive, Detector: sim.DetQCD, Strength: 8}},
+	{"stat_fsa_qcd", sim.Config{Mode: sim.ModeStat, Tags: 500, Seed: 53, Rounds: 20, Algorithm: sim.AlgFSA, FrameSize: 256, Detector: sim.DetQCD, Strength: 4, ConfirmEmpty: true}},
+	{"stat_edfsa_qcd", sim.Config{Mode: sim.ModeStat, Tags: 500, Seed: 59, Rounds: 20, Algorithm: sim.AlgEDFSA, FrameSize: 64, Detector: sim.DetQCD, Strength: 4}},
 }
 
 func goldenJSON(t *testing.T, cfg sim.Config) []byte {

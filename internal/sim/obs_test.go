@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -87,16 +86,33 @@ func TestRunContextEmitsSpans(t *testing.T) {
 
 // TestRunContextPartialAggregate aborts a long experiment and checks the
 // partial aggregate still comes back alongside the context error, with
-// Completed reflecting only the rounds that finished.
+// Completed reflecting only the rounds that finished. It cancels on the
+// first "round" event, so at least one round has been folded however
+// slow the machine is.
 func TestRunContextPartialAggregate(t *testing.T) {
 	c := baseCfg()
 	c.Rounds = 100000
 	c.Workers = 1
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	agg, err := RunContext(ctx, c)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
+	bus := obs.NewBus(1)
+	defer bus.Close()
+	// Room for thousands of rounds of frame events, so the subscriber
+	// is not dropped before it is first scheduled.
+	sub := bus.Subscribe(1<<16, 0)
+	go func() {
+		// Cancel on the first round, or when the subscription ends
+		// without one (dropped after all), which is just as partial.
+		defer cancel()
+		for ev := range sub.Events() {
+			if ev.Type == "round" {
+				return
+			}
+		}
+	}()
+	agg, err := RunContext(obs.WithBus(ctx, bus), c)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context canceled", err)
 	}
 	if agg == nil {
 		t.Fatal("no partial aggregate returned")
