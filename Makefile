@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet bench bench-json bench-gate trace-demo obssmoke
+.PHONY: check build test race vet bench bench-json bench-gate trace-demo obssmoke loc
 
 check:
 	./scripts/check.sh
@@ -34,6 +34,11 @@ bench-json:
 # `make bench-json` and commit the result.
 bench-gate:
 	./scripts/bench_gate.sh
+
+# loc prints non-test Go lines per package and in total; CHANGES.md
+# entries report their net change from it.
+loc:
+	./scripts/loc.sh
 
 # obssmoke boots the service in-process, runs a traced sweep, and
 # asserts the joined span tree plus the statusz snapshot.

@@ -50,6 +50,16 @@ func (e *apiError) Error() string {
 	return fmt.Sprintf("server: HTTP %d: %s", e.StatusCode, e.Message)
 }
 
+// apiErrorOf wraps a non-2xx response body, preferring the uniform
+// error body's message when the body is one.
+func apiErrorOf(code int, raw []byte) error {
+	var e errorResponse
+	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
+		return &apiError{StatusCode: code, Message: e.Error}
+	}
+	return &apiError{StatusCode: code, Message: string(raw)}
+}
+
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	_, err := c.doTraced(ctx, method, path, "", body, out)
 	return err
@@ -59,17 +69,37 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 // as X-Trace-Id, and the server's effective trace ID (minted when none
 // was sent) is returned from the response header.
 func (c *Client) doTraced(ctx context.Context, method, path, traceID string, body, out any) (string, error) {
+	raw, gotTrace, err := c.send(ctx, method, path, traceID, body)
+	if err != nil || out == nil {
+		return gotTrace, err
+	}
+	return gotTrace, json.Unmarshal(raw, out)
+}
+
+// fetchText GETs a non-JSON endpoint and returns its body.
+func (c *Client) fetchText(ctx context.Context, path string) (string, error) {
+	raw, _, err := c.send(ctx, http.MethodGet, path, "", nil)
+	if err != nil {
+		return "", err
+	}
+	return string(raw), nil
+}
+
+// send runs one request (body JSON-encoded when non-nil, traceID sent
+// as X-Trace-Id when set) and returns the 2xx response body and the
+// server's effective trace ID.
+func (c *Client) send(ctx context.Context, method, path, traceID string, body any) ([]byte, string, error) {
 	var rdr io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			return "", err
+			return nil, "", err
 		}
 		rdr = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rdr)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -79,25 +109,18 @@ func (c *Client) doTraced(ctx context.Context, method, path, traceID string, bod
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
 	gotTrace := resp.Header.Get(TraceHeader)
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return gotTrace, err
+		return nil, gotTrace, err
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var e errorResponse
-		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			return gotTrace, &apiError{StatusCode: resp.StatusCode, Message: e.Error}
-		}
-		return gotTrace, &apiError{StatusCode: resp.StatusCode, Message: string(raw)}
+		return nil, gotTrace, apiErrorOf(resp.StatusCode, raw)
 	}
-	if out != nil {
-		return gotTrace, json.Unmarshal(raw, out)
-	}
-	return gotTrace, nil
+	return raw, gotTrace, nil
 }
 
 // Submit enqueues an experiment and returns its (possibly cached or
@@ -181,31 +204,6 @@ func (c *Client) Statusz(ctx context.Context) (string, error) {
 	return c.fetchText(ctx, "/debug/statusz")
 }
 
-// fetchText GETs a non-JSON endpoint and returns its body.
-func (c *Client) fetchText(ctx context.Context, path string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e errorResponse
-		if json.Unmarshal(b, &e) == nil && e.Error != "" {
-			return "", &apiError{StatusCode: resp.StatusCode, Message: e.Error}
-		}
-		return "", &apiError{StatusCode: resp.StatusCode, Message: string(b)}
-	}
-	return string(b), nil
-}
-
 // GetSweep fetches one sweep summary by ID.
 func (c *Client) GetSweep(ctx context.Context, id string) (SweepResponse, error) {
 	var out SweepResponse
@@ -246,27 +244,7 @@ func (c *Client) SweepReport(ctx context.Context, id, format string) (string, er
 	if format != "" {
 		path += "?format=" + url.QueryEscape(format)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e errorResponse
-		if json.Unmarshal(b, &e) == nil && e.Error != "" {
-			return "", &apiError{StatusCode: resp.StatusCode, Message: e.Error}
-		}
-		return "", &apiError{StatusCode: resp.StatusCode, Message: string(b)}
-	}
-	return string(b), nil
+	return c.fetchText(ctx, path)
 }
 
 // CancelSweep requests cancellation of a running sweep.
@@ -277,25 +255,7 @@ func (c *Client) CancelSweep(ctx context.Context, id string) error {
 // WaitSweep polls GetSweep until the sweep is terminal or ctx expires.
 // A zero interval polls every 10 ms.
 func (c *Client) WaitSweep(ctx context.Context, id string, interval time.Duration) (SweepResponse, error) {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		resp, err := c.GetSweep(ctx, id)
-		if err != nil {
-			return resp, err
-		}
-		if terminalStatus(resp.Status) {
-			return resp, nil
-		}
-		select {
-		case <-ticker.C:
-		case <-ctx.Done():
-			return resp, ctx.Err()
-		}
-	}
+	return poll(ctx, id, interval, c.GetSweep)
 }
 
 // WatchSweep streams a sweep's per-cell progress over SSE, invoking fn
@@ -303,13 +263,7 @@ func (c *Client) WaitSweep(ctx context.Context, id string, interval time.Duratio
 // arrives; transient stream drops reconnect with Last-Event-ID.
 func (c *Client) WatchSweep(ctx context.Context, id string, fn func(WatchEvent) error) error {
 	isTerminal := func(ev WatchEvent) bool { return ev.Type == "sweep" }
-	return c.watch(ctx, "/v1/sweeps/"+id+"/events", isTerminal, fn, func() (bool, error) {
-		resp, err := c.GetSweep(ctx, id)
-		if err != nil {
-			return false, err
-		}
-		return terminalStatus(resp.Status), nil
-	})
+	return c.watch(ctx, "/v1/sweeps/"+id+"/events", isTerminal, fn, ended(ctx, id, c.GetSweep))
 }
 
 // SubmitScenario schedules a streaming warehouse scenario and returns
@@ -343,25 +297,7 @@ func (c *Client) CancelScenario(ctx context.Context, id string) error {
 // WaitScenario polls GetScenario until the run is terminal or ctx
 // expires. A zero interval polls every 10 ms.
 func (c *Client) WaitScenario(ctx context.Context, id string, interval time.Duration) (ScenarioResponse, error) {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		resp, err := c.GetScenario(ctx, id)
-		if err != nil {
-			return resp, err
-		}
-		if terminalStatus(resp.Status) {
-			return resp, nil
-		}
-		select {
-		case <-ticker.C:
-		case <-ctx.Done():
-			return resp, ctx.Err()
-		}
-	}
+	return poll(ctx, id, interval, c.GetScenario)
 }
 
 // WatchScenario streams a scenario's per-epoch progress over SSE,
@@ -370,37 +306,49 @@ func (c *Client) WaitScenario(ctx context.Context, id string, interval time.Dura
 // Last-Event-ID.
 func (c *Client) WatchScenario(ctx context.Context, id string, fn func(WatchEvent) error) error {
 	isTerminal := func(ev WatchEvent) bool { return ev.Type == "scenario" }
-	return c.watch(ctx, "/v1/scenarios/"+id+"/events", isTerminal, fn, func() (bool, error) {
-		resp, err := c.GetScenario(ctx, id)
-		if err != nil {
-			return false, err
-		}
-		return terminalStatus(resp.Status), nil
-	})
+	return c.watch(ctx, "/v1/scenarios/"+id+"/events", isTerminal, fn, ended(ctx, id, c.GetScenario))
 }
 
 // Wait polls Get until the experiment reaches a terminal status or ctx
 // expires. A zero interval polls every 10 ms.
 func (c *Client) Wait(ctx context.Context, id string, interval time.Duration) (ExperimentResponse, error) {
+	return poll(ctx, id, interval, c.Get)
+}
+
+// poll is the loop behind Wait, WaitSweep and WaitScenario: get the
+// record until its status is terminal or ctx expires, every interval
+// (10 ms when zero).
+func poll[R response[R]](ctx context.Context, id string, interval time.Duration,
+	get func(context.Context, string) (R, error)) (R, error) {
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
 	}
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
-		resp, err := c.Get(ctx, id)
-		if err != nil {
+		resp, err := get(ctx, id)
+		if err != nil || terminalStatus(resp.state()) {
 			return resp, err
-		}
-		switch resp.Status {
-		case "done", "failed", "canceled":
-			return resp, nil
 		}
 		select {
 		case <-ticker.C:
 		case <-ctx.Done():
 			return resp, ctx.Err()
 		}
+	}
+}
+
+// ended is the probe behind Watch, WatchSweep and WatchScenario: after
+// an early stream drop it reports whether the record is already
+// terminal.
+func ended[R response[R]](ctx context.Context, id string,
+	get func(context.Context, string) (R, error)) func() (bool, error) {
+	return func() (bool, error) {
+		resp, err := get(ctx, id)
+		if err != nil {
+			return false, err
+		}
+		return terminalStatus(resp.state()), nil
 	}
 }
 
@@ -416,14 +364,8 @@ type WatchEvent struct {
 
 // terminalJobEvent reports whether ev announces a terminal job state.
 func terminalJobEvent(ev WatchEvent) bool {
-	if ev.Type != "job" {
-		return false
-	}
-	switch ev.Data["to"] {
-	case "done", "failed", "canceled":
-		return true
-	}
-	return false
+	to, _ := ev.Data["to"].(string)
+	return ev.Type == "job" && terminalStatus(to)
 }
 
 // Watch streams an experiment's live telemetry over SSE, invoking fn
@@ -433,13 +375,7 @@ func terminalJobEvent(ev WatchEvent) bool {
 // Last-Event-ID, so fn sees every event still in the server's replay
 // ring exactly once.
 func (c *Client) Watch(ctx context.Context, id string, fn func(WatchEvent) error) error {
-	return c.watch(ctx, "/v1/experiments/"+id+"/events", terminalJobEvent, fn, func() (bool, error) {
-		resp, err := c.Get(ctx, id)
-		if err != nil {
-			return false, err
-		}
-		return terminalStatus(resp.Status), nil
-	})
+	return c.watch(ctx, "/v1/experiments/"+id+"/events", terminalJobEvent, fn, ended(ctx, id, c.Get))
 }
 
 // terminalStatus reports whether an API status string is terminal.
@@ -451,7 +387,7 @@ func terminalStatus(status string) bool {
 	return false
 }
 
-// watch is the reconnecting SSE loop shared by Watch and WatchSweep:
+// watch is the reconnecting SSE loop shared by every Watch method:
 // isTerminal spots the stream's natural end, probe decides after an
 // early stream drop whether the watched object already finished.
 func (c *Client) watch(ctx context.Context, path string, isTerminal func(WatchEvent) bool,
@@ -501,11 +437,7 @@ func (c *Client) watchOnce(ctx context.Context, path string, isTerminal func(Wat
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(resp.Body)
-		var e errorResponse
-		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			return false, &apiError{StatusCode: resp.StatusCode, Message: e.Error}
-		}
-		return false, &apiError{StatusCode: resp.StatusCode, Message: string(raw)}
+		return false, apiErrorOf(resp.StatusCode, raw)
 	}
 
 	var ev WatchEvent
@@ -550,23 +482,7 @@ func (c *Client) Health(ctx context.Context) error {
 
 // Metrics returns the raw Prometheus text exposition.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", &apiError{StatusCode: resp.StatusCode, Message: string(b)}
-	}
-	return string(b), nil
+	return c.fetchText(ctx, "/metrics")
 }
 
 // HistoryIndex lists the history store's retained series.

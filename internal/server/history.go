@@ -22,6 +22,9 @@ import (
 	"repro/internal/obs/tsdb"
 )
 
+// alertEventHistory bounds the alert bus's replay ring, in events.
+const alertEventHistory = 256
+
 // startHistory wires the history store, runtime collector, SLO engine
 // and alert bus, then starts the sampler goroutine. Called from New
 // after registerMetrics so every registry series exists when the first
@@ -42,7 +45,7 @@ func (s *Server) startHistory() {
 	if s.opts.SLOConfig != nil {
 		cfg = *s.opts.SLOConfig
 	}
-	s.alertBus = obs.NewBus(s.opts.AlertEventHistory)
+	s.alertBus = obs.NewBus(alertEventHistory)
 	s.alertBus.CountDropsInto(s.evDrops)
 	eng, err := slo.New(cfg, s.hist, s.reg, s.alertBus)
 	if err != nil {

@@ -38,16 +38,16 @@ func (s *Server) registerMetrics() {
 	s.cache.RegisterOrigin(s.reg, "rfidd_cache", originSweep)
 	s.sweeps.Register(s.reg, "rfidd_sweep")
 	s.reg.GaugeFunc("rfidd_sweeps", "Sweep records currently indexed.", func() float64 {
-		return float64(s.sweepRecords.Load())
+		return float64(s.sweepRecs.count.Load())
 	})
 	s.reg.GaugeFunc("rfidd_scenarios", "Scenario records currently indexed.", func() float64 {
-		return float64(s.scenRecords.Load())
+		return float64(s.scenRecs.count.Load())
 	})
 	// Exposition callbacks run under the registry lock and must stay
-	// lock-free (atomics only), so the record count is mirrored into an
+	// lock-free (atomics only), so each record count is mirrored into an
 	// atomic rather than read under s.mu.
 	s.reg.GaugeFunc("rfidd_experiments", "Experiment records currently indexed.", func() float64 {
-		return float64(s.records.Load())
+		return float64(s.experiments.count.Load())
 	})
 	// Trace-ring overflow: the pool tracer reports live; experiment
 	// tracers are folded into an atomic as their jobs finish (a live

@@ -11,10 +11,8 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -68,10 +66,7 @@ type scenarioRec struct {
 
 func (s *Server) handleScenarioSubmit(w http.ResponseWriter, r *http.Request) {
 	var req ScenarioSubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	spec := req.Spec.WithDefaults()
@@ -81,22 +76,17 @@ func (s *Server) handleScenarioSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := obs.SpanFrom(r.Context())
 
-	var bus *obs.Bus
-	if s.opts.EventHistory > 0 {
-		// Size the replay ring for the whole run: one "epoch" event per
-		// progress report plus the terminal "scenario" event.
-		epochMicros := float64(colorUpperBound(spec)) * spec.SessionMicros
-		reports := int(spec.DurationMicros/(epochMicros*float64(spec.EpochsPerProgress))) + 16
-		if reports > 1<<13 {
-			reports = 1 << 13
-		}
-		bus = obs.NewBus(reports)
-		bus.CountDropsInto(s.evDrops)
+	// Size the replay ring for the whole run: one "epoch" event per
+	// progress report plus the terminal "scenario" event.
+	epochMicros := float64(colorUpperBound(spec)) * spec.SessionMicros
+	reports := int(spec.DurationMicros/(epochMicros*float64(spec.EpochsPerProgress))) + 16
+	if reports > 1<<13 {
+		reports = 1 << 13
 	}
+	bus := s.newBus(reports)
 
 	s.mu.Lock()
-	s.nextScenID++
-	id := "scn-" + strconv.FormatUint(s.nextScenID, 10)
+	id := s.scenRecs.mint()
 	rec := &scenarioRec{
 		id: id, spec: spec, createdAt: time.Now(),
 		traceID: sc.TraceID(), bus: bus,
@@ -126,22 +116,11 @@ func (s *Server) handleScenarioSubmit(w http.ResponseWriter, r *http.Request) {
 	// warehouse run is minutes by design, DELETE /v1/scenarios/{id}
 	// bounds it.
 	if err := s.pool.SubmitTracedTimeout(r.Context(), id, fn, jobs.NoTimeout); err != nil {
-		switch {
-		case errors.Is(err, jobs.ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		case errors.Is(err, jobs.ErrClosed):
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		default:
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		}
+		writeSubmitError(w, err)
 		return
 	}
 	s.mu.Lock()
-	s.scenByID[id] = rec
-	s.scenOrder = append(s.scenOrder, id)
-	s.pruneScenariosLocked()
-	s.scenRecords.Store(int64(len(s.scenByID)))
+	s.scenRecs.add(id, rec)
 	resp := s.scenarioResponseOf(rec)
 	s.mu.Unlock()
 	if s.logger != nil {
@@ -193,125 +172,15 @@ func (s *Server) watchScenario(rec *scenarioRec) {
 	s.hist.Annotate("scenario", fmt.Sprintf("%s %s", rec.id, snap.Status))
 }
 
-// pruneScenariosLocked evicts the oldest terminal scenarios above
-// ScenarioRecordCap, forgetting their pool jobs with them; s.mu must be
-// held.
-func (s *Server) pruneScenariosLocked() {
-	for len(s.scenOrder) > s.opts.ScenarioRecordCap {
-		id := s.scenOrder[0]
-		if snap, ok := s.pool.Get(id); ok && !snap.Status.Terminal() {
-			return // oldest scenario still live; keep everything
-		}
-		s.pool.Forget(id)
-		s.scenOrder = s.scenOrder[1:]
-		delete(s.scenByID, id)
-	}
-}
-
-// scenarioByIDOr404 resolves the path id or writes the 404.
-func (s *Server) scenarioByIDOr404(w http.ResponseWriter, r *http.Request) *scenarioRec {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	rec := s.scenByID[id]
-	s.mu.Unlock()
-	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown scenario " + id})
-	}
-	return rec
-}
-
 // scenarioResponseOf assembles the response for one record from its
 // pool snapshot and latest progress.
 func (s *Server) scenarioResponseOf(rec *scenarioRec) ScenarioResponse {
-	resp := ScenarioResponse{
-		ID:       rec.id,
-		Spec:     rec.spec,
-		Progress: rec.prog.Load(),
+	v := s.jobViewOf(rec.id)
+	return ScenarioResponse{
+		ID: rec.id, Status: v.status, Spec: rec.spec,
+		EnqueuedAt: v.enqueued, StartedAt: v.started, FinishedAt: v.finished,
+		Progress: rec.prog.Load(), Result: v.result, Error: v.err,
 	}
-	snap, ok := s.pool.Get(rec.id)
-	if !ok {
-		resp.Status = string(jobs.StatusFailed)
-		resp.Error = "job state lost"
-		return resp
-	}
-	resp.Status = string(snap.Status)
-	resp.EnqueuedAt = snap.EnqueuedAt.UTC().Format(time.RFC3339Nano)
-	if !snap.StartedAt.IsZero() {
-		resp.StartedAt = snap.StartedAt.UTC().Format(time.RFC3339Nano)
-	}
-	if !snap.FinishedAt.IsZero() {
-		resp.FinishedAt = snap.FinishedAt.UTC().Format(time.RFC3339Nano)
-	}
-	if snap.Status == jobs.StatusDone {
-		if body, isRaw := snap.Result.(json.RawMessage); isRaw {
-			resp.Result = body
-		}
-	}
-	if snap.Err != nil {
-		resp.Error = snap.Err.Error()
-	}
-	return resp
-}
-
-func (s *Server) handleScenarioGet(w http.ResponseWriter, r *http.Request) {
-	rec := s.scenarioByIDOr404(w, r)
-	if rec == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.scenarioResponseOf(rec))
-}
-
-func (s *Server) handleScenarioList(w http.ResponseWriter, r *http.Request) {
-	filter, err := statusFilter(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	s.mu.Lock()
-	recs := make([]*scenarioRec, 0, len(s.scenOrder))
-	for _, id := range s.scenOrder {
-		if rec := s.scenByID[id]; rec != nil {
-			recs = append(recs, rec)
-		}
-	}
-	s.mu.Unlock()
-	out := ScenarioListResponse{Scenarios: make([]ScenarioResponse, 0, len(recs))}
-	for _, rec := range recs {
-		resp := s.scenarioResponseOf(rec)
-		if filter != "" && resp.Status != string(filter) {
-			continue
-		}
-		resp.Result = nil // keep listings light
-		out.Scenarios = append(out.Scenarios, resp)
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleScenarioEvents streams a scenario's epoch progress as SSE: one
-// "epoch" event per progress report and a terminal "scenario" event.
-func (s *Server) handleScenarioEvents(w http.ResponseWriter, r *http.Request) {
-	rec := s.scenarioByIDOr404(w, r)
-	if rec == nil {
-		return
-	}
-	if rec.bus == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: "no event stream for " + rec.id + " (streaming disabled)"})
-		return
-	}
-	s.streamSSE(w, r, rec.bus)
-}
-
-func (s *Server) handleScenarioCancel(w http.ResponseWriter, r *http.Request) {
-	rec := s.scenarioByIDOr404(w, r)
-	if rec == nil {
-		return
-	}
-	if !s.pool.Cancel(rec.id) {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: "scenario " + rec.id + " is not cancellable"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": rec.id, "canceled": true})
 }
 
 // colorUpperBound is a cheap overestimate of the interference-colouring

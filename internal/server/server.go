@@ -17,7 +17,7 @@
 //	GET    /v1/audit                    shadow-oracle audit report (when Options.EnableAudit)
 //	DELETE /v1/experiments/{id}         cancel a queued or running experiment
 //	POST   /v1/sweeps                   {"spec": {...sweep.Spec...}} → 202 with the sweep record
-//	GET    /v1/sweeps                   list of sweep summaries
+//	GET    /v1/sweeps                   list of sweep summaries (?status= filters)
 //	GET    /v1/sweeps/{id}              sweep status and cell counts
 //	GET    /v1/sweeps/{id}/cells        per-cell records (?status= filters, ?results=1 embeds results)
 //	GET    /v1/sweeps/{id}/report       merged paper-style output (?format=table|csv)
@@ -47,12 +47,10 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,9 +76,6 @@ type Options struct {
 	CacheSize int
 	// JobTimeout bounds one experiment's run time; 0 means unlimited.
 	JobTimeout time.Duration
-	// RecordCap bounds the in-memory experiment index; the oldest
-	// terminal records are pruned beyond it (default 4096).
-	RecordCap int
 	// TraceCapacity bounds each experiment's trace ring buffer, in
 	// events (default 4096; negative disables run tracing).
 	TraceCapacity int
@@ -91,9 +86,6 @@ type Options struct {
 	// TraceStoreSpans bounds the spans retained per trace (default
 	// 4096; excess spans are dropped and counted, roots are kept).
 	TraceStoreSpans int
-	// WideEvents bounds the ring of recent wide events rendered on
-	// /debug/statusz (default 128).
-	WideEvents int
 	// Logger, if set, receives structured request logs (method, path,
 	// status, latency, experiment id, cache hit) and worker lifecycle
 	// logs. Nil disables logging.
@@ -115,12 +107,6 @@ type Options struct {
 	// to (default sweep.DefaultMaxCells); client specs asking for more
 	// are clamped to it.
 	SweepMaxCells int
-	// SweepRecordCap bounds the in-memory sweep index; the oldest
-	// terminal sweeps are pruned beyond it (default 256).
-	SweepRecordCap int
-	// ScenarioRecordCap bounds the in-memory scenario index; the oldest
-	// terminal scenarios are pruned beyond it (default 64).
-	ScenarioRecordCap int
 	// EnableAudit turns on shadow-oracle verdict auditing for every
 	// experiment (sim.InstrumentAudit is process-global: the most
 	// recently constructed audit-enabled Server receives the verdicts).
@@ -140,16 +126,11 @@ type Options struct {
 	// history store; nil takes slo.DefaultConfig(). Ignored when
 	// history is disabled.
 	SLOConfig *slo.Config
-	// AlertEventHistory bounds the alert bus's replay ring (default 256).
-	AlertEventHistory int
 }
 
 func (o Options) withDefaults() Options {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 1024
-	}
-	if o.RecordCap <= 0 {
-		o.RecordCap = 4096
 	}
 	if o.TraceCapacity == 0 {
 		o.TraceCapacity = 4096
@@ -159,9 +140,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TraceStoreSpans <= 0 {
 		o.TraceStoreSpans = 4096
-	}
-	if o.WideEvents <= 0 {
-		o.WideEvents = 128
 	}
 	if o.EventHistory == 0 {
 		o.EventHistory = 256
@@ -178,20 +156,11 @@ func (o Options) withDefaults() Options {
 	if o.SweepMaxCells <= 0 || o.SweepMaxCells > sweep.HardMaxCells {
 		o.SweepMaxCells = sweep.DefaultMaxCells
 	}
-	if o.SweepRecordCap <= 0 {
-		o.SweepRecordCap = 256
-	}
-	if o.ScenarioRecordCap <= 0 {
-		o.ScenarioRecordCap = 64
-	}
 	if o.HistoryInterval == 0 {
 		o.HistoryInterval = time.Second
 	}
 	if o.HistoryRetention <= 0 {
 		o.HistoryRetention = 16 * time.Minute
-	}
-	if o.AlertEventHistory <= 0 {
-		o.AlertEventHistory = 256
 	}
 	return o
 }
@@ -280,21 +249,14 @@ type Server struct {
 	// cache lookup and taking mu, so a test can finish a job there.
 	testHookAfterLookup func()
 
-	mu          sync.Mutex
-	byID        map[string]*experiment
-	order       []string
-	inflight    map[string]string // cache key → live experiment id
-	nextID      uint64
-	sweepByID   map[string]*sweep.Sweep
-	sweepOrder  []string
-	nextSweepID uint64
-	scenByID    map[string]*scenarioRec
-	scenOrder   []string
-	nextScenID  uint64
+	// mu guards the three record registries and inflight. The
+	// experiment registry is embedded, so s.byID is the experiment index.
+	mu sync.Mutex
+	*experiments
+	sweepRecs *registry[*sweep.Sweep, SweepResponse]
+	scenRecs  *registry[*scenarioRec, ScenarioResponse]
+	inflight  map[string]string // cache key → live experiment id
 
-	records       atomic.Int64  // len(byID) mirror for the lock-free gauge
-	sweepRecords  atomic.Int64  // len(sweepByID) mirror, same reason
-	scenRecords   atomic.Int64  // len(scenByID) mirror, same reason
 	expTraceDrops atomic.Uint64 // span drops folded in from finished experiment tracers
 }
 
@@ -304,13 +266,47 @@ func New(o Options) *Server {
 	s := &Server{
 		opts:      o,
 		cache:     rescache.New(o.CacheSize),
-		byID:      make(map[string]*experiment),
 		inflight:  make(map[string]string),
-		sweepByID: make(map[string]*sweep.Sweep),
-		scenByID:  make(map[string]*scenarioRec),
 		reg:       obs.NewRegistry(),
 		logger:    o.Logger,
 		startedAt: time.Now(),
+	}
+	s.experiments = &experiments{
+		srv: s, noun: "experiment", prefix: "exp-", cap: experimentRecordCap,
+		noStream: "cached result or streaming disabled",
+		live:     func(e *experiment) bool { return s.jobLive(e.id) },
+		view:     s.responseOf,
+		list:     func(rs []ExperimentResponse) any { return ListResponse{Experiments: rs} },
+		bus:      func(e *experiment) *obs.Bus { return e.bus },
+		cancel:   func(e *experiment) bool { return s.pool.Cancel(e.id) },
+		byID:     make(map[string]*experiment),
+	}
+	s.sweepRecs = &registry[*sweep.Sweep, SweepResponse]{
+		srv: s, noun: "sweep", prefix: "swp-", cap: sweepRecordCap,
+		noStream: "streaming disabled",
+		live: func(sw *sweep.Sweep) bool {
+			select {
+			case <-sw.Done():
+				return false
+			default:
+				return true
+			}
+		},
+		view:   sweepResponseOf,
+		list:   func(rs []SweepResponse) any { return SweepListResponse{Sweeps: rs} },
+		bus:    (*sweep.Sweep).Bus,
+		cancel: func(sw *sweep.Sweep) bool { sw.Cancel(); return true },
+		byID:   make(map[string]*sweep.Sweep),
+	}
+	s.scenRecs = &registry[*scenarioRec, ScenarioResponse]{
+		srv: s, noun: "scenario", prefix: "scn-", cap: scenarioRecordCap,
+		noStream: "streaming disabled",
+		live:     func(rec *scenarioRec) bool { return s.jobLive(rec.id) },
+		view:     s.scenarioResponseOf,
+		list:     func(rs []ScenarioResponse) any { return ScenarioListResponse{Scenarios: rs} },
+		bus:      func(rec *scenarioRec) *obs.Bus { return rec.bus },
+		cancel:   func(rec *scenarioRec) bool { return s.pool.Cancel(rec.id) },
+		byID:     make(map[string]*scenarioRec),
 	}
 	if o.TraceCapacity > 0 {
 		s.poolTrace = obs.NewTracer(o.TraceCapacity)
@@ -318,7 +314,7 @@ func New(o Options) *Server {
 	if o.TraceStoreTraces > 0 {
 		s.spans = obs.NewTraceStore(o.TraceStoreTraces, o.TraceStoreSpans)
 	}
-	s.wide = newWideLog(o.WideEvents)
+	s.wide = newWideLog()
 	if o.EnableAudit {
 		s.auditor = audit.New(s.reg, audit.Options{ExemplarCap: o.AuditExemplars})
 		sim.InstrumentAudit(s.auditor)
@@ -345,24 +341,24 @@ func New(o Options) *Server {
 	s.startHistory()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/experiments", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/experiments", s.handleList)
-	s.mux.HandleFunc("GET /v1/experiments/{id}", s.handleGet)
+	s.mux.HandleFunc("GET /v1/experiments", s.experiments.handleList)
+	s.mux.HandleFunc("GET /v1/experiments/{id}", s.experiments.handleGet)
 	s.mux.HandleFunc("GET /v1/experiments/{id}/trace", s.handleTrace)
-	s.mux.HandleFunc("GET /v1/experiments/{id}/events", s.handleEvents)
+	s.mux.HandleFunc("GET /v1/experiments/{id}/events", s.experiments.handleEvents)
 	s.mux.HandleFunc("GET /v1/audit", s.handleAudit)
-	s.mux.HandleFunc("DELETE /v1/experiments/{id}", s.handleCancel)
+	s.mux.HandleFunc("DELETE /v1/experiments/{id}", s.experiments.handleCancel)
 	s.mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	s.mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
+	s.mux.HandleFunc("GET /v1/sweeps", s.sweepRecs.handleList)
+	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.sweepRecs.handleGet)
 	s.mux.HandleFunc("GET /v1/sweeps/{id}/cells", s.handleSweepCells)
 	s.mux.HandleFunc("GET /v1/sweeps/{id}/report", s.handleSweepReport)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.handleSweepEvents)
-	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
+	s.mux.HandleFunc("GET /v1/sweeps/{id}/events", s.sweepRecs.handleEvents)
+	s.mux.HandleFunc("DELETE /v1/sweeps/{id}", s.sweepRecs.handleCancel)
 	s.mux.HandleFunc("POST /v1/scenarios", s.handleScenarioSubmit)
-	s.mux.HandleFunc("GET /v1/scenarios", s.handleScenarioList)
-	s.mux.HandleFunc("GET /v1/scenarios/{id}", s.handleScenarioGet)
-	s.mux.HandleFunc("GET /v1/scenarios/{id}/events", s.handleScenarioEvents)
-	s.mux.HandleFunc("DELETE /v1/scenarios/{id}", s.handleScenarioCancel)
+	s.mux.HandleFunc("GET /v1/scenarios", s.scenRecs.handleList)
+	s.mux.HandleFunc("GET /v1/scenarios/{id}", s.scenRecs.handleGet)
+	s.mux.HandleFunc("GET /v1/scenarios/{id}/events", s.scenRecs.handleEvents)
+	s.mux.HandleFunc("DELETE /v1/scenarios/{id}", s.scenRecs.handleCancel)
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceGet)
 	s.mux.HandleFunc("GET /v1/metrics/history", s.handleMetricsHistory)
@@ -448,7 +444,7 @@ func (s *Server) onTransition(t jobs.Transition) {
 		return
 	}
 	s.mu.Lock()
-	exp, ok := s.byID[t.ID]
+	exp, ok := s.experiments.get(t.ID)
 	s.mu.Unlock()
 	if !ok {
 		return
@@ -480,7 +476,7 @@ func (s *Server) onJobDone(snap jobs.Snapshot) {
 	s.lat.Observe(snap.Latency().Seconds())
 
 	s.mu.Lock()
-	exp, ok := s.byID[snap.ID]
+	exp, ok := s.experiments.get(snap.ID)
 	s.mu.Unlock()
 	if !ok {
 		return // a sweep cell: the sweep runner's OnCellDone hook covers it
@@ -517,10 +513,7 @@ func (s *Server) onJobDone(snap jobs.Snapshot) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := req.Config.Validate(); err != nil {
@@ -548,8 +541,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !hit {
 		// Coalesce onto a live identical experiment if one exists.
 		if liveID, ok := s.inflight[key]; ok {
-			if exp, ok := s.byID[liveID]; ok {
-				resp := s.responseOfLocked(exp)
+			if exp, ok := s.experiments.get(liveID); ok {
+				resp := s.responseOf(exp)
 				s.mu.Unlock()
 				if sc.Valid() {
 					now := time.Now()
@@ -564,13 +557,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// lookup. It cached its bytes before releasing the key.
 		val, hit = s.cache.Peek(key)
 	}
+	exp := &experiment{
+		id: s.experiments.mint(), key: key, cfg: cfg,
+		createdAt: time.Now(), traceID: sc.TraceID(),
+	}
 	if hit {
-		// Cache hit: mint a terminal record served from the stored bytes.
-		exp := s.newRecordLocked(key, cfg)
+		// Cache hit: a terminal record served from the stored bytes.
 		exp.cached = true
 		exp.result = val.(json.RawMessage)
-		exp.traceID = sc.TraceID()
-		resp := s.responseOfLocked(exp)
+		s.experiments.add(exp.id, exp)
+		resp := s.responseOf(exp)
 		s.mu.Unlock()
 		if sc.Valid() {
 			sc.Complete("jobs", "cache-hit", lookStart, time.Now(), obs.SA("id", exp.id))
@@ -579,50 +575,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	exp := s.newRecordLocked(key, cfg)
-	exp.traceID = sc.TraceID()
-	var tr *obs.Tracer
 	if s.opts.TraceCapacity > 0 {
-		tr = obs.NewTracer(s.opts.TraceCapacity)
-		tr.Instant("jobs", "submitted", 0, map[string]any{"id": exp.id})
-		exp.tr = tr
+		exp.tr = obs.NewTracer(s.opts.TraceCapacity)
+		exp.tr.Instant("jobs", "submitted", 0, map[string]any{"id": exp.id})
 	}
-	var bus *obs.Bus
-	if s.opts.EventHistory > 0 {
-		bus = obs.NewBus(s.opts.EventHistory)
-		bus.CountDropsInto(s.evDrops)
-		exp.bus = bus
-	}
-	runCfg := cfg
+	exp.bus = s.newBus(s.opts.EventHistory)
 	fn := func(ctx context.Context) (any, error) {
-		agg, err := sim.RunContext(obs.WithBus(obs.WithTracer(ctx, tr), bus), runCfg)
+		agg, err := sim.RunContext(obs.WithBus(obs.WithTracer(ctx, exp.tr), exp.bus), exp.cfg)
 		if err != nil {
 			return nil, err
 		}
-		b, err := json.Marshal(report.NewAggregateSummary(runCfg, agg))
+		b, err := json.Marshal(report.NewAggregateSummary(exp.cfg, agg))
 		if err != nil {
 			return nil, err
 		}
 		return json.RawMessage(b), nil
 	}
 	// Only the span context rides along: the job outlives this request,
-	// so ctx cancellation must not (and does not) bound it.
+	// so ctx cancellation must not (and does not) bound it. The record is
+	// indexed once the pool accepts the job; the pool's callbacks look it
+	// up under mu, which is held until then.
 	if err := s.pool.SubmitTraced(r.Context(), exp.id, fn); err != nil {
-		s.dropRecordLocked(exp.id)
 		s.mu.Unlock()
-		switch {
-		case errors.Is(err, jobs.ErrQueueFull):
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		case errors.Is(err, jobs.ErrClosed):
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-		default:
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
-		}
+		writeSubmitError(w, err)
 		return
 	}
 	s.inflight[key] = exp.id
-	resp := s.responseOfLocked(exp)
+	s.experiments.add(exp.id, exp)
+	resp := s.responseOf(exp)
 	s.mu.Unlock()
 	s.logSubmit(exp.id, false, false)
 	w.Header().Set("Location", "/v1/experiments/"+exp.id)
@@ -641,17 +621,13 @@ func (s *Server) logSubmit(id string, cacheHit, coalesced bool) {
 // handleTrace serves an experiment's run trace: Chrome trace-event JSON
 // by default, JSONL with ?format=jsonl.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	exp, ok := s.byID[id]
-	s.mu.Unlock()
+	exp, ok := s.experiments.resolve(w, r)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown experiment " + id})
 		return
 	}
 	if exp.tr == nil {
 		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: "no trace recorded for " + id + " (cached result or tracing disabled)"})
+			errorResponse{Error: "no trace recorded for " + exp.id + " (cached result or tracing disabled)"})
 		return
 	}
 	switch r.URL.Query().Get("format") {
@@ -673,143 +649,25 @@ func (s *Server) handlePoolTrace(w http.ResponseWriter, r *http.Request) {
 	_ = s.poolTrace.WriteChromeTrace(w)
 }
 
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	exp, ok := s.byID[id]
-	var resp ExperimentResponse
-	if ok {
-		resp = s.responseOfLocked(exp)
-	}
-	s.mu.Unlock()
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown experiment " + id})
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	filter, err := statusFilter(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
-		return
-	}
-	s.mu.Lock()
-	out := ListResponse{Experiments: make([]ExperimentResponse, 0, len(s.order))}
-	for _, id := range s.order {
-		resp := s.responseOfLocked(s.byID[id])
-		if filter != "" && resp.Status != string(filter) {
-			continue
-		}
-		resp.Result = nil // keep listings light
-		out.Experiments = append(out.Experiments, resp)
-	}
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	_, known := s.byID[id]
-	s.mu.Unlock()
-	if !known {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown experiment " + id})
-		return
-	}
-	if !s.pool.Cancel(id) {
-		writeJSON(w, http.StatusConflict, errorResponse{Error: "experiment " + id + " is not cancellable"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "canceled": true})
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
 
-// newRecordLocked mints an experiment record; s.mu must be held.
-func (s *Server) newRecordLocked(key string, cfg sim.Config) *experiment {
-	s.nextID++
-	exp := &experiment{
-		id:        "exp-" + strconv.FormatUint(s.nextID, 10),
-		key:       key,
-		cfg:       cfg,
-		createdAt: time.Now(),
-	}
-	s.byID[exp.id] = exp
-	s.order = append(s.order, exp.id)
-	s.pruneLocked()
-	s.records.Store(int64(len(s.byID)))
-	return exp
-}
-
-// dropRecordLocked removes a record that never made it into the pool.
-func (s *Server) dropRecordLocked(id string) {
-	delete(s.byID, id)
-	if n := len(s.order); n > 0 && s.order[n-1] == id {
-		s.order = s.order[:n-1]
-	}
-	s.records.Store(int64(len(s.byID)))
-}
-
-// pruneLocked evicts the oldest terminal records above RecordCap so the
-// index cannot grow without bound under sustained traffic.
-func (s *Server) pruneLocked() {
-	for len(s.order) > s.opts.RecordCap {
-		id := s.order[0]
-		exp := s.byID[id]
-		if !exp.cached {
-			if snap, ok := s.pool.Get(id); !ok || !snap.Status.Terminal() {
-				return // oldest record still live; keep everything
-			}
-		}
-		s.order = s.order[1:]
-		delete(s.byID, id)
-	}
-}
-
-// responseOfLocked assembles the response for one record; s.mu must be
-// held (it reads only the record, but callers already hold the lock).
-func (s *Server) responseOfLocked(exp *experiment) ExperimentResponse {
-	resp := ExperimentResponse{
-		ID:     exp.id,
-		Cached: exp.cached,
-		Config: exp.cfg,
-	}
+// responseOf assembles the response for one record.
+func (s *Server) responseOf(exp *experiment) ExperimentResponse {
+	var v jobView
 	if exp.cached {
-		resp.Status = string(jobs.StatusDone)
-		resp.Result = exp.result
-		resp.EnqueuedAt = exp.createdAt.UTC().Format(time.RFC3339Nano)
-		resp.FinishedAt = resp.EnqueuedAt
-		return resp
+		at := stamp(exp.createdAt)
+		v = jobView{status: string(jobs.StatusDone), enqueued: at, finished: at, result: exp.result}
+	} else {
+		v = s.jobViewOf(exp.id)
 	}
-	snap, ok := s.pool.Get(exp.id)
-	if !ok { // record pruned from the pool out from under us; treat as lost
-		resp.Status = string(jobs.StatusFailed)
-		resp.Error = "job state lost"
-		return resp
+	return ExperimentResponse{
+		ID: exp.id, Status: v.status, Cached: exp.cached, Config: exp.cfg,
+		Attempts: v.attempts, EnqueuedAt: v.enqueued, StartedAt: v.started, FinishedAt: v.finished,
+		Result: v.result, Error: v.err,
 	}
-	resp.Status = string(snap.Status)
-	resp.Attempts = snap.Attempts
-	resp.EnqueuedAt = snap.EnqueuedAt.UTC().Format(time.RFC3339Nano)
-	if !snap.StartedAt.IsZero() {
-		resp.StartedAt = snap.StartedAt.UTC().Format(time.RFC3339Nano)
-	}
-	if !snap.FinishedAt.IsZero() {
-		resp.FinishedAt = snap.FinishedAt.UTC().Format(time.RFC3339Nano)
-	}
-	if snap.Status == jobs.StatusDone {
-		if body, isRaw := snap.Result.(json.RawMessage); isRaw {
-			resp.Result = body
-		}
-	}
-	if snap.Err != nil {
-		resp.Error = snap.Err.Error()
-	}
-	return resp
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

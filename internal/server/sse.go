@@ -56,32 +56,12 @@ func lastEventID(r *http.Request) uint64 {
 	return id
 }
 
-// handleEvents streams one experiment's telemetry as SSE. Events
-// retained in the bus's replay ring and newer than Last-Event-ID are
-// delivered first, then live events as they happen; the stream ends
-// when the experiment's bus closes (job reached a terminal state) or
-// the subscriber falls EventBuffer events behind and is dropped.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	exp, ok := s.byID[id]
-	s.mu.Unlock()
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown experiment " + id})
-		return
-	}
-	if exp.bus == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: "no event stream for " + id + " (cached result or streaming disabled)"})
-		return
-	}
-	s.streamSSE(w, r, exp.bus)
-}
-
-// streamSSE serves one bus subscription as an SSE response: replay from
-// Last-Event-ID, then live events until the bus closes, the subscriber
-// lags EventBuffer events behind, or the client hangs up. Shared by the
-// experiment and sweep event endpoints.
+// streamSSE serves one bus subscription as an SSE response: events
+// retained in the replay ring and newer than Last-Event-ID first, then
+// live events until the bus closes (the record went terminal), the
+// subscriber lags EventBuffer events behind and is dropped, or the
+// client hangs up. Every record kind's /events route and the alert
+// stream serve through it.
 func (s *Server) streamSSE(w http.ResponseWriter, r *http.Request, bus *obs.Bus) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {

@@ -233,18 +233,17 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		Cache:       s.cache.Stats(),
 		JobCache:    s.cache.OriginStats(originJob),
 		SweepCache:  s.cache.OriginStats(originSweep),
-		Experiments: s.records.Load(),
+		Experiments: s.experiments.count.Load(),
 		Tracing:     s.spans != nil,
 		Wide:        s.wide.recent(32),
 		WideTotal:   s.wide.count(),
 	}
 	s.mu.Lock()
-	for i := len(s.sweepOrder) - 1; i >= 0 && len(d.Sweeps) < 16; i-- {
-		if sw := s.sweepByID[s.sweepOrder[i]]; sw != nil {
-			d.Sweeps = append(d.Sweeps, sweepResponseOf(sw.Snapshot()))
-		}
-	}
+	sweeps := s.sweepRecs.records()
 	s.mu.Unlock()
+	for i := len(sweeps) - 1; i >= 0 && len(d.Sweeps) < 16; i-- {
+		d.Sweeps = append(d.Sweeps, sweepResponseOf(sweeps[i]))
+	}
 	if s.spans != nil {
 		sums := s.spans.Summaries()
 		if len(sums) > 16 { // newest are appended last; show the tail

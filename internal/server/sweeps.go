@@ -12,10 +12,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
-	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -27,18 +25,6 @@ const (
 	originJob   = "job"
 	originSweep = "sweep"
 )
-
-// statusFilter parses the shared ?status= query parameter used by the
-// experiment listing and the sweep cell listing; "" means no filter.
-func statusFilter(r *http.Request) (jobs.Status, error) {
-	raw := r.URL.Query().Get("status")
-	switch st := jobs.Status(raw); st {
-	case "", jobs.StatusQueued, jobs.StatusRunning, jobs.StatusDone, jobs.StatusFailed, jobs.StatusCanceled:
-		return st, nil
-	default:
-		return "", fmt.Errorf("unknown status %q (want queued, running, done, failed or canceled)", raw)
-	}
-}
 
 // SweepSubmitRequest is the POST /v1/sweeps body.
 type SweepSubmitRequest struct {
@@ -85,19 +71,17 @@ type SweepCellsResponse struct {
 	Cells  []SweepCellResponse `json:"cells"`
 }
 
-func sweepResponseOf(snap sweep.Snapshot) SweepResponse {
-	resp := SweepResponse{
-		ID:        snap.ID,
-		Name:      snap.Name,
-		Status:    string(snap.Status),
-		Axes:      snap.Axes,
-		Counts:    snap.Counts,
-		CreatedAt: snap.CreatedAt.UTC().Format(time.RFC3339Nano),
+func sweepResponseOf(sw *sweep.Sweep) SweepResponse {
+	snap := sw.Snapshot()
+	return SweepResponse{
+		ID:         snap.ID,
+		Name:       snap.Name,
+		Status:     string(snap.Status),
+		Axes:       snap.Axes,
+		Counts:     snap.Counts,
+		CreatedAt:  snap.CreatedAt.UTC().Format(time.RFC3339Nano),
+		FinishedAt: stamp(snap.FinishedAt),
 	}
-	if !snap.FinishedAt.IsZero() {
-		resp.FinishedAt = snap.FinishedAt.UTC().Format(time.RFC3339Nano)
-	}
-	return resp
 }
 
 func cellResponseOf(c sweep.CellState, withResult bool) SweepCellResponse {
@@ -122,10 +106,7 @@ func cellResponseOf(c sweep.CellState, withResult bool) SweepCellResponse {
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SweepSubmitRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	spec := req.Spec
@@ -144,17 +125,12 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var bus *obs.Bus
-	if s.opts.EventHistory > 0 {
-		// Size the replay ring to hold the whole sweep's progress (two
-		// events per cell plus the terminal sweep event), so a client
-		// connecting after completion still drains every event.
-		bus = obs.NewBus(2*cells + 16)
-		bus.CountDropsInto(s.evDrops)
-	}
+	// Size the replay ring to hold the whole sweep's progress (two
+	// events per cell plus the terminal sweep event), so a client
+	// connecting after completion still drains every event.
+	bus := s.newBus(2*cells + 16)
 	s.mu.Lock()
-	s.nextSweepID++
-	id := "swp-" + strconv.FormatUint(s.nextSweepID, 10)
+	id := s.sweepRecs.mint()
 	s.mu.Unlock()
 	// The sweep outlives this request: run it on the background context
 	// (DELETE /v1/sweeps/{id} cancels it). Only the request's span
@@ -166,10 +142,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	s.sweepByID[id] = sw
-	s.sweepOrder = append(s.sweepOrder, id)
-	s.pruneSweepsLocked()
-	s.sweepRecords.Store(int64(len(s.sweepByID)))
+	s.sweepRecs.add(id, sw)
 	s.mu.Unlock()
 	if s.logger != nil {
 		s.logger.Info("sweep submitted", "id", id, "cells", cells, "axes", spec.AxisNames())
@@ -186,65 +159,12 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	w.Header().Set("Location", "/v1/sweeps/"+id)
-	writeJSON(w, http.StatusAccepted, sweepResponseOf(sw.Snapshot()))
-}
-
-// pruneSweepsLocked evicts the oldest terminal sweeps above
-// SweepRecordCap; s.mu must be held.
-func (s *Server) pruneSweepsLocked() {
-	for len(s.sweepOrder) > s.opts.SweepRecordCap {
-		id := s.sweepOrder[0]
-		if sw := s.sweepByID[id]; sw != nil {
-			select {
-			case <-sw.Done():
-			default:
-				return // oldest sweep still live; keep everything
-			}
-		}
-		s.sweepOrder = s.sweepOrder[1:]
-		delete(s.sweepByID, id)
-	}
-}
-
-// sweepByIDOr404 resolves the path id or writes the 404.
-func (s *Server) sweepByIDOr404(w http.ResponseWriter, r *http.Request) *sweep.Sweep {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	sw := s.sweepByID[id]
-	s.mu.Unlock()
-	if sw == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown sweep " + id})
-	}
-	return sw
-}
-
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweepByIDOr404(w, r)
-	if sw == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, sweepResponseOf(sw.Snapshot()))
-}
-
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	sweeps := make([]*sweep.Sweep, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		if sw := s.sweepByID[id]; sw != nil {
-			sweeps = append(sweeps, sw)
-		}
-	}
-	s.mu.Unlock()
-	out := SweepListResponse{Sweeps: make([]SweepResponse, 0, len(sweeps))}
-	for _, sw := range sweeps {
-		out.Sweeps = append(out.Sweeps, sweepResponseOf(sw.Snapshot()))
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusAccepted, sweepResponseOf(sw))
 }
 
 func (s *Server) handleSweepCells(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweepByIDOr404(w, r)
-	if sw == nil {
+	sw, ok := s.sweepRecs.resolve(w, r)
+	if !ok {
 		return
 	}
 	filter, err := statusFilter(r)
@@ -266,8 +186,8 @@ func (s *Server) handleSweepCells(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSweepReport(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweepByIDOr404(w, r)
-	if sw == nil {
+	sw, ok := s.sweepRecs.resolve(w, r)
+	if !ok {
 		return
 	}
 	tbl, err := sw.MergedTable()
@@ -286,30 +206,4 @@ func (s *Server) handleSweepReport(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest,
 			errorResponse{Error: "unknown report format (want table or csv)"})
 	}
-}
-
-// handleSweepEvents streams a sweep's per-cell progress as SSE: one
-// "cell" event per cell state change and a terminal "sweep" event. The
-// replay ring holds the whole sweep, so Last-Event-ID resume and
-// after-the-fact drains both work.
-func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweepByIDOr404(w, r)
-	if sw == nil {
-		return
-	}
-	if sw.Bus() == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: "no event stream for " + sw.ID() + " (streaming disabled)"})
-		return
-	}
-	s.streamSSE(w, r, sw.Bus())
-}
-
-func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	sw := s.sweepByIDOr404(w, r)
-	if sw == nil {
-		return
-	}
-	sw.Cancel()
-	writeJSON(w, http.StatusOK, map[string]any{"id": sw.ID(), "canceled": true})
 }

@@ -90,8 +90,7 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	// trace, rebased onto the span store's clock.
 	var extra []obs.Event
 	s.mu.Lock()
-	for _, eid := range s.order {
-		exp := s.byID[eid]
+	for _, exp := range s.experiments.records() {
 		if exp.traceID == id && exp.tr != nil {
 			extra = append(extra, exp.tr.RebasedEvents(s.spans.Epoch())...)
 		}

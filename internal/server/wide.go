@@ -53,11 +53,12 @@ type wideLog struct {
 	total uint64
 }
 
-func newWideLog(n int) *wideLog {
-	if n <= 0 {
-		n = 128
-	}
-	return &wideLog{buf: make([]wideEvent, 0, n)}
+// wideEventCap bounds the ring of recent wide events rendered on
+// /debug/statusz.
+const wideEventCap = 128
+
+func newWideLog() *wideLog {
+	return &wideLog{buf: make([]wideEvent, 0, wideEventCap)}
 }
 
 func (l *wideLog) add(ev wideEvent) {
