@@ -7,15 +7,35 @@
 // live here so that any detector plugs into any algorithm — the paper's
 // "seamlessly adopted by current anti-collision algorithms" property.
 //
-// # Allocation invariant
+// # Slot paths and the allocation invariant
 //
-// A slot over the ideal channel performs no heap allocation: contention
-// payloads are built inline or into a reusable scratch (see SlotScratch
-// and detect.ScratchPayloader), the channel retains its signal buffer
-// across slots, and classification reads the overlapped signal as machine
-// words. The allocation-guard test in this package pins RunSlot at
-// 0 allocs/op for QCD and the oracle; keep it green when touching the
-// slot path.
+// RunSlot runs every slot on one of two paths, chosen per detector, not
+// per slot (SlotScratch caches the choice for the detector it last saw):
+//
+//   - The word kernel (kernel.go) takes the ideal-channel slots of
+//     *detect.QCD, *detect.CRCCD over byte-multiple IDs of at most 64
+//     bits, and *detect.Oracle, when every responder's ID has the
+//     detector's length. Each phase is a uint64 OR per responder and
+//     classification a word compare; no payload, channel or detector
+//     interface call is involved.
+//   - The generic path takes everything else: impaired channels (the
+//     active path of RunSlotImpaired), IDs longer than 64 bits or not a
+//     whole number of bytes under CRC-CD, a responder whose ID length
+//     differs from the detector's, and any other Detector, including a
+//     wrapper that embeds one of the three (rfidd's timed and audited
+//     detectors). It builds each contention payload (see
+//     detect.ScratchPayloader), overlaps it on a reusable signal.Channel
+//     and asks the detector to classify.
+//
+// Both paths produce the same Outcome, BitsSent, IdentifiedAtMicros and
+// PRNG draws for any slot both can run; the differential test and
+// FuzzSlotKernel pin that. Neither allocates over the ideal channel: the
+// kernel never touches the heap, and the generic path reaches zero once
+// a reused SlotScratch owns its buffers, provided the detector (or the
+// wrapper around it) implements detect.ScratchPayloader. The
+// allocation-guard test pins
+// RunSlot at 0 allocs/op for QCD, CRC-CD and the oracle with a fresh
+// scratch; keep it green when touching either path.
 package air
 
 import (
@@ -44,13 +64,14 @@ type Outcome struct {
 	Bits int
 }
 
-// SlotScratch holds the per-slot working state — the two phase channels
-// and a payload assembly buffer — so that an engine can run an entire
-// inventory round without per-slot allocation. The zero value is ready to
-// use; allocate one per round (or per engine session) and pass it to
-// RunSlot. A SlotScratch must not be shared between concurrently running
-// rounds.
+// SlotScratch holds the per-slot working state — the bound word kernel,
+// the two phase channels and a payload assembly buffer — so that an
+// engine can run an entire inventory round without per-slot allocation.
+// The zero value is ready to use; allocate one per round (or per engine
+// session) and pass it to RunSlot. A SlotScratch must not be shared
+// between concurrently running rounds.
 type SlotScratch struct {
+	kernel     wordKernel
 	contention signal.Channel
 	idPhase    signal.Channel
 	payload    bitstr.BitString
@@ -61,7 +82,26 @@ type SlotScratch struct {
 // the start of the slot and tauMicros the per-bit airtime; an identified
 // tag is stamped with the slot's end time. Responders must be unidentified
 // tags; the engine guarantees this.
-func (sc *SlotScratch) RunSlot(det detect.Detector, responders []*tagmodel.Tag, nowMicros, tauMicros float64) Outcome {
+func (sc *SlotScratch) RunSlot(det detect.Detector, responders []*tagmodel.Tag, nowMicros, tauMicros float64) (out Outcome) {
+	sc.runSlot(&out, det, responders, nowMicros, tauMicros)
+	return out
+}
+
+// runSlot is RunSlot writing into *out. Outcome has more fields than the
+// compiler keeps in registers, so each wrapper that returned it by value
+// would add a block copy to every slot; filling the caller's result in
+// place avoids them.
+func (sc *SlotScratch) runSlot(out *Outcome, det detect.Detector, responders []*tagmodel.Tag, nowMicros, tauMicros float64) {
+	if k := sc.kernelFor(det); k != nil && k.fits(responders) {
+		k.run(out, responders, nowMicros, tauMicros)
+		return
+	}
+	*out = sc.runGeneric(det, responders, nowMicros, tauMicros)
+}
+
+// runGeneric is RunSlot's generic path: payloads overlapped on the
+// scratch channels and classified by det.
+func (sc *SlotScratch) runGeneric(det detect.Detector, responders []*tagmodel.Tag, nowMicros, tauMicros float64) Outcome {
 	out := Outcome{Truth: signal.Classify(len(responders))}
 
 	ch := &sc.contention

@@ -14,10 +14,10 @@ import (
 )
 
 // TestRunSlotIdealChannelAllocatesNothing pins RunSlot over the ideal
-// channel at exactly 0 allocs for QCD and the oracle across every slot
-// type — the tentpole invariant of the word-backed slot path. If this
-// fails, something on the slot path (payload assembly, channel clone,
-// classification, ID extraction) regressed onto the heap.
+// channel at exactly 0 allocs for QCD, CRC-CD and the oracle across
+// every slot type, with a fresh scratch per slot — the invariant of the
+// word kernel. If this fails, something on the kernel path (binding,
+// overlap, classification, ID matching) regressed onto the heap.
 func TestRunSlotIdealChannelAllocatesNothing(t *testing.T) {
 	dets := []struct {
 		name string
@@ -25,6 +25,7 @@ func TestRunSlotIdealChannelAllocatesNothing(t *testing.T) {
 	}{
 		{"qcd", detect.NewQCD(8, 64)},
 		{"qcd-strength32", detect.NewQCD(32, 64)},
+		{"crccd", detect.NewCRCCD(crc.CRC32IEEE, 64)},
 		{"oracle", detect.NewOracle(1, 64)},
 	}
 	tags := pop(4, 1)
@@ -54,27 +55,30 @@ func TestRunSlotIdealChannelAllocatesNothing(t *testing.T) {
 
 // TestSlotScratchReuseCRCCDSteadyState checks that CRC-CD, whose 96-bit
 // framed unit cannot live inline, still reaches zero steady-state
-// allocation once a reused SlotScratch owns the buffers — the state every
-// engine runs in after its first slot. (A fresh scratch per slot pays for
-// the payload and channel buffers; that transient is allowed.)
+// allocation on the generic path once a reused SlotScratch owns the
+// buffers — the state every engine runs a wrapped detector in after its
+// first slot — and on the word kernel. (A fresh scratch per generic slot
+// pays for the payload and channel buffers; that transient is allowed.)
 func TestSlotScratchReuseCRCCDSteadyState(t *testing.T) {
-	det := detect.NewCRCCD(crc.CRC32IEEE, 64)
+	crccd := detect.NewCRCCD(crc.CRC32IEEE, 64)
 	tags := pop(4, 2)
-	var sc SlotScratch
-	// Warm-up: let the scratch grow its buffers.
-	for i := 0; i < 4; i++ {
-		o := sc.RunSlot(det, tags[:2], 0, 1)
-		if o.Identified != nil {
-			o.Identified.Identified = false
+	for _, det := range []detect.Detector{crccd, genericOnly{crccd}} {
+		var sc SlotScratch
+		// Warm-up: let the scratch grow its buffers.
+		for i := 0; i < 4; i++ {
+			o := sc.RunSlot(det, tags[:2], 0, 1)
+			if o.Identified != nil {
+				o.Identified.Identified = false
+			}
 		}
-	}
-	got := testing.AllocsPerRun(200, func() {
-		o := sc.RunSlot(det, tags[:2], 0, 1)
-		if o.Identified != nil {
-			o.Identified.Identified = false
+		got := testing.AllocsPerRun(200, func() {
+			o := sc.RunSlot(det, tags[:2], 0, 1)
+			if o.Identified != nil {
+				o.Identified.Identified = false
+			}
+		})
+		if got != 0 {
+			t.Errorf("%T with reused scratch allocates %.1f/op in steady state, want 0", det, got)
 		}
-	})
-	if got != 0 {
-		t.Errorf("CRC-CD with reused scratch allocates %.1f/op in steady state, want 0", got)
 	}
 }

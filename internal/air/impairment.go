@@ -63,12 +63,13 @@ func (im *Impairment) corrupt(s bitstr.BitString) bitstr.BitString {
 // RunSlotImpaired is RunSlot over a noisy/capturing channel, reusing sc's
 // channels and buffers. A nil or zero impairment reproduces RunSlot
 // exactly.
-func (sc *SlotScratch) RunSlotImpaired(det detect.Detector, responders []*tagmodel.Tag, im *Impairment, nowMicros, tauMicros float64) Outcome {
+func (sc *SlotScratch) RunSlotImpaired(det detect.Detector, responders []*tagmodel.Tag, im *Impairment, nowMicros, tauMicros float64) (out Outcome) {
 	im.validate()
 	if !im.active() {
-		return sc.RunSlot(det, responders, nowMicros, tauMicros)
+		sc.runSlot(&out, det, responders, nowMicros, tauMicros)
+		return out
 	}
-	out := Outcome{Truth: signal.Classify(len(responders))}
+	out = Outcome{Truth: signal.Classify(len(responders))}
 
 	// Capture: one slot-wide draw decides whether the strongest responder
 	// (modelled as a uniform pick) captures both phases.

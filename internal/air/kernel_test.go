@@ -1,0 +1,212 @@
+package air
+
+import (
+	"testing"
+
+	"repro/internal/bitstr"
+	"repro/internal/crc"
+	"repro/internal/detect"
+	"repro/internal/prng"
+	"repro/internal/signal"
+	"repro/internal/tagmodel"
+)
+
+// genericOnly hides a detector's concrete type, so RunSlot takes the
+// generic path for it: the reference the word kernel is checked against.
+// Like rfidd's timed and audited detectors, it keeps the scratch-payload
+// route of that path.
+type genericOnly struct{ detect.Detector }
+
+func (d genericOnly) ContentionPayloadInto(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString {
+	if sp, ok := d.Detector.(detect.ScratchPayloader); ok {
+		return sp.ContentionPayloadInto(t, scratch)
+	}
+	return d.Detector.ContentionPayload(t)
+}
+
+// kernelCRCs are the CRC-CD parameter sets the differential checks cover.
+var kernelCRCs = []crc.Params{crc.CRC5EPC, crc.CRC8ATM, crc.CRC16EPC, crc.CRC16CCITTFalse, crc.CRC32IEEE}
+
+// slotResult is what one side of the differential check observed of a
+// slot; Identified is held as a population index so both sides compare.
+type slotResult struct {
+	Truth, Declared signal.SlotType
+	Identified      int
+	Phantom         bool
+	Bits            int
+	Panicked        bool
+}
+
+// runSide runs one slot and reports it, turning a panic (the generic
+// path's answer to a mismatched ID length inside one phase) into a field
+// so both sides must agree on it too.
+func runSide(sc *SlotScratch, det detect.Detector, responders []*tagmodel.Tag) (res slotResult) {
+	defer func() {
+		if recover() != nil {
+			res = slotResult{Panicked: true}
+		}
+	}()
+	o := sc.RunSlot(det, responders, 1000, 0.5)
+	res = slotResult{Truth: o.Truth, Declared: o.Declared, Identified: -1, Phantom: o.Phantom, Bits: o.Bits}
+	if o.Identified != nil {
+		res.Identified = o.Identified.Index
+	}
+	return res
+}
+
+// kernelPopulation builds eight tags with idBits-bit IDs from seed; with
+// mismatch, the last tag's ID is 8 bits shorter.
+func kernelPopulation(seed uint64, idBits int, mismatch bool) tagmodel.Population {
+	p := tagmodel.NewPopulation(8, idBits, prng.New(seed))
+	if mismatch {
+		last := p[len(p)-1]
+		last.ID = last.ID.Slice(0, idBits-8)
+	}
+	return p
+}
+
+// diffSlots runs the same slots — responder sets of 0..8 tags drawn from
+// seed — through det's word kernel on one population and through the
+// generic path on an identical one, and fails on the first difference
+// in Outcome, BitsSent, Identified, IdentifiedAtMicros or any
+// responder's next PRNG draw. It returns the slot results so callers
+// can check what the slots covered.
+func diffSlots(t testing.TB, det detect.Detector, idBits int, seed uint64, mismatch bool, slots int) []slotResult {
+	t.Helper()
+	fast := kernelPopulation(seed, idBits, mismatch)
+	ref := kernelPopulation(seed, idBits, mismatch)
+	var scFast, scRef SlotScratch
+	pick := prng.New(seed ^ 0x9e3779b97f4a7c15)
+	results := make([]slotResult, 0, slots)
+	for s := 0; s < slots; s++ {
+		perm := pick.Perm(len(fast))[:pick.Intn(len(fast)+1)]
+		rf := make([]*tagmodel.Tag, len(perm))
+		rr := make([]*tagmodel.Tag, len(perm))
+		for i, j := range perm {
+			rf[i], rr[i] = fast[j], ref[j]
+		}
+		got := runSide(&scFast, det, rf)
+		want := runSide(&scRef, genericOnly{det}, rr)
+		if got != want {
+			t.Fatalf("%s seed %d slot %d (responders %v): kernel %+v, generic %+v", det.Name(), seed, s, perm, got, want)
+		}
+		for i := range fast {
+			f, r := fast[i], ref[i]
+			if f.BitsSent != r.BitsSent || f.Identified != r.Identified || f.IdentifiedAtMicros != r.IdentifiedAtMicros {
+				t.Fatalf("%s seed %d slot %d: tag %d kernel {bits %d id %v at %v}, generic {bits %d id %v at %v}",
+					det.Name(), seed, s, i, f.BitsSent, f.Identified, f.IdentifiedAtMicros, r.BitsSent, r.Identified, r.IdentifiedAtMicros)
+			}
+		}
+		for i := range rf {
+			if a, b := rf[i].Rng.Uint64(), rr[i].Rng.Uint64(); a != b {
+				t.Fatalf("%s seed %d slot %d: responder %d's next draw %#x (kernel) != %#x (generic)", det.Name(), seed, s, rf[i].Index, a, b)
+			}
+		}
+		results = append(results, got)
+	}
+	return results
+}
+
+type kernelCase struct {
+	det    detect.Detector
+	idBits int
+}
+
+// kernelCases lists every detector configuration the kernel binds:
+// QCD at every strength, CRC-CD over the five presets, and the oracle,
+// each at the paper's 64-bit IDs and at a shorter word.
+func kernelCases() []kernelCase {
+	var cs []kernelCase
+	for _, idBits := range []int{64, 24} {
+		for l := 1; l <= 64; l++ {
+			cs = append(cs, kernelCase{detect.NewQCD(l, idBits), idBits})
+		}
+		for _, p := range kernelCRCs {
+			cs = append(cs, kernelCase{detect.NewCRCCD(p, idBits), idBits})
+		}
+		cs = append(cs, kernelCase{detect.NewOracle(1, idBits), idBits}, kernelCase{detect.NewOracle(7, idBits), idBits})
+	}
+	return cs
+}
+
+// TestSlotKernelMatchesGenericPath is the differential test pinning the
+// word kernel to the generic slot path, slot for slot.
+func TestSlotKernelMatchesGenericPath(t *testing.T) {
+	phantoms := 0
+	for _, c := range kernelCases() {
+		var sc SlotScratch
+		if sc.kernelFor(c.det) == nil {
+			t.Fatalf("%s over %d-bit IDs: no word kernel bound", c.det.Name(), c.idBits)
+		}
+		for seed := uint64(1); seed <= 4; seed++ {
+			for _, r := range diffSlots(t, c.det, c.idBits, seed, false, 150) {
+				if r.Phantom {
+					phantoms++
+				}
+			}
+		}
+	}
+	// Strengths 1 and 2 miss collisions often enough that the phantom
+	// branch must have been exercised.
+	if phantoms == 0 {
+		t.Fatal("no phantom read in any slot: the misdetection branch went untested")
+	}
+}
+
+// TestSlotKernelMismatchedIDFallsBack checks that a responder whose ID
+// length differs from the detector's sends the slot to the generic path
+// with identical results, whatever that path does with it.
+func TestSlotKernelMismatchedIDFallsBack(t *testing.T) {
+	for _, det := range []detect.Detector{detect.NewQCD(8, 64), detect.NewCRCCD(crc.CRC32IEEE, 64), detect.NewOracle(1, 64)} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			diffSlots(t, det, 64, seed, true, 60)
+		}
+	}
+}
+
+// TestSlotKernelBinding pins which detectors get a word kernel: wrapped
+// detectors, IDs beyond one word and non-byte CRC-CD IDs stay generic.
+func TestSlotKernelBinding(t *testing.T) {
+	cases := []struct {
+		det    detect.Detector
+		kernel bool
+	}{
+		{detect.NewQCD(8, 64), true},
+		{detect.NewQCD(8, 96), false},
+		{detect.NewCRCCD(crc.CRC32IEEE, 64), true},
+		{detect.NewCRCCD(crc.CRC32IEEE, 96), false},
+		{detect.NewCRCCD(crc.CRC16EPC, 60), false},
+		{detect.NewOracle(1, 64), true},
+		{genericOnly{detect.NewQCD(8, 64)}, false},
+	}
+	for _, c := range cases {
+		var sc SlotScratch
+		if got := sc.kernelFor(c.det) != nil; got != c.kernel {
+			t.Errorf("%s (%T): kernel bound = %v, want %v", c.det.Name(), c.det, got, c.kernel)
+		}
+	}
+	// The binding follows the detector from slot to slot.
+	var sc SlotScratch
+	qcd, wrapped := detect.NewQCD(4, 64), genericOnly{detect.NewQCD(4, 64)}
+	for _, det := range []detect.Detector{qcd, wrapped, qcd, detect.NewOracle(1, 64), wrapped} {
+		want := det != detect.Detector(wrapped)
+		if got := sc.kernelFor(det) != nil; got != want {
+			t.Fatalf("%T: kernel bound = %v, want %v", det, got, want)
+		}
+	}
+}
+
+// FuzzSlotKernel drives the differential check from fuzzed seeds over
+// every kernel configuration; the seed corpus runs under go test.
+func FuzzSlotKernel(f *testing.F) {
+	cases := kernelCases()
+	for i := range cases {
+		f.Add(uint64(i+1), uint16(i), false)
+	}
+	f.Add(uint64(7), uint16(0), true)
+	f.Add(uint64(9), uint16(70), true)
+	f.Fuzz(func(t *testing.T, seed uint64, which uint16, mismatch bool) {
+		c := cases[int(which)%len(cases)]
+		diffSlots(t, c.det, c.idBits, seed, mismatch, 40)
+	})
+}

@@ -221,11 +221,17 @@ func (s BitString) PutBytes(dst []byte) int {
 // Uint64 returns the value of the bits interpreted as a big-endian unsigned
 // integer. It panics if the string is longer than 64 bits.
 func (s BitString) Uint64() uint64 {
+	if s.b == nil {
+		// Kept apart from the slice case so that this common case
+		// inlines at call sites; an empty string shifts out to 0.
+		return s.w >> (64 - uint(s.n))
+	}
+	return s.sliceUint64()
+}
+
+func (s BitString) sliceUint64() uint64 {
 	if s.n > 64 {
 		panic(fmt.Sprintf("bitstr: Uint64 on %d-bit string", s.n))
-	}
-	if s.n == 0 {
-		return 0
 	}
 	return s.word() >> (64 - uint(s.n))
 }

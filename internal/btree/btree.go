@@ -35,10 +35,13 @@ import (
 func slotCap(n int) int64 { return int64(n)*1000 + 1_000_000 }
 
 // groupStack is the counter representation: stack[head+d] holds the tags
-// whose counter is d.
+// whose counter is d. The backing arrays of dropped groups go on free
+// and back into later groups, so a session allocates only while its
+// largest groups are first being built, not once per slot.
 type groupStack struct {
 	stack [][]*tagmodel.Tag
 	head  int
+	free  [][]*tagmodel.Tag
 }
 
 func (g *groupStack) empty() bool { return g.head >= len(g.stack) }
@@ -50,36 +53,67 @@ func (g *groupStack) top() []*tagmodel.Tag {
 	return g.stack[g.head]
 }
 
+// get returns an empty group, reusing a recycled backing array if any.
+func (g *groupStack) get() []*tagmodel.Tag {
+	if n := len(g.free); n > 0 {
+		grp := g.free[n-1]
+		g.free = g.free[:n-1]
+		return grp
+	}
+	return nil
+}
+
+// recycle keeps grp's backing array for a later get; grp must no longer
+// be referenced by the stack.
+func (g *groupStack) recycle(grp []*tagmodel.Tag) {
+	if cap(grp) > 0 {
+		g.free = append(g.free, grp[:0])
+	}
+}
+
 // pop removes the counter-0 group (a non-collided slot: everyone else
-// decrements by sliding the window).
+// decrements by sliding the window) and recycles it.
 func (g *groupStack) pop() {
+	g.recycle(g.stack[g.head])
 	g.stack[g.head] = nil
 	g.head++
 }
 
 // split replaces the counter-0 group with two groups (the random-bit
-// split); every deeper group's counter implicitly increments.
+// split), recycling the old one; every deeper group's counter implicitly
+// increments. When the window reaches the front of the stack it grows
+// with headroom there, so a descent costs amortised O(1) per split.
 func (g *groupStack) split(zero, one []*tagmodel.Tag) {
+	g.recycle(g.stack[g.head])
 	g.stack[g.head] = one
 	if g.head == 0 {
-		g.stack = append([][]*tagmodel.Tag{zero}, g.stack...)
-	} else {
-		g.head--
-		g.stack[g.head] = zero
+		grown := make([][]*tagmodel.Tag, 2*len(g.stack)+1)
+		g.head = len(grown) - len(g.stack)
+		copy(grown[g.head:], g.stack)
+		g.stack = grown
 	}
+	g.head--
+	g.stack[g.head] = zero
 }
 
-// mergeIntoNext folds leftover counter-0 tags into the group below before
-// a pop, modelling a declared-non-collided slot whose responders were not
-// acknowledged: they stay at 0 while the next group decrements to 0.
-func (g *groupStack) mergeIntoNext(leftover []*tagmodel.Tag) {
-	if len(leftover) == 0 {
-		return
+// mergeNext folds the unacknowledged counter-0 tags into the group below
+// before a pop, modelling a declared-non-collided slot whose responders
+// were not acknowledged: they stay at 0 while the next group decrements
+// to 0. They join after that group's own tags, in their current order.
+func (g *groupStack) mergeNext(responders []*tagmodel.Tag) {
+	next := g.head + 1
+	for _, t := range responders {
+		if t.Identified {
+			continue
+		}
+		if next >= len(g.stack) {
+			g.stack = append(g.stack, nil)
+		}
+		if g.stack[next] == nil {
+			g.stack[next] = g.get()
+		}
+		g.stack[next] = append(g.stack[next], t)
 	}
-	if g.head+1 >= len(g.stack) {
-		g.stack = append(g.stack, nil)
-	}
-	g.stack[g.head+1] = append(g.stack[g.head+1], leftover...)
 }
 
 // Run identifies the whole population with counter-based binary splitting
@@ -130,8 +164,9 @@ func run(g *groupStack, n int, det detect.Detector, tm timing.Model, onIdentify 
 		}
 
 		if o.Declared == signal.Collided {
-			// Binary split: every responder draws a random bit.
-			var zero, one []*tagmodel.Tag
+			// Binary split: every responder draws a random bit, in group
+			// order.
+			zero, one := g.get(), g.get()
 			for _, t := range responders {
 				if t.Rng.Coin() == 0 {
 					zero = append(zero, t)
@@ -144,13 +179,7 @@ func run(g *groupStack, n int, det detect.Detector, tm timing.Model, onIdentify 
 			// Non-collided: unacknowledged responders (phantom reads or
 			// misdetected collisions) stay at counter 0 and merge with the
 			// decrementing next group.
-			var leftover []*tagmodel.Tag
-			for _, t := range responders {
-				if !t.Identified {
-					leftover = append(leftover, t)
-				}
-			}
-			g.mergeIntoNext(leftover)
+			g.mergeNext(responders)
 			g.pop()
 		}
 	}

@@ -48,6 +48,15 @@ func TestBitSerialMatchesTable(t *testing.T) {
 				t.Fatalf("%s: bit-serial %#x != table %#x on %d bytes", p.Name, bs, tb, n)
 			}
 		}
+		// The word form is the table over the word's big-endian bytes.
+		for n := 1; n <= 8; n++ {
+			data := make([]byte, n)
+			r.Read(data)
+			v := bitstr.FromBytes(data, 8*n).Uint64()
+			if bs, w := Checksum(p, data), tab.ChecksumUint64(v, n); bs != w {
+				t.Fatalf("%s: bit-serial %#x != word %#x on %d bytes", p.Name, bs, w, n)
+			}
+		}
 	}
 }
 

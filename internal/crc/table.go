@@ -1,12 +1,15 @@
 package crc
 
+import "encoding/binary"
+
 // Table is a byte-at-a-time CRC engine with a precomputed 256-entry lookup
 // table. This is the classic fast software implementation whose memory
 // footprint (256 × width/8 bytes ≈ 1 KB for CRC-32) is what Table IV of
 // the paper charges CRC-CD with; readers can afford it, tags cannot.
 type Table struct {
-	p   Params
-	tab [256]uint64
+	p    Params
+	init uint64 // the register's starting value, reflected for RefIn
+	tab  [256]uint64
 }
 
 // NewTable precomputes the lookup table for p.
@@ -43,6 +46,10 @@ func NewTable(p Params) *Table {
 		}
 		t.tab[b] = reg & t.widthMask()
 	}
+	t.init = p.Init & p.mask()
+	if p.RefIn {
+		t.init = reflect(t.init, p.Width)
+	}
 	return t
 }
 
@@ -69,8 +76,17 @@ func (t *Table) narrowEntry(b byte) uint64 {
 
 // Checksum computes the CRC of data using the lookup table.
 func (t *Table) Checksum(data []byte) uint64 {
-	reg := t.update(t.initReg(), data)
+	reg := t.update(t.init, data)
 	return t.finish(reg)
+}
+
+// ChecksumUint64 computes the CRC of the n low-order bytes of v, most
+// significant first: the Checksum of v's n-byte big-endian encoding, for
+// callers that hold the data as a word. n must lie in 1..8.
+func (t *Table) ChecksumUint64(v uint64, n int) uint64 {
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], v<<(64-8*uint(n)))
+	return t.finish(t.update(t.init, buf[:n]))
 }
 
 // Engine is a streaming CRC accumulator over a Table.
@@ -80,7 +96,7 @@ type Engine struct {
 }
 
 // NewEngine returns a streaming accumulator for t's parameters.
-func (t *Table) NewEngine() *Engine { return &Engine{t: t, reg: t.initReg()} }
+func (t *Table) NewEngine() *Engine { return &Engine{t: t, reg: t.init} }
 
 // Write absorbs data; it never fails. It implements io.Writer.
 func (e *Engine) Write(data []byte) (int, error) {
@@ -92,15 +108,7 @@ func (e *Engine) Write(data []byte) (int, error) {
 func (e *Engine) Sum() uint64 { return e.t.finish(e.reg) }
 
 // Reset restores the engine to its initial state.
-func (e *Engine) Reset() { e.reg = e.t.initReg() }
-
-func (t *Table) initReg() uint64 {
-	init := t.p.Init & t.p.mask()
-	if t.p.RefIn {
-		return reflect(init, t.p.Width)
-	}
-	return init
-}
+func (e *Engine) Reset() { e.reg = e.t.init }
 
 func (t *Table) update(reg uint64, data []byte) uint64 {
 	p := t.p

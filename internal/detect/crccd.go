@@ -52,6 +52,14 @@ func (c *CRCCD) checksumID(id bitstr.BitString) uint64 {
 	return crc.ChecksumBits(c.params, id)
 }
 
+// ChecksumUint64 returns crc(id) for an ID held as the low idBits bits
+// of a word: the checksum ContentionPayload frames and Classify
+// recomputes, for byte-multiple IDs of at most 64 bits. The word kernel
+// in internal/air calls it in place of building the framed unit.
+func (c *CRCCD) ChecksumUint64(id uint64) uint64 {
+	return c.tab.ChecksumUint64(id, c.idBits/8)
+}
+
 // Name implements Detector.
 func (c *CRCCD) Name() string { return "CRC-CD/" + c.params.Name }
 

@@ -58,8 +58,14 @@ type Detector interface {
 	ExtractID(contention, idPhase signal.Reception) (id bitstr.BitString, ok bool)
 }
 
-// ScratchPayloader is an optional extension of Detector for the
-// zero-allocation slot path. ContentionPayloadInto behaves exactly like
+// ScratchPayloader is an optional extension of Detector for the generic
+// slot path of internal/air. That path runs every slot the word kernel
+// does not: impaired channels, IDs longer than 64 bits (or, under CRC-CD,
+// not a whole number of bytes), responders whose ID length differs from
+// the detector's, and any Detector other than *QCD, *CRCCD and *Oracle —
+// wrappers that embed one of those included. The word kernel never calls
+// a payload method; it overlaps the three built-in schemes as machine
+// words instead. ContentionPayloadInto behaves exactly like
 // ContentionPayload — same bits, same draws from t.Rng — but may reuse
 // scratch's backing storage to build the payload. The caller passes the
 // previous return value back in as scratch on the next call; the payload
@@ -67,7 +73,7 @@ type Detector interface {
 // before reuse. Scratch travels by value (not by pointer) so that this
 // interface call never forces the caller's slot state onto the heap.
 // Wrappers that decorate a Detector should forward this interface so the
-// fast path survives instrumentation.
+// generic path stays allocation-free under instrumentation.
 type ScratchPayloader interface {
 	ContentionPayloadInto(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString
 }

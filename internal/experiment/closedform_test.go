@@ -1,0 +1,140 @@
+package experiment
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/air"
+	"repro/internal/analytic"
+	"repro/internal/detect"
+	"repro/internal/epc"
+	"repro/internal/prng"
+	"repro/internal/signal"
+	"repro/internal/sim"
+	"repro/internal/tagmodel"
+)
+
+// Numeric assertions of the paper's closed forms against the simulator,
+// beside the shape tests in experiment_test.go. Tolerances are σ-derived at a fixed seed
+// and round count, never hand-tuned.
+
+// firstFrameAccuracy runs the first FSA frame of n tags over f slots
+// through the slot engine, rounds times, and returns how many slots were
+// truly collided and how many of those QCD-strength flagged.
+func firstFrameAccuracy(strength, n, f, rounds int, seed uint64) (collided, detected int) {
+	det := detect.NewQCD(strength, epc.IDBits)
+	seeds := prng.New(seed)
+	var sc air.SlotScratch
+	buckets := make([][]*tagmodel.Tag, f)
+	for r := 0; r < rounds; r++ {
+		for i := range buckets {
+			buckets[i] = buckets[i][:0]
+		}
+		for _, t := range tagmodel.NewPopulation(n, epc.IDBits, prng.New(seeds.Uint64())) {
+			i := t.Rng.Intn(f)
+			buckets[i] = append(buckets[i], t)
+		}
+		for _, b := range buckets {
+			o := sc.RunSlot(det, b, 0, 1)
+			if o.Truth == signal.Collided {
+				collided++
+				if o.Declared == signal.Collided {
+					detected++
+				}
+			}
+		}
+	}
+	return collided, detected
+}
+
+// TestFigure5AccuracyMatchesClosedForm checks measured QCD accuracy at
+// l = 4 and l = 8 against analytic.ExpectedQCDAccuracy, whose model is
+// the first frame's binomial slot occupancy: each collided slot is a
+// Bernoulli trial, so the measured rate must sit within 3σ of the
+// binomial interval around the closed form.
+func TestFigure5AccuracyMatchesClosedForm(t *testing.T) {
+	c := epc.PaperCases()[1] // case II: 500 tags, F = 300
+	const rounds = 400
+	for _, l := range []int{4, 8} {
+		collided, detected := firstFrameAccuracy(l, c.Tags, c.Slots, rounds, 1)
+		want := analytic.ExpectedQCDAccuracy(l, float64(c.Tags), float64(c.Slots))
+		got := float64(detected) / float64(collided)
+		sigma := math.Sqrt(want * (1 - want) / float64(collided))
+		t.Logf("QCD-%d: accuracy %.5f over %d collided slots, closed form %.5f, σ %.5f", l, got, collided, want, sigma)
+		if math.Abs(got-want) > 3*sigma {
+			t.Errorf("QCD-%d accuracy over %d collided slots = %.5f, closed form %.5f ± %.5f (3σ)",
+				l, collided, got, want, 3*sigma)
+		}
+	}
+}
+
+// TestLemma2SlotsMatchClosedForm checks BT slots per tag against
+// analytic.BTExpectedSlots (Lemma 2, 2.885n) within 3σ of the round
+// mean. It runs the exact engine under the oracle and under QCD-16,
+// whose 2^-16 miss rate keeps Lemma 2's perfect-detection model valid.
+func TestLemma2SlotsMatchClosedForm(t *testing.T) {
+	c := epc.PaperCases()[1]
+	for _, det := range []string{sim.DetOracle, sim.DetQCD} {
+		agg, err := sim.Run(sim.Config{
+			Tags: c.Tags, IDBits: epc.IDBits, Seed: 1, Rounds: 200,
+			Algorithm: sim.AlgBT, Detector: det, Strength: 16,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _, _ := analytic.BTExpectedSlots(float64(c.Tags))
+		sigma := agg.Slots.StdDev() / math.Sqrt(float64(agg.Slots.N()))
+		t.Logf("BT/%s: %.2f slots per %d tags, Lemma 2 %.1f, σ %.2f", det, agg.Slots.Mean(), c.Tags, want, sigma)
+		if got := agg.Slots.Mean(); math.Abs(got-want) > 3*sigma {
+			t.Errorf("BT/%s: %.1f slots per %d tags, Lemma 2 %.1f ± %.1f (3σ)", det, got, c.Tags, want, 3*sigma)
+		}
+	}
+}
+
+// btGroupShare is the closed-form share of BT's collided slots that
+// carry m ≥ 2 responders: Lemma 2's 1.443n collided slots are
+// Σ_{m≥2} n / (ln 2 · m(m−1)) collided groups of size m (Hush & Wood's
+// splitting-tree law; Σ 1/(m(m−1)) = 1 gives n / ln 2), so the share is
+// 1/(m(m−1)).
+func btGroupShare(m int) float64 { return 1 / float64(m*(m-1)) }
+
+// TestBTAccuracyMatchesClosedForm checks measured QCD accuracy under BT
+// at l = 4 and l = 8 against the group-size law behind Lemma 2: a
+// collided group of m misses with probability 2^-l(m-1)
+// (analytic.QCDMissProbability). The law itself is first checked to
+// reproduce Lemma 2's collided and idle constants (an m-group splits
+// empty with probability 2^(1-m)). The tolerance is 3σ of the round
+// mean.
+func TestBTAccuracyMatchesClosedForm(t *testing.T) {
+	var collided, idle float64
+	for m := 2; m <= 1<<20; m++ { // the collided sum's tail is 1/m
+		collided += btGroupShare(m) / math.Ln2
+		if m < 64 {
+			idle += btGroupShare(m) / math.Ln2 * math.Pow(2, float64(1-m))
+		}
+	}
+	if math.Abs(collided-analytic.BTCollidedPerTag) > 1e-3 || math.Abs(idle-analytic.BTIdlePerTag) > 1e-3 {
+		t.Fatalf("group-size law gives %.4f collided and %.4f idle per tag, Lemma 2 %.3f and %.3f",
+			collided, idle, analytic.BTCollidedPerTag, analytic.BTIdlePerTag)
+	}
+	c := epc.PaperCases()[1]
+	for _, l := range []int{4, 8} {
+		agg, err := sim.Run(sim.Config{
+			Tags: c.Tags, IDBits: epc.IDBits, Seed: 1, Rounds: 200,
+			Algorithm: sim.AlgBT, Detector: sim.DetQCD, Strength: l,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 1.0
+		for m := 2; m < 64; m++ {
+			want -= btGroupShare(m) * analytic.QCDMissProbability(l, m)
+		}
+		got := agg.Accuracy.Mean()
+		sigma := agg.Accuracy.StdDev() / math.Sqrt(float64(agg.Accuracy.N()))
+		t.Logf("BT/QCD-%d: accuracy %.5f, closed form %.5f, σ %.5f", l, got, want, sigma)
+		if math.Abs(got-want) > 3*sigma {
+			t.Errorf("BT/QCD-%d accuracy %.5f, closed form %.5f ± %.5f (3σ)", l, got, want, 3*sigma)
+		}
+	}
+}

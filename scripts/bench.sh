@@ -27,7 +27,8 @@ TIME=${BENCH_TIME:-1s}
 FILTER=${BENCH_FILTER:-.}
 
 # The packages that make up the slot hot path, innermost first — the
-# prng bulk-fill kernels feeding stat mode included — plus the sweep
+# prng bulk-fill kernels feeding stat mode included — plus the BT engine
+# (its per-slot group splits must not allocate), the sweep
 # grid expander (its allocs/op guards spec-expansion cost), the span
 # layer, the metrics history store and the SLO engine (their disabled
 # paths must stay at 0 allocs/op, and the enabled sampling/evaluation
@@ -35,7 +36,7 @@ FILTER=${BENCH_FILTER:-.}
 # colouring, and the streaming warehouse engine (its full-run
 # benchmark is the acceptance workload: 100k tags × 100 readers per
 # op).
-PKGS="./internal/prng ./internal/bitstr ./internal/detect ./internal/air ./internal/sched ./internal/aloha ./internal/qtree ./internal/sim ./internal/sweep ./internal/deploy ./internal/scenario ./internal/obs ./internal/obs/tsdb ./internal/obs/slo"
+PKGS="./internal/prng ./internal/bitstr ./internal/detect ./internal/air ./internal/sched ./internal/aloha ./internal/btree ./internal/qtree ./internal/sim ./internal/sweep ./internal/deploy ./internal/scenario ./internal/obs ./internal/obs/tsdb ./internal/obs/slo"
 
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
