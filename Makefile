@@ -45,8 +45,8 @@ loc:
 obssmoke:
 	$(GO) run ./cmd/obssmoke
 
-# trace-demo runs a small traced experiment and validates that the
-# emitted Chrome trace-event JSON has the shape chrome://tracing loads.
+# trace-demo validates that every trace export (rfidsim -trace and
+# rfidd's trace endpoints) has the shape chrome://tracing and Perfetto
+# load, nesting included.
 trace-demo:
-	$(GO) run ./cmd/rfidsim -tags 200 -rounds 10 -frame 128 -trace /tmp/rfidsim-trace.json
-	$(GO) run ./cmd/tracecheck -min-events 10 /tmp/rfidsim-trace.json
+	$(GO) test -count=1 -run '^TestTraceExportShape$$' -v ./cmd/rfidsim

@@ -23,12 +23,13 @@
 //
 // Observability: requests and worker lifecycle are logged through
 // log/slog (-log-format json for machine parsing, -log-level to
-// filter), per-experiment run traces are recorded into a bounded ring
-// (-trace-cap events, 0 disables), service spans for every mutating
-// request are kept in a bounded trace store (-span-traces /
-// -span-capacity, exported per trace ID on /v1/traces/{id}), and
-// -pprof mounts the standard net/http/pprof handlers under
-// /debug/pprof/.
+// filter); every mutating request gets a trace, whose spans — request,
+// queue wait, run, experiment, rounds, frames — are kept in one bounded
+// trace store (-span-traces traces of at most -span-capacity spans
+// each; -span-traces 0 disables tracing). /v1/traces/{id} and
+// /v1/experiments/{id}/trace export one trace, /debug/trace every
+// retained one. -pprof mounts the standard net/http/pprof handlers
+// under /debug/pprof/.
 //
 // On SIGINT/SIGTERM the daemon stops accepting work, drains queued and
 // in-flight experiments (up to -drain-timeout), then exits.
@@ -58,9 +59,8 @@ func main() {
 		cacheSize    = flag.Int("cache", 1024, "result cache capacity in entries")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-experiment run limit (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain limit")
-		traceCap     = flag.Int("trace-cap", 4096, "per-experiment trace ring capacity in events (0 disables tracing)")
-		spanTraces   = flag.Int("span-traces", 256, "service trace store capacity in traces (0 disables span recording)")
-		spanCap      = flag.Int("span-capacity", 4096, "service trace store capacity in spans across all traces")
+		spanTraces   = flag.Int("span-traces", 256, "trace store capacity in traces (0 disables tracing)")
+		spanCap      = flag.Int("span-capacity", 4096, "trace store capacity in spans per trace (further spans are dropped and counted)")
 		eventHistory = flag.Int("event-history", 256, "per-experiment SSE replay ring in events (0 disables streaming)")
 		eventBuffer  = flag.Int("event-buffer", 256, "events an SSE subscriber may lag before being dropped")
 		heartbeat    = flag.Duration("heartbeat", 15*time.Second, "SSE comment-heartbeat interval")
@@ -82,12 +82,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Options.TraceCapacity / EventHistory: 0 means default, negative
-	// disables, so a 0 flag value maps to -1.
-	tc := *traceCap
-	if tc == 0 {
-		tc = -1
-	}
+	// Options.EventHistory / TraceStoreTraces / HistoryInterval: 0 means
+	// default, negative disables, so a 0 flag value maps to -1.
 	eh := *eventHistory
 	if eh == 0 {
 		eh = -1
@@ -114,7 +110,6 @@ func main() {
 		QueueDepth:        *queue,
 		CacheSize:         *cacheSize,
 		JobTimeout:        *jobTimeout,
-		TraceCapacity:     tc,
 		TraceStoreTraces:  st,
 		TraceStoreSpans:   *spanCap,
 		EventHistory:      eh,

@@ -13,9 +13,11 @@
 //	rfidsim -scenario spec.json                                    # streaming warehouse scenario (internal/scenario)
 //
 // With -trace (Chrome trace-event JSON) or -trace-jsonl (one event per
-// line) the run records per-round and per-frame spans. On a -timeout
-// abort the partial aggregate and any recorded trace are still flushed
-// before exiting 2, so a too-slow experiment is not a total loss.
+// line) the run records experiment, round and frame spans into a
+// one-trace span store holding at most -trace-cap spans (further spans
+// are dropped). On a -timeout abort the partial aggregate and any
+// recorded trace are still flushed before exiting 2, so a too-slow
+// experiment is not a total loss.
 package main
 
 import (
@@ -65,8 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeout    = fs.Duration("timeout", 0, "abort the experiment after this duration (0 = no limit)")
 		traceOut   = fs.String("trace", "", "write a Chrome trace-event JSON run trace to this file")
 		traceJSONL = fs.String("trace-jsonl", "", "write the run trace as JSONL to this file")
-		traceCap   = fs.Int("trace-cap", 1<<16, "trace ring-buffer capacity in events")
-		traceSamp  = fs.Int("trace-sample", 1, "record 1 in N round spans (1 = all)")
+		traceCap   = fs.Int("trace-cap", 1<<16, "trace capacity in spans (further spans are dropped)")
 		progress   = fs.Bool("progress", false, "render a live per-round status line on stderr")
 		auditFlag  = fs.Bool("audit", false, "shadow every verdict with the ground-truth oracle and report the confusion summary")
 	)
@@ -88,11 +89,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runScenario(ctx, *scenPath, *workers, *jsonOut, *progress, stdout, stderr)
 	}
 
-	var tracer *obs.Tracer
+	var traces *obs.TraceStore
 	if *traceOut != "" || *traceJSONL != "" {
-		tracer = obs.NewTracer(*traceCap)
-		tracer.SetSampling(*traceSamp)
-		ctx = obs.WithTracer(ctx, tracer)
+		traces = obs.NewTraceStore(1, *traceCap)
+		ctx = obs.WithSpan(ctx, traces.StartTrace("rfidsim"))
 	}
 
 	var auditor *rfid.Auditor
@@ -122,13 +122,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flushTrace := func() bool {
 		ok := true
 		if *traceOut != "" {
-			if err := writeTraceFile(*traceOut, tracer.WriteChromeTrace); err != nil {
+			if err := writeTraceFile(*traceOut, traces.WriteChromeTrace); err != nil {
 				fmt.Fprintln(stderr, "rfidsim: trace:", err)
 				ok = false
 			}
 		}
 		if *traceJSONL != "" {
-			if err := writeTraceFile(*traceJSONL, tracer.WriteJSONL); err != nil {
+			if err := writeTraceFile(*traceJSONL, traces.WriteJSONL); err != nil {
 				fmt.Fprintln(stderr, "rfidsim: trace:", err)
 				ok = false
 			}
@@ -195,13 +195,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeTraceFile writes one trace export to path.
-func writeTraceFile(path string, write func(io.Writer) error) error {
+// writeTraceFile writes the store's one trace to path in the format
+// write produces.
+func writeTraceFile(path string, write func(io.Writer, string) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
+	if err := write(f, ""); err != nil {
 		f.Close()
 		return err
 	}

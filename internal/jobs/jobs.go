@@ -107,9 +107,6 @@ type Options struct {
 	// submitting or worker goroutine; keep it fast and do not call back
 	// into the pool.
 	OnTransition func(Transition)
-	// Tracer, if set, receives worker lifetime spans, per-attempt job
-	// run spans, and retry instants (repro/internal/obs).
-	Tracer *obs.Tracer
 	// Logger, if set, receives structured worker lifecycle and job
 	// terminal logs.
 	Logger *slog.Logger
@@ -322,7 +319,6 @@ func (p *Pool) SubmitTracedTimeout(ctx context.Context, id string, fn Func, time
 	p.submitted.Add(1)
 	p.mu.Unlock() // hooks run lock-free: they may take their own locks
 
-	p.opts.Tracer.Instant("jobs", "enqueued", 0, map[string]any{"id": id})
 	p.transition(id, "", StatusQueued, 0)
 	return nil
 }
@@ -467,28 +463,25 @@ func (p *Pool) Shutdown(ctx context.Context) error {
 
 func (p *Pool) worker(wid int) {
 	defer p.wg.Done()
-	tid := wid + 1 // tracer track 0 is the submit/lifecycle track
 	if l := p.opts.Logger; l != nil {
 		l.Info("worker started", "worker", wid)
 	}
-	span := p.opts.Tracer.StartSpan("jobs", "worker", tid)
 	n := 0
 	for j := range p.queue {
 		p.busy.Add(1)
 		t0 := time.Now()
-		p.run(j, tid)
+		p.run(j)
 		p.busyNanos.Add(int64(time.Since(t0)))
 		p.busy.Add(-1)
 		n++
 	}
-	span.End(map[string]any{"worker": wid, "jobs": n})
 	if l := p.opts.Logger; l != nil {
 		l.Info("worker stopped", "worker", wid, "jobs", n)
 	}
 }
 
 // run executes one job with retries and records its terminal state.
-func (p *Pool) run(j *job, tid int) {
+func (p *Pool) run(j *job) {
 	j.mu.Lock()
 	if j.canceled { // canceled while still queued
 		j.status = StatusCanceled
@@ -518,7 +511,6 @@ func (p *Pool) run(j *job, tid int) {
 	runSpan := j.sctx.Start("jobs", "run")
 	runCtx = obs.WithSpan(runCtx, runSpan.Context())
 	p.transition(j.id, StatusQueued, StatusRunning, 0)
-	span := p.opts.Tracer.StartSpan("jobs", "job "+j.id, tid)
 
 	var result any
 	var err error
@@ -547,7 +539,11 @@ func (p *Pool) run(j *job, tid int) {
 			break
 		}
 		p.nRetries.Add(1)
-		p.opts.Tracer.Instant("jobs", "retry", tid, map[string]any{"id": j.id, "attempt": attempt + 1})
+		if runSpan.Live() {
+			now := time.Now()
+			runSpan.Context().Complete("jobs", "retry", now, now,
+				obs.SA("id", j.id), obs.SA("attempt", attempt+1))
+		}
 		select {
 		case <-time.After(backoff):
 		case <-runCtx.Done():
@@ -574,15 +570,14 @@ func (p *Pool) run(j *job, tid int) {
 	}
 	status := j.status
 	attempts := j.attempts
-	close(j.done)
-	j.mu.Unlock()
+	// Record the run span before the job turns terminal, so whoever sees
+	// the terminal state also finds the complete run in the trace.
 	if runSpan.Live() {
 		runSpan.End(obs.SA("id", j.id), obs.SA("status", string(status)),
 			obs.SA("attempts", attempts))
-	} else {
-		runSpan.End()
 	}
-	span.End(map[string]any{"id": j.id, "status": string(status), "attempts": attempts})
+	close(j.done)
+	j.mu.Unlock()
 	p.transition(j.id, StatusRunning, status, attempts)
 	p.finishLog(j)
 	p.notify(j)

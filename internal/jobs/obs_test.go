@@ -113,15 +113,17 @@ func TestTransitionCanceledWhileQueued(t *testing.T) {
 	}
 }
 
-// TestPoolTracerEvents checks the pool emits enqueue instants, per-job
-// spans, retry instants, and worker lifetime spans into its tracer.
+// TestPoolTracerEvents checks the pool records, into the submitter's
+// trace, one queue-wait and one run span per job and a zero-length
+// retry span under the run of the job that retried.
 func TestPoolTracerEvents(t *testing.T) {
-	tr := obs.NewTracer(1024)
-	p := NewPool(Options{Workers: 2, Retries: 1, Backoff: time.Millisecond, Tracer: tr})
+	store := obs.NewTraceStore(1, 64)
+	ctx := obs.WithSpan(context.Background(), store.StartTrace("t"))
+	p := NewPool(Options{Workers: 2, Retries: 1, Backoff: time.Millisecond})
 
-	p.Submit("ok", func(context.Context) (any, error) { return nil, nil })
+	p.SubmitTraced(ctx, "ok", func(context.Context) (any, error) { return nil, nil })
 	attempts := 0
-	p.Submit("flaky", func(context.Context) (any, error) {
+	p.SubmitTraced(ctx, "flaky", func(context.Context) (any, error) {
 		attempts++
 		if attempts == 1 {
 			return nil, Transient(errors.New("blip"))
@@ -135,20 +137,23 @@ func TestPoolTracerEvents(t *testing.T) {
 	}
 
 	counts := map[string]int{}
-	for _, ev := range tr.Events() {
-		counts[ev.Name]++
+	runOf := map[uint64]any{} // run span ID → job id
+	for _, sp := range store.Spans("t") {
+		counts[sp.Name]++
+		if sp.Name == "run" {
+			runOf[sp.ID] = sp.Attrs[0].Val
+		}
 	}
-	if counts["enqueued"] != 2 {
-		t.Errorf("enqueued instants = %d, want 2", counts["enqueued"])
-	}
-	if counts["job ok"] != 1 || counts["job flaky"] != 1 {
-		t.Errorf("job spans = %d/%d, want 1/1", counts["job ok"], counts["job flaky"])
+	if counts["queue-wait"] != 2 || counts["run"] != 2 {
+		t.Errorf("queue-wait/run spans = %d/%d, want 2/2", counts["queue-wait"], counts["run"])
 	}
 	if counts["retry"] != 1 {
-		t.Errorf("retry instants = %d, want 1", counts["retry"])
+		t.Fatalf("retry spans = %d, want 1", counts["retry"])
 	}
-	if counts["worker"] != 2 {
-		t.Errorf("worker spans = %d, want 2", counts["worker"])
+	for _, sp := range store.Spans("t") {
+		if sp.Name == "retry" && (runOf[sp.Parent] != "flaky" || sp.DurUS != 0) {
+			t.Errorf("retry span %+v: want a zero-length child of flaky's run span", sp)
+		}
 	}
 }
 

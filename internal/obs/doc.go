@@ -1,6 +1,6 @@
 // Package obs is the repo's stdlib-only observability layer: a named
-// metrics registry with a Prometheus text encoder, and a ring-buffered
-// span/event tracer exportable as JSONL or Chrome trace-event JSON.
+// metrics registry with a Prometheus text encoder, and a bounded span
+// store exportable as JSONL or Chrome trace-event JSON.
 //
 // # Metrics
 //
@@ -17,14 +17,14 @@
 //
 // # Tracing
 //
-// A Tracer records spans and instant events into a fixed-capacity ring
-// buffer (oldest events are overwritten and counted as dropped), with
-// optional 1-in-N span sampling. All methods are safe on a nil
-// *Tracer and do nothing, so instrumented code paths pay only a nil
-// check — and zero heap allocations — when tracing is off. Tracers
-// travel through context (WithTracer / TracerFrom) so deep call stacks
-// like sim.RunContext can emit per-round and per-frame spans without
-// new parameters. Recorded events export as JSONL (WriteJSONL) or as
-// Chrome trace-event JSON (WriteChromeTrace) loadable in
-// chrome://tracing or https://ui.perfetto.dev.
+// A TraceStore records spans grouped by trace ID, each with a parent
+// link, on one monotonic clock. It keeps at most a fixed number of
+// traces (oldest evicted) of a fixed number of spans each (further
+// spans dropped and counted). Span contexts travel through context
+// (WithSpan / SpanFrom), so deep call stacks like sim.RunContext
+// record experiment, round and frame spans under the caller's span
+// without new parameters. A zero SpanContext, a nil store and a
+// disabled store are all inert and allocation-free. Traces export as
+// JSONL (WriteJSONL) or as Chrome trace-event JSON (WriteChromeTrace)
+// loadable in chrome://tracing or https://ui.perfetto.dev.
 package obs

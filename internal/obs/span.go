@@ -1,13 +1,13 @@
 package obs
 
-// Cross-layer trace context. Where Tracer is a per-run ring buffer of
-// low-level events (rounds, frames, slots), the TraceStore records the
-// *service-level* shape of a request: one trace per X-Trace-Id, made of
-// spans with explicit parent links — request → job queue-wait → run,
-// or request → sweep → cell — so one sweep cell can be followed from
-// the HTTP edge down to its rounds. Traces and spans are bounded; when
-// a trace is full new spans are dropped (and counted) rather than
-// evicting the roots, which are the joins everything else hangs off.
+// Trace context. The TraceStore is the one trace model: it records the
+// shape of a request as one trace per X-Trace-Id, made of spans with
+// explicit parent links — request → job queue-wait → run → experiment
+// → round → frame, or request → sweep → cell → … — so one sweep cell
+// can be followed from the HTTP edge down to its frames on one clock.
+// Traces and spans are bounded; when a trace is full new spans are
+// dropped (and counted) rather than evicting the roots, which are the
+// joins everything else hangs off.
 //
 // The disabled path follows the audit-toggle discipline: a zero
 // SpanContext is inert at zero cost, and a disabled store answers
@@ -17,7 +17,6 @@ package obs
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -115,10 +114,6 @@ func (s *TraceStore) SetEnabled(on bool) {
 
 // Enabled reports whether spans are being recorded.
 func (s *TraceStore) Enabled() bool { return s != nil && s.enabled.Load() }
-
-// Epoch returns the store's clock origin; external event sources (the
-// per-run ring tracers) are rebased against it when traces are joined.
-func (s *TraceStore) Epoch() time.Time { return s.epoch }
 
 // nowUS is microseconds elapsed on the store's clock.
 func (s *TraceStore) nowUS() float64 {
@@ -368,62 +363,4 @@ func WithSpan(ctx context.Context, sc SpanContext) context.Context {
 func SpanFrom(ctx context.Context) SpanContext {
 	sc, _ := ctx.Value(spanKey{}).(SpanContext)
 	return sc
-}
-
-// spanTID maps span categories to stable Chrome thread tracks, offset
-// above the per-run ring tracer's worker tracks so joined traces keep
-// the service layers visually separate.
-func spanTID(cat string) int {
-	switch cat {
-	case "http":
-		return 100
-	case "jobs":
-		return 101
-	case "sweep":
-		return 102
-	case "cell":
-		return 103
-	case "sim":
-		return 104
-	default:
-		return 110
-	}
-}
-
-// chromeEvents converts a trace's spans to Chrome trace events; the
-// span/parent identity rides in args so the tree stays joinable after
-// export.
-func chromeEvents(spans []SpanRec) []Event {
-	out := make([]Event, 0, len(spans))
-	for _, sp := range spans {
-		args := map[string]any{"span": sp.ID, "trace": sp.Trace}
-		if sp.Parent != 0 {
-			args["parent"] = sp.Parent
-		}
-		for _, a := range sp.Attrs {
-			args[a.Key] = a.Val
-		}
-		out = append(out, Event{
-			Name: sp.Name, Cat: sp.Cat, Phase: "X",
-			TS: sp.StartUS, Dur: sp.DurUS,
-			PID: tracePID, TID: spanTID(sp.Cat), Args: args,
-		})
-	}
-	return out
-}
-
-// WriteChromeTrace writes one trace — its spans plus any extra
-// pre-rebased events (a linked run's ring trace) — as a Chrome
-// trace-event JSON object.
-func (s *TraceStore) WriteChromeTrace(w io.Writer, traceID string, extra []Event) error {
-	ev := append(chromeEvents(s.Spans(traceID)), extra...)
-	if ev == nil {
-		ev = []Event{}
-	}
-	return writeChromeObject(w, ev)
-}
-
-// WriteJSONL writes the same joined event set one JSON object per line.
-func (s *TraceStore) WriteJSONL(w io.Writer, traceID string, extra []Event) error {
-	return writeEventsJSONL(w, append(chromeEvents(s.Spans(traceID)), extra...))
 }

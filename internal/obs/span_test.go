@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -175,49 +174,35 @@ func TestTraceIDValidation(t *testing.T) {
 	}
 }
 
-func TestSpanChromeExportJoinsExtra(t *testing.T) {
+// TestSpanChromeExport: one trace exports alone in both formats, the
+// empty trace ID exports every retained trace, and an unknown trace
+// still yields a well-formed empty array.
+func TestSpanChromeExport(t *testing.T) {
 	s := NewTraceStore(2, 16)
-	sc := s.StartTrace("t")
-	sp := sc.Start("http", "GET /x")
-	sp.End(SA("status", 200))
+	s.StartTrace("t").Start("http", "GET /x").End(SA("status", 200))
+	s.StartTrace("u").Start("http", "GET /y").End()
 
-	// A linked ring tracer created later: its events rebase onto the
-	// store clock, so they land after the span starts.
-	tr := NewTracer(8)
-	tr.Instant("sim", "round", 1, nil)
-	extra := tr.RebasedEvents(s.Epoch())
-	if len(extra) != 1 || extra[0].TS <= 0 {
-		t.Fatalf("rebased events %+v", extra)
+	ev := decodeChrome(t, s, "t")
+	if len(ev) != 1 {
+		t.Fatalf("exported %+v, want one span", ev)
+	}
+	if ev[0].Args["trace"] != "t" || ev[0].Args["status"] != float64(200) {
+		t.Errorf("span args %+v", ev[0].Args)
+	}
+	if all := decodeChrome(t, s, ""); len(all) != 2 {
+		t.Errorf("store-wide export has %d events, want 2", len(all))
 	}
 
 	var buf bytes.Buffer
-	if err := s.WriteChromeTrace(&buf, "t", extra); err != nil {
+	if err := s.WriteJSONL(&buf, "t"); err != nil {
 		t.Fatal(err)
 	}
-	var obj struct {
-		TraceEvents []Event `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
-		t.Fatal(err)
-	}
-	if len(obj.TraceEvents) != 2 {
-		t.Fatalf("exported %d events, want 2", len(obj.TraceEvents))
-	}
-	if obj.TraceEvents[0].Args["trace"] != "t" || obj.TraceEvents[0].Args["status"] != float64(200) {
-		t.Errorf("span args %+v", obj.TraceEvents[0].Args)
+	if lines := strings.Count(strings.TrimSpace(buf.String()), "\n") + 1; lines != 1 {
+		t.Errorf("JSONL emitted %d lines, want 1", lines)
 	}
 
 	buf.Reset()
-	if err := s.WriteJSONL(&buf, "t", extra); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(strings.TrimSpace(buf.String()), "\n") + 1; lines != 2 {
-		t.Errorf("JSONL emitted %d lines, want 2", lines)
-	}
-
-	// Unknown trace with no extras still yields a well-formed empty array.
-	buf.Reset()
-	if err := s.WriteChromeTrace(&buf, "missing", nil); err != nil {
+	if err := s.WriteChromeTrace(&buf, "missing"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"traceEvents":[]`) {

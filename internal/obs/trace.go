@@ -1,23 +1,24 @@
 package obs
 
+// Trace export: the TraceStore's spans rendered as Chrome trace-event
+// JSON (chrome://tracing, Perfetto) or as JSONL, one event per line.
+
 import (
-	"context"
 	"encoding/json"
 	"io"
-	"sync"
-	"sync/atomic"
-	"time"
+	"math"
+	"sort"
 )
 
-// Event is one trace record in Chrome trace-event form: a complete span
-// (Phase "X", with Dur) or an instant (Phase "i"). TS and Dur are
-// microseconds on the tracer's monotonic clock.
+// Event is one span in Chrome trace-event form: a complete event
+// (Phase "X"). TS and Dur are microseconds on the store's monotonic
+// clock.
 type Event struct {
 	Name  string         `json:"name"`
 	Cat   string         `json:"cat,omitempty"`
 	Phase string         `json:"ph"`
 	TS    float64        `json:"ts"`
-	Dur   float64        `json:"dur,omitempty"`
+	Dur   float64        `json:"dur"`
 	PID   int            `json:"pid"`
 	TID   int            `json:"tid"`
 	Args  map[string]any `json:"args,omitempty"`
@@ -27,203 +28,20 @@ type Event struct {
 // here describe one process.
 const tracePID = 1
 
-// Tracer records events into a fixed-capacity ring buffer: when full,
-// the oldest event is overwritten and counted as dropped. The zero
-// *Tracer (nil) is a valid disabled tracer — every method is a no-op —
-// so instrumentation can call through unconditionally.
-type Tracer struct {
-	start  time.Time
-	sample atomic.Int64  // keep 1 in N spans; <= 1 keeps all
-	seq    atomic.Uint64 // span sequence, drives the sampling decision
-
-	mu   sync.Mutex
-	ring []Event
-	next int // overwrite cursor once the ring is full
-	full bool
-
-	// dropped is atomic (not guarded by mu) so registry exposition
-	// callbacks can read it lock-free; see Register.
-	dropped atomic.Uint64
+// WriteChromeTrace writes one trace's spans — every retained trace's
+// when traceID is "" — as a Chrome trace-event JSON object. An unknown
+// trace writes an empty event array.
+func (s *TraceStore) WriteChromeTrace(w io.Writer, traceID string) error {
+	return json.NewEncoder(w).Encode(struct {
+		TraceEvents     []Event `json:"traceEvents"`
+		DisplayTimeUnit string  `json:"displayTimeUnit"`
+	}{chromeEvents(s.export(traceID)), "ms"})
 }
 
-// NewTracer returns an enabled tracer holding at most capacity events
-// (minimum 1).
-func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{start: time.Now(), ring: make([]Event, 0, capacity)}
-}
-
-// Enabled reports whether events are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// SetSampling keeps only one in n spans (instants are always kept);
-// n <= 1 restores full recording.
-func (t *Tracer) SetSampling(n int) {
-	if t == nil {
-		return
-	}
-	t.sample.Store(int64(n))
-}
-
-// Now returns microseconds elapsed on the tracer's clock (0 when nil).
-func (t *Tracer) Now() float64 {
-	if t == nil {
-		return 0
-	}
-	return float64(time.Since(t.start)) / float64(time.Microsecond)
-}
-
-// sampleOK decides whether the next span is recorded.
-func (t *Tracer) sampleOK() bool {
-	n := t.sample.Load()
-	if n <= 1 {
-		return true
-	}
-	return (t.seq.Add(1)-1)%uint64(n) == 0
-}
-
-// push appends one event to the ring.
-func (t *Tracer) push(e Event) {
-	e.PID = tracePID
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.full && len(t.ring) < cap(t.ring) {
-		t.ring = append(t.ring, e)
-		return
-	}
-	t.full = true
-	t.ring[t.next] = e
-	t.next = (t.next + 1) % len(t.ring)
-	t.dropped.Add(1)
-}
-
-// Span is an in-flight interval started by StartSpan; End records it.
-// The zero Span is a no-op (a sampled-out or disabled span).
-type Span struct {
-	t         *Tracer
-	cat, name string
-	tid       int
-	start     float64
-}
-
-// StartSpan begins an interval on thread-track tid. If the tracer is
-// disabled or the span is sampled out, the returned Span is inert.
-func (t *Tracer) StartSpan(cat, name string, tid int) Span {
-	if t == nil || !t.sampleOK() {
-		return Span{}
-	}
-	return Span{t: t, cat: cat, name: name, tid: tid, start: t.Now()}
-}
-
-// End records the span as a complete event with the given args
-// (args may be nil).
-func (s Span) End(args map[string]any) {
-	if s.t == nil {
-		return
-	}
-	s.t.push(Event{
-		Name: s.name, Cat: s.cat, Phase: "X",
-		TS: s.start, Dur: s.t.Now() - s.start, TID: s.tid, Args: args,
-	})
-}
-
-// Complete records a span whose interval the caller measured itself
-// (both in microseconds on the tracer's clock).
-func (t *Tracer) Complete(cat, name string, tid int, startMicros, durMicros float64, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.push(Event{
-		Name: name, Cat: cat, Phase: "X",
-		TS: startMicros, Dur: durMicros, TID: tid, Args: args,
-	})
-}
-
-// Instant records a point-in-time event (never sampled out).
-func (t *Tracer) Instant(cat, name string, tid int, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.push(Event{Name: name, Cat: cat, Phase: "i", TS: t.Now(), TID: tid, Args: args})
-}
-
-// Events returns the recorded events, oldest first.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.ring))
-	if t.full {
-		out = append(out, t.ring[t.next:]...)
-		out = append(out, t.ring[:t.next]...)
-	} else {
-		out = append(out, t.ring...)
-	}
-	return out
-}
-
-// Len returns the number of buffered events.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ring)
-}
-
-// Dropped returns how many events were overwritten by ring wraparound.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
-}
-
-// Register exposes the tracer's ring overflow as the
-// obs_trace_dropped_spans_total counter on reg, so silent span loss is
-// visible on /metrics. The callback is lock-free (an atomic load), as
-// the registry's exposition contract requires. A nil tracer registers
-// a constant-zero series, keeping the exposition shape stable.
-func (t *Tracer) Register(reg *Registry, labels ...Label) {
-	reg.CounterFunc("obs_trace_dropped_spans_total",
-		"Trace events overwritten by ring-buffer wraparound.",
-		t.Dropped, labels...)
-}
-
-// Epoch returns the tracer's clock origin, so its events can be
-// rebased onto another monotonic timeline (the TraceStore's) when a
-// run's ring trace is joined into a service-level trace.
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
-// RebasedEvents returns the buffered events with timestamps shifted
-// onto a clock whose origin is epoch (events keep their relative
-// spacing; a nil tracer returns nil).
-func (t *Tracer) RebasedEvents(epoch time.Time) []Event {
-	if t == nil {
-		return nil
-	}
-	offset := float64(t.start.Sub(epoch)) / float64(time.Microsecond)
-	ev := t.Events()
-	for i := range ev {
-		ev[i].TS += offset
-	}
-	return ev
-}
-
-// writeEventsJSONL writes events one JSON object per line.
-func writeEventsJSONL(w io.Writer, events []Event) error {
+// WriteJSONL writes the same events one JSON object per line.
+func (s *TraceStore) WriteJSONL(w io.Writer, traceID string) error {
 	enc := json.NewEncoder(w)
-	for _, e := range events {
+	for _, e := range chromeEvents(s.export(traceID)) {
 		if err := enc.Encode(e); err != nil {
 			return err
 		}
@@ -231,44 +49,127 @@ func writeEventsJSONL(w io.Writer, events []Event) error {
 	return nil
 }
 
-// WriteJSONL writes one event per line as JSON.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	return writeEventsJSONL(w, t.Events())
-}
-
-// chromeTrace is the chrome://tracing JSON object format.
-type chromeTrace struct {
-	TraceEvents     []Event `json:"traceEvents"`
-	DisplayTimeUnit string  `json:"displayTimeUnit"`
-}
-
-// writeChromeObject wraps events in the chrome://tracing object format.
-func writeChromeObject(w io.Writer, ev []Event) error {
-	if ev == nil {
-		ev = []Event{} // keep traceEvents an array, not null
+// export returns one trace's spans, or every retained span (oldest
+// trace first) when traceID is "".
+func (s *TraceStore) export(traceID string) []SpanRec {
+	if traceID != "" || s == nil {
+		return s.Spans(traceID)
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: ev, DisplayTimeUnit: "ms"})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []SpanRec
+	for _, id := range s.order {
+		out = append(out, s.traces[id].spans...)
+	}
+	return out
 }
 
-// WriteChromeTrace writes the buffered events as a Chrome trace-event
-// JSON object loadable in chrome://tracing or Perfetto.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	return writeChromeObject(w, t.Events())
+// catBlock numbers each span category's block of Chrome thread tracks:
+// lane k of a category is tid catTrack(cat)+k, so each layer keeps its
+// own group of rows. Other categories share block 9.
+var catBlock = map[string]int{"http": 1, "jobs": 2, "sweep": 3, "cell": 4, "sim": 5}
+
+// laneBlock is the tid stride between categories: more concurrently
+// open spans of one category than this would spill into the next
+// category's rows.
+const laneBlock = 1000
+
+func catTrack(cat string) int {
+	if b, ok := catBlock[cat]; ok {
+		return b * laneBlock
+	}
+	return 9 * laneBlock
 }
 
-// tracerKey carries a *Tracer through context.
-type tracerKey struct{}
+// nanos rounds a microsecond timestamp to whole nanoseconds, the
+// resolution of the store's clock. Lanes are assigned, and events
+// exported, on rounded values, so float error in start+dur cannot turn
+// abutting spans into overlapping ones.
+func nanos(us float64) int64 { return int64(math.Round(us * 1e3)) }
 
-// WithTracer returns a context carrying t (a nil t is fine and yields a
-// disabled tracer downstream).
-func WithTracer(ctx context.Context, t *Tracer) context.Context {
-	return context.WithValue(ctx, tracerKey{}, t)
-}
-
-// TracerFrom returns the context's tracer, or nil (a valid disabled
-// tracer) when none was attached.
-func TracerFrom(ctx context.Context) *Tracer {
-	t, _ := ctx.Value(tracerKey{}).(*Tracer)
-	return t
+// chromeEvents converts spans to Chrome trace events; the span/parent
+// identity rides in args so the tree stays joinable after export.
+//
+// Chrome and Perfetto draw each (pid, tid) as one track, on which
+// complete events must nest. Spans of one category that overlap
+// without nesting (rounds on parallel workers, sweep cells in flight
+// together) are therefore spread over lanes. A span joins its parent's
+// lane when the parent is the innermost span still open there, else
+// the first lane of its category with nothing open, else a new lane.
+// A lane only ever holds a chain of ancestors, so a child stays on its
+// parent's track and no two spans on a track partially overlap.
+// Events keep the spans' recording order. The result is never nil, so
+// an empty trace still exports traceEvents as an array.
+func chromeEvents(spans []SpanRec) []Event {
+	type open struct {
+		id  uint64
+		end int64
+	}
+	type lane struct {
+		cat  string
+		tid  int
+		open []open // the chain of spans still open on the lane
+	}
+	order := make([]int, len(spans))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		x, y := &spans[order[a]], &spans[order[b]]
+		if sx, sy := nanos(x.StartUS), nanos(y.StartUS); sx != sy {
+			return sx < sy
+		}
+		if dx, dy := nanos(x.DurUS), nanos(y.DurUS); dx != dy {
+			return dx > dy // the enclosing span first
+		}
+		return x.ID < y.ID // a parent's ID precedes its children's
+	})
+	lanes := map[string][]*lane{}
+	laneOf := map[uint64]*lane{}
+	tids := make([]int, len(spans))
+	for _, i := range order {
+		sp := &spans[i]
+		start, end := nanos(sp.StartUS), nanos(sp.StartUS)+nanos(sp.DurUS)
+		fits := func(l *lane) bool {
+			n := len(l.open)
+			for n > 0 && l.open[n-1].end <= start {
+				n--
+			}
+			l.open = l.open[:n]
+			return n == 0 || (l.open[n-1].id == sp.Parent && end <= l.open[n-1].end)
+		}
+		l := laneOf[sp.Parent]
+		if l == nil || l.cat != sp.Cat || !fits(l) {
+			l = nil
+			for _, c := range lanes[sp.Cat] {
+				if fits(c) {
+					l = c
+					break
+				}
+			}
+		}
+		if l == nil {
+			l = &lane{cat: sp.Cat, tid: catTrack(sp.Cat) + len(lanes[sp.Cat])}
+			lanes[sp.Cat] = append(lanes[sp.Cat], l)
+		}
+		l.open = append(l.open, open{sp.ID, end})
+		laneOf[sp.ID] = l
+		tids[i] = l.tid
+	}
+	out := make([]Event, 0, len(spans))
+	for i, sp := range spans {
+		args := map[string]any{"span": sp.ID, "trace": sp.Trace}
+		if sp.Parent != 0 {
+			args["parent"] = sp.Parent
+		}
+		for _, a := range sp.Attrs {
+			args[a.Key] = a.Val
+		}
+		out = append(out, Event{
+			Name: sp.Name, Cat: sp.Cat, Phase: "X",
+			TS: float64(nanos(sp.StartUS)) / 1e3, Dur: float64(nanos(sp.DurUS)) / 1e3,
+			PID: tracePID, TID: tids[i], Args: args,
+		})
+	}
+	return out
 }

@@ -4,94 +4,90 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
+// TestNilTracerIsSafeAndFree: the nil *TraceStore is a valid disabled
+// tracer — every path through it is a no-op, it exports an empty
+// trace, and it allocates nothing.
 func TestNilTracerIsSafeAndFree(t *testing.T) {
-	var tr *Tracer
-	if tr.Enabled() {
-		t.Error("nil tracer reports enabled")
+	var s *TraceStore
+	if s.Enabled() {
+		t.Error("nil store reports enabled")
 	}
-	sp := tr.StartSpan("c", "n", 0)
-	sp.End(nil)
-	tr.Instant("c", "n", 0, nil)
-	tr.Complete("c", "n", 0, 0, 1, nil)
-	tr.SetSampling(10)
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
-		t.Error("nil tracer recorded something")
+	sc := s.StartTrace("t")
+	sc.Start("c", "n").End(SA("k", 1))
+	sc.Complete("c", "n", time.Now(), time.Now())
+	if s.Spans("t") != nil || s.Summaries() != nil || s.Contains("t") {
+		t.Error("nil store recorded something")
+	}
+	var buf bytes.Buffer
+	if err := s.WriteChromeTrace(&buf, ""); err != nil || !strings.Contains(buf.String(), `"traceEvents":[]`) {
+		t.Errorf("nil store export = %q, %v", buf.String(), err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		s := tr.StartSpan("sim", "round", 3)
-		s.End(nil)
-		tr.Instant("sim", "tick", 3, nil)
+		h := s.StartTrace("t").Start("sim", "round")
+		if h.Live() {
+			h.End(SA("round", 3))
+		}
+		h.Context().Start("sim", "frame").End()
 	})
 	if allocs != 0 {
 		t.Errorf("disabled tracing allocates %v per op, want 0", allocs)
 	}
 }
 
+// TestSpanRecordsCompleteEvent: a recorded span exports as one complete
+// ("X") event on its category's first track, with its attrs as args.
 func TestSpanRecordsCompleteEvent(t *testing.T) {
-	tr := NewTracer(16)
-	sp := tr.StartSpan("sim", "round", 2)
-	sp.End(map[string]any{"round": 1})
-	ev := tr.Events()
+	s := NewTraceStore(1, 16)
+	s.StartTrace("t").Start("sim", "round").End(SA("round", 1))
+	ev := decodeChrome(t, s, "t")
 	if len(ev) != 1 {
 		t.Fatalf("events = %d, want 1", len(ev))
 	}
 	e := ev[0]
-	if e.Name != "round" || e.Cat != "sim" || e.Phase != "X" || e.TID != 2 || e.PID != tracePID {
+	if e.Name != "round" || e.Cat != "sim" || e.TID != catTrack("sim") || e.PID != tracePID {
 		t.Errorf("event = %+v", e)
 	}
 	if e.Dur < 0 || e.TS < 0 {
 		t.Errorf("negative timing: ts=%g dur=%g", e.TS, e.Dur)
 	}
-	if e.Args["round"] != 1 {
+	if e.Args["round"] != float64(1) || e.Args["trace"] != "t" {
 		t.Errorf("args = %v", e.Args)
 	}
 }
 
+// TestRingOverwritesOldest: the store's memory is bounded like a ring —
+// at its trace cap, each new trace evicts the oldest one whole.
 func TestRingOverwritesOldest(t *testing.T) {
-	tr := NewTracer(3)
+	s := NewTraceStore(3, 16)
 	for i := 0; i < 5; i++ {
-		tr.Instant("c", string(rune('a'+i)), 0, nil)
+		s.StartTrace(string(rune('a'+i))).Start("c", "n").End()
 	}
-	if tr.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", tr.Dropped())
+	if s.evictions.Load() != 2 {
+		t.Errorf("evictions = %d, want 2", s.evictions.Load())
 	}
-	ev := tr.Events()
-	if len(ev) != 3 {
-		t.Fatalf("len = %d, want 3", len(ev))
+	got := ""
+	for _, sum := range s.Summaries() {
+		got += sum.ID
 	}
-	got := ev[0].Name + ev[1].Name + ev[2].Name
 	if got != "cde" {
-		t.Errorf("ring order = %q, want oldest-first cde", got)
-	}
-}
-
-func TestSamplingKeepsOneInN(t *testing.T) {
-	tr := NewTracer(100)
-	tr.SetSampling(4)
-	for i := 0; i < 40; i++ {
-		sp := tr.StartSpan("c", "s", 0)
-		sp.End(nil)
-	}
-	if tr.Len() != 10 {
-		t.Errorf("recorded %d of 40 spans with 1-in-4 sampling, want 10", tr.Len())
-	}
-	tr.Instant("c", "always", 0, nil)
-	if tr.Len() != 11 {
-		t.Error("instants must not be sampled out")
+		t.Errorf("retained traces = %q, want oldest-first cde", got)
 	}
 }
 
 func TestWriteChromeTraceShape(t *testing.T) {
-	tr := NewTracer(8)
-	tr.StartSpan("sim", "round", 1).End(map[string]any{"slots": 12})
-	tr.Instant("jobs", "enqueued", 0, nil)
+	s := NewTraceStore(2, 16)
+	req := s.StartTrace("t").Start("http", "POST /v1/experiments")
+	req.Context().Start("sim", "round").End(SA("slots", 12))
+	req.End()
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := s.WriteChromeTrace(&buf, "t"); err != nil {
 		t.Fatal(err)
 	}
 	var decoded struct {
@@ -105,7 +101,7 @@ func TestWriteChromeTraceShape(t *testing.T) {
 		t.Fatalf("decoded = %+v", decoded)
 	}
 	for _, e := range decoded.TraceEvents {
-		for _, k := range []string{"name", "ph", "ts", "pid", "tid"} {
+		for _, k := range []string{"name", "ph", "ts", "dur", "pid", "tid"} {
 			if _, ok := e[k]; !ok {
 				t.Errorf("event missing %q: %v", k, e)
 			}
@@ -114,11 +110,12 @@ func TestWriteChromeTraceShape(t *testing.T) {
 }
 
 func TestWriteJSONL(t *testing.T) {
-	tr := NewTracer(8)
-	tr.Instant("a", "one", 0, nil)
-	tr.Instant("a", "two", 0, nil)
+	s := NewTraceStore(1, 16)
+	sc := s.StartTrace("t")
+	sc.Start("a", "one").End()
+	sc.Start("a", "two").End()
 	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	if err := s.WriteJSONL(&buf, "t"); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -133,31 +130,32 @@ func TestWriteJSONL(t *testing.T) {
 	}
 }
 
-// TestRegisterExposesDroppedSpans pins the satellite contract: a tracer
-// registered on a metrics registry exposes its ring-overwrite count as
-// the obs_trace_dropped_spans_total counter, live (no snapshotting).
+// TestRegisterExposesDroppedSpans pins the loss contract: spans past a
+// trace's cap are dropped, counted on the trace's summary and exposed
+// live as obs_tracestore_spans_dropped_total.
 func TestRegisterExposesDroppedSpans(t *testing.T) {
 	reg := NewRegistry()
-	tr := NewTracer(2)
-	tr.Register(reg, L("tracer", "test"))
+	s := NewTraceStore(1, 16)
+	s.Register(reg)
 
 	render := func() string {
 		var sb strings.Builder
 		reg.WritePrometheus(&sb)
 		return sb.String()
 	}
-	if got := render(); !strings.Contains(got, `obs_trace_dropped_spans_total{tracer="test"} 0`) {
-		t.Fatalf("fresh tracer exposition:\n%s", got)
+	if got := render(); !strings.Contains(got, "obs_tracestore_spans_dropped_total 0") {
+		t.Fatalf("fresh store exposition:\n%s", got)
 	}
-	for i := 0; i < 5; i++ { // capacity 2: three events overwritten
-		tr.Instant("c", "e", 0, nil)
+	sc := s.StartTrace("t")
+	for i := 0; i < 19; i++ { // cap 16: three spans dropped
+		sc.Start("c", "e").End()
 	}
 	got := render()
-	if !strings.Contains(got, `obs_trace_dropped_spans_total{tracer="test"} 3`) {
-		t.Fatalf("after 5 events into a 2-ring, exposition:\n%s", got)
+	if !strings.Contains(got, "obs_tracestore_spans_dropped_total 3") {
+		t.Fatalf("after 19 spans into a 16-span trace, exposition:\n%s", got)
 	}
-	if !strings.Contains(got, "# TYPE obs_trace_dropped_spans_total counter") {
-		t.Fatalf("missing TYPE metadata:\n%s", got)
+	if sums := s.Summaries(); len(sums) != 1 || sums[0].Spans != 16 || sums[0].Dropped != 3 {
+		t.Errorf("summaries = %+v, want 16 spans and 3 dropped", sums)
 	}
 	if errs := LintPrometheus(got); len(errs) != 0 {
 		t.Fatalf("exposition fails lint: %v", errs)
@@ -165,12 +163,92 @@ func TestRegisterExposesDroppedSpans(t *testing.T) {
 }
 
 func TestContextRoundTrip(t *testing.T) {
-	if TracerFrom(context.Background()) != nil {
-		t.Error("empty context yielded a tracer")
+	if SpanFrom(context.Background()).Valid() {
+		t.Error("empty context yielded a span context")
 	}
-	tr := NewTracer(1)
-	ctx := WithTracer(context.Background(), tr)
-	if TracerFrom(ctx) != tr {
-		t.Error("tracer lost in context round trip")
+	sc := NewTraceStore(1, 16).StartTrace("t").Start("c", "n").Context()
+	if SpanFrom(WithSpan(context.Background(), sc)) != sc {
+		t.Error("span context lost in context round trip")
 	}
+}
+
+// TestChromeLanesNest: concurrent same-category spans land on separate
+// tracks, children stay on their parent's track, and no two complete
+// events on one track partially overlap — including abutting frames
+// whose float start+dur would overshoot the next frame's start.
+func TestChromeLanesNest(t *testing.T) {
+	rec := func(id, parent uint64, cat, name string, start, dur float64) SpanRec {
+		return SpanRec{Trace: "t", ID: id, Parent: parent, Cat: cat, Name: name, StartUS: start, DurUS: dur}
+	}
+	spans := []SpanRec{
+		rec(1, 0, "jobs", "run", 0, 100),
+		rec(2, 1, "sim", "experiment", 1, 98),
+		rec(3, 2, "sim", "round", 5.606, 8.919),  // worker 1
+		rec(4, 2, "sim", "round", 12.976, 6.009), // worker 2, overlaps round 3
+		rec(5, 3, "sim", "frame", 5.7, 0.1+0.2),
+		rec(6, 3, "sim", "frame", 6, 8),
+		rec(7, 4, "sim", "frame", 13, 5),
+		rec(8, 2, "sim", "round", 20, 10), // after both: back on the experiment's track
+		rec(9, 1, "jobs", "retry", 50, 0),
+	}
+	ev := chromeEvents(spans)
+	tid := map[uint64]int{}
+	for _, e := range ev {
+		tid[e.Args["span"].(uint64)] = e.TID
+	}
+	if tid[3] == tid[4] {
+		t.Errorf("overlapping rounds share track %d", tid[3])
+	}
+	for child, parent := range map[uint64]uint64{3: 2, 5: 3, 6: 3, 7: 4, 8: 2, 9: 1} {
+		if tid[child] != tid[parent] {
+			t.Errorf("span %d on track %d, its parent %d on %d", child, tid[child], parent, tid[parent])
+		}
+	}
+	if tid[1]/laneBlock == tid[2]/laneBlock {
+		t.Errorf("jobs and sim spans share a category block: %d, %d", tid[1], tid[2])
+	}
+	if err := partialOverlap(ev); err != "" {
+		t.Error(err)
+	}
+}
+
+// partialOverlap reports the first pair of complete events on one
+// (pid, tid) that overlap without nesting, on whole nanoseconds.
+func partialOverlap(ev []Event) string {
+	type iv struct {
+		name       string
+		start, end int64
+	}
+	byTrack := map[[2]int][]iv{}
+	for _, e := range ev {
+		s := nanos(e.TS)
+		byTrack[[2]int{e.PID, e.TID}] = append(byTrack[[2]int{e.PID, e.TID}], iv{e.Name, s, s + nanos(e.Dur)})
+	}
+	for track, ivs := range byTrack {
+		for i, a := range ivs {
+			for _, b := range ivs[i+1:] {
+				if a.start < b.start && b.start < a.end && a.end < b.end ||
+					b.start < a.start && a.start < b.end && b.end < a.end {
+					return fmt.Sprintf("track %v: %s %v and %s %v partially overlap", track, a.name, a, b.name, b)
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// decodeChrome exports one trace and decodes its events.
+func decodeChrome(t *testing.T, s *TraceStore, traceID string) []Event {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteChromeTrace(&buf, traceID); err != nil {
+		t.Fatal(err)
+	}
+	var obj struct {
+		TraceEvents []Event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
+		t.Fatal(err)
+	}
+	return obj.TraceEvents
 }

@@ -49,13 +49,6 @@ func (s *Server) registerMetrics() {
 	s.reg.GaugeFunc("rfidd_experiments", "Experiment records currently indexed.", func() float64 {
 		return float64(s.experiments.count.Load())
 	})
-	// Trace-ring overflow: the pool tracer reports live; experiment
-	// tracers are folded into an atomic as their jobs finish (a live
-	// run's drops become visible at completion).
-	s.poolTrace.Register(s.reg, obs.L("tracer", "pool"))
-	s.reg.CounterFunc("obs_trace_dropped_spans_total",
-		"Trace events overwritten by ring-buffer wraparound.",
-		s.expTraceDrops.Load, obs.L("tracer", "experiments"))
 	s.evDrops = s.reg.Counter("rfidd_event_subscribers_dropped_total",
 		"SSE subscribers dropped for falling behind the event stream.")
 	if s.spans != nil {

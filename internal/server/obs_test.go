@@ -129,10 +129,11 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 }
 
-// TestTraceDisabled checks a negative TraceCapacity turns the recorder
-// off entirely: even a run record reports no trace.
+// TestTraceDisabled checks that turning the trace store off turns
+// tracing off entirely: even a run record reports no trace, and
+// /debug/trace is empty.
 func TestTraceDisabled(t *testing.T) {
-	_, c := startServer(t, Options{Workers: 1, QueueDepth: 8, TraceCapacity: -1})
+	_, c := startServer(t, Options{Workers: 1, QueueDepth: 8, TraceStoreTraces: -1})
 	ctx := context.Background()
 	resp, err := c.Submit(ctx, fastCfg())
 	if err != nil {
@@ -144,21 +145,41 @@ func TestTraceDisabled(t *testing.T) {
 	if code, _ := get(t, c.BaseURL+"/v1/experiments/"+resp.ID+"/trace"); code != http.StatusNotFound {
 		t.Errorf("trace status with tracing disabled = %d, want 404", code)
 	}
+	code, body := get(t, c.BaseURL+"/debug/trace")
+	if code != http.StatusOK || !strings.Contains(string(body), `"traceEvents":[]`) {
+		t.Errorf("/debug/trace with tracing disabled = %d %s, want 200 and no events", code, body)
+	}
 }
 
-// TestPoolTraceEndpoint checks /debug/trace serves the worker-pool
-// lifecycle trace as Chrome JSON.
+// TestPoolTraceEndpoint checks /debug/trace serves the store view as
+// Chrome JSON: every retained trace's spans, the pool's queue-wait and
+// run spans among them.
 func TestPoolTraceEndpoint(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 8})
+	ctx := context.Background()
+	for seed := uint64(1); seed <= 2; seed++ {
+		cfg := fastCfg()
+		cfg.Seed = seed
+		resp, err := c.Submit(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx, resp.ID, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	code, body := get(t, c.BaseURL+"/debug/trace")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/trace status = %d", code)
 	}
-	var trace struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+	traces := map[any]bool{}
+	counts := map[string]int{}
+	for _, ev := range chromeTrace(t, string(body)) {
+		traces[ev.Args["trace"]] = true
+		counts[ev.Name]++
 	}
-	if err := json.Unmarshal(body, &trace); err != nil {
-		t.Fatalf("/debug/trace not Chrome JSON: %v", err)
+	if len(traces) != 2 || counts["queue-wait"] != 2 || counts["run"] != 2 {
+		t.Errorf("/debug/trace holds %d traces, spans %v; want both runs' queue-wait and run", len(traces), counts)
 	}
 }
 

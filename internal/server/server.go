@@ -12,7 +12,7 @@
 //	POST   /v1/experiments              {"config": {...sim.Config...}} → 202 (queued) or 200 (cached/coalesced)
 //	GET    /v1/experiments              list of experiment summaries (?status= filters by lifecycle state)
 //	GET    /v1/experiments/{id}         status and, when done, the aggregate
-//	GET    /v1/experiments/{id}/trace   run trace (Chrome trace-event JSON; ?format=jsonl for JSONL)
+//	GET    /v1/experiments/{id}/trace   the trace the run belongs to (Chrome trace-event JSON; ?format=jsonl)
 //	GET    /v1/experiments/{id}/events  live telemetry stream (text/event-stream; Last-Event-ID resume)
 //	GET    /v1/audit                    shadow-oracle audit report (when Options.EnableAudit)
 //	DELETE /v1/experiments/{id}         cancel a queued or running experiment
@@ -28,20 +28,20 @@
 //	GET    /v1/scenarios/{id}           status, latest progress and, when done, the result
 //	GET    /v1/scenarios/{id}/events    per-epoch progress stream (text/event-stream)
 //	DELETE /v1/scenarios/{id}           cancel a queued or running scenario
-//	GET    /v1/traces                   retained service-level trace summaries
-//	GET    /v1/traces/{id}              joined trace: request → job/sweep → cell spans plus
-//	                                    linked per-run ring traces (?format=jsonl for JSONL)
+//	GET    /v1/traces                   retained trace summaries
+//	GET    /v1/traces/{id}              one trace: request → job/sweep → cell → run → experiment
+//	                                    → round → frame spans (?format=jsonl for JSONL)
 //	GET    /healthz                     liveness probe
 //	GET    /metrics                     Prometheus text format (single obs registry walk)
 //	GET    /debug/statusz               self-contained HTML service snapshot
-//	GET    /debug/trace                 pool worker-lifecycle trace (when tracing enabled)
+//	GET    /debug/trace                 every retained span of every trace (?format=jsonl)
 //	GET    /debug/pprof/...             net/http/pprof (when Options.EnablePprof)
 //
 // Every request that creates work (or carries an X-Trace-Id header)
-// runs under a service-level trace: the middleware assigns or adopts
-// the ID, echoes it in the X-Trace-Id response header, and the span
-// tree — request, queue wait, run, sweep, cells, simulator rounds —
-// is exported by GET /v1/traces/{id}.
+// runs under a trace: the middleware assigns or adopts the ID, echoes
+// it in the X-Trace-Id response header, and the span tree — request,
+// queue wait, run, sweep, cells, simulator experiment, rounds and
+// frames — is exported by GET /v1/traces/{id}.
 package server
 
 import (
@@ -52,7 +52,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/jobs"
@@ -76,12 +75,9 @@ type Options struct {
 	CacheSize int
 	// JobTimeout bounds one experiment's run time; 0 means unlimited.
 	JobTimeout time.Duration
-	// TraceCapacity bounds each experiment's trace ring buffer, in
-	// events (default 4096; negative disables run tracing).
-	TraceCapacity int
-	// TraceStoreTraces bounds how many service-level traces the span
-	// store retains (default 256; negative disables the span store —
-	// X-Trace-Id still propagates, but no spans are recorded).
+	// TraceStoreTraces bounds how many traces the span store retains
+	// (default 256; negative disables tracing — X-Trace-Id still
+	// propagates, but no spans are recorded).
 	TraceStoreTraces int
 	// TraceStoreSpans bounds the spans retained per trace (default
 	// 4096; excess spans are dropped and counted, roots are kept).
@@ -131,9 +127,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 1024
-	}
-	if o.TraceCapacity == 0 {
-		o.TraceCapacity = 4096
 	}
 	if o.TraceStoreTraces == 0 {
 		o.TraceStoreTraces = 256
@@ -210,9 +203,8 @@ type experiment struct {
 	cached    bool
 	result    json.RawMessage // set for cache-served records
 	createdAt time.Time
-	traceID   string      // service-level trace this record belongs to; "" when untraced
-	tr        *obs.Tracer // per-run trace; nil for cached records or when disabled
-	bus       *obs.Bus    // live telemetry; nil for cached records or when disabled
+	traceID   string   // trace this record's request, queue wait and run belong to
+	bus       *obs.Bus // live telemetry; nil for cached records or when disabled
 }
 
 // Server is the experiment service. Create it with New and expose
@@ -224,13 +216,12 @@ type Server struct {
 	mux       *http.ServeMux
 	reg       *obs.Registry
 	lat       *obs.Histogram
-	poolTrace *obs.Tracer    // worker lifecycle spans; nil when tracing disabled
 	auditor   *audit.Auditor // shadow-oracle auditor; nil unless EnableAudit
 	evDrops   *obs.Counter   // slow event subscribers dropped, all experiments
 	logger    *slog.Logger
 	startedAt time.Time
 
-	spans      *obs.TraceStore // service-level span store; nil when disabled
+	spans      *obs.TraceStore // the trace store; nil when tracing is disabled
 	wide       *wideLog        // recent wide events, for /debug/statusz
 	jobLat     originLat       // latency decomposition, single submissions
 	sweepLat   originLat       // latency decomposition, sweep cells
@@ -256,8 +247,6 @@ type Server struct {
 	sweepRecs *registry[*sweep.Sweep, SweepResponse]
 	scenRecs  *registry[*scenarioRec, ScenarioResponse]
 	inflight  map[string]string // cache key → live experiment id
-
-	expTraceDrops atomic.Uint64 // span drops folded in from finished experiment tracers
 }
 
 // New builds a Server and starts its worker pool.
@@ -308,9 +297,6 @@ func New(o Options) *Server {
 		cancel:   func(rec *scenarioRec) bool { return s.pool.Cancel(rec.id) },
 		byID:     make(map[string]*scenarioRec),
 	}
-	if o.TraceCapacity > 0 {
-		s.poolTrace = obs.NewTracer(o.TraceCapacity)
-	}
 	if o.TraceStoreTraces > 0 {
 		s.spans = obs.NewTraceStore(o.TraceStoreTraces, o.TraceStoreSpans)
 	}
@@ -325,7 +311,6 @@ func New(o Options) *Server {
 		Timeout:      o.JobTimeout,
 		OnDone:       s.onJobDone,
 		OnTransition: s.onTransition,
-		Tracer:       s.poolTrace,
 		Logger:       o.Logger,
 	})
 	s.sweeps = &sweep.Runner{
@@ -367,9 +352,7 @@ func New(o Options) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/statusz", s.handleStatusz)
-	if s.poolTrace != nil {
-		s.mux.HandleFunc("GET /debug/trace", s.handlePoolTrace)
-	}
+	s.mux.HandleFunc("GET /debug/trace", s.handleDebugTrace)
 	if o.EnablePprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -428,10 +411,9 @@ func (s *Server) loggingHandler(next http.Handler) http.Handler {
 }
 
 // onTransition bumps the per-state-transition counter and mirrors the
-// change into the experiment's run trace. The initial enqueue
+// change onto the experiment's event stream. The initial enqueue
 // (From == "") fires on the submitting goroutine while s.mu is held,
-// so only lock-free work happens for it; handleSubmit records the
-// enqueue instant itself.
+// so only lock-free work happens for it.
 func (s *Server) onTransition(t jobs.Transition) {
 	from := string(t.From)
 	if from == "" {
@@ -448,10 +430,6 @@ func (s *Server) onTransition(t jobs.Transition) {
 	s.mu.Unlock()
 	if !ok {
 		return
-	}
-	if exp.tr != nil {
-		exp.tr.Instant("jobs", "state:"+string(t.To),
-			0, map[string]any{"from": from, "attempts": t.Attempts})
 	}
 	// Mirror the lifecycle onto the experiment's event stream; the
 	// terminal transition is the watcher's cue to hang up.
@@ -504,10 +482,8 @@ func (s *Server) onJobDone(snap jobs.Snapshot) {
 	if snap.Status == jobs.StatusFailed {
 		s.hist.Annotate("job", exp.id+" failed") // nil-safe when history is off
 	}
-	// The run is over: fold its tracer's overflow into the shared drop
-	// counter and retire the event stream (subscribers drain the replay
-	// ring, then their channels close).
-	s.expTraceDrops.Add(exp.tr.Dropped())
+	// The run is over: retire the event stream (subscribers drain the
+	// replay ring, then their channels close).
 	exp.bus.Close()
 }
 
@@ -575,13 +551,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	if s.opts.TraceCapacity > 0 {
-		exp.tr = obs.NewTracer(s.opts.TraceCapacity)
-		exp.tr.Instant("jobs", "submitted", 0, map[string]any{"id": exp.id})
-	}
 	exp.bus = s.newBus(s.opts.EventHistory)
 	fn := func(ctx context.Context) (any, error) {
-		agg, err := sim.RunContext(obs.WithBus(obs.WithTracer(ctx, exp.tr), exp.bus), exp.cfg)
+		agg, err := sim.RunContext(obs.WithBus(ctx, exp.bus), exp.cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -616,37 +588,6 @@ func (s *Server) logSubmit(id string, cacheHit, coalesced bool) {
 	}
 	s.logger.Info("experiment submitted",
 		"id", id, "cache_hit", cacheHit, "coalesced", coalesced)
-}
-
-// handleTrace serves an experiment's run trace: Chrome trace-event JSON
-// by default, JSONL with ?format=jsonl.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	exp, ok := s.experiments.resolve(w, r)
-	if !ok {
-		return
-	}
-	if exp.tr == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: "no trace recorded for " + exp.id + " (cached result or tracing disabled)"})
-		return
-	}
-	switch r.URL.Query().Get("format") {
-	case "", "chrome":
-		w.Header().Set("Content-Type", "application/json")
-		_ = exp.tr.WriteChromeTrace(w)
-	case "jsonl":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = exp.tr.WriteJSONL(w)
-	default:
-		writeJSON(w, http.StatusBadRequest,
-			errorResponse{Error: "unknown trace format (want chrome or jsonl)"})
-	}
-}
-
-// handlePoolTrace serves the worker-pool lifecycle trace.
-func (s *Server) handlePoolTrace(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.poolTrace.WriteChromeTrace(w)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

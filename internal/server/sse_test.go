@@ -562,7 +562,7 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	}
 	// Spot-check that the families this PR added are actually present.
 	for _, name := range []string{
-		"obs_trace_dropped_spans_total",
+		"obs_tracestore_spans_dropped_total",
 		"rfidd_event_subscribers_dropped_total",
 		"sim_audit_verdicts_total",
 	} {

@@ -1,11 +1,12 @@
 package server
 
-// Service-level trace context. The middleware adopts or mints an
-// X-Trace-Id per request, opens the request span, and threads the span
-// context through r.Context() so the job, sweep and sim layers parent
-// their spans under it. GET /v1/traces/{id} exports the joined tree —
-// service spans plus any linked per-run ring traces — as Chrome
-// trace-event JSON (load it in chrome://tracing or Perfetto).
+// Trace context. The middleware adopts or mints an X-Trace-Id per
+// request, opens the request span, and threads the span context through
+// r.Context() so the job, sweep and sim layers parent their spans under
+// it, down to single frames. Every trace endpoint is a view over the
+// one trace store: GET /v1/traces/{id} and /v1/experiments/{id}/trace
+// export one trace, /debug/trace every retained one, as Chrome
+// trace-event JSON (load it in chrome://tracing or Perfetto) or JSONL.
 
 import (
 	"net/http"
@@ -41,8 +42,7 @@ func (s *Server) traceHandler(next http.Handler) http.Handler {
 		case h.Live():
 			r = r.WithContext(obs.WithSpan(r.Context(), h.Context()))
 		case sc.TraceID() != "":
-			// Recording is off; the ID still propagates end to end so the
-			// per-run ring traces stay linkable.
+			// Recording is off; the ID still propagates end to end.
 			r = r.WithContext(obs.WithSpan(r.Context(), sc))
 		}
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
@@ -72,37 +72,50 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, TracesResponse{Traces: sums})
 }
 
-// handleTraceGet serves one joined trace: every service span recorded
-// under the ID plus the rebased ring-buffer trace of each experiment
-// run that executed under it. Chrome trace-event JSON by default,
-// JSONL with ?format=jsonl.
+// handleTraceGet serves one trace: every span recorded under the ID,
+// from the request span down to the frames of the runs it caused.
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if s.spans == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "service tracing disabled"})
+	s.writeTrace(w, r, r.PathValue("id"))
+}
+
+// handleTrace serves the trace an experiment ran under. Cached records
+// never ran, so they have none; nor does any record once its trace has
+// been evicted from the store.
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+	exp, ok := s.experiments.resolve(w, r)
+	if !ok {
 		return
 	}
-	if !s.spans.Contains(id) {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "unknown trace " + id})
+	if exp.cached {
+		writeJSON(w, http.StatusNotFound,
+			errorResponse{Error: "no trace recorded for " + exp.id + " (cached result)"})
 		return
 	}
-	// Join the per-run ring traces of experiments submitted under this
-	// trace, rebased onto the span store's clock.
-	var extra []obs.Event
-	s.mu.Lock()
-	for _, exp := range s.experiments.records() {
-		if exp.traceID == id && exp.tr != nil {
-			extra = append(extra, exp.tr.RebasedEvents(s.spans.Epoch())...)
-		}
+	s.writeTrace(w, r, exp.traceID)
+}
+
+// handleDebugTrace serves every retained span of every trace on the
+// store's one clock; with tracing disabled the event list is empty.
+func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
+	s.writeTrace(w, r, "")
+}
+
+// writeTrace exports one trace from the store, or all of them for
+// traceID "": Chrome trace-event JSON by default, JSONL with
+// ?format=jsonl.
+func (s *Server) writeTrace(w http.ResponseWriter, r *http.Request, traceID string) {
+	if traceID != "" && !s.spans.Contains(traceID) {
+		writeJSON(w, http.StatusNotFound,
+			errorResponse{Error: "no trace " + traceID + " (unknown, evicted or tracing disabled)"})
+		return
 	}
-	s.mu.Unlock()
 	switch r.URL.Query().Get("format") {
 	case "", "chrome":
 		w.Header().Set("Content-Type", "application/json")
-		_ = s.spans.WriteChromeTrace(w, id, extra)
+		_ = s.spans.WriteChromeTrace(w, traceID)
 	case "jsonl":
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = s.spans.WriteJSONL(w, id, extra)
+		_ = s.spans.WriteJSONL(w, traceID)
 	default:
 		writeJSON(w, http.StatusBadRequest,
 			errorResponse{Error: "unknown trace format (want chrome or jsonl)"})

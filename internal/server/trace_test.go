@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -127,15 +128,18 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSubmitTraceJoinsRunTrace checks the single-experiment join: the
-// per-run ring trace (rounds, frames) is rebased into the service
-// trace at export, linked by the shared trace ID.
+// TestSubmitTraceJoinsRunTrace checks the single-experiment trace: one
+// fetch holds the request, queue-wait and run spans and, under the
+// run, the simulator's experiment span, one round span per round and
+// the FSA frame spans — each parented in that chain, on one clock.
 func TestSubmitTraceJoinsRunTrace(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 4})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	sub, traceID, err := c.SubmitTraced(ctx, fastCfg(), "my-trace-01")
+	cfg := fastCfg()
+	cfg.Workers = 2 // concurrent rounds must still nest on their tracks
+	sub, traceID, err := c.SubmitTraced(ctx, cfg, "my-trace-01")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,28 +154,49 @@ func TestSubmitTraceJoinsRunTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var storeSpans, ringEvents, links int
-	for _, ev := range chromeTrace(t, body) {
-		if _, ok := ev.Args["trace"]; ok && ev.Phase == "X" {
-			storeSpans++
-		} else {
-			ringEvents++
+	events := chromeTrace(t, body)
+	byID := map[uint64]obs.Event{}
+	counts := map[string]int{}
+	for _, ev := range events {
+		byID[spanIDOf(t, ev, "span")] = ev
+		name := ev.Name
+		if ev.Cat == "http" {
+			name = "request"
 		}
-		if ev.Name == "trace-link" {
-			links++
-			if got := ev.Args["trace"]; got != traceID {
-				t.Errorf("trace-link stamped %v, want %q", got, traceID)
-			}
+		counts[name]++
+	}
+	for name, want := range map[string]int{
+		"request": 1, "queue-wait": 1, "run": 1, "experiment": 1, "round": cfg.Rounds,
+	} {
+		if counts[name] != want {
+			t.Errorf("%s spans = %d, want %d (counts %v)", name, counts[name], want, counts)
 		}
 	}
-	if storeSpans == 0 {
-		t.Error("no service spans in joined trace")
+	if counts["frame"] == 0 {
+		t.Error("no frame spans in the trace")
 	}
-	if ringEvents == 0 {
-		t.Error("no ring-tracer events joined into the service trace")
+	parentOf := map[string]string{
+		"queue-wait": "request", "run": "request", "experiment": "run", "round": "experiment", "frame": "round",
 	}
-	if links != 1 {
-		t.Errorf("trace-link instants = %d, want 1", links)
+	for _, ev := range byID {
+		want, ok := parentOf[ev.Name]
+		if !ok {
+			continue
+		}
+		p, found := byID[spanIDOf(t, ev, "parent")]
+		got := p.Name
+		if p.Cat == "http" {
+			got = "request"
+		}
+		if !found || got != want {
+			t.Errorf("%s span parent = %q, want %q", ev.Name, got, want)
+			continue
+		}
+		// One clock: a child lies inside its parent (the request span
+		// ends at the 202, before the job it queued has run).
+		if want != "request" && (ev.TS < p.TS || ev.TS+ev.Dur > p.TS+p.Dur+1e-3) {
+			t.Errorf("%s [%v, +%v] outside its %s [%v, +%v]", ev.Name, ev.TS, ev.Dur, want, p.TS, p.Dur)
+		}
 	}
 
 	// JSONL export serves the same set, one JSON object per line.
@@ -180,8 +205,8 @@ func TestSubmitTraceJoinsRunTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(jl), "\n")
-	if len(lines) != storeSpans+ringEvents {
-		t.Errorf("JSONL lines = %d, want %d", len(lines), storeSpans+ringEvents)
+	if len(lines) != len(events) {
+		t.Errorf("JSONL lines = %d, want %d", len(lines), len(events))
 	}
 	for _, ln := range lines {
 		var ev obs.Event
@@ -197,12 +222,46 @@ func TestSubmitTraceJoinsRunTrace(t *testing.T) {
 	}
 	found := false
 	for _, s := range sums {
-		if s.ID == traceID && s.Spans > 0 {
+		if s.ID == traceID && s.Spans == len(events) {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("trace %q missing from /v1/traces: %+v", traceID, sums)
+		t.Errorf("trace %q with %d spans missing from /v1/traces: %+v", traceID, len(events), sums)
+	}
+}
+
+// TestTraceSpanCapCountsDrops: a run whose frames overflow a small
+// per-trace cap keeps exactly that many spans; the rest are counted on
+// the trace's summary and on obs_tracestore_spans_dropped_total.
+func TestTraceSpanCapCountsDrops(t *testing.T) {
+	_, c := startServer(t, Options{Workers: 1, QueueDepth: 4, TraceStoreSpans: 16})
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+
+	cfg := fastCfg()
+	cfg.Rounds = 10 // 10 round spans plus their frames: well past 16
+	sub, traceID, err := c.SubmitTraced(ctx, cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(ctx, sub.ID, 0); err != nil {
+		t.Fatal(err)
+	}
+	sums, err := c.Traces(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sums) != 1 || sums[0].ID != traceID || sums[0].Spans != 16 || sums[0].Dropped == 0 {
+		t.Fatalf("summaries = %+v, want one trace of 16 spans with drops", sums)
+	}
+	metrics, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "obs_tracestore_spans_dropped_total " + strconv.FormatUint(sums[0].Dropped, 10) + "\n"
+	if !strings.Contains(metrics, want) {
+		t.Errorf("exposition missing %q", want)
 	}
 }
 

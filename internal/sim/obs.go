@@ -1,10 +1,10 @@
 package sim
 
 // This file is the simulator's observability wiring: metric series and
-// per-round / per-frame trace emission. All of it is dormant until
-// Instrument is called (metrics) or a tracer travels in via context
-// (tracing); the dormant path costs one atomic pointer load per round
-// and allocates nothing, which the root obs benchmark guards.
+// per-round / per-frame span recording. All of it is dormant until
+// Instrument is called (metrics) or a span context travels in via
+// context (tracing); the dormant path costs one atomic pointer load
+// per round and allocates nothing, which the root obs benchmark guards.
 
 import (
 	"sync/atomic"
@@ -97,35 +97,31 @@ func (d timedDetector) ContentionPayloadInto(t *tagmodel.Tag, scratch bitstr.Bit
 	return d.Detector.ContentionPayload(t)
 }
 
-// frameTracer builds a metrics frame hook that emits one complete span
-// per FSA frame onto tr's track tid. Span intervals are wall-clock (the
-// tracer's timeline); the simulated timeline rides along in args.
-func frameTracer(tr *obs.Tracer, tid int) func(metrics.FrameInfo) {
-	lastEnd := tr.Now()
+// frameSpans builds a metrics frame hook that records one "frame"
+// span per FSA frame under the round span sc. Span intervals are
+// wall-clock on the store's clock; the simulated timeline rides along
+// in sim_us.
+func frameSpans(sc obs.SpanContext) func(metrics.FrameInfo) {
+	last := time.Now()
 	return func(fi metrics.FrameInfo) {
-		now := tr.Now()
-		tr.Complete("sim", "frame", tid, lastEnd, now-lastEnd, map[string]any{
-			"index":    fi.Index,
-			"size":     fi.Size,
-			"idle":     fi.Idle,
-			"single":   fi.Single,
-			"collided": fi.Collided,
-			"sim_us":   fi.EndMicros,
-		})
-		lastEnd = now
+		now := time.Now()
+		sc.Complete("sim", "frame", last, now,
+			obs.SA("index", fi.Index), obs.SA("size", fi.Size), obs.SA("idle", fi.Idle),
+			obs.SA("single", fi.Single), obs.SA("collided", fi.Collided), obs.SA("sim_us", fi.EndMicros))
+		last = now
 	}
 }
 
-// roundArgs summarises a finished session for a round span.
-func roundArgs(round int, s *metrics.Session) map[string]any {
-	return map[string]any{
-		"round":      round,
-		"idle":       s.Census.Idle,
-		"single":     s.Census.Single,
-		"collided":   s.Census.Collided,
-		"frames":     s.Census.Frames,
-		"slots":      s.Census.Slots(),
-		"identified": s.TagsIdentified,
-		"sim_us":     s.TimeMicros,
+// roundAttrs summarises a finished session for a round span.
+func roundAttrs(round int, s *metrics.Session) []obs.SpanAttr {
+	return []obs.SpanAttr{
+		obs.SA("round", round),
+		obs.SA("idle", s.Census.Idle),
+		obs.SA("single", s.Census.Single),
+		obs.SA("collided", s.Census.Collided),
+		obs.SA("frames", s.Census.Frames),
+		obs.SA("slots", s.Census.Slots()),
+		obs.SA("identified", s.TagsIdentified),
+		obs.SA("sim_us", s.TimeMicros),
 	}
 }

@@ -59,19 +59,23 @@ func TestUninstrumentStopsRecording(t *testing.T) {
 	}
 }
 
-// TestRunContextEmitsSpans routes a tracer in via context and checks the
-// run produced an experiment span, one round span per round, and frame
-// spans from the FSA frame hook.
+// TestRunContextEmitsSpans routes a span context in via context and
+// checks the run recorded one experiment span under it, one round span
+// per round under the experiment, and frame spans under the rounds.
 func TestRunContextEmitsSpans(t *testing.T) {
-	tr := obs.NewTracer(4096)
-	ctx := obs.WithTracer(context.Background(), tr)
+	store := obs.NewTraceStore(1, 4096)
+	root := store.StartTrace("t").Start("jobs", "run")
 	c := baseCfg()
-	if _, err := RunContext(ctx, c); err != nil {
+	if _, err := RunContext(obs.WithSpan(context.Background(), root.Context()), c); err != nil {
 		t.Fatal(err)
 	}
+	root.End()
+	spans := store.Spans("t")
+	byID := map[uint64]obs.SpanRec{}
 	counts := map[string]int{}
-	for _, ev := range tr.Events() {
-		counts[ev.Name]++
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+		counts[sp.Name]++
 	}
 	if counts["experiment"] != 1 {
 		t.Errorf("experiment spans = %d, want 1", counts["experiment"])
@@ -81,6 +85,12 @@ func TestRunContextEmitsSpans(t *testing.T) {
 	}
 	if counts["frame"] == 0 {
 		t.Error("no frame spans emitted")
+	}
+	want := map[string]string{"experiment": "run", "round": "experiment", "frame": "round"}
+	for _, sp := range spans {
+		if p, ok := want[sp.Name]; ok && byID[sp.Parent].Name != p {
+			t.Errorf("%s span %d has parent %q, want %q", sp.Name, sp.ID, byID[sp.Parent].Name, p)
+		}
 	}
 }
 

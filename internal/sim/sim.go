@@ -324,22 +324,21 @@ func (p *ScratchPool) Put(rs *RoundScratch) {
 }
 
 // roundEnv carries per-round observability context into runRound: the
-// round's index, the run tracer (nil = disabled) with the worker's
-// track id, and the live event bus (nil = disabled). All of it is
-// optional and none of it affects the simulated outcome.
+// round's index, the round span's context (zero = no frame spans) and
+// the live event bus (nil = disabled). All of it is optional and none
+// of it affects the simulated outcome.
 type roundEnv struct {
 	round int
-	tr    *obs.Tracer
+	span  obs.SpanContext
 	bus   *obs.Bus
-	tid   int
 }
 
 // runRound is RunRound with optional observability wiring. When metric
 // instrumentation is active (Instrument) the detector is wrapped to
 // time verdicts and the finished session is folded into the registry;
 // when auditing is active (InstrumentAudit) it is additionally wrapped
-// to shadow every verdict with the oracle; tracer and bus receive
-// per-frame spans and events for the FSA reader.
+// to shadow every verdict with the oracle; the round span and the bus
+// receive per-frame spans and events for the FSA reader.
 func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metrics.Session, error) {
 	c = c.withDefaults()
 	if err := c.Validate(); err != nil {
@@ -392,8 +391,8 @@ func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metr
 			opts.Impairment = &rs.imp
 		}
 		var hooks []func(metrics.FrameInfo)
-		if env.tr.Enabled() {
-			hooks = append(hooks, frameTracer(env.tr, env.tid))
+		if env.span.Valid() {
+			hooks = append(hooks, frameSpans(env.span))
 		}
 		if rec != nil {
 			hooks = append(hooks, func(metrics.FrameInfo) { rec.EndFrame() })
@@ -502,10 +501,10 @@ func Run(c Config) (*Aggregate, error) {
 // round that did complete (Aggregate.Completed says how many), so
 // callers can flush partial results instead of discarding the work.
 //
-// When the context carries an obs tracer (obs.WithTracer), the run
-// emits one experiment span plus per-round spans with slot censuses
-// attached — and per-frame spans for the FSA reader — onto it. When it
-// carries an event bus (obs.WithBus), the run publishes one "round"
+// When the context carries a span context (obs.WithSpan), the run
+// records one experiment span under it, one round span per round with
+// the slot census attached, and per-frame spans for the FSA reader.
+// When it carries an event bus (obs.WithBus), the run publishes one "round"
 // progress event per completed round and one "frame" event per FSA
 // frame (plus "audit" events when auditing is on), which is what the
 // server streams over SSE.
@@ -522,15 +521,9 @@ func RunContextPool(ctx context.Context, c Config, sp *ScratchPool) (*Aggregate,
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	tr := obs.TracerFrom(ctx)
 	bus := obs.BusFrom(ctx)
-	sc := obs.SpanFrom(ctx)
-	if sc.Valid() && sc.TraceID() != "" {
-		// Stamp the service trace ID into the ring trace so the two can
-		// be joined after the fact (the server merges them at export).
-		tr.Instant("sim", "trace-link", 0, map[string]any{"trace": sc.TraceID()})
-	}
-	expSpan := tr.StartSpan("sim", "experiment", 0)
+	expSpan := obs.SpanFrom(ctx).Start("sim", "experiment")
+	expCtx := expSpan.Context()
 	// Pre-draw per-round seeds so parallel scheduling cannot affect them.
 	parent := prng.New(c.Seed)
 	seeds := make([]uint64, c.Rounds)
@@ -548,7 +541,7 @@ func RunContextPool(ctx context.Context, c Config, sp *ScratchPool) (*Aggregate,
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(tid int) {
+		go func() {
 			defer wg.Done()
 			// One scratch per worker: every round this worker runs reuses
 			// the same population, slot, scheduler and session storage, so
@@ -560,25 +553,17 @@ func RunContextPool(ctx context.Context, c Config, sp *ScratchPool) (*Aggregate,
 				if ctx.Err() != nil {
 					continue // drain without computing
 				}
-				sp := tr.StartSpan("sim", "round", tid)
-				rsp := sc.Start("sim", "round")
-				s, err := runRound(c, seeds[r], roundEnv{round: r, tr: tr, bus: bus, tid: tid}, rs)
+				rsp := expCtx.Start("sim", "round")
+				s, err := runRound(c, seeds[r], roundEnv{round: r, span: rsp.Context(), bus: bus}, rs)
 				if s == nil {
-					sp.End(map[string]any{"round": r, "error": fmt.Sprint(err)})
 					if rsp.Live() {
 						rsp.End(obs.SA("round", r), obs.SA("error", fmt.Sprint(err)))
-					} else {
-						rsp.End()
 					}
 					results[r] = roundResult{err: err}
 					continue
 				}
-				sp.End(roundArgs(r, s))
 				if rsp.Live() {
-					rsp.End(obs.SA("round", r), obs.SA("slots", s.Census.Slots()),
-						obs.SA("identified", s.TagsIdentified))
-				} else {
-					rsp.End()
+					rsp.End(roundAttrs(r, s)...)
 				}
 				results[r] = roundResult{fold: summarizeRound(s), ok: true}
 				done := completed.Add(1)
@@ -593,7 +578,7 @@ func RunContextPool(ctx context.Context, c Config, sp *ScratchPool) (*Aggregate,
 					})
 				}
 			}
-		}(w + 1) // track 0 is the experiment span
+		}()
 	}
 feed:
 	for r := 0; r < c.Rounds; r++ {
@@ -617,24 +602,26 @@ feed:
 				agg.foldRound(res.fold)
 			}
 		}
-		expSpan.End(map[string]any{
-			"algorithm": c.Algorithm, "tags": c.Tags,
-			"rounds_done": completed.Load(), "rounds": c.Rounds, "aborted": true,
-		})
+		if expSpan.Live() {
+			expSpan.End(obs.SA("algorithm", c.Algorithm), obs.SA("tags", c.Tags),
+				obs.SA("rounds_done", completed.Load()), obs.SA("rounds", c.Rounds), obs.SA("aborted", true))
+		}
 		return agg, ctxErr
 	}
 	agg := &Aggregate{Cfg: c}
 	for r, res := range results {
 		if res.err != nil {
-			expSpan.End(map[string]any{"algorithm": c.Algorithm, "error": res.err.Error()})
+			if expSpan.Live() {
+				expSpan.End(obs.SA("algorithm", c.Algorithm), obs.SA("error", res.err.Error()))
+			}
 			return nil, fmt.Errorf("sim: round %d: %w", r, res.err)
 		}
 		agg.foldRound(res.fold)
 	}
-	expSpan.End(map[string]any{
-		"algorithm": c.Algorithm, "tags": c.Tags,
-		"rounds_done": agg.Completed, "rounds": c.Rounds,
-	})
+	if expSpan.Live() {
+		expSpan.End(obs.SA("algorithm", c.Algorithm), obs.SA("tags", c.Tags),
+			obs.SA("rounds_done", agg.Completed), obs.SA("rounds", c.Rounds))
+	}
 	return agg, nil
 }
 

@@ -93,8 +93,8 @@ func runRoundStat(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*
 		}
 		opt.ConfirmEmpty = c.ConfirmEmpty
 		var hooks []func(metrics.FrameInfo)
-		if env.tr.Enabled() {
-			hooks = append(hooks, frameTracer(env.tr, env.tid))
+		if env.span.Valid() {
+			hooks = append(hooks, frameSpans(env.span))
 		}
 		if rec != nil {
 			hooks = append(hooks, func(metrics.FrameInfo) { rec.EndFrame() })
