@@ -57,8 +57,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers    = fs.Int("workers", 0, "parallel rounds (0 = GOMAXPROCS)")
 		confirm    = fs.Bool("confirm-empty", true, "FSA reader terminates on an all-idle frame")
 		statMode   = fs.Bool("stat-mode", false, "vectorised Monte-Carlo mode: same distributions, no per-tag simulation (framed ALOHA, ideal channel only)")
-		ber        = fs.Float64("ber", 0, "channel bit-error rate (FSA only)")
-		capture    = fs.Float64("capture", 0, "capture-effect probability (FSA only)")
+		ber        = fs.Float64("ber", 0, "channel bit-error rate (exact fsa, edfsa, qadaptive)")
+		capture    = fs.Float64("capture", 0, "capture-effect probability (exact fsa, edfsa, qadaptive)")
 		compare    = fs.Bool("compare", false, "also run CRC-CD on the same workload and report EI")
 		sweepPath  = fs.String("sweep", "", "run a parameter-grid sweep from this JSON spec file (\"-\" = stdin) instead of a single experiment")
 		scenPath   = fs.String("scenario", "", "run a streaming warehouse scenario from this JSON spec file (\"-\" = stdin) instead of a single experiment")

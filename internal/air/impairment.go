@@ -64,7 +64,9 @@ func (im *Impairment) corrupt(s bitstr.BitString) bitstr.BitString {
 // channels and buffers. A nil or zero impairment reproduces RunSlot
 // exactly.
 func (sc *SlotScratch) RunSlotImpaired(det detect.Detector, responders []*tagmodel.Tag, im *Impairment, nowMicros, tauMicros float64) (out Outcome) {
-	im.validate()
+	if im != nil {
+		im.validate()
+	}
 	if !im.active() {
 		sc.runSlot(&out, det, responders, nowMicros, tauMicros)
 		return out

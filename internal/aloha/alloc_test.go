@@ -5,36 +5,35 @@ package aloha
 import (
 	"testing"
 
-	"repro/internal/metrics"
 	"repro/internal/prng"
 )
 
-// TestStatEnginesZeroAllocSteadyState pins the stat engines' whole point:
-// with a warmed scratch and pooled session, an identification round
-// performs no heap allocation at all — the draw buffers, occupancy
-// words, coin buffers and delay slices are all reused. Excluded under
+// TestStatEnginesZeroAllocSteadyState pins the stat backend's whole
+// point: with a warmed scratch, whose session it reuses too, an
+// identification round under every driver performs no heap allocation
+// at all — the draw buffers, occupancy words, coin buffers and delay
+// slices are all reused. Excluded under
 // -race, whose instrumentation changes allocation behaviour.
 func TestStatEnginesZeroAllocSteadyState(t *testing.T) {
 	model := StatModel{Name: "QCD-8", ContentionBits: 16, IDPhaseBits: 64, Strength: 8}
-	var sc StatScratch
-	var sess metrics.Session
+	var sc Scratch
 	rng := prng.New(1)
-	opt := StatOptions{Scratch: &sc, Session: &sess}
+	opt := Options{Scratch: &sc}
 	// Convert the policy to its interface once, outside the measured
 	// loop, as sim's round scratch path effectively does via buildPolicy.
 	var policy FramePolicy = NewFixed(300)
 	cases := map[string]func(seed uint64){
 		"fsa": func(seed uint64) {
 			rng.Seed(seed)
-			RunFSAStat(500, model, policy, tm, rng, opt)
+			Stat(500, model, tm, rng, opt).FSA(policy)
 		},
 		"edfsa": func(seed uint64) {
 			rng.Seed(seed)
-			RunEDFSAStat(500, model, EDFSAConfig{MaxFrame: 256}, tm, rng, opt)
+			Stat(500, model, tm, rng, opt).EDFSA(EDFSAConfig{MaxFrame: 256})
 		},
 		"qadaptive": func(seed uint64) {
 			rng.Seed(seed)
-			RunQAdaptiveStat(500, model, DefaultQConfig(), tm, rng, opt)
+			Stat(500, model, tm, rng, opt).QAdaptive(DefaultQConfig())
 		},
 	}
 	for name, run := range cases {

@@ -7,19 +7,20 @@
 // length (Table VI), Lemma 1 shows the λ = 1/e optimum at F = n, and the
 // dynamic policies (Schoute backlog estimation, EPC Gen-2 Q) are provided
 // for the frame-policy ablation.
+//
+// Each policy family has one session driver, a method of Backend: FSA
+// under any FramePolicy, EDFSA, and the Gen-2 Q algorithm (QAdaptive).
+// The driver decides frames, groups and rounds; the backend runs their
+// slots. Exact runs them over a materialised population, per-tag PRNG
+// streams and a detector; Stat draws each frame's occupancy from one
+// stream and evaluates verdicts from a closed-form detector model.
 package aloha
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/air"
-	"repro/internal/detect"
 	"repro/internal/metrics"
-	"repro/internal/sched"
-	"repro/internal/signal"
-	"repro/internal/tagmodel"
-	"repro/internal/timing"
 )
 
 // FrameCensus summarises one completed frame for the frame policy.
@@ -67,59 +68,47 @@ func (p Fixed) FirstFrame() int { return p.F }
 // NextFrame implements FramePolicy.
 func (p Fixed) NextFrame(FrameCensus) int { return p.F }
 
-// Schoute sizes the next frame from Schoute's backlog estimator
-// n̂ = 2.39 · c (each collided slot hides 2.39 tags on average at the
-// ALOHA operating point), the basis of dynamic FSA per Lee et al.
-type Schoute struct{ Initial int }
+// SchouteMultiplier is Schoute's backlog factor: the expected number of
+// tags in a collided slot of a frame loaded at one tag per slot, the
+// Lemma-1 operating point. A slot's count is Poisson(1) there, so the
+// mean over counts of two or more is (1 − e⁻¹)/(1 − 2e⁻¹) =
+// (e−1)/(e−2) ≈ 2.392; the literature, and every golden, uses 2.39.
+const SchouteMultiplier = 2.39
 
-// NewSchoute returns a dynamic policy starting from the given first frame.
-func NewSchoute(initial int) Schoute {
-	if initial < 1 {
-		panic("aloha: initial frame must be positive")
-	}
-	return Schoute{Initial: initial}
+// Backlog sizes every frame after the first to the backlog it estimates
+// from the previous frame's c collided slots, ⌈Factor·c⌉ (at least 1):
+// Schoute's estimator, the basis of dynamic FSA per Lee et al., or
+// Vogt's simpler lower bound.
+type Backlog struct {
+	Initial int
+	Factor  float64
+	name    string
 }
 
-// Name implements FramePolicy.
-func (p Schoute) Name() string { return "schoute" }
+// NewSchoute returns Schoute's policy, n̂ = SchouteMultiplier·c, starting
+// from the given first frame.
+func NewSchoute(initial int) Backlog { return newBacklog("schoute", initial, SchouteMultiplier) }
 
-// FirstFrame implements FramePolicy.
-func (p Schoute) FirstFrame() int { return p.Initial }
-
-// NextFrame implements FramePolicy.
-func (p Schoute) NextFrame(prev FrameCensus) int {
-	est := int(math.Ceil(2.39 * float64(prev.Collided)))
-	if est < 1 {
-		est = 1
-	}
-	return est
-}
-
-// LowerBound is Vogt's simpler estimator n̂ = 2·c: a collision hides at
+// NewLowerBound returns Vogt's policy, n̂ = 2·c: a collision hides at
 // least two tags.
-type LowerBound struct{ Initial int }
+func NewLowerBound(initial int) Backlog { return newBacklog("lowerbound", initial, 2) }
 
-// NewLowerBound returns the 2c-estimate policy.
-func NewLowerBound(initial int) LowerBound {
+func newBacklog(name string, initial int, factor float64) Backlog {
 	if initial < 1 {
 		panic("aloha: initial frame must be positive")
 	}
-	return LowerBound{Initial: initial}
+	return Backlog{Initial: initial, Factor: factor, name: name}
 }
 
 // Name implements FramePolicy.
-func (p LowerBound) Name() string { return "lowerbound" }
+func (p Backlog) Name() string { return p.name }
 
 // FirstFrame implements FramePolicy.
-func (p LowerBound) FirstFrame() int { return p.Initial }
+func (p Backlog) FirstFrame() int { return p.Initial }
 
 // NextFrame implements FramePolicy.
-func (p LowerBound) NextFrame(prev FrameCensus) int {
-	est := 2 * prev.Collided
-	if est < 1 {
-		est = 1
-	}
-	return est
+func (p Backlog) NextFrame(prev FrameCensus) int {
+	return max(1, int(math.Ceil(p.Factor*float64(prev.Collided))))
 }
 
 // Optimal is the clairvoyant policy that always sets F to the number of
@@ -136,159 +125,34 @@ func (p Optimal) FirstFrame() int { return max(1, p.N) }
 // NextFrame implements FramePolicy.
 func (p Optimal) NextFrame(prev FrameCensus) int { return max(1, prev.Remaining) }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// slotCap bounds total slots as a defence against livelock; identification
-// of n tags needs O(n) slots in expectation, so this cap is never reached
-// by a healthy run.
-func slotCap(n int) int64 { return int64(n)*1000 + 1_000_000 }
-
-// Options tunes reader behaviour beyond the frame policy.
-type Options struct {
-	// ConfirmEmpty makes the reader run one final frame after the last
-	// identification and stop only when it observes a frame of pure idle
-	// slots. A real reader cannot know the tag count, so this is how
-	// FSA inventory actually terminates; the paper's Table VII idle
-	// counts include this trailing frame.
-	ConfirmEmpty bool
-
-	// Impairment applies a noisy/capturing channel to every slot
-	// (nil = ideal channel).
-	Impairment *air.Impairment
-
-	// KeepSlotLog records a per-slot event log on the session (see
-	// metrics.Session.SlotLog), enabling clock-retiming analyses.
-	KeepSlotLog bool
-
-	// FrameHook, if set, receives each completed frame's census delta
-	// (see metrics.Session.SetFrameHook); used for per-frame tracing.
-	FrameHook func(metrics.FrameInfo)
-
-	// Scratch, if non-nil, supplies the reusable slot state so that one
-	// buffer set serves many sessions (the simulator allocates one per
-	// round). When nil the engine allocates its own per session.
-	Scratch *air.SlotScratch
-
-	// Frame, if non-nil, supplies the reusable frame scheduler that
-	// buckets tags into slots (see internal/sched); one instance can
-	// serve many sessions. When nil the engine allocates its own.
-	Frame *sched.Frame
-
-	// Groups, if non-nil, supplies a second reusable scheduler for
-	// EDFSA's group partition (unused by plain FSA). When nil the engine
-	// allocates its own.
-	Groups *sched.Frame
-
-	// Session, if non-nil, is Reset and used to accumulate this run's
-	// metrics instead of allocating a fresh one, so a pooled session's
-	// delay/log slices are reused across rounds. The returned session
-	// aliases it and is valid until the next run that reuses it.
-	Session *metrics.Session
-}
-
-// session returns the metrics session to accumulate into, pooled or fresh.
-func (o Options) session() *metrics.Session {
-	if o.Session == nil {
-		return &metrics.Session{}
-	}
-	o.Session.Reset()
-	return o.Session
-}
-
-// frame returns the frame scheduler to bucket with, pooled or fresh.
-func (o Options) frame() *sched.Frame {
-	if o.Frame == nil {
-		return new(sched.Frame)
-	}
-	return o.Frame
-}
-
-// groups returns the EDFSA group scheduler, pooled or fresh.
-func (o Options) groups() *sched.Frame {
-	if o.Groups == nil {
-		return new(sched.Frame)
-	}
-	return o.Groups
-}
-
-// scratch returns the slot scratch to run slots with, pooled or fresh.
-func (o Options) scratch() *air.SlotScratch {
-	if o.Scratch == nil {
-		return new(air.SlotScratch)
-	}
-	return o.Scratch
-}
-
-// Run identifies the whole population with framed slotted ALOHA under the
-// given detector, frame policy and timing model, and returns the session
-// metrics. Tags must be in their reset state.
-func Run(pop tagmodel.Population, det detect.Detector, policy FramePolicy, tm timing.Model) *metrics.Session {
-	return RunWithOptions(pop, det, policy, tm, Options{})
-}
-
-// RunWithOptions is Run with explicit reader options.
-func RunWithOptions(pop tagmodel.Population, det detect.Detector, policy FramePolicy, tm timing.Model, opt Options) *metrics.Session {
-	s := opt.session()
-	if opt.KeepSlotLog {
-		s.EnableSlotLog()
-	}
-	if opt.FrameHook != nil {
-		s.SetFrameHook(opt.FrameHook)
-	}
-	now := 0.0
-	var slots int64
-	remaining := len(pop)
-	frameSize := policy.FirstFrame()
-	confirmed := false
-
-	sc := opt.scratch()
-	frame := opt.frame()
-	frame.Reset(pop)
-	for remaining > 0 || (opt.ConfirmEmpty && !confirmed) {
-		if slots > slotCap(len(pop)) {
-			panic(fmt.Sprintf("aloha: exceeded slot cap identifying %d tags (detector %s, policy %s)",
-				len(pop), det.Name(), policy.Name()))
+// FSA identifies the population frame by frame: every tag still in
+// contention picks one slot of each announced frame, and policy sizes the
+// next frame from the previous frame's census. With Options.ConfirmEmpty
+// the reader stops only after a frame of pure idle slots. FSA is the one
+// driver whose frames reach Options.FrameHook.
+func (b *Backend) FSA(policy FramePolicy) *metrics.Session {
+	s := b.sess
+	size := policy.FirstFrame()
+	for confirmed := false; b.remaining() > 0 || (b.confirmEmpty && !confirmed); {
+		if b.pastCap() {
+			b.overCap("FSA policy " + policy.Name())
 		}
-		// Announce the frame: every still-unidentified tag picks a slot.
-		// The scheduler draws in population index order and compacts
-		// identified tags out, so the PRNG sequence matches the historical
-		// per-frame scan exactly while later frames only pay for the tags
-		// still in contention.
-		frame.BuildActive(frameSize)
-
-		var fc FrameCensus
-		fc.Size = frameSize
-		for i := 0; i < frameSize; i++ {
-			o := sc.RunSlotImpaired(det, frame.Bucket(i), opt.Impairment, now, tm.TauMicros)
-			now += float64(o.Bits) * tm.TauMicros
-			s.Record(o, now)
-			slots++
-			switch o.Truth {
-			case signal.Idle:
-				fc.Idle++
-			case signal.Single:
-				fc.Single++
-			default:
-				fc.Collided++
-			}
-			if o.Identified != nil {
-				remaining--
-			}
+		before := s.Census
+		b.slots.fsaFrame(size, b.remaining())
+		s.EndFrame(size)
+		fc := FrameCensus{
+			Size:      size,
+			Idle:      int(s.Census.Idle - before.Idle),
+			Single:    int(s.Census.Single - before.Single),
+			Collided:  int(s.Census.Collided - before.Collided),
+			Remaining: b.remaining(),
 		}
-		s.EndFrame(frameSize)
-		fc.Remaining = remaining
 		// An all-idle frame is the reader's evidence that the field is
 		// empty; it terminates the inventory when ConfirmEmpty is set.
 		confirmed = fc.Single == 0 && fc.Collided == 0
-		if remaining > 0 || (opt.ConfirmEmpty && !confirmed) {
-			frameSize = policy.NextFrame(fc)
-			if frameSize < 1 {
-				panic(fmt.Sprintf("aloha: policy %s returned frame size %d", policy.Name(), frameSize))
+		if b.remaining() > 0 || (b.confirmEmpty && !confirmed) {
+			if size = policy.NextFrame(fc); size < 1 {
+				panic(fmt.Sprintf("aloha: policy %s returned frame size %d", policy.Name(), size))
 			}
 		}
 	}

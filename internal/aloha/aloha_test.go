@@ -27,7 +27,7 @@ func TestRunIdentifiesEveryone(t *testing.T) {
 		detect.NewOracle(1, 64),
 	} {
 		p := pop(200, 1)
-		s := Run(p, det, NewFixed(100), tm)
+		s := Exact(p, det, tm, Options{}).FSA(NewFixed(100))
 		if !p.AllIdentified() {
 			t.Fatalf("%s: tags left unidentified", det.Name())
 		}
@@ -45,7 +45,7 @@ func TestRunIdentifiesEveryone(t *testing.T) {
 
 func TestSingleTag(t *testing.T) {
 	p := pop(1, 2)
-	s := Run(p, detect.NewQCD(8, 64), NewFixed(1), tm)
+	s := Exact(p, detect.NewQCD(8, 64), tm, Options{}).FSA(NewFixed(1))
 	if s.Census.Slots() != 1 || s.Census.Single != 1 {
 		t.Errorf("census = %+v", s.Census)
 	}
@@ -59,7 +59,7 @@ func TestThroughputNearOptimum(t *testing.T) {
 	// whole-session throughput of the clairvoyant Optimal policy stays
 	// close to it.
 	p := pop(2000, 3)
-	s := Run(p, detect.NewOracle(1, 64), Optimal{N: 2000}, tm)
+	s := Exact(p, detect.NewOracle(1, 64), tm, Options{}).FSA(Optimal{N: 2000})
 	got := s.Census.Throughput()
 	if math.Abs(got-1/math.E) > 0.03 {
 		t.Errorf("optimal-policy throughput = %.4f, want ≈ %.4f", got, 1/math.E)
@@ -69,7 +69,7 @@ func TestThroughputNearOptimum(t *testing.T) {
 func TestThroughputNeverExceedsLemma1Bound(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		p := pop(500, 10+seed)
-		s := Run(p, detect.NewOracle(1, 64), Optimal{N: 500}, tm)
+		s := Exact(p, detect.NewOracle(1, 64), tm, Options{}).FSA(Optimal{N: 500})
 		if s.Census.Throughput() > 0.45 {
 			t.Errorf("seed %d: throughput %.3f grossly exceeds 1/e", seed, s.Census.Throughput())
 		}
@@ -86,8 +86,7 @@ func TestConstantFrameMatchesTable7Shape(t *testing.T) {
 	const rounds = 20
 	for r := 0; r < rounds; r++ {
 		p := pop(50, 100+uint64(r))
-		s := RunWithOptions(p, detect.NewCRCCD(crc.CRC32IEEE, 64), NewFixed(30), tm,
-			Options{ConfirmEmpty: true})
+		s := Exact(p, detect.NewCRCCD(crc.CRC32IEEE, 64), tm, Options{ConfirmEmpty: true}).FSA(NewFixed(30))
 		idle += float64(s.Census.Idle)
 		collided += float64(s.Census.Collided)
 		frames += float64(s.Census.Frames)
@@ -114,9 +113,9 @@ func TestConstantFrameMatchesTable7Shape(t *testing.T) {
 
 func TestConfirmEmptyAddsOneIdleFrame(t *testing.T) {
 	p := pop(100, 300)
-	s1 := Run(p, detect.NewQCD(8, 64), NewFixed(100), tm)
+	s1 := Exact(p, detect.NewQCD(8, 64), tm, Options{}).FSA(NewFixed(100))
 	p2 := pop(100, 300)
-	s2 := RunWithOptions(p2, detect.NewQCD(8, 64), NewFixed(100), tm, Options{ConfirmEmpty: true})
+	s2 := Exact(p2, detect.NewQCD(8, 64), tm, Options{ConfirmEmpty: true}).FSA(NewFixed(100))
 	if s2.Census.Frames != s1.Census.Frames+1 {
 		t.Errorf("frames %d vs %d, want exactly one extra", s2.Census.Frames, s1.Census.Frames)
 	}
@@ -130,13 +129,13 @@ func TestConfirmEmptyAddsOneIdleFrame(t *testing.T) {
 
 func TestSchoutePolicyConverges(t *testing.T) {
 	p := pop(1000, 4)
-	s := Run(p, detect.NewOracle(1, 64), NewSchoute(100), tm)
+	s := Exact(p, detect.NewOracle(1, 64), tm, Options{}).FSA(NewSchoute(100))
 	if !p.AllIdentified() {
 		t.Fatal("Schoute policy failed to identify everyone")
 	}
 	// Dynamic sizing should beat a badly fixed frame on slot count.
 	p2 := pop(1000, 4)
-	fixed := Run(p2, detect.NewOracle(1, 64), NewFixed(100), tm)
+	fixed := Exact(p2, detect.NewOracle(1, 64), tm, Options{}).FSA(NewFixed(100))
 	if s.Census.Slots() >= fixed.Census.Slots() {
 		t.Errorf("Schoute (%d slots) not better than fixed-100 (%d slots)",
 			s.Census.Slots(), fixed.Census.Slots())
@@ -145,7 +144,7 @@ func TestSchoutePolicyConverges(t *testing.T) {
 
 func TestLowerBoundPolicy(t *testing.T) {
 	p := pop(300, 5)
-	s := Run(p, detect.NewQCD(8, 64), NewLowerBound(50), tm)
+	s := Exact(p, detect.NewQCD(8, 64), tm, Options{}).FSA(NewLowerBound(50))
 	if !p.AllIdentified() || s.TagsIdentified != 300 {
 		t.Fatal("lower-bound policy failed")
 	}
@@ -157,9 +156,9 @@ func TestQCDFasterThanCRCCD(t *testing.T) {
 	const rounds = 10
 	for r := uint64(0); r < rounds; r++ {
 		p1 := pop(500, 200+r)
-		tQCD += Run(p1, detect.NewQCD(8, 64), NewFixed(300), tm).TimeMicros
+		tQCD += Exact(p1, detect.NewQCD(8, 64), tm, Options{}).FSA(NewFixed(300)).TimeMicros
 		p2 := pop(500, 200+r)
-		tCRC += Run(p2, detect.NewCRCCD(crc.CRC32IEEE, 64), NewFixed(300), tm).TimeMicros
+		tCRC += Exact(p2, detect.NewCRCCD(crc.CRC32IEEE, 64), tm, Options{}).FSA(NewFixed(300)).TimeMicros
 	}
 	ei := (tCRC - tQCD) / tCRC
 	if ei < 0.40 {
@@ -172,7 +171,7 @@ func TestQCDFasterThanCRCCD(t *testing.T) {
 
 func TestDelaysAreMonotoneReasonable(t *testing.T) {
 	p := pop(100, 6)
-	s := Run(p, detect.NewQCD(8, 64), NewFixed(100), tm)
+	s := Exact(p, detect.NewQCD(8, 64), tm, Options{}).FSA(NewFixed(100))
 	for _, d := range s.DelaysMicros {
 		if d <= 0 || d > s.TimeMicros {
 			t.Fatalf("delay %v outside (0, %v]", d, s.TimeMicros)
@@ -218,7 +217,7 @@ func TestNextFramePositive(t *testing.T) {
 func TestSlotLogRetimesToOriginal(t *testing.T) {
 	p := pop(150, 400)
 	det := detect.NewQCD(8, 64)
-	s := RunWithOptions(p, det, NewFixed(100), tm, Options{KeepSlotLog: true})
+	s := Exact(p, det, tm, Options{KeepSlotLog: true}).FSA(NewFixed(100))
 	log := s.SlotLog()
 	if len(log) == 0 {
 		t.Fatal("no slot log recorded")
@@ -249,12 +248,38 @@ func TestSlotLogRetimesToOriginal(t *testing.T) {
 func TestDeterministicGivenSeed(t *testing.T) {
 	run := func() (int64, float64) {
 		p := pop(200, 77)
-		s := Run(p, detect.NewQCD(8, 64), NewFixed(100), tm)
+		s := Exact(p, detect.NewQCD(8, 64), tm, Options{}).FSA(NewFixed(100))
 		return s.Census.Slots(), s.TimeMicros
 	}
 	s1, t1 := run()
 	s2, t2 := run()
 	if s1 != s2 || t1 != t2 {
 		t.Error("identical seeds produced different sessions")
+	}
+}
+
+// TestSchouteMultiplierIsCollidedSlotMean pins SchouteMultiplier to what
+// it estimates: the expected tag count of a collided slot in a frame
+// loaded at one tag per slot. A slot's count is Poisson(1) there, so the
+// mean over counts m ≥ 2 is (e−1)/(e−2) ≈ 2.392 — the value CSCT-style
+// readers use as their estimator_multiplier (SNIPPETS.md, snippet 2).
+// The constant carries the literature's two decimals, which every
+// golden depends on, so it must equal the closed form rounded to 0.01.
+func TestSchouteMultiplierIsCollidedSlotMean(t *testing.T) {
+	closed := (math.E - 1) / (math.E - 2)
+	var mass, mean float64
+	p := math.Exp(-1) // Poisson(1) P(m) for m = 0, updated in the loop
+	for m := 1; m < 40; m++ {
+		p /= float64(m)
+		if m >= 2 {
+			mass += p
+			mean += float64(m) * p
+		}
+	}
+	if got := mean / mass; math.Abs(got-closed) > 1e-12 {
+		t.Fatalf("Poisson(1) collided-slot mean %.6f, closed form %.6f", got, closed)
+	}
+	if math.Round(closed*100)/100 != SchouteMultiplier || math.Abs(SchouteMultiplier-closed) > 5e-3 {
+		t.Errorf("SchouteMultiplier = %v, want (e−1)/(e−2) = %.4f to two decimals", SchouteMultiplier, closed)
 	}
 }

@@ -16,7 +16,7 @@ func benchRun(b *testing.B, n, f int, det detect.Detector) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		pop := tagmodel.NewPopulation(n, 64, prng.New(uint64(i)+1))
-		Run(pop, det, NewFixed(f), tm)
+		Exact(pop, det, tm, Options{}).FSA(NewFixed(f))
 	}
 }
 
@@ -29,7 +29,7 @@ func BenchmarkQAdaptive500(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		pop := tagmodel.NewPopulation(500, 64, prng.New(uint64(i)+1))
-		RunQAdaptive(pop, det, DefaultQConfig(), tm)
+		Exact(pop, det, tm, Options{}).QAdaptive(DefaultQConfig())
 	}
 }
 
@@ -42,12 +42,12 @@ var qcd8Stat = StatModel{Name: "QCD-8", ContentionBits: 16, IDPhaseBits: 64, Str
 // session per iteration, pooled scratch. The bench gate reports the
 // exact/stat ratio of the two; the ISSUE-8 target is >= 5x.
 func BenchmarkStatModeQAdaptive500(b *testing.B) {
-	var sc StatScratch
+	var sc Scratch
 	rng := prng.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rng.Seed(uint64(i) + 1)
-		RunQAdaptiveStat(500, qcd8Stat, DefaultQConfig(), tm, rng, StatOptions{Scratch: &sc})
+		Stat(500, qcd8Stat, tm, rng, Options{Scratch: &sc}).QAdaptive(DefaultQConfig())
 	}
 }
 
@@ -56,23 +56,23 @@ func BenchmarkStatModeQAdaptive500(b *testing.B) {
 // session per iteration with pooled scratch: the per-slot binomial draw
 // that dominates stat-mode Q-adaptive sweeps.
 func BenchmarkStatModeQAdaptiveCaseIV(b *testing.B) {
-	var sc StatScratch
+	var sc Scratch
 	rng := prng.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rng.Seed(uint64(i) + 1)
-		RunQAdaptiveStat(50000, qcd8Stat, DefaultQConfig(), tm, rng, StatOptions{Scratch: &sc})
+		Stat(50000, qcd8Stat, tm, rng, Options{Scratch: &sc}).QAdaptive(DefaultQConfig())
 	}
 }
 
 // BenchmarkStatModeFSA500 mirrors BenchmarkFSA500QCD in stat mode.
 func BenchmarkStatModeFSA500(b *testing.B) {
-	var sc StatScratch
+	var sc Scratch
 	rng := prng.New(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rng.Seed(uint64(i) + 1)
-		RunFSAStat(500, qcd8Stat, NewFixed(300), tm, rng, StatOptions{Scratch: &sc})
+		Stat(500, qcd8Stat, tm, rng, Options{Scratch: &sc}).FSA(NewFixed(300))
 	}
 }
 
@@ -81,7 +81,7 @@ func BenchmarkEDFSA500(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		pop := tagmodel.NewPopulation(500, 64, prng.New(uint64(i)+1))
-		RunEDFSA(pop, det, EDFSAConfig{MaxFrame: 256}, tm)
+		Exact(pop, det, tm, Options{}).EDFSA(EDFSAConfig{MaxFrame: 256})
 	}
 }
 

@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/detect"
 	"repro/internal/metrics"
-	"repro/internal/signal"
-	"repro/internal/tagmodel"
-	"repro/internal/timing"
 )
 
 // EDFSAConfig parameterises Enhanced Dynamic FSA (Lee, Joo & Lee,
@@ -31,96 +27,35 @@ func (c EDFSAConfig) validate() {
 	}
 }
 
-// RunEDFSA identifies the population with enhanced dynamic FSA under the
-// given detector. Frames in the census count issued frames (one per
-// group per round).
-func RunEDFSA(pop tagmodel.Population, det detect.Detector, cfg EDFSAConfig, tm timing.Model) *metrics.Session {
-	return RunEDFSAWithOptions(pop, det, cfg, tm, Options{})
-}
-
-// RunEDFSAWithOptions is RunEDFSA with explicit reader options (only the
-// reuse fields — Scratch, Frame, Groups, Session — apply to EDFSA).
-//
-// The round's group partition is itself a frame schedule: one Build
-// buckets the unidentified tags by their group draw, and each group's
-// frame then buckets that group's members (already in population index
-// order) by their slot draw, so the per-group population rescans of the
-// historical engine collapse into O(n + groups + Σ frames) per round.
-func RunEDFSAWithOptions(pop tagmodel.Population, det detect.Detector, cfg EDFSAConfig, tm timing.Model, opt Options) *metrics.Session {
+// EDFSA identifies the population with enhanced dynamic FSA. Each round
+// sizes groups and frames from the backlog estimate, has every
+// unidentified tag self-select a group, interrogates the groups in turn,
+// and re-estimates the backlog from the round's collisions (Schoute).
+// Frames in the census count issued frames (one per group per round).
+func (b *Backend) EDFSA(cfg EDFSAConfig) *metrics.Session {
 	cfg.validate()
 	first := cfg.InitialFrame
 	if first < 1 {
 		first = cfg.MaxFrame
 	}
-
-	s := opt.session()
-	now := 0.0
-	var slots int64
-	remaining := len(pop)
+	s := b.sess
 	estimate := float64(first) // backlog estimate going into each round
-
-	sc := opt.scratch()
-	frame := opt.frame()
-	grouping := opt.groups()
-	for remaining > 0 {
-		if slots > slotCap(len(pop)) {
-			panic(fmt.Sprintf("aloha: EDFSA exceeded slot cap identifying %d tags", len(pop)))
+	for b.remaining() > 0 {
+		if b.pastCap() {
+			b.overCap("EDFSA")
 		}
 		// Choose groups so each group's backlog fits the max frame at the
 		// optimal occupancy n ≈ F.
-		groups := int(math.Ceil(estimate / float64(cfg.MaxFrame)))
-		if groups < 1 {
-			groups = 1
-		}
-		frameSize := int(math.Ceil(estimate / float64(groups)))
-		if frameSize < 1 {
-			frameSize = 1
-		}
-		if frameSize > cfg.MaxFrame {
-			frameSize = cfg.MaxFrame
-		}
+		groups := max(1, int(math.Ceil(estimate/float64(cfg.MaxFrame))))
+		size := min(cfg.MaxFrame, max(1, int(math.Ceil(estimate/float64(groups)))))
 
-		// Tags self-select a group uniformly; the reader interrogates the
-		// groups in turn within this round. The draw lands in t.Counter
-		// (the splitting counter doubles as the group id, as before).
-		grouping.Build(pop, groups, func(t *tagmodel.Tag) int {
-			if t.Identified {
-				return -1
-			}
-			t.Counter = t.Rng.Intn(groups)
-			return t.Counter
-		})
-
-		var roundSingles, roundCollided int
-		for g := 0; g < groups && remaining > 0; g++ {
-			// Group members are in population index order, so their slot
-			// draws happen in the same order the historical per-group
-			// population scan performed them. A member cannot be identified
-			// before its own group's frame runs (it responds nowhere else),
-			// so BuildSlots's Identified skip never changes the draws here.
-			frame.BuildSlots(grouping.Bucket(g), frameSize)
+		b.slots.partition(groups, b.remaining())
+		collided := s.Census.Collided
+		for g := 0; g < groups && b.remaining() > 0; g++ {
 			s.Census.Frames++
-			for i := 0; i < frameSize; i++ {
-				o := sc.RunSlot(det, frame.Bucket(i), now, tm.TauMicros)
-				now += float64(o.Bits) * tm.TauMicros
-				s.Record(o, now)
-				slots++
-				switch o.Truth {
-				case signal.Single:
-					roundSingles++
-				case signal.Collided:
-					roundCollided++
-				}
-				if o.Identified != nil {
-					remaining--
-				}
-			}
+			b.slots.groupFrame(g, size)
 		}
-		// Schoute backlog estimate for the next round.
-		estimate = 2.39 * float64(roundCollided)
-		if estimate < 1 {
-			estimate = 1
-		}
+		estimate = max(1, SchouteMultiplier*float64(s.Census.Collided-collided))
 	}
 	return s
 }

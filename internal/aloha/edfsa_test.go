@@ -8,7 +8,7 @@ import (
 
 func TestEDFSAIdentifiesEveryone(t *testing.T) {
 	p := pop(2000, 31)
-	s := RunEDFSA(p, detect.NewQCD(8, 64), EDFSAConfig{MaxFrame: 256}, tm)
+	s := Exact(p, detect.NewQCD(8, 64), tm, Options{}).EDFSA(EDFSAConfig{MaxFrame: 256})
 	if !p.AllIdentified() {
 		t.Fatal("EDFSA left tags unidentified")
 	}
@@ -22,7 +22,7 @@ func TestEDFSAThroughputNearOptimalDespiteFrameCap(t *testing.T) {
 	// tags, plain fixed-256 FSA drowns in collisions while EDFSA keeps
 	// per-group occupancy near 1 and its throughput near the 1/e regime.
 	p := pop(2000, 32)
-	ed := RunEDFSA(p, detect.NewOracle(1, 64), EDFSAConfig{MaxFrame: 256}, tm)
+	ed := Exact(p, detect.NewOracle(1, 64), tm, Options{}).EDFSA(EDFSAConfig{MaxFrame: 256})
 	if thr := ed.Census.Throughput(); thr < 0.30 {
 		t.Errorf("EDFSA throughput %.3f, want ≥0.30 with grouping", thr)
 	}
@@ -30,9 +30,9 @@ func TestEDFSAThroughputNearOptimalDespiteFrameCap(t *testing.T) {
 
 func TestEDFSABeatsCappedFixedFrame(t *testing.T) {
 	p := pop(1500, 33)
-	ed := RunEDFSA(p, detect.NewQCD(8, 64), EDFSAConfig{MaxFrame: 256}, tm)
+	ed := Exact(p, detect.NewQCD(8, 64), tm, Options{}).EDFSA(EDFSAConfig{MaxFrame: 256})
 	p2 := pop(1500, 33)
-	fixed := Run(p2, detect.NewQCD(8, 64), NewFixed(256), tm)
+	fixed := Exact(p2, detect.NewQCD(8, 64), tm, Options{}).FSA(NewFixed(256))
 	if ed.Census.Slots() >= fixed.Census.Slots() {
 		t.Errorf("EDFSA %d slots not better than capped fixed %d",
 			ed.Census.Slots(), fixed.Census.Slots())
@@ -41,7 +41,7 @@ func TestEDFSABeatsCappedFixedFrame(t *testing.T) {
 
 func TestEDFSASmallPopulationSingleGroup(t *testing.T) {
 	p := pop(50, 34)
-	s := RunEDFSA(p, detect.NewQCD(8, 64), EDFSAConfig{MaxFrame: 256, InitialFrame: 64}, tm)
+	s := Exact(p, detect.NewQCD(8, 64), tm, Options{}).EDFSA(EDFSAConfig{MaxFrame: 256, InitialFrame: 64})
 	if !p.AllIdentified() {
 		t.Fatal("small population failed")
 	}
@@ -56,5 +56,5 @@ func TestEDFSAValidation(t *testing.T) {
 			t.Fatal("MaxFrame 0 accepted")
 		}
 	}()
-	RunEDFSA(pop(2, 35), detect.NewQCD(8, 64), EDFSAConfig{}, tm)
+	Exact(pop(2, 35), detect.NewQCD(8, 64), tm, Options{}).EDFSA(EDFSAConfig{})
 }

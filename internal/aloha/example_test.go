@@ -13,10 +13,10 @@ import (
 // One complete FSA identification session: 100 tags, the Lemma-1 optimal
 // frame size, QCD detection. Single slots equal the population size and
 // every tag comes back identified.
-func ExampleRun() {
+func ExampleBackend_FSA() {
 	pop := tagmodel.NewPopulation(100, 64, prng.New(42))
 	det := detect.NewQCD(8, 64)
-	s := aloha.Run(pop, det, aloha.NewFixed(100), timing.Default)
+	s := aloha.Exact(pop, det, timing.Default, aloha.Options{}).FSA(aloha.NewFixed(100))
 	fmt.Println(s.Census.Single, pop.AllIdentified())
 	// Output: 100 true
 }

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/detect"
 	"repro/internal/metrics"
 	"repro/internal/signal"
-	"repro/internal/tagmodel"
-	"repro/internal/timing"
 )
 
 // QConfig parameterises the EPC Class-1 Gen-2 "Q algorithm", the
@@ -25,92 +22,80 @@ type QConfig struct {
 // DefaultQConfig returns the customary Gen-2 parameters.
 func DefaultQConfig() QConfig { return QConfig{InitialQ: 4.0, C: 0.3, MaxQ: 15} }
 
-// qPlacePrefix is how many leading slots of each Q frame get their
-// buckets materialised eagerly. Rounds almost always restart within a
-// few slots (C = 0.3 flips the rounded Q after two same-sign nudges),
-// so eager buckets past a small prefix are wasted work; the scheduler
+// Validate reports a step outside (0, 1] or a Q range that is not
+// 0 ≤ InitialQ ≤ MaxQ.
+func (c QConfig) Validate() error {
+	if c.C <= 0 || c.C > 1 {
+		return fmt.Errorf("aloha: Q step C=%v out of (0,1]", c.C)
+	}
+	if c.InitialQ < 0 || c.MaxQ < c.InitialQ {
+		return fmt.Errorf("aloha: invalid Q range [%v,%v]", c.InitialQ, c.MaxQ)
+	}
+	return nil
+}
+
+// State returns the reader's Q estimate at the start of an inventory.
+func (c QConfig) State() QState { return QState{c: c.C, maxQ: c.MaxQ, qfp: c.InitialQ} }
+
+// QState is a Gen-2 reader's Q estimate: Q_fp, clamped to [0, MaxQ],
+// rises by C after a collided slot and falls by C after an idle one. A
+// round runs at the rounded Q; the reader restarts it (QueryAdjust) as
+// soon as Q_fp rounds to a different value.
+type QState struct {
+	c, maxQ float64
+	qfp     float64
+	lo, hi  float64 // Q_fp rounds to the round's Q while it stays in [lo, hi)
+}
+
+// Query starts a round and returns its Q, Q_fp rounded.
+func (s *QState) Query() int {
+	q := math.Round(s.qfp)
+	// q±0.5 is representable and Q_fp ≥ 0, so [lo, hi) is exactly
+	// math.Round's half-away-from-zero preimage of q.
+	s.lo, s.hi = q-0.5, q+0.5
+	return int(q)
+}
+
+// Step applies one slot's ground truth to Q_fp and reports whether the
+// round must restart with a new Q.
+func (s *QState) Step(truth signal.SlotType) bool {
+	switch truth {
+	case signal.Idle:
+		if s.qfp -= s.c; s.qfp < 0 {
+			s.qfp = 0
+		}
+	case signal.Collided:
+		if s.qfp += s.c; s.qfp > s.maxQ {
+			s.qfp = s.maxQ
+		}
+	}
+	return s.qfp < s.lo || s.qfp >= s.hi
+}
+
+// qPlacePrefix is how many leading slots of each Q frame the exact
+// backend buckets eagerly. Rounds almost always restart within a few
+// slots (C = 0.3 flips the rounded Q after two same-sign nudges), so
+// eager buckets past a small prefix are wasted work; the scheduler
 // answers the rare deeper slot by scanning the active list instead.
 const qPlacePrefix = 16
 
-func (c QConfig) validate() {
-	if c.C <= 0 || c.C > 1 {
-		panic(fmt.Sprintf("aloha: Q step C=%v out of (0,1]", c.C))
+// QAdaptive identifies the population with the Gen-2 Q algorithm: each
+// Query announces a 2^Q-slot round, the slots run in order, and the round
+// restarts as soon as Q moves. Per the paper's methodology, reader-to-tag
+// command airtime is not charged (identical under both detection
+// schemes); only tag transmissions count. Frames in the returned census
+// count Query commands (round starts).
+func (b *Backend) QAdaptive(cfg QConfig) *metrics.Session {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
-	if c.InitialQ < 0 || c.MaxQ < c.InitialQ {
-		panic(fmt.Sprintf("aloha: invalid Q range [%v,%v]", c.InitialQ, c.MaxQ))
-	}
-}
-
-// RunQAdaptive identifies the population with the Gen-2 Q algorithm under
-// the given detector. Per the paper's methodology, reader-to-tag command
-// airtime is not charged (identical under both detection schemes); only
-// tag transmissions count. Frames in the returned census count Query
-// commands (round starts).
-func RunQAdaptive(pop tagmodel.Population, det detect.Detector, cfg QConfig, tm timing.Model) *metrics.Session {
-	return RunQAdaptiveWithOptions(pop, det, cfg, tm, Options{})
-}
-
-// RunQAdaptiveWithOptions is RunQAdaptive with explicit reader options
-// (only the reuse fields — Scratch, Frame, Session — apply to Q).
-//
-// The slot loop runs over the frame scheduler's buckets: a tag whose
-// counter reaches zero at slot k is exactly a tag that drew k at the
-// Query, so bucketing once per Query replaces the historical
-// per-slot population rescan (and the per-QueryRep counter decrement)
-// without changing a single responder set — tags that lost an
-// arbitration sit out the rest of the round in both formulations,
-// because a tag only ever responds in the one slot it drew. Q issues
-// one Query per few slots, so its profile is all draw passes; the
-// active-list build keeps each pass proportional to the tags still in
-// contention instead of the whole population.
-func RunQAdaptiveWithOptions(pop tagmodel.Population, det detect.Detector, cfg QConfig, tm timing.Model, opt Options) *metrics.Session {
-	cfg.validate()
-	s := opt.session()
-	now := 0.0
-	var slots int64
-	remaining := len(pop)
-	qfp := cfg.InitialQ
-
-	sc := opt.scratch()
-	frame := opt.frame()
-	frame.Reset(pop)
-	for remaining > 0 {
-		if slots > slotCap(len(pop)) {
-			panic(fmt.Sprintf("aloha: Q-adaptive exceeded slot cap identifying %d tags", len(pop)))
+	b.q = cfg.State()
+	for b.remaining() > 0 {
+		if b.pastCap() {
+			b.overCap("Q-adaptive")
 		}
-		q := int(math.Round(qfp))
-		s.Census.Frames++
-		// Query: every unidentified tag draws a slot counter in [0, 2^q).
-		frameSlots := 1 << uint(q)
-		frame.BuildActivePrefix(frameSlots, qPlacePrefix)
-		// Slots proceed via QueryRep until Q changes or the round drains.
-		for slot := 0; slot < frameSlots && remaining > 0; slot++ {
-			responders := frame.Bucket(slot)
-			o := sc.RunSlot(det, responders, now, tm.TauMicros)
-			now += float64(o.Bits) * tm.TauMicros
-			s.Record(o, now)
-			slots++
-			if o.Identified != nil {
-				remaining--
-			}
-			// Unacknowledged responders enter the arbitrate state: they sit
-			// out the rest of this round and re-draw at the next Query.
-			for _, t := range responders {
-				if !t.Identified {
-					t.Slot = -1
-				}
-			}
-
-			switch o.Truth {
-			case signal.Collided:
-				qfp = math.Min(cfg.MaxQ, qfp+cfg.C)
-			case signal.Idle:
-				qfp = math.Max(0, qfp-cfg.C)
-			}
-			if int(math.Round(qfp)) != q {
-				break // QueryAdjust: restart the round with the new Q
-			}
-		}
+		b.sess.Census.Frames++
+		b.slots.qRound(&b.q, b.q.Query(), b.remaining())
 	}
-	return s
+	return b.sess
 }

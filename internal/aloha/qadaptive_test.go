@@ -13,7 +13,7 @@ func TestQAdaptiveIdentifiesEveryone(t *testing.T) {
 		detect.NewCRCCD(crc.CRC32IEEE, 64),
 	} {
 		p := pop(300, 21)
-		s := RunQAdaptive(p, det, DefaultQConfig(), tm)
+		s := Exact(p, det, tm, Options{}).QAdaptive(DefaultQConfig())
 		if !p.AllIdentified() {
 			t.Fatalf("%s: Q-adaptive left tags unidentified", det.Name())
 		}
@@ -31,9 +31,9 @@ func TestQAdaptiveBeatsBadFixedFrame(t *testing.T) {
 	// n ≫ F every slot collides and fixed FSA essentially never finishes,
 	// which is exactly the failure mode adaptation exists to avoid.
 	p := pop(100, 22)
-	adaptive := RunQAdaptive(p, detect.NewQCD(8, 64), DefaultQConfig(), tm)
+	adaptive := Exact(p, detect.NewQCD(8, 64), tm, Options{}).QAdaptive(DefaultQConfig())
 	p2 := pop(100, 22)
-	fixed := Run(p2, detect.NewQCD(8, 64), NewFixed(2000), tm)
+	fixed := Exact(p2, detect.NewQCD(8, 64), tm, Options{}).FSA(NewFixed(2000))
 	if adaptive.Census.Slots() >= fixed.Census.Slots() {
 		t.Errorf("Q-adaptive %d slots, fixed-2000 %d slots", adaptive.Census.Slots(), fixed.Census.Slots())
 	}
@@ -44,7 +44,7 @@ func TestQAdaptiveBeatsBadFixedFrame(t *testing.T) {
 
 func TestQAdaptiveSmallPopulation(t *testing.T) {
 	p := pop(3, 23)
-	s := RunQAdaptive(p, detect.NewQCD(8, 64), DefaultQConfig(), tm)
+	s := Exact(p, detect.NewQCD(8, 64), tm, Options{}).QAdaptive(DefaultQConfig())
 	if !p.AllIdentified() || s.TagsIdentified != 3 {
 		t.Fatal("small population failed")
 	}
@@ -52,7 +52,7 @@ func TestQAdaptiveSmallPopulation(t *testing.T) {
 
 func TestQAdaptiveSingleTag(t *testing.T) {
 	p := pop(1, 24)
-	s := RunQAdaptive(p, detect.NewQCD(8, 64), DefaultQConfig(), tm)
+	s := Exact(p, detect.NewQCD(8, 64), tm, Options{}).QAdaptive(DefaultQConfig())
 	if !p.AllIdentified() {
 		t.Fatal("single tag not identified")
 	}
@@ -75,14 +75,14 @@ func TestQConfigValidation(t *testing.T) {
 					t.Errorf("config %d accepted: %+v", i, cfg)
 				}
 			}()
-			RunQAdaptive(pop(2, 25), detect.NewQCD(8, 64), cfg, tm)
+			Exact(pop(2, 25), detect.NewQCD(8, 64), tm, Options{}).QAdaptive(cfg)
 		}()
 	}
 }
 
 func TestQAdaptiveFrameCountsQueries(t *testing.T) {
 	p := pop(100, 26)
-	s := RunQAdaptive(p, detect.NewQCD(8, 64), DefaultQConfig(), tm)
+	s := Exact(p, detect.NewQCD(8, 64), tm, Options{}).QAdaptive(DefaultQConfig())
 	if s.Census.Frames < 1 {
 		t.Error("no Query commands counted")
 	}

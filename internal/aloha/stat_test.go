@@ -61,7 +61,7 @@ func statSessionInvariants(t *testing.T, s *metrics.Session, n int, model StatMo
 
 func TestRunFSAStatInvariants(t *testing.T) {
 	model := StatModel{Name: "QCD-4", ContentionBits: 8, IDPhaseBits: 64, Strength: 4}
-	s := RunFSAStat(400, model, NewFixed(256), tm, prng.New(5), StatOptions{})
+	s := Stat(400, model, tm, prng.New(5), Options{}).FSA(NewFixed(256))
 	statSessionInvariants(t, s, 400, model)
 	if s.Census.Frames < 2 {
 		t.Errorf("Frames = %d, want several", s.Census.Frames)
@@ -70,8 +70,8 @@ func TestRunFSAStatInvariants(t *testing.T) {
 
 func TestRunFSAStatConfirmEmpty(t *testing.T) {
 	model := StatModel{Name: "oracle", ContentionBits: 1, IDPhaseBits: 64, MissExp: -1}
-	withOut := RunFSAStat(100, model, NewFixed(64), tm, prng.New(9), StatOptions{})
-	with := RunFSAStat(100, model, NewFixed(64), tm, prng.New(9), StatOptions{ConfirmEmpty: true})
+	withOut := Stat(100, model, tm, prng.New(9), Options{}).FSA(NewFixed(64))
+	with := Stat(100, model, tm, prng.New(9), Options{ConfirmEmpty: true}).FSA(NewFixed(64))
 	if with.Census.Frames <= withOut.Census.Frames {
 		t.Errorf("ConfirmEmpty did not add a trailing frame: %d vs %d", with.Census.Frames, withOut.Census.Frames)
 	}
@@ -83,37 +83,49 @@ func TestRunFSAStatConfirmEmpty(t *testing.T) {
 
 func TestRunEDFSAStatInvariants(t *testing.T) {
 	model := StatModel{Name: "CRC-CD/CRC-32", ContentionBits: 96, IDPhaseBits: 0, MissExp: 32}
-	s := RunEDFSAStat(700, model, EDFSAConfig{MaxFrame: 128}, tm, prng.New(21), StatOptions{})
+	s := Stat(700, model, tm, prng.New(21), Options{}).EDFSA(EDFSAConfig{MaxFrame: 128})
 	statSessionInvariants(t, s, 700, model)
 }
 
 func TestRunQAdaptiveStatInvariants(t *testing.T) {
 	model := StatModel{Name: "QCD-8", ContentionBits: 16, IDPhaseBits: 64, Strength: 8}
-	s := RunQAdaptiveStat(300, model, DefaultQConfig(), tm, prng.New(33), StatOptions{})
+	s := Stat(300, model, tm, prng.New(33), Options{}).QAdaptive(DefaultQConfig())
 	statSessionInvariants(t, s, 300, model)
 }
 
-// TestStatMatchesExactMeans is a coarse distribution check at the engine
-// level (the KS harness in internal/sim is the rigorous one): across
-// enough rounds, stat-mode mean slots and throughput must land within a
-// few percent of exact mode's on the same workload.
+// TestStatMatchesExactMeans is a coarse distribution check at the driver
+// level (the KS harness in internal/sim is the rigorous one): for every
+// policy the drivers serve, across enough rounds, the stat backend's mean
+// slot count must land within a few percent of the exact backend's on the
+// same workload.
 func TestStatMatchesExactMeans(t *testing.T) {
 	const n, f, rounds = 200, 128, 60
 	det := detect.NewQCD(8, 64)
-	var exactSlots, statSlots float64
-	rng := prng.New(77)
 	model := StatModel{Name: "QCD-8", ContentionBits: 16, IDPhaseBits: 64, Strength: 8}
-	for r := 0; r < rounds; r++ {
-		p := pop(n, uint64(r)+1)
-		es := Run(p, det, NewFixed(f), tm)
-		exactSlots += float64(es.Census.Slots())
-		ss := RunFSAStat(n, model, NewFixed(f), tm, rng, StatOptions{})
-		statSlots += float64(ss.Census.Slots())
-	}
-	exactSlots /= rounds
-	statSlots /= rounds
-	if rel := math.Abs(exactSlots-statSlots) / exactSlots; rel > 0.05 {
-		t.Errorf("mean slots diverge: exact %.1f vs stat %.1f (%.1f%%)", exactSlots, statSlots, 100*rel)
+	for _, c := range []struct {
+		name string
+		run  func(*Backend) *metrics.Session
+	}{
+		{"fixed", func(b *Backend) *metrics.Session { return b.FSA(NewFixed(f)) }},
+		{"schoute", func(b *Backend) *metrics.Session { return b.FSA(NewSchoute(f)) }},
+		{"lowerbound", func(b *Backend) *metrics.Session { return b.FSA(NewLowerBound(f)) }},
+		{"optimal", func(b *Backend) *metrics.Session { return b.FSA(Optimal{N: n}) }},
+		{"edfsa", func(b *Backend) *metrics.Session { return b.EDFSA(EDFSAConfig{MaxFrame: f}) }},
+		{"qadaptive", func(b *Backend) *metrics.Session { return b.QAdaptive(DefaultQConfig()) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var exactSlots, statSlots float64
+			rng := prng.New(77)
+			for r := 0; r < rounds; r++ {
+				exactSlots += float64(c.run(Exact(pop(n, uint64(r)+1), det, tm, Options{})).Census.Slots())
+				statSlots += float64(c.run(Stat(n, model, tm, rng, Options{})).Census.Slots())
+			}
+			exactSlots /= rounds
+			statSlots /= rounds
+			if rel := math.Abs(exactSlots-statSlots) / exactSlots; rel > 0.05 {
+				t.Errorf("mean slots diverge: exact %.1f vs stat %.1f (%.1f%%)", exactSlots, statSlots, 100*rel)
+			}
+		})
 	}
 }
 
@@ -134,7 +146,7 @@ func TestStatObserveFeed(t *testing.T) {
 			t.Fatalf("impossible observation: truth=%v declared=%v m=%d", truth, declared, m)
 		}
 	}
-	s := RunFSAStat(300, model, NewFixed(128), tm, prng.New(4), StatOptions{Observe: obs})
+	s := Stat(300, model, tm, prng.New(4), Options{Observe: obs}).FSA(NewFixed(128))
 	if singles != s.Census.Single {
 		t.Errorf("observed %d singles, session says %d", singles, s.Census.Single)
 	}
@@ -147,20 +159,19 @@ func TestStatObserveFeed(t *testing.T) {
 	}
 }
 
-// TestStatScratchReuse pins that a pooled scratch and session produce
+// TestStatScratchReuse pins that a pooled scratch (session included) produces
 // the same results as fresh ones for the same seed (scratch contents
 // must never leak into results).
 func TestStatScratchReuse(t *testing.T) {
 	model := StatModel{Name: "QCD-8", ContentionBits: 16, IDPhaseBits: 64, Strength: 8}
-	var sc StatScratch
-	var sess metrics.Session
-	run := func(opt StatOptions, seed uint64) metrics.Census {
+	var sc Scratch
+	run := func(opt Options, seed uint64) metrics.Census {
 		rng := prng.New(seed)
-		return RunQAdaptiveStat(250, model, DefaultQConfig(), tm, rng, opt).Census
+		return Stat(250, model, tm, rng, opt).QAdaptive(DefaultQConfig()).Census
 	}
 	for _, seed := range []uint64{1, 2, 3} {
-		fresh := run(StatOptions{}, seed)
-		pooled := run(StatOptions{Scratch: &sc, Session: &sess}, seed)
+		fresh := run(Options{}, seed)
+		pooled := run(Options{Scratch: &sc}, seed)
 		if fresh != pooled {
 			t.Fatalf("seed %d: pooled census %+v != fresh %+v", seed, pooled, fresh)
 		}
@@ -229,7 +240,7 @@ func TestQAdaptiveStatMatchesReference(t *testing.T) {
 		{Name: "oracle", ContentionBits: 64, MissExp: -1},
 	}
 	cfgs := []QConfig{DefaultQConfig(), {InitialQ: 2.5, C: 0.5, MaxQ: 18}, {InitialQ: 0, C: 0.1, MaxQ: 15}, {InitialQ: 4, C: 0.3, MaxQ: 6.2}}
-	var sc StatScratch
+	var sc Scratch
 	for _, n := range []int{1, 64, 500, 70000} {
 		for ci, cfg := range cfgs {
 			for mi, model := range models {
@@ -239,7 +250,7 @@ func TestQAdaptiveStatMatchesReference(t *testing.T) {
 				seed := uint64(n*100 + ci*10 + mi)
 				refRng, rng := prng.New(seed), prng.New(seed)
 				want := qAdaptiveStatReference(n, model, cfg, refRng)
-				got := RunQAdaptiveStat(n, model, cfg, tm, rng, StatOptions{Scratch: &sc})
+				got := Stat(n, model, tm, rng, Options{Scratch: &sc}).QAdaptive(cfg)
 				if got.Census != want.Census || got.Detection != want.Detection || got.Bits != want.Bits ||
 					got.TimeMicros != want.TimeMicros || got.TagsIdentified != want.TagsIdentified ||
 					!slices.Equal(got.DelaysMicros, want.DelaysMicros) || rng.Uint64() != refRng.Uint64() {
@@ -253,9 +264,9 @@ func TestQAdaptiveStatMatchesReference(t *testing.T) {
 // TestSlotLawTable pins every table row, built in either order, to
 // prng.NewSlotLaw of the slots left, and q past the table to no row.
 func TestSlotLawTable(t *testing.T) {
-	var sc StatScratch
+	var sc Scratch
 	for _, q := range []int{15, 0, 7, 1, 6, 14, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13, 7, 15} {
-		row := sc.slotLaws(q)
+		row := sc.stat.slotLaws(q)
 		if want := min(slotLawSlots, 1<<q); len(row) != want {
 			t.Fatalf("q=%d: row length %d, want %d", q, len(row), want)
 		}
@@ -265,7 +276,7 @@ func TestSlotLawTable(t *testing.T) {
 			}
 		}
 	}
-	if row := sc.slotLaws(slotLawQs); row != nil {
+	if row := sc.stat.slotLaws(slotLawQs); row != nil {
 		t.Errorf("q=%d: got a %d-law row past the table", slotLawQs, len(row))
 	}
 }

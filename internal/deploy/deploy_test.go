@@ -99,7 +99,7 @@ func TestRunSequentialIdentifiesCoveredTags(t *testing.T) {
 	det := detect.NewQCD(8, 64)
 	tmdl := timing.Model{TauMicros: 1}
 	total, identified := f.RunSequential(func(sub tagmodel.Population) float64 {
-		return aloha.Run(sub, det, aloha.NewFixed(maxInt(1, len(sub))), tmdl).TimeMicros
+		return aloha.Exact(sub, det, tmdl, aloha.Options{}).FSA(aloha.NewFixed(maxInt(1, len(sub)))).TimeMicros
 	})
 	if total <= 0 {
 		t.Error("no airtime spent")
@@ -149,7 +149,7 @@ func TestTagIdentifiedOnceAcrossReaders(t *testing.T) {
 		if sessions == 2 {
 			t.Fatalf("second reader saw %d tags, want none left", len(sub))
 		}
-		return aloha.Run(sub, det, aloha.NewFixed(len(sub)), tmdl).TimeMicros
+		return aloha.Exact(sub, det, tmdl, aloha.Options{}).FSA(aloha.NewFixed(len(sub))).TimeMicros
 	})
 	if sessions != 1 {
 		t.Errorf("sessions = %d", sessions)

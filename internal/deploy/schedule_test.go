@@ -95,7 +95,7 @@ func TestRunScheduledMatchesSequentialCoverage(t *testing.T) {
 	det := detect.NewQCD(8, 64)
 	tm := timing.Default
 	session := func(sub tagmodel.Population) float64 {
-		return aloha.Run(sub, det, aloha.NewFixed(maxInt(1, len(sub))), tm).TimeMicros
+		return aloha.Exact(sub, det, tm, aloha.Options{}).FSA(aloha.NewFixed(maxInt(1, len(sub)))).TimeMicros
 	}
 
 	f1, _ := paperFloorWithTags(800, 5)
@@ -126,7 +126,7 @@ func TestRunUnscheduledJamsCoveredTags(t *testing.T) {
 	det := detect.NewQCD(8, 64)
 	tm := timing.Default
 	session := func(sub tagmodel.Population) float64 {
-		return aloha.Run(sub, det, aloha.NewFixed(maxInt(1, len(sub))), tm).TimeMicros
+		return aloha.Exact(sub, det, tm, aloha.Options{}).FSA(aloha.NewFixed(maxInt(1, len(sub)))).TimeMicros
 	}
 	f1, _ := paperFloorWithTags(600, 9)
 	un := f1.RunUnscheduled(20, session)
@@ -163,7 +163,7 @@ func TestRunScheduledNoInterference(t *testing.T) {
 	tm := timing.Default
 	f, _ := paperFloorWithTags(300, 6)
 	res := f.RunScheduled(5, func(sub tagmodel.Population) float64 {
-		return aloha.Run(sub, det, aloha.NewFixed(maxInt(1, len(sub))), tm).TimeMicros
+		return aloha.Exact(sub, det, tm, aloha.Options{}).FSA(aloha.NewFixed(maxInt(1, len(sub)))).TimeMicros
 	})
 	if res.Colors != 1 {
 		t.Errorf("colors = %d, want 1", res.Colors)
@@ -228,7 +228,7 @@ func TestReaderRangeLargerThanArena(t *testing.T) {
 
 	det := detect.NewQCD(8, 64)
 	session := func(sub tagmodel.Population) float64 {
-		return aloha.Run(sub, det, aloha.NewFixed(maxInt(1, len(sub))), timing.Default).TimeMicros
+		return aloha.Exact(sub, det, timing.Default, aloha.Options{}).FSA(aloha.NewFixed(maxInt(1, len(sub)))).TimeMicros
 	}
 	res := f.RunScheduled(15, session)
 	if res.Identified != 120 {
@@ -273,7 +273,7 @@ func TestOversizedRangeGridCoversWholeArena(t *testing.T) {
 
 	det := detect.NewQCD(8, 64)
 	res := f.RunScheduled(200, func(sub tagmodel.Population) float64 {
-		return aloha.Run(sub, det, aloha.NewFixed(maxInt(1, len(sub))), timing.Default).TimeMicros
+		return aloha.Exact(sub, det, timing.Default, aloha.Options{}).FSA(aloha.NewFixed(maxInt(1, len(sub)))).TimeMicros
 	})
 	if res.Identified != 60 {
 		t.Errorf("identified %d of 60", res.Identified)

@@ -23,8 +23,9 @@ type Estimator interface {
 	Estimate(c aloha.FrameCensus) float64
 }
 
-// Schoute is the classic estimator n̂ = N1 + 2.39·Nc: at the ALOHA
-// operating point a collided slot hides e/(e−1)+1 ≈ 2.39 tags on average.
+// Schoute is the classic estimator n̂ = N1 + aloha.SchouteMultiplier·Nc:
+// at the ALOHA operating point a collided slot hides (e−1)/(e−2) tags on
+// average.
 type Schoute struct{}
 
 // Name implements Estimator.
@@ -32,7 +33,7 @@ func (Schoute) Name() string { return "schoute" }
 
 // Estimate implements Estimator.
 func (Schoute) Estimate(c aloha.FrameCensus) float64 {
-	return float64(c.Single) + 2.39*float64(c.Collided)
+	return float64(c.Single) + aloha.SchouteMultiplier*float64(c.Collided)
 }
 
 // LowerBound is Vogt's n̂ = N1 + 2·Nc: a collision hides at least two tags.

@@ -91,14 +91,14 @@ func TestMLEExactOnExpectedCensus(t *testing.T) {
 func TestPolicyIdentifiesEveryone(t *testing.T) {
 	for _, est := range All() {
 		pop := tagmodel.NewPopulation(400, 64, prng.New(11))
-		s := aloha.Run(pop, detect.NewQCD(8, 64), NewPolicy(est, 128), timing.Default)
+		s := aloha.Exact(pop, detect.NewQCD(8, 64), timing.Default, aloha.Options{}).FSA(NewPolicy(est, 128))
 		if !pop.AllIdentified() {
 			t.Fatalf("%s policy failed to identify everyone", est.Name())
 		}
 		// Estimating policies should stay within 2× of the clairvoyant
 		// optimum's slot usage.
 		pop2 := tagmodel.NewPopulation(400, 64, prng.New(11))
-		opt := aloha.Run(pop2, detect.NewQCD(8, 64), aloha.Optimal{N: 400}, timing.Default)
+		opt := aloha.Exact(pop2, detect.NewQCD(8, 64), timing.Default, aloha.Options{}).FSA(aloha.Optimal{N: 400})
 		if s.Census.Slots() > 2*opt.Census.Slots() {
 			t.Errorf("%s policy used %d slots, optimal used %d",
 				est.Name(), s.Census.Slots(), opt.Census.Slots())
@@ -110,7 +110,7 @@ func TestPolicyBeatsBadFixedStart(t *testing.T) {
 	// Starting with a frame 8× too small, the estimator must still
 	// converge quickly.
 	pop := tagmodel.NewPopulation(800, 64, prng.New(13))
-	s := aloha.Run(pop, detect.NewQCD(8, 64), NewPolicy(Schoute{}, 100), timing.Default)
+	s := aloha.Exact(pop, detect.NewQCD(8, 64), timing.Default, aloha.Options{}).FSA(NewPolicy(Schoute{}, 100))
 	if !pop.AllIdentified() {
 		t.Fatal("estimating policy failed from an undersized start")
 	}

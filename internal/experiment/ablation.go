@@ -151,7 +151,7 @@ func Floor(o Options) (Renderable, error) {
 			floor.PlaceTags(pop, rng)
 			tm := timing.Default
 			micros, ident := floor.RunSequential(func(sub tagmodel.Population) float64 {
-				return aloha.Run(sub, det, aloha.NewFixed(maxi(1, len(sub))), tm).TimeMicros
+				return aloha.Exact(sub, det, tm, aloha.Options{}).FSA(aloha.NewFixed(maxi(1, len(sub)))).TimeMicros
 			})
 			if _, isQCD := det.(*detect.QCD); isQCD {
 				tQCD = micros

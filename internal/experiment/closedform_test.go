@@ -5,13 +5,17 @@ import (
 	"testing"
 
 	"repro/internal/air"
+	"repro/internal/aloha"
 	"repro/internal/analytic"
 	"repro/internal/detect"
 	"repro/internal/epc"
+	"repro/internal/metrics"
 	"repro/internal/prng"
 	"repro/internal/signal"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/tagmodel"
+	"repro/internal/timing"
 )
 
 // Numeric assertions of the paper's closed forms against the simulator,
@@ -64,6 +68,53 @@ func TestFigure5AccuracyMatchesClosedForm(t *testing.T) {
 		if math.Abs(got-want) > 3*sigma {
 			t.Errorf("QCD-%d accuracy over %d collided slots = %.5f, closed form %.5f ± %.5f (3σ)",
 				l, collided, got, want, 3*sigma)
+		}
+	}
+}
+
+// TestLemma1FirstFrameMatchesClosedForm checks the first FSA frame — the
+// frame Lemma 1 models, n tags each picking one of F slots — against
+// analytic.FSAExpectedCensus on both slot backends. Frame 0's census
+// comes from the frame hook; each count must sit within 3σ of the round
+// mean. The frame's ground truth does not depend on the detector, so the
+// oracle keeps the sessions cheap.
+func TestLemma1FirstFrameMatchesClosedForm(t *testing.T) {
+	const rounds = 1000
+	det := detect.NewOracle(1, epc.IDBits)
+	model := aloha.StatModel{Name: "oracle", ContentionBits: 1, IDPhaseBits: epc.IDBits, MissExp: -1}
+	for _, c := range []struct{ n, f int }{{64, 64}, {128, 64}} {
+		wantIdle, wantSingle, wantCollided := analytic.FSAExpectedCensus(float64(c.n), float64(c.f))
+		for _, mode := range []string{sim.ModeExact, sim.ModeStat} {
+			var idle, single, collided stats.Accumulator
+			opt := aloha.Options{FrameHook: func(fi metrics.FrameInfo) {
+				if fi.Index == 0 {
+					idle.Add(float64(fi.Idle))
+					single.Add(float64(fi.Single))
+					collided.Add(float64(fi.Collided))
+				}
+			}}
+			seeds, rng := prng.New(1), prng.New(2)
+			for r := 0; r < rounds; r++ {
+				var b *aloha.Backend
+				if mode == sim.ModeStat {
+					b = aloha.Stat(c.n, model, timing.Default, rng, opt)
+				} else {
+					pop := tagmodel.NewPopulation(c.n, epc.IDBits, prng.New(seeds.Uint64()))
+					b = aloha.Exact(pop, det, timing.Default, opt)
+				}
+				b.FSA(aloha.NewFixed(c.f))
+			}
+			for _, m := range []struct {
+				name string
+				got  *stats.Accumulator
+				want float64
+			}{{"idle", &idle, wantIdle}, {"single", &single, wantSingle}, {"collided", &collided, wantCollided}} {
+				sigma := m.got.StdDev() / math.Sqrt(float64(m.got.N()))
+				if m.got.N() != rounds || math.Abs(m.got.Mean()-m.want) > 3*sigma {
+					t.Errorf("%s n=%d F=%d: first-frame %s %.3f over %d frames, Lemma 1 %.3f ± %.3f (3σ)",
+						mode, c.n, c.f, m.name, m.got.Mean(), m.got.N(), m.want, 3*sigma)
+				}
+			}
 		}
 	}
 }

@@ -35,7 +35,7 @@ func AblationEstimate(o Options) (Renderable, error) {
 		seeds := prng.New(o.Seed)
 		for r := 0; r < o.Rounds; r++ {
 			pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seeds.Uint64()))
-			s := aloha.Run(pop, det, mk(), tm)
+			s := aloha.Exact(pop, det, tm, aloha.Options{}).FSA(mk())
 			slots.Add(float64(s.Census.Slots()))
 			thr.Add(s.Census.Throughput())
 			tme.Add(s.TimeMicros)
@@ -118,7 +118,7 @@ func AblationEnergy(o Options) (Renderable, error) {
 			for r := 0; r < o.Rounds; r++ {
 				pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seeds.Uint64()))
 				if proto == "fsa" {
-					aloha.Run(pop, det, aloha.NewFixed(c.Slots), tm)
+					aloha.Exact(pop, det, tm, aloha.Options{}).FSA(aloha.NewFixed(c.Slots))
 				} else {
 					btree.Run(pop, det, tm)
 				}

@@ -88,8 +88,7 @@ func Noise(o Options) (Renderable, error) {
 				if ber > 0 {
 					im = &air.Impairment{BER: ber, Rng: prng.New(seed ^ 0x9015e)}
 				}
-				sess := aloha.RunWithOptions(pop, det, aloha.NewFixed(c.Slots), tm,
-					aloha.Options{Impairment: im})
+				sess := aloha.Exact(pop, det, tm, aloha.Options{Impairment: im}).FSA(aloha.NewFixed(c.Slots))
 				acc.Add(sess.TimeMicros)
 			}
 			times[detName] = acc.Mean()
@@ -120,8 +119,7 @@ func Capture(o Options) (Renderable, error) {
 			if p > 0 {
 				im = &air.Impairment{CaptureProb: p, Rng: prng.New(seed ^ 0xca9)}
 			}
-			sess := aloha.RunWithOptions(pop, det, aloha.NewFixed(c.Slots), tm,
-				aloha.Options{Impairment: im})
+			sess := aloha.Exact(pop, det, tm, aloha.Options{Impairment: im}).FSA(aloha.NewFixed(c.Slots))
 			slots.Add(float64(sess.Census.Slots()))
 			tme.Add(sess.TimeMicros)
 		}
@@ -144,7 +142,7 @@ func Schedule(o Options) (Renderable, error) {
 		if f < 1 {
 			f = 1
 		}
-		return aloha.Run(sub, det, aloha.NewFixed(f), tm).TimeMicros
+		return aloha.Exact(sub, det, tm, aloha.Options{}).FSA(aloha.NewFixed(f)).TimeMicros
 	}
 	const tags = 2000
 	for _, radius := range []float64{10, 15, 25, 40} {
@@ -193,9 +191,9 @@ func EDFSAExperiment(o Options) (Renderable, error) {
 			pop := tagmodel.NewPopulation(2000, epc.IDBits, prng.New(seeds.Uint64()))
 			var sess *metrics.Session
 			if edfsa {
-				sess = aloha.RunEDFSA(pop, det, aloha.EDFSAConfig{MaxFrame: 256}, tm)
+				sess = aloha.Exact(pop, det, tm, aloha.Options{}).EDFSA(aloha.EDFSAConfig{MaxFrame: 256})
 			} else {
-				sess = aloha.Run(pop, det, aloha.NewFixed(256), tm)
+				sess = aloha.Exact(pop, det, tm, aloha.Options{}).FSA(aloha.NewFixed(256))
 			}
 			tme.Add(sess.TimeMicros)
 			slots.Add(float64(sess.Census.Slots()))

@@ -102,8 +102,8 @@ func runLogged(cfg sim.Config) (*metrics.Session, error) {
 		return nil, err
 	}
 	pop := tagmodel.NewPopulation(cfg.Tags, epc.IDBits, prng.New(cfg.Seed))
-	return aloha.RunWithOptions(pop, det, aloha.NewFixed(cfg.FrameSize), timing.Default,
-		aloha.Options{KeepSlotLog: true, ConfirmEmpty: true}), nil
+	opt := aloha.Options{KeepSlotLog: true, ConfirmEmpty: true}
+	return aloha.Exact(pop, det, timing.Default, opt).FSA(aloha.NewFixed(cfg.FrameSize)), nil
 }
 
 // slotCostForLink charges a declared slot's airtime under link l for the

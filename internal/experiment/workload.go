@@ -46,7 +46,7 @@ func Workloads(o Options) (Renderable, error) {
 			shared = trace.SharedPrefixLen(pop)
 			qtBin.Add(float64(qtree.Run(pop, det, tm, qtree.Options{FanoutBits: 1}).Session.Census.Slots()))
 			qtQuad.Add(float64(qtree.Run(build(), det, tm, qtree.Options{FanoutBits: 2}).Session.Census.Slots()))
-			fsa.Add(float64(aloha.Run(build(), detFSA, aloha.NewFixed(n), tm).Census.Slots()))
+			fsa.Add(float64(aloha.Exact(build(), detFSA, tm, aloha.Options{}).FSA(aloha.NewFixed(n)).Census.Slots()))
 		}
 		t.AddRow(string(kind),
 			fmt.Sprintf("%d bits", shared),

@@ -21,11 +21,11 @@ package gen2
 import (
 	"fmt"
 
+	"repro/internal/aloha"
 	"repro/internal/detect"
 	"repro/internal/epc"
 	"repro/internal/metrics"
 	"repro/internal/prng"
-	"repro/internal/signal"
 	"repro/internal/tagmodel"
 	"repro/internal/timing"
 )
@@ -90,10 +90,9 @@ type Config struct {
 	Scheme ReplyScheme
 	// Detector backs the CRC-CD/QCD schemes (ignored for RN16).
 	Detector detect.Detector
-	// InitialQ, C, MaxQ drive the Q algorithm (defaults 4.0 / 0.3 / 15).
-	InitialQ float64
-	C        float64
-	MaxQ     float64
+	// QConfig's InitialQ, C and MaxQ drive the Q algorithm (defaults
+	// 4.0 / 0.3 / 15).
+	aloha.QConfig
 	// ChargeCommands includes reader-to-tag command airtime in the session
 	// time (the paper's methodology excludes it; Gen-2 reality includes it).
 	ChargeCommands bool
@@ -103,7 +102,7 @@ type Config struct {
 func DefaultConfig(scheme ReplyScheme, det detect.Detector) Config {
 	return Config{
 		Scheme: scheme, Detector: det,
-		InitialQ: 4.0, C: 0.3, MaxQ: 15,
+		QConfig:        aloha.DefaultQConfig(),
 		ChargeCommands: true,
 	}
 }
@@ -112,8 +111,8 @@ func (c Config) validate() {
 	if c.Scheme != ReplyRN16 && c.Detector == nil {
 		panic("gen2: scheme needs a detector")
 	}
-	if c.C <= 0 || c.C > 1 {
-		panic(fmt.Sprintf("gen2: C = %v out of (0,1]", c.C))
+	if err := c.QConfig.Validate(); err != nil {
+		panic(err)
 	}
 }
 
@@ -155,7 +154,7 @@ func Run(pop tagmodel.Population, cfg Config, tm timing.Model, seed uint64) *Res
 	now := 0.0
 	var slots int64
 	remaining := len(pop)
-	qfp := cfg.InitialQ
+	qs := cfg.State()
 
 	charge := func(bits int) {
 		if cfg.ChargeCommands {
@@ -168,7 +167,7 @@ func Run(pop tagmodel.Population, cfg Config, tm timing.Model, seed uint64) *Res
 		if slots > slotCap(len(pop)) {
 			panic(fmt.Sprintf("gen2: exceeded slot cap identifying %d tags (%s)", len(pop), cfg.Scheme))
 		}
-		q := int(qRound(qfp))
+		q := qs.Query()
 		res.Queries++
 		s.Census.Frames++
 		charge(epc.QueryBits)
@@ -209,14 +208,7 @@ func Run(pop tagmodel.Population, cfg Config, tm timing.Model, seed uint64) *Res
 					c.state = StateAcknowledged
 				}
 			}
-			// Q adjustment.
-			switch outcome.Truth {
-			case signal.Collided:
-				qfp = minF(cfg.MaxQ, qfp+cfg.C)
-			case signal.Idle:
-				qfp = maxF(0, qfp-cfg.C)
-			}
-			if int(qRound(qfp)) != q {
+			if qs.Step(outcome.Truth) {
 				res.QueryAdjusts++
 				charge(epc.QueryAdjustBits)
 				break

@@ -1,8 +1,10 @@
 package gen2
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/aloha"
 	"repro/internal/crc"
 	"repro/internal/detect"
 	"repro/internal/prng"
@@ -120,7 +122,22 @@ func TestValidation(t *testing.T) {
 			t.Fatal("QCD scheme without detector accepted")
 		}
 	}()
-	Run(pop(2, 7), Config{Scheme: ReplyQCD, C: 0.3, MaxQ: 15}, tm, 1)
+	Run(pop(2, 7), Config{Scheme: ReplyQCD, QConfig: aloha.QConfig{C: 0.3, MaxQ: 15}}, tm, 1)
+}
+
+// TestNegativeInitialQRejected pins that a Q range below zero fails at
+// config validation, with the Q-range error, instead of deep inside the
+// first Query's slot draw.
+func TestNegativeInitialQRejected(t *testing.T) {
+	cfg := DefaultConfig(ReplyQCD, detect.NewQCD(8, 64))
+	cfg.InitialQ = -1
+	defer func() {
+		r := recover()
+		if err, ok := r.(error); !ok || !strings.Contains(err.Error(), "Q range") {
+			t.Fatalf("InitialQ = -1: recovered %v, want the Q range validation error", r)
+		}
+	}()
+	Run(pop(2, 7), cfg, tm, 1)
 }
 
 func TestStateAndSchemeStrings(t *testing.T) {

@@ -1,8 +1,6 @@
 package gen2
 
 import (
-	"math"
-
 	"repro/internal/air"
 	"repro/internal/bitstr"
 	"repro/internal/crc"
@@ -149,18 +147,4 @@ func runDetectorSlot(cfg Config, res *Result, responders []*tagCtx, now *float64
 		res.WastedACKs++
 	}
 	return out
-}
-
-func qRound(q float64) float64 { return math.Round(q) }
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

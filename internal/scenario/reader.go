@@ -3,15 +3,11 @@ package scenario
 import (
 	"math"
 
+	"repro/internal/aloha"
 	"repro/internal/metrics"
 	"repro/internal/prng"
 	"repro/internal/sched"
 )
-
-// schouteMultiplier is the expected tag count hidden behind one collided
-// slot under Schoute's backlog model — the estimator that sizes child
-// collision contexts (the CSCT estimator_multiplier).
-const schouteMultiplier = 2.39
 
 // collisionContext is one unresolved collision subset carried across a
 // reader's scheduled sessions: the handles that answered together in a
@@ -264,7 +260,9 @@ func (r *readerState) session(st *Store, fr *sched.IndexFrame, costs slotCosts,
 				for _, w := range bucket {
 					child.tags = append(child.tags, Handle(w))
 				}
-				child.est = schouteMultiplier
+				// Schoute's expected tag count behind one collided slot
+				// sizes the child context (the CSCT estimator_multiplier).
+				child.est = aloha.SchouteMultiplier
 				child.depth = depth + 1
 				r.ccq.push(child)
 			}

@@ -258,6 +258,22 @@ func TestSubmitValidationAndNotFound(t *testing.T) {
 	}
 }
 
+// TestSubmitImpairedTreeIs400 pins that a BER or capture channel on a
+// tree algorithm, which runs on the ideal channel only, is refused at
+// submission instead of being run (and cached) as the ideal experiment.
+func TestSubmitImpairedTreeIs400(t *testing.T) {
+	_, c := startServer(t, Options{Workers: 1, QueueDepth: 4})
+	ctx := context.Background()
+	for _, alg := range []string{sim.AlgBT, sim.AlgQT} {
+		cfg := sim.Config{Tags: 200, Seed: 3, Algorithm: alg, Detector: sim.DetQCD, BER: 0.05, CaptureProb: 0.3}
+		if _, err := c.Submit(ctx, cfg); err == nil {
+			t.Errorf("%s: impaired config accepted", alg)
+		} else if ae, ok := err.(*apiError); !ok || ae.StatusCode != 400 {
+			t.Errorf("%s: err = %v, want HTTP 400", alg, err)
+		}
+	}
+}
+
 func TestListReportsSubmissionsWithoutResults(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 2, QueueDepth: 8})
 	ctx := context.Background()

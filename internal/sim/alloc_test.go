@@ -37,7 +37,7 @@ func TestPooledRoundSteadyStateAllocs(t *testing.T) {
 // TestStatRoundSteadyStateAllocs is the same guard for the stat round
 // path with a far tighter budget: the engines themselves are
 // allocation-free on a warmed scratch (pinned in internal/aloha), so
-// all that remains per round is runRoundStat's model/policy plumbing —
+// all that remains per round is runRound's model/policy plumbing —
 // a handful of allocations, independent of tags and slots.
 func TestStatRoundSteadyStateAllocs(t *testing.T) {
 	cases := map[string]Config{

@@ -51,10 +51,7 @@ func (d auditedDetector) Classify(rx signal.Reception) signal.SlotType {
 // fast path (detect.ScratchPayloader) so auditing does not force the
 // slot engine off its zero-allocation route.
 func (d auditedDetector) ContentionPayloadInto(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString {
-	if sp, ok := d.Detector.(detect.ScratchPayloader); ok {
-		return sp.ContentionPayloadInto(t, scratch)
-	}
-	return d.Detector.ContentionPayload(t)
+	return detect.PayloadInto(d.Detector, t, &scratch)
 }
 
 // frameEvents builds a frame hook publishing one "frame" event per
@@ -73,9 +70,26 @@ func frameEvents(bus *obs.Bus, round int) func(metrics.FrameInfo) {
 	}
 }
 
-// combineFrameHooks folds any number of frame hooks into one (nil when
-// none are installed, preserving the no-hook fast path in EndFrame).
-func combineFrameHooks(hooks []func(metrics.FrameInfo)) func(metrics.FrameInfo) {
+// frameHook assembles the FSA reader's frame hook from whatever
+// observers are live — the round's frame spans, the audit recorder's
+// frame boundary and the bus's frame events — or returns nil when none
+// are (preserving the no-hook fast path in EndFrame). Other algorithms
+// get none: their frames are Gen-2 Queries or EDFSA group frames, a few
+// slots each, and would flood the per-trace span cap.
+func frameHook(c Config, env roundEnv, rec *audit.Recorder) func(metrics.FrameInfo) {
+	if c.Algorithm != AlgFSA {
+		return nil
+	}
+	var hooks []func(metrics.FrameInfo)
+	if env.span.Valid() {
+		hooks = append(hooks, frameSpans(env.span))
+	}
+	if rec != nil {
+		hooks = append(hooks, func(metrics.FrameInfo) { rec.EndFrame() })
+	}
+	if env.bus.Enabled() {
+		hooks = append(hooks, frameEvents(env.bus, env.round))
+	}
 	switch len(hooks) {
 	case 0:
 		return nil

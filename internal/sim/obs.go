@@ -91,10 +91,7 @@ func (d timedDetector) Classify(rx signal.Reception) signal.SlotType {
 // fast path (detect.ScratchPayloader) so instrumentation does not force
 // the slot engine off its zero-allocation route.
 func (d timedDetector) ContentionPayloadInto(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString {
-	if sp, ok := d.Detector.(detect.ScratchPayloader); ok {
-		return sp.ContentionPayloadInto(t, scratch)
-	}
-	return d.Detector.ContentionPayload(t)
+	return detect.PayloadInto(d.Detector, t, &scratch)
 }
 
 // frameSpans builds a metrics frame hook that records one "frame"

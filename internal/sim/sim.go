@@ -103,9 +103,11 @@ type Config struct {
 	// Table VII idle counts include this frame).
 	ConfirmEmpty bool
 
-	// BER and CaptureProb apply a non-ideal channel to FSA sessions
-	// (bit errors fail the self-checks closed; captures singulate one
-	// tag out of a collision). Zero means the ideal channel.
+	// BER and CaptureProb apply a non-ideal channel to exact-mode
+	// framed-ALOHA sessions — fsa, edfsa and qadaptive (bit errors fail
+	// the self-checks closed; captures singulate one tag out of a
+	// collision). Zero means the ideal channel; Validate rejects them for
+	// the tree algorithms and for stat mode, which model only that.
 	BER         float64
 	CaptureProb float64
 }
@@ -185,21 +187,29 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("sim: unknown detector %q", c.Detector)
 	}
+	impaired := c.BER > 0 || c.CaptureProb > 0
 	switch c.Mode {
 	case "", ModeExact:
+		if impaired && !c.framedALOHA() {
+			return fmt.Errorf("sim: %s models the ideal channel only (BER/CaptureProb must be 0)", c.Algorithm)
+		}
 	case ModeStat:
-		switch c.Algorithm {
-		case AlgFSA, AlgEDFSA, AlgQAdaptive:
-		default:
+		if !c.framedALOHA() {
 			return fmt.Errorf("sim: stat mode does not support algorithm %q (framed-ALOHA only)", c.Algorithm)
 		}
-		if c.BER > 0 || c.CaptureProb > 0 {
+		if impaired {
 			return fmt.Errorf("sim: stat mode models the ideal channel only (BER/CaptureProb must be 0)")
 		}
 	default:
 		return fmt.Errorf("sim: unknown mode %q", c.Mode)
 	}
 	return nil
+}
+
+// framedALOHA reports whether the algorithm runs on an aloha slot
+// backend (FSA, EDFSA, Q-adaptive) rather than a tree engine.
+func (c Config) framedALOHA() bool {
+	return c.Algorithm == AlgFSA || c.Algorithm == AlgEDFSA || c.Algorithm == AlgQAdaptive
 }
 
 // BuildDetector constructs the configured detector.
@@ -222,21 +232,17 @@ func BuildDetector(c Config) (detect.Detector, error) {
 }
 
 func buildPolicy(c Config) (aloha.FramePolicy, error) {
+	initial := c.FrameSize // the dynamic policies' first frame, default n
+	if initial < 1 {
+		initial = c.Tags
+	}
 	switch c.FramePolicy {
 	case PolicyFixed:
 		return aloha.NewFixed(c.FrameSize), nil
 	case PolicySchoute:
-		f := c.FrameSize
-		if f < 1 {
-			f = c.Tags
-		}
-		return aloha.NewSchoute(f), nil
+		return aloha.NewSchoute(initial), nil
 	case PolicyLowerBound:
-		f := c.FrameSize
-		if f < 1 {
-			f = c.Tags
-		}
-		return aloha.NewLowerBound(f), nil
+		return aloha.NewLowerBound(initial), nil
 	case PolicyOptimal:
 		return aloha.Optimal{N: c.Tags}, nil
 	default:
@@ -254,24 +260,22 @@ func RunRound(c Config, roundSeed uint64) (*metrics.Session, error) {
 
 // RoundScratch pools the complete working set of one identification
 // round — the population (tags, ID dedup sets, per-tag PRNG streams),
-// the slot scratch (channel and payload buffers), the frame scheduler
-// buckets, the query-tree arena, the metrics session's delay/log
-// slices, and the impairment's PRNG stream. RunContext holds one per
+// the framed-ALOHA backends' working set (slot buffers, frame scheduler
+// buckets, stat draw buffers, session), the query-tree arena and
+// session, and the impairment's PRNG stream. RunContext holds one per
 // worker, so an experiment allocates its round working set Workers
 // times instead of Rounds times; RunRound allocates a fresh one per
 // call. Sessions produced with a scratch alias it and are only valid
 // until the scratch's next round. Not safe for concurrent use.
 type RoundScratch struct {
 	pop    tagmodel.PopScratch
-	slot   air.SlotScratch
-	frame  sched.Frame
-	groups sched.Frame
+	aloha  aloha.Scratch
+	slot   air.SlotScratch // the query tree's slot buffers
 	qt     qtree.Reuse
-	sess   metrics.Session
+	sess   metrics.Session // the query tree's session
 	imp    air.Impairment
 	impRng prng.Source
-	stat   aloha.StatScratch
-	rng    prng.Source
+	rng    prng.Source // stat mode's round stream
 	idx    sched.IndexFrame
 }
 
@@ -333,46 +337,74 @@ type roundEnv struct {
 	bus   *obs.Bus
 }
 
-// runRound is RunRound with optional observability wiring. When metric
-// instrumentation is active (Instrument) the detector is wrapped to
-// time verdicts and the finished session is folded into the registry;
-// when auditing is active (InstrumentAudit) it is additionally wrapped
-// to shadow every verdict with the oracle; the round span and the bus
-// receive per-frame spans and events for the FSA reader.
+// runRound is RunRound with optional observability wiring. The mode
+// picks the slot backend: exact mode builds the population and the
+// detector, stat mode draws straight from the round-seeded stream into
+// the closed-form detector model, and the algorithm picks the driver.
+// When metric instrumentation is active (Instrument) the exact detector
+// is wrapped to time verdicts and the finished session is folded into
+// the registry; when auditing is active (InstrumentAudit) every verdict
+// is shadowed by the oracle; the round span and the bus receive
+// per-frame spans and events for the FSA reader.
 func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metrics.Session, error) {
 	c = c.withDefaults()
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if c.Mode == ModeStat {
-		return runRoundStat(c, roundSeed, env, rs)
-	}
-	rng := prng.New(roundSeed)
-	pop := rs.pop.NewPopulation(c.Tags, c.IDBits, rng)
-	det, err := BuildDetector(c)
-	if err != nil {
-		return nil, err
-	}
-	m := instr.Load()
-	if m != nil {
-		det = timedDetector{Detector: det, h: m.detLatency}
-	}
-	var rec *audit.Recorder
-	if a := activeAuditor.Load(); a != nil {
-		strength := 0
-		if c.Detector == DetQCD {
-			strength = c.Strength
-		}
-		rec = a.Recorder(det.Name(), strength, env.round, env.bus)
-		det = auditedDetector{Detector: det, oracle: detect.NewOracle(1, c.IDBits), rec: rec}
-	}
 	tm := timing.Model{TauMicros: c.TauMicros}
 	// The reuse fields all come from the round scratch: slot channels,
-	// payload buffers, frame buckets, the tree arena and the session's
-	// slices are allocated at most once per scratch and reused for every
-	// slot of every round the scratch serves.
-	opts := aloha.Options{
-		Scratch: &rs.slot, Frame: &rs.frame, Groups: &rs.groups, Session: &rs.sess,
+	// payload buffers, frame buckets, stat draw buffers, the tree arena
+	// and the session's slices are allocated at most once per scratch and
+	// reused for every slot of every round the scratch serves.
+	opt := aloha.Options{Scratch: &rs.aloha, ConfirmEmpty: c.ConfirmEmpty}
+	m := instr.Load()
+	a := activeAuditor.Load()
+	strength := 0
+	if c.Detector == DetQCD {
+		strength = c.Strength
+	}
+
+	var b *aloha.Backend
+	var pop tagmodel.Population
+	var det detect.Detector
+	var rec *audit.Recorder
+	if c.Mode == ModeStat {
+		model, err := statModel(c)
+		if err != nil {
+			return nil, err
+		}
+		if a != nil {
+			rec = a.Recorder(model.Name, strength, env.round, env.bus)
+			opt.Observe = auditObserver(rec)
+		}
+		opt.FrameHook = frameHook(c, env, rec)
+		rs.rng.Seed(roundSeed)
+		b = aloha.Stat(c.Tags, model, tm, &rs.rng, opt)
+	} else {
+		rng := prng.New(roundSeed)
+		pop = rs.pop.NewPopulation(c.Tags, c.IDBits, rng)
+		var err error
+		if det, err = BuildDetector(c); err != nil {
+			return nil, err
+		}
+		if m != nil {
+			det = timedDetector{Detector: det, h: m.detLatency}
+		}
+		if a != nil {
+			rec = a.Recorder(det.Name(), strength, env.round, env.bus)
+			det = auditedDetector{Detector: det, oracle: detect.NewOracle(1, c.IDBits), rec: rec}
+		}
+		if c.BER > 0 || c.CaptureProb > 0 {
+			// Same split draw as the historical rng.Split(), minus the
+			// allocation; the stream lands in the pooled source.
+			rng.SplitInto(&rs.impRng)
+			rs.imp = air.Impairment{BER: c.BER, CaptureProb: c.CaptureProb, Rng: &rs.impRng}
+			opt.Impairment = &rs.imp
+		}
+		if c.framedALOHA() {
+			opt.FrameHook = frameHook(c, env, rec)
+			b = aloha.Exact(pop, det, tm, opt)
+		}
 	}
 
 	var s *metrics.Session
@@ -382,32 +414,13 @@ func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metr
 		if err != nil {
 			return nil, err
 		}
-		opts.ConfirmEmpty = c.ConfirmEmpty
-		if c.BER > 0 || c.CaptureProb > 0 {
-			// Same split draw as the historical rng.Split(), minus the
-			// allocation; the stream lands in the pooled source.
-			rng.SplitInto(&rs.impRng)
-			rs.imp = air.Impairment{BER: c.BER, CaptureProb: c.CaptureProb, Rng: &rs.impRng}
-			opts.Impairment = &rs.imp
-		}
-		var hooks []func(metrics.FrameInfo)
-		if env.span.Valid() {
-			hooks = append(hooks, frameSpans(env.span))
-		}
-		if rec != nil {
-			hooks = append(hooks, func(metrics.FrameInfo) { rec.EndFrame() })
-		}
-		if env.bus.Enabled() {
-			hooks = append(hooks, frameEvents(env.bus, env.round))
-		}
-		opts.FrameHook = combineFrameHooks(hooks)
-		s = aloha.RunWithOptions(pop, det, policy, tm, opts)
+		s = b.FSA(policy)
 	case AlgEDFSA:
-		s = aloha.RunEDFSAWithOptions(pop, det, aloha.EDFSAConfig{MaxFrame: c.FrameSize}, tm, opts)
+		s = b.EDFSA(aloha.EDFSAConfig{MaxFrame: c.FrameSize})
+	case AlgQAdaptive:
+		s = b.QAdaptive(aloha.DefaultQConfig())
 	case AlgBT:
 		s = btree.Run(pop, det, tm)
-	case AlgQAdaptive:
-		s = aloha.RunQAdaptiveWithOptions(pop, det, aloha.DefaultQConfig(), tm, opts)
 	case AlgQT:
 		s = qtree.Run(pop, det, tm, qtree.Options{
 			Scratch: &rs.slot, Reuse: &rs.qt, Session: &rs.sess,
@@ -625,14 +638,9 @@ feed:
 	return agg, nil
 }
 
-// fold accumulates one round's full session; foldRound is the same fold
-// from a pre-extracted summary. Both produce identical aggregates: the
-// derived quantities (throughput, accuracy, UR, delay accumulator) are
-// computed from the same integer tallies by the same expressions.
-func (a *Aggregate) fold(s *metrics.Session) {
-	a.foldRound(summarizeRound(s))
-}
-
+// foldRound accumulates one round's pre-extracted summary: the derived
+// quantities (throughput, accuracy, UR, delay accumulator) come from the
+// round's integer tallies.
 func (a *Aggregate) foldRound(f roundFold) {
 	a.Completed++
 	a.Idle.Add(float64(f.census.Idle))

@@ -234,6 +234,54 @@ func TestImpairedChannelThroughConfig(t *testing.T) {
 	}
 }
 
+// TestImpairedChannelReachesEveryFramedALOHA pins that BER and capture
+// reach EDFSA and Q-adaptive sessions, not only FSA: an impaired run must
+// differ from the ideal one in slots and airtime, and still identify
+// every tag in every round.
+func TestImpairedChannelReachesEveryFramedALOHA(t *testing.T) {
+	for _, alg := range []string{AlgEDFSA, AlgQAdaptive} {
+		clean := Config{Tags: 200, Seed: 3, Rounds: 5, Algorithm: alg, FrameSize: 128, Detector: DetQCD}
+		noisy := clean
+		noisy.BER, noisy.CaptureProb = 0.05, 0.3
+		ca, err := Run(clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		na, err := Run(noisy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if na.Slots.Mean() == ca.Slots.Mean() || na.TimeMicros.Mean() == ca.TimeMicros.Mean() {
+			t.Errorf("%s: impaired run matches the ideal one (%.1f slots, %.0f μs): the channel model was ignored",
+				alg, na.Slots.Mean(), na.TimeMicros.Mean())
+		}
+		if na.Delay.N() != int64(noisy.Tags*noisy.Rounds) {
+			t.Errorf("%s: impaired run identified %d tag-rounds, want %d", alg, na.Delay.N(), noisy.Tags*noisy.Rounds)
+		}
+	}
+}
+
+// TestTreeAlgorithmsRejectChannelImpairment pins that the tree engines,
+// which run on the ideal channel only, refuse BER and capture instead of
+// silently ignoring them.
+func TestTreeAlgorithmsRejectChannelImpairment(t *testing.T) {
+	for _, alg := range []string{AlgBT, AlgQT} {
+		for name, mutate := range map[string]func(*Config){
+			"ber":     func(c *Config) { c.BER = 0.05 },
+			"capture": func(c *Config) { c.CaptureProb = 0.3 },
+		} {
+			c := Config{Tags: 10, Algorithm: alg, Detector: DetQCD}
+			if err := c.Validate(); err != nil {
+				t.Fatalf("%s: ideal config rejected: %v", alg, err)
+			}
+			mutate(&c)
+			if err := c.Validate(); err == nil {
+				t.Errorf("%s/%s: impaired tree config accepted", alg, name)
+			}
+		}
+	}
+}
+
 func TestAccuracyImprovesWithStrength(t *testing.T) {
 	acc := func(strength int) float64 {
 		c := Config{

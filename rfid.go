@@ -239,7 +239,7 @@ func IdentifyFSA(pop Population, det Detector, frameSize int) *Session {
 	if frameSize < 1 {
 		frameSize = 1
 	}
-	return aloha.Run(pop, det, aloha.NewFixed(frameSize), timing.Default)
+	return aloha.Exact(pop, det, timing.Default, aloha.Options{}).FSA(aloha.NewFixed(frameSize))
 }
 
 // IdentifyBT identifies pop with binary tree splitting under det.
@@ -250,7 +250,7 @@ func IdentifyBT(pop Population, det Detector) *Session {
 // IdentifyQAdaptive identifies pop with the EPC Gen-2 Q algorithm under
 // det (customary parameters Q0=4, C=0.3).
 func IdentifyQAdaptive(pop Population, det Detector) *Session {
-	return aloha.RunQAdaptive(pop, det, aloha.DefaultQConfig(), timing.Default)
+	return aloha.Exact(pop, det, timing.Default, aloha.Options{}).QAdaptive(aloha.DefaultQConfig())
 }
 
 // IdentifyQT identifies pop with the query-tree protocol under det.
@@ -317,7 +317,7 @@ type FramePolicy = aloha.FramePolicy
 // IdentifyFSAWithPolicy runs one FSA session over pop with an explicit
 // frame policy.
 func IdentifyFSAWithPolicy(pop Population, det Detector, policy FramePolicy) *Session {
-	return aloha.Run(pop, det, policy, timing.Default)
+	return aloha.Exact(pop, det, timing.Default, aloha.Options{}).FSA(policy)
 }
 
 // ---- EPC Gen-2 command-level inventory ----
@@ -387,8 +387,7 @@ func IdentifyFSAImpaired(pop Population, det Detector, frameSize int, im *Channe
 	if frameSize < 1 {
 		frameSize = 1
 	}
-	return aloha.RunWithOptions(pop, det, aloha.NewFixed(frameSize), timing.Default,
-		aloha.Options{Impairment: im})
+	return aloha.Exact(pop, det, timing.Default, aloha.Options{Impairment: im}).FSA(aloha.NewFixed(frameSize))
 }
 
 // ---- Backward-channel privacy (Section II related work) ----
