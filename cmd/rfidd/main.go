@@ -51,6 +51,15 @@ import (
 	"repro/internal/server"
 )
 
+// Connection timeouts. The header bound stops slow-header clients from
+// pinning connections; the idle bound recycles keep-alive connections.
+// There is no read or write timeout: request bodies are small and
+// bounded by the server, and SSE responses stream for as long as a run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
@@ -124,7 +133,10 @@ func main() {
 		Logger:            logger,
 		EnablePprof:       *pprof,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	httpSrv := &http.Server{
+		Addr: *addr, Handler: svc.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

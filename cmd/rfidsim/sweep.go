@@ -115,16 +115,9 @@ func runSweep(ctx context.Context, path string, workers int, jsonOut, csvOut, pr
 		cells := s.Cells("")
 		out := make([]sweepCellOut, 0, len(cells))
 		for _, c := range cells {
-			src := "run"
-			switch {
-			case c.Cached:
-				src = "cache"
-			case c.DupOf >= 0:
-				src = "coalesced"
-			}
 			out = append(out, sweepCellOut{
 				Index: c.Index, Label: c.Label, Coords: c.Coords,
-				Status: string(c.Status), Source: src, Result: c.Result, Error: c.Err,
+				Status: string(c.Status), Source: string(c.Source), Result: c.Result, Error: c.Err,
 			})
 		}
 		enc := json.NewEncoder(stdout)

@@ -1,0 +1,113 @@
+package jobs
+
+import (
+	"context"
+	"errors"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/obs"
+)
+
+// TestPanickingJobFailsAndWorkerContinues: a panicking job ends failed
+// with the panic value and its stack, is not retried, is counted, and
+// the only worker goes on to run the next job.
+func TestPanickingJobFailsAndWorkerContinues(t *testing.T) {
+	p := NewPool(Options{Workers: 1, QueueDepth: 4, Retries: 2})
+	defer p.Shutdown(context.Background())
+	reg := obs.NewRegistry()
+	p.Register(reg, "pool")
+
+	if err := p.Submit("boom", func(context.Context) (any, error) { panic("kaboom") }); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Submit("next", func(context.Context) (any, error) { return 7, nil }); err != nil {
+		t.Fatal(err)
+	}
+	boom, err := p.Wait(context.Background(), "boom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if boom.Status != StatusFailed || boom.Err == nil {
+		t.Fatalf("panicking job = %+v, want failed", boom)
+	}
+	if msg := boom.Err.Error(); !strings.Contains(msg, "kaboom") || !strings.Contains(msg, "goroutine") {
+		t.Errorf("panic error lacks the value or the stack: %q", msg)
+	}
+	if boom.Attempts != 1 {
+		t.Errorf("panicking job made %d attempts, want 1 (no retry)", boom.Attempts)
+	}
+	next, err := p.Wait(context.Background(), "next")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Status != StatusDone || next.Result != 7 {
+		t.Errorf("job after the panic = %+v, want done with 7", next)
+	}
+	if got := p.Stats().Panics; got != 1 {
+		t.Errorf("Stats().Panics = %d, want 1", got)
+	}
+	var sb strings.Builder
+	reg.WritePrometheus(&sb)
+	if !strings.Contains(sb.String(), "pool_jobs_panics_total 1") {
+		t.Errorf("exposition lacks pool_jobs_panics_total 1:\n%s", sb.String())
+	}
+}
+
+// TestFinishHookOnEveryTerminalPath: the per-job finish hook sees the
+// terminal snapshot on every path, on the worker, before the worker
+// starts its next job.
+func TestFinishHookOnEveryTerminalPath(t *testing.T) {
+	p := NewPool(Options{Workers: 1, QueueDepth: 8})
+	defer p.Shutdown(context.Background())
+
+	var pending atomic.Int32 // finish hooks owed by jobs the worker has taken
+	finished := make(chan Snapshot, 8)
+	finish := func(s Snapshot) {
+		pending.Add(-1)
+		finished <- s
+	}
+	submit := func(id string, fn Func) {
+		t.Helper()
+		wrapped := func(ctx context.Context) (any, error) {
+			if n := pending.Add(1); n != 1 {
+				t.Errorf("%s started with %d finish hooks outstanding", id, n-1)
+			}
+			return fn(ctx)
+		}
+		if err := p.SubmitTracedFinish(context.Background(), id, wrapped, finish); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	running := make(chan struct{})
+	submit("running-canceled", func(ctx context.Context) (any, error) {
+		close(running)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	submit("queued-canceled", func(context.Context) (any, error) { return nil, nil })
+	submit("done", func(context.Context) (any, error) { return 1, nil })
+	submit("failed", func(context.Context) (any, error) { return nil, errors.New("no") })
+	submit("panicked", func(context.Context) (any, error) { panic("boom") })
+	<-running
+	p.Cancel("queued-canceled")
+	pending.Add(1) // its hook runs without the job ever starting
+	p.Cancel("running-canceled")
+
+	want := map[string]Status{
+		"running-canceled": StatusCanceled, "queued-canceled": StatusCanceled,
+		"done": StatusDone, "failed": StatusFailed, "panicked": StatusFailed,
+	}
+	for n := len(want); n > 0; n-- {
+		s := <-finished
+		if s.Status != want[s.ID] {
+			t.Errorf("%s: finish hook saw %s, want %s", s.ID, s.Status, want[s.ID])
+		}
+		delete(want, s.ID)
+	}
+	if len(want) != 0 {
+		t.Errorf("finish hook never ran for %v", want)
+	}
+}

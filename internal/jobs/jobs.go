@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,12 +154,31 @@ func (s Snapshot) Latency() time.Duration {
 	return s.FinishedAt.Sub(s.EnqueuedAt)
 }
 
+// QueueWait is the time from enqueue to the first attempt's start, and
+// zero for a job that never started.
+func (s Snapshot) QueueWait() time.Duration {
+	if s.StartedAt.IsZero() {
+		return 0
+	}
+	return s.StartedAt.Sub(s.EnqueuedAt)
+}
+
+// RunTime is the time from the first attempt's start to the terminal
+// state, and zero until both are set.
+func (s Snapshot) RunTime() time.Duration {
+	if s.StartedAt.IsZero() || s.FinishedAt.IsZero() {
+		return 0
+	}
+	return s.FinishedAt.Sub(s.StartedAt)
+}
+
 // job is the pool-internal mutable state behind a Snapshot.
 type job struct {
 	id      string
 	fn      Func
 	sctx    obs.SpanContext // service-level trace position, captured at submit
 	timeout time.Duration   // 0 = pool default, >0 = override, <0 = unlimited
+	finish  func(Snapshot)  // per-job terminal hook; nil when none
 
 	mu         sync.Mutex
 	status     Status
@@ -194,6 +214,7 @@ type Stats struct {
 	Failed         uint64
 	Canceled       uint64
 	Retries        uint64  // re-attempts after transient failures
+	Panics         uint64  // attempts that panicked (their jobs failed)
 	BusySeconds    float64 // cumulative worker time spent running jobs
 }
 
@@ -229,6 +250,7 @@ type Pool struct {
 	nFailed    atomic.Uint64
 	nCanceled  atomic.Uint64
 	nRetries   atomic.Uint64
+	nPanics    atomic.Uint64
 }
 
 // NewPool starts a pool with Options.Workers runner goroutines.
@@ -280,6 +302,20 @@ func (p *Pool) SubmitTraced(ctx context.Context, id string, fn Func) error {
 // for one-shot experiments; the override lets them coexist without a
 // second pool.
 func (p *Pool) SubmitTracedTimeout(ctx context.Context, id string, fn Func, timeout time.Duration) error {
+	return p.submit(ctx, id, fn, timeout, nil)
+}
+
+// SubmitTracedFinish is SubmitTraced with a per-job finish hook. finish
+// receives the job's terminal snapshot on the worker, on every terminal
+// path (done, failed, panicked, canceled while queued or running),
+// after the terminal transition and before Options.OnDone — so before
+// the worker takes its next job. It must not call back into the pool
+// except for Forget.
+func (p *Pool) SubmitTracedFinish(ctx context.Context, id string, fn Func, finish func(Snapshot)) error {
+	return p.submit(ctx, id, fn, 0, finish)
+}
+
+func (p *Pool) submit(ctx context.Context, id string, fn Func, timeout time.Duration, finish func(Snapshot)) error {
 	if fn == nil {
 		return fmt.Errorf("jobs: nil Func for job %q", id)
 	}
@@ -293,7 +329,7 @@ func (p *Pool) SubmitTracedTimeout(ctx context.Context, id string, fn Func, time
 		return fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
 	j := &job{
-		id: id, fn: fn, timeout: timeout,
+		id: id, fn: fn, timeout: timeout, finish: finish,
 		sctx:       obs.SpanFrom(ctx),
 		status:     StatusQueued,
 		enqueuedAt: time.Now(),
@@ -431,6 +467,7 @@ func (p *Pool) Stats() Stats {
 		Failed:         p.nFailed.Load(),
 		Canceled:       p.nCanceled.Load(),
 		Retries:        p.nRetries.Load(),
+		Panics:         p.nPanics.Load(),
 		BusySeconds:    time.Duration(p.busyNanos.Load()).Seconds(),
 	}
 }
@@ -532,7 +569,7 @@ func (p *Pool) run(j *job) {
 		if timeout > 0 {
 			attemptCtx, attemptCancel = context.WithTimeout(runCtx, timeout)
 		}
-		result, err = j.fn(attemptCtx)
+		result, err = p.attempt(attemptCtx, j)
 		attemptCancel()
 
 		if err == nil || !IsTransient(err) || attempt >= p.opts.Retries || runCtx.Err() != nil {
@@ -583,6 +620,19 @@ func (p *Pool) run(j *job) {
 	p.notify(j)
 }
 
+// attempt runs one attempt of the job. A panic ends the attempt with an
+// error carrying the panic value and stack, which fails the job without
+// a retry, so the worker goes on to its next job.
+func (p *Pool) attempt(ctx context.Context, j *job) (result any, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.nPanics.Add(1)
+			result, err = nil, fmt.Errorf("jobs: job %q panicked: %v\n%s", j.id, v, debug.Stack())
+		}
+	}()
+	return j.fn(ctx)
+}
+
 // finishLog emits one structured log line for a job's terminal state.
 func (p *Pool) finishLog(j *job) {
 	l := p.opts.Logger
@@ -621,14 +671,20 @@ func (p *Pool) Register(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_jobs_failed_total", "Experiments that failed permanently.", p.nFailed.Load)
 	reg.CounterFunc(prefix+"_jobs_canceled_total", "Experiments canceled before completion.", p.nCanceled.Load)
 	reg.CounterFunc(prefix+"_jobs_retries_total", "Retry attempts after transient failures.", p.nRetries.Load)
+	reg.CounterFunc(prefix+"_jobs_panics_total", "Job attempts that panicked; their jobs failed.", p.nPanics.Load)
 	reg.GaugeFunc(prefix+"_queue_depth_high_water", "Deepest the queue has been since startup.",
 		func() float64 { return float64(p.qHighWater.Load()) })
 	reg.CounterFloatFunc(prefix+"_worker_busy_seconds_total", "Cumulative worker time spent running experiments.",
 		func() float64 { return time.Duration(p.busyNanos.Load()).Seconds() })
 }
 
+// notify runs the job's finish hook, then the pool-wide OnDone.
 func (p *Pool) notify(j *job) {
+	snap := j.snapshot()
+	if j.finish != nil {
+		j.finish(snap)
+	}
 	if p.opts.OnDone != nil {
-		p.opts.OnDone(j.snapshot())
+		p.opts.OnDone(snap)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -23,12 +24,10 @@ func (s *Server) registerMetrics() {
 		"Queue wait plus run time per experiment.", obs.DefaultLatencyBuckets)
 	// Latency decomposition by origin: where did an experiment's wall
 	// clock go — waiting in the queue, looking up the cache, or running.
-	s.jobLat = s.originLat(originJob)
-	s.sweepLat = s.originLat(originSweep)
-	s.windowWait = s.reg.Histogram("rfidd_sweep_window_wait_seconds",
+	s.originLats = map[string]originLat{originJob: s.originLat(originJob), originSweep: s.originLat(originSweep)}
+	s.sweeps.WindowWait = s.reg.Histogram("rfidd_sweep_window_wait_seconds",
 		"Time a sweep cell waited for an in-flight window slot.", obs.DefaultLatencyBuckets)
-	s.sweeps.CacheLookup = s.sweepLat.lookup
-	s.sweeps.WindowWait = s.windowWait
+	s.sweeps.CacheLookup = func(origin string, d time.Duration) { s.originLats[origin].lookup.Observe(d.Seconds()) }
 	s.pool.Register(s.reg, "rfidd")
 	s.cache.Register(s.reg, "rfidd_cache")
 	// Cache traffic split by requester: single submissions vs sweep

@@ -194,16 +194,24 @@ func statusFilter(r *http.Request) (jobs.Status, error) {
 	}
 }
 
+// maxBodyBytes bounds every POST body.
+const maxBodyBytes = 1 << 20
+
 // decodeBody strictly decodes a submission body into v (unknown fields
-// are rejected), writing the 400 when it does not decode.
+// are rejected), writing the 413 when the body exceeds maxBodyBytes and
+// the 400 when it does not decode.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
-		return false
+	err := dec.Decode(v)
+	if err != nil {
+		code, msg := http.StatusBadRequest, "bad request body: "+err.Error()
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code, msg = http.StatusRequestEntityTooLarge, err.Error()
+		}
+		writeJSON(w, code, errorResponse{Error: msg})
 	}
-	return true
+	return err == nil
 }
 
 // newBus returns a record's event bus, replaying up to ring events, or
@@ -215,12 +223,6 @@ func (s *Server) newBus(ring int) *obs.Bus {
 	bus := obs.NewBus(ring)
 	bus.CountDropsInto(s.evDrops)
 	return bus
-}
-
-// jobLive reports whether the pool still runs or queues job id.
-func (s *Server) jobLive(id string) bool {
-	snap, ok := s.pool.Get(id)
-	return ok && !snap.Status.Terminal()
 }
 
 // writeSubmitError maps a pool submission error to its response: a full
@@ -244,10 +246,10 @@ type jobView struct {
 	result                                   json.RawMessage
 }
 
-// jobViewOf reads the pool's snapshot of job id into a jobView.
-func (s *Server) jobViewOf(id string) jobView {
-	snap, ok := s.pool.Get(id)
-	if !ok { // forgotten by the pool out from under us; treat as lost
+// jobViewOf reads a job snapshot into a jobView; ok false (the pool no
+// longer knows the job) reads as lost.
+func jobViewOf(snap jobs.Snapshot, ok bool) jobView {
+	if !ok {
 		return jobView{status: string(jobs.StatusFailed), err: "job state lost"}
 	}
 	v := jobView{

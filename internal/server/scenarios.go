@@ -175,7 +175,7 @@ func (s *Server) watchScenario(rec *scenarioRec) {
 // scenarioResponseOf assembles the response for one record from its
 // pool snapshot and latest progress.
 func (s *Server) scenarioResponseOf(rec *scenarioRec) ScenarioResponse {
-	v := s.jobViewOf(rec.id)
+	v := jobViewOf(s.pool.Get(rec.id))
 	return ScenarioResponse{
 		ID: rec.id, Status: v.status, Spec: rec.spec,
 		EnqueuedAt: v.enqueued, StartedAt: v.started, FinishedAt: v.finished,

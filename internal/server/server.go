@@ -3,9 +3,10 @@
 // pool (internal/jobs); completed aggregates are stored in a
 // content-addressed LRU cache (internal/rescache) keyed by the canonical
 // configuration hash, so resubmitting an identical experiment is served
-// byte-identically without recomputation. Identical configurations
-// submitted while the first is still live coalesce onto the same
-// experiment instead of queueing twice.
+// byte-identically without recomputation. Experiments and sweep cells
+// share one compute path (sweep.Runner): an identical configuration
+// submitted while a computation of it is live, from an experiment or
+// any sweep, coalesces onto that computation instead of queueing twice.
 //
 // API:
 //
@@ -59,7 +60,6 @@ import (
 	"repro/internal/obs/audit"
 	"repro/internal/obs/slo"
 	"repro/internal/obs/tsdb"
-	"repro/internal/report"
 	"repro/internal/rescache"
 	"repro/internal/sim"
 	"repro/internal/sweep"
@@ -193,19 +193,24 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// experiment is the server-side record behind an ID. Live experiments
-// delegate their state to the pool job with the same ID; cache-served
-// ones are terminal at creation.
+// experiment is the server-side record behind an ID. A computed
+// experiment is a member of a flight and reads its state from it: a
+// flight it leads under its own ID (and can cancel), or one a sweep
+// cell leads (no event stream, not cancellable). Cache-served ones are
+// terminal at creation.
 type experiment struct {
 	id        string
-	key       string
 	cfg       sim.Config // canonical form
 	cached    bool
 	result    json.RawMessage // set for cache-served records
+	member    *sweep.Member   // nil for cache-served records
 	createdAt time.Time
 	traceID   string   // trace this record's request, queue wait and run belong to
-	bus       *obs.Bus // live telemetry; nil for cached records or when disabled
+	bus       *obs.Bus // live telemetry of a led run; nil otherwise or when disabled
 }
+
+// leads reports whether the record leads its flight: the pool job is its own.
+func (e *experiment) leads() bool { return e.member != nil && e.member.Leads() }
 
 // Server is the experiment service. Create it with New and expose
 // Handler on an http.Server.
@@ -221,11 +226,9 @@ type Server struct {
 	logger    *slog.Logger
 	startedAt time.Time
 
-	spans      *obs.TraceStore // the trace store; nil when tracing is disabled
-	wide       *wideLog        // recent wide events, for /debug/statusz
-	jobLat     originLat       // latency decomposition, single submissions
-	sweepLat   originLat       // latency decomposition, sweep cells
-	windowWait *obs.Histogram  // sweep in-flight-window wait
+	spans      *obs.TraceStore      // the trace store; nil when tracing is disabled
+	wide       *wideLog             // recent wide events, for /debug/statusz
+	originLats map[string]originLat // latency decomposition by origin (job, sweep)
 
 	hist        *tsdb.Store           // metrics history; nil when disabled
 	slos        *slo.Engine           // burn-rate alerting; nil when disabled
@@ -240,13 +243,12 @@ type Server struct {
 	// cache lookup and taking mu, so a test can finish a job there.
 	testHookAfterLookup func()
 
-	// mu guards the three record registries and inflight. The
-	// experiment registry is embedded, so s.byID is the experiment index.
+	// mu guards the three record registries. The experiment registry
+	// is embedded, so s.byID is the experiment index.
 	mu sync.Mutex
 	*experiments
 	sweepRecs *registry[*sweep.Sweep, SweepResponse]
 	scenRecs  *registry[*scenarioRec, ScenarioResponse]
-	inflight  map[string]string // cache key → live experiment id
 }
 
 // New builds a Server and starts its worker pool.
@@ -255,19 +257,18 @@ func New(o Options) *Server {
 	s := &Server{
 		opts:      o,
 		cache:     rescache.New(o.CacheSize),
-		inflight:  make(map[string]string),
 		reg:       obs.NewRegistry(),
 		logger:    o.Logger,
 		startedAt: time.Now(),
 	}
 	s.experiments = &experiments{
 		srv: s, noun: "experiment", prefix: "exp-", cap: experimentRecordCap,
-		noStream: "cached result or streaming disabled",
-		live:     func(e *experiment) bool { return s.jobLive(e.id) },
+		noStream: "cached, joined or streaming disabled",
+		live:     func(e *experiment) bool { return e.member != nil && e.member.Live() },
 		view:     s.responseOf,
 		list:     func(rs []ExperimentResponse) any { return ListResponse{Experiments: rs} },
 		bus:      func(e *experiment) *obs.Bus { return e.bus },
-		cancel:   func(e *experiment) bool { return s.pool.Cancel(e.id) },
+		cancel:   func(e *experiment) bool { return e.leads() && s.sweeps.Leave(e.id) > 0 },
 		byID:     make(map[string]*experiment),
 	}
 	s.sweepRecs = &registry[*sweep.Sweep, SweepResponse]{
@@ -290,12 +291,15 @@ func New(o Options) *Server {
 	s.scenRecs = &registry[*scenarioRec, ScenarioResponse]{
 		srv: s, noun: "scenario", prefix: "scn-", cap: scenarioRecordCap,
 		noStream: "streaming disabled",
-		live:     func(rec *scenarioRec) bool { return s.jobLive(rec.id) },
-		view:     s.scenarioResponseOf,
-		list:     func(rs []ScenarioResponse) any { return ScenarioListResponse{Scenarios: rs} },
-		bus:      func(rec *scenarioRec) *obs.Bus { return rec.bus },
-		cancel:   func(rec *scenarioRec) bool { return s.pool.Cancel(rec.id) },
-		byID:     make(map[string]*scenarioRec),
+		live: func(rec *scenarioRec) bool {
+			snap, ok := s.pool.Get(rec.id)
+			return ok && !snap.Status.Terminal()
+		},
+		view:   s.scenarioResponseOf,
+		list:   func(rs []ScenarioResponse) any { return ScenarioListResponse{Scenarios: rs} },
+		bus:    func(rec *scenarioRec) *obs.Bus { return rec.bus },
+		cancel: func(rec *scenarioRec) bool { return s.pool.Cancel(rec.id) },
+		byID:   make(map[string]*scenarioRec),
 	}
 	if o.TraceStoreTraces > 0 {
 		s.spans = obs.NewTraceStore(o.TraceStoreTraces, o.TraceStoreSpans)
@@ -309,16 +313,15 @@ func New(o Options) *Server {
 		Workers:      o.Workers,
 		QueueDepth:   o.QueueDepth,
 		Timeout:      o.JobTimeout,
-		OnDone:       s.onJobDone,
+		OnDone:       func(snap jobs.Snapshot) { s.lat.Observe(snap.Latency().Seconds()) },
 		OnTransition: s.onTransition,
 		Logger:       o.Logger,
 	})
 	s.sweeps = &sweep.Runner{
-		Pool:       s.pool,
-		Cache:      s.cache,
-		Origin:     originSweep,
-		Scratch:    &sim.ScratchPool{},
-		OnCellDone: s.onCellDone,
+		Pool:    s.pool,
+		Cache:   s.cache,
+		Scratch: &sim.ScratchPool{},
+		OnDone:  s.onDone,
 		// CacheLookup and WindowWait are wired in registerMetrics, where
 		// the histograms are created.
 	}
@@ -410,10 +413,9 @@ func (s *Server) loggingHandler(next http.Handler) http.Handler {
 	})
 }
 
-// onTransition bumps the per-state-transition counter and mirrors the
-// change onto the experiment's event stream. The initial enqueue
-// (From == "") fires on the submitting goroutine while s.mu is held,
-// so only lock-free work happens for it.
+// onTransition bumps the per-state-transition counter. It runs lock-free
+// (the initial enqueue fires while s.mu is held); an experiment's event
+// stream gets its job lifecycle from the flight it leads.
 func (s *Server) onTransition(t jobs.Transition) {
 	from := string(t.From)
 	if from == "" {
@@ -422,20 +424,6 @@ func (s *Server) onTransition(t jobs.Transition) {
 	s.reg.Counter("rfidd_job_transitions_total",
 		"Job lifecycle transitions by from/to state.",
 		obs.L("from", from), obs.L("to", string(t.To))).Inc()
-	if t.From == "" {
-		return
-	}
-	s.mu.Lock()
-	exp, ok := s.experiments.get(t.ID)
-	s.mu.Unlock()
-	if !ok {
-		return
-	}
-	// Mirror the lifecycle onto the experiment's event stream; the
-	// terminal transition is the watcher's cue to hang up.
-	exp.bus.Publish("job", map[string]any{
-		"id": t.ID, "from": from, "to": string(t.To), "attempts": t.Attempts,
-	})
 }
 
 // Shutdown stops the history sampler, then stops accepting work and
@@ -444,47 +432,6 @@ func (s *Server) onTransition(t jobs.Transition) {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopHistory()
 	return s.pool.Shutdown(ctx)
-}
-
-// onJobDone records latency and, on success, publishes the result bytes
-// to the cache and then releases the in-flight coalescing slot. The
-// order matters: a duplicate submission that finds no in-flight job
-// under mu re-checks the cache, so it must find the bytes there.
-func (s *Server) onJobDone(snap jobs.Snapshot) {
-	s.lat.Observe(snap.Latency().Seconds())
-
-	s.mu.Lock()
-	exp, ok := s.experiments.get(snap.ID)
-	s.mu.Unlock()
-	if !ok {
-		return // a sweep cell: the sweep runner's OnCellDone hook covers it
-	}
-	if snap.Status == jobs.StatusDone {
-		if body, isRaw := snap.Result.(json.RawMessage); isRaw {
-			s.cache.Put(exp.key, body)
-		}
-	}
-	s.mu.Lock()
-	if s.inflight[exp.key] == snap.ID {
-		delete(s.inflight, exp.key)
-	}
-	s.mu.Unlock()
-	var qw, rt time.Duration
-	if !snap.StartedAt.IsZero() {
-		qw = snap.StartedAt.Sub(snap.EnqueuedAt)
-		if !snap.FinishedAt.IsZero() {
-			rt = snap.FinishedAt.Sub(snap.StartedAt)
-		}
-	}
-	s.jobLat.queueWait.Observe(qw.Seconds())
-	s.jobLat.run.Observe(rt.Seconds())
-	s.emitWide(wideOfJob(exp, snap, qw, rt))
-	if snap.Status == jobs.StatusFailed {
-		s.hist.Annotate("job", exp.id+" failed") // nil-safe when history is off
-	}
-	// The run is over: retire the event stream (subscribers drain the
-	// replay ring, then their channels close).
-	exp.bus.Close()
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -504,90 +451,57 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := obs.SpanFrom(r.Context()) // request span, from the trace middleware
 
-	// The single GetOrigin call is the submission's one counted lookup;
-	// the re-check below must not count again.
+	// The submission's one counted lookup; Claim's re-check is uncounted.
 	lookStart := time.Now()
-	val, hit := s.cache.GetOrigin(key, originJob)
-	s.jobLat.lookup.Observe(time.Since(lookStart).Seconds())
+	val, hit := s.sweeps.Lookup(key, originJob)
 	if s.testHookAfterLookup != nil {
 		s.testHookAfterLookup()
 	}
 
 	s.mu.Lock()
-	if !hit {
-		// Coalesce onto a live identical experiment if one exists.
-		if liveID, ok := s.inflight[key]; ok {
-			if exp, ok := s.experiments.get(liveID); ok {
-				resp := s.responseOf(exp)
+	// An experiment leading the live flight answers for every duplicate.
+	exp, shared := s.experiments.get(s.sweeps.Leader(key))
+	shared = shared && !hit && s.experiments.live(exp)
+	if !shared {
+		exp = &experiment{
+			id: s.experiments.mint(), cfg: cfg, cached: hit, result: val,
+			createdAt: time.Now(), traceID: sc.TraceID(),
+		}
+		if !hit {
+			bus := s.newBus(s.opts.EventHistory)
+			// Only the span context rides along: the job outlives this request.
+			req := sweep.Request{ID: exp.id, Key: key, Config: cfg, Origin: originJob, Span: sc, Bus: bus}
+			req.Settle = func(snap jobs.Snapshot) { s.onDone(req.Done(snap)) }
+			exp.member, exp.result, err = s.sweeps.Claim(context.Background(), req)
+			if err != nil {
 				s.mu.Unlock()
-				if sc.Valid() {
-					now := time.Now()
-					sc.Complete("jobs", "coalesced", now, now, obs.SA("id", exp.id))
-				}
-				s.logSubmit(exp.id, false, true)
-				writeJSON(w, http.StatusOK, resp)
+				writeSubmitError(w, err)
 				return
 			}
+			exp.cached = exp.member == nil
+			if exp.leads() {
+				exp.bus = bus
+			}
 		}
-		// No live job: one that held the key may have finished since the
-		// lookup. It cached its bytes before releasing the key.
-		val, hit = s.cache.Peek(key)
-	}
-	exp := &experiment{
-		id: s.experiments.mint(), key: key, cfg: cfg,
-		createdAt: time.Now(), traceID: sc.TraceID(),
-	}
-	if hit {
-		// Cache hit: a terminal record served from the stored bytes.
-		exp.cached = true
-		exp.result = val.(json.RawMessage)
 		s.experiments.add(exp.id, exp)
-		resp := s.responseOf(exp)
-		s.mu.Unlock()
-		if sc.Valid() {
-			sc.Complete("jobs", "cache-hit", lookStart, time.Now(), obs.SA("id", exp.id))
-		}
-		s.logSubmit(exp.id, true, false)
-		writeJSON(w, http.StatusOK, resp)
-		return
 	}
-	exp.bus = s.newBus(s.opts.EventHistory)
-	fn := func(ctx context.Context) (any, error) {
-		agg, err := sim.RunContext(obs.WithBus(ctx, exp.bus), exp.cfg)
-		if err != nil {
-			return nil, err
-		}
-		b, err := json.Marshal(report.NewAggregateSummary(exp.cfg, agg))
-		if err != nil {
-			return nil, err
-		}
-		return json.RawMessage(b), nil
-	}
-	// Only the span context rides along: the job outlives this request,
-	// so ctx cancellation must not (and does not) bound it. The record is
-	// indexed once the pool accepts the job; the pool's callbacks look it
-	// up under mu, which is held until then.
-	if err := s.pool.SubmitTraced(r.Context(), exp.id, fn); err != nil {
-		s.mu.Unlock()
-		writeSubmitError(w, err)
-		return
-	}
-	s.inflight[key] = exp.id
-	s.experiments.add(exp.id, exp)
+	led := exp.leads() && !shared
 	resp := s.responseOf(exp)
 	s.mu.Unlock()
-	s.logSubmit(exp.id, false, false)
-	w.Header().Set("Location", "/v1/experiments/"+exp.id)
-	writeJSON(w, http.StatusAccepted, resp)
-}
-
-// logSubmit emits one structured log line per accepted submission.
-func (s *Server) logSubmit(id string, cacheHit, coalesced bool) {
-	if s.logger == nil {
-		return
+	code, now := http.StatusOK, time.Now()
+	switch {
+	case led:
+		code = http.StatusAccepted
+		w.Header().Set("Location", "/v1/experiments/"+exp.id)
+	case exp.cached && sc.Valid():
+		sc.Complete("jobs", "cache-hit", lookStart, now, obs.SA("id", exp.id))
+	case sc.Valid():
+		sc.Complete("jobs", "coalesced", now, now, obs.SA("id", exp.id))
 	}
-	s.logger.Info("experiment submitted",
-		"id", id, "cache_hit", cacheHit, "coalesced", coalesced)
+	if s.logger != nil {
+		s.logger.Info("experiment submitted", "id", exp.id, "cache_hit", exp.cached, "coalesced", !led && !exp.cached)
+	}
+	writeJSON(w, code, resp)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -602,7 +516,7 @@ func (s *Server) responseOf(exp *experiment) ExperimentResponse {
 		at := stamp(exp.createdAt)
 		v = jobView{status: string(jobs.StatusDone), enqueued: at, finished: at, result: exp.result}
 	} else {
-		v = s.jobViewOf(exp.id)
+		v = jobViewOf(exp.member.Snapshot())
 	}
 	return ExperimentResponse{
 		ID: exp.id, Status: v.status, Cached: exp.cached, Config: exp.cfg,

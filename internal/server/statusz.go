@@ -115,8 +115,8 @@ th { background: #eee; }
 {{if .Wide}}<table>
 <tr><th>time</th><th>origin</th><th>id</th><th>status</th><th>alg</th><th>det</th><th>tags</th><th>frame</th><th>cache</th><th>queue wait</th><th>run</th><th>err</th></tr>
 {{range .Wide}}<tr><td>{{ts .Time}}</td><td>{{.Origin}}</td><td>{{.ID}}</td>
-<td>{{.Status}}</td><td>{{.Algorithm}}</td><td>{{.Detector}}</td>
-<td class="num">{{.Tags}}</td><td class="num">{{.FrameSize}}</td><td>{{.Cache}}</td>
+<td>{{.Status}}</td><td>{{.Config.Algorithm}}</td><td>{{.Config.Detector}}</td>
+<td class="num">{{.Config.Tags}}</td><td class="num">{{.Config.FrameSize}}</td><td>{{.Cache}}</td>
 <td class="num">{{dur .QueueWait}}</td><td class="num">{{dur .RunTime}}</td><td>{{.Err}}</td></tr>
 {{end}}</table>{{else}}<p class="muted">none yet</p>{{end}}
 </body></html>

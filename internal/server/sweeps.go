@@ -3,9 +3,9 @@ package server
 // Sweep endpoints: POST /v1/sweeps accepts a parameter-grid spec
 // (internal/sweep), schedules its cells on the shared worker pool, and
 // exposes per-cell progress (SSE), per-cell records, and the merged
-// paper-style report. Sweep cells and single experiments share the
-// result cache, so a cell computed here serves later identical
-// submissions byte-identically and vice versa.
+// paper-style report. Sweep cells and single experiments share one
+// compute path (sweep.Runner): an identical configuration from either
+// kind is served byte-identically from the cache or its live computation.
 
 import (
 	"context"
@@ -23,7 +23,7 @@ import (
 // are tallied separately on /metrics.
 const (
 	originJob   = "job"
-	originSweep = "sweep"
+	originSweep = sweep.Origin
 )
 
 // SweepSubmitRequest is the POST /v1/sweeps body.
@@ -90,7 +90,7 @@ func cellResponseOf(c sweep.CellState, withResult bool) SweepCellResponse {
 		Label:  c.Label,
 		Coords: c.Coords,
 		Status: string(c.Status),
-		Cached: c.Cached,
+		Cached: c.Source == sweep.FromCache,
 		Config: c.Config,
 		Error:  c.Err,
 	}
@@ -104,17 +104,21 @@ func cellResponseOf(c sweep.CellState, withResult bool) SweepCellResponse {
 	return resp
 }
 
+// capCells clamps a client spec's expansion to the server's cell cap;
+// the spec may ask for less but not more.
+func (o Options) capCells(spec sweep.Spec) sweep.Spec {
+	if spec.MaxCells == 0 || spec.MaxCells > o.SweepMaxCells {
+		spec.MaxCells = o.SweepMaxCells
+	}
+	return spec
+}
+
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SweepSubmitRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	spec := req.Spec
-	// Clamp the expansion to the server's cap; the spec may ask for less
-	// but not more.
-	if spec.MaxCells == 0 || spec.MaxCells > s.opts.SweepMaxCells {
-		spec.MaxCells = s.opts.SweepMaxCells
-	}
+	spec := s.opts.capCells(req.Spec)
 	if err := spec.Validate(); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return

@@ -1,7 +1,8 @@
 package server
 
 // Wide events: one canonical, high-dimensionality record per finished
-// unit of work (single experiment or sweep cell). Each event carries
+// unit of work (single experiment or sweep cell), from the sweep
+// runner's one completion hook. Each event carries
 // the who (origin, id, cell label), the what (algorithm, detector,
 // tags, frame), the how (cache disposition) and the span timings
 // (queue wait, run time) in a single slog line, plus a bounded ring of
@@ -9,7 +10,6 @@ package server
 // view is the per-origin histogram set registered in metrics.go.
 
 import (
-	"strconv"
 	"sync"
 	"time"
 
@@ -26,23 +26,11 @@ type originLat struct {
 	lookup    *obs.Histogram
 }
 
-// wideEvent is one finished job or cell, flattened for logs and
-// statusz.
+// wideEvent is one finished experiment or cell, flattened for logs and
+// statusz: the runner's terminal outcome, stamped with its time.
 type wideEvent struct {
-	Time      time.Time
-	Origin    string // originJob or originSweep
-	ID        string // experiment id, or sweep-cell job id
-	Label     string // sweep cell label; "" for single experiments
-	Status    string
-	Algorithm string
-	Detector  string
-	Tags      int
-	FrameSize int
-	Cache     string // "hit", "miss" or "coalesced"
-	QueueWait time.Duration
-	RunTime   time.Duration
-	Attempts  int
-	Err       string
+	Time time.Time
+	sweep.Done
 }
 
 // wideLog is a fixed-size ring of the most recent wide events.
@@ -98,18 +86,27 @@ func (l *wideLog) count() uint64 {
 	return l.total
 }
 
-// emitWide records one wide event: ring for statusz, one slog line for
-// everything downstream.
-func (s *Server) emitWide(ev wideEvent) {
-	ev.Time = time.Now()
+// onDone receives every computed experiment's and sweep cell's terminal
+// outcome: work that ran feeds its origin's latency decomposition, and
+// every outcome becomes a wide event (statusz ring and one slog line).
+func (s *Server) onDone(d sweep.Done) {
+	if d.Cache == "miss" && (d.QueueWait > 0 || d.RunTime > 0) {
+		lat := s.originLats[d.Origin]
+		lat.queueWait.Observe(d.QueueWait.Seconds())
+		lat.run.Observe(d.RunTime.Seconds())
+	}
+	if d.Origin == originJob && d.Status == jobs.StatusFailed {
+		s.hist.Annotate("job", d.ID+" failed") // nil-safe when history is off
+	}
+	ev := wideEvent{Time: time.Now(), Done: d}
 	s.wide.add(ev)
 	if s.logger == nil {
 		return
 	}
 	attrs := []any{
 		"origin", ev.Origin, "id", ev.ID, "status", ev.Status,
-		"algorithm", ev.Algorithm, "detector", ev.Detector,
-		"tags", ev.Tags, "frame", ev.FrameSize, "cache", ev.Cache,
+		"algorithm", ev.Config.Algorithm, "detector", ev.Config.Detector,
+		"tags", ev.Config.Tags, "frame", ev.Config.FrameSize, "cache", ev.Cache,
 		"queue_wait", ev.QueueWait, "run_time", ev.RunTime,
 	}
 	if ev.Label != "" {
@@ -122,57 +119,4 @@ func (s *Server) emitWide(ev wideEvent) {
 		attrs = append(attrs, "err", ev.Err)
 	}
 	s.logger.Info("wide", attrs...)
-}
-
-// onCellDone receives every sweep cell's terminal state from the sweep
-// runner: the decomposition histograms see cells that actually ran,
-// and every cell (run, cached, coalesced, canceled) gets a wide event.
-func (s *Server) onCellDone(d sweep.CellDone) {
-	st := d.State
-	cache := "miss"
-	switch {
-	case st.Cached:
-		cache = "hit"
-	case st.DupOf >= 0:
-		cache = "coalesced"
-	}
-	if cache == "miss" && (d.QueueWait > 0 || d.RunTime > 0) {
-		s.sweepLat.queueWait.Observe(d.QueueWait.Seconds())
-		s.sweepLat.run.Observe(d.RunTime.Seconds())
-	}
-	s.emitWide(wideEvent{
-		Origin:    originSweep,
-		ID:        d.SweepID + "/c" + strconv.Itoa(st.Index),
-		Label:     st.Label,
-		Status:    string(st.Status),
-		Algorithm: st.Config.Algorithm,
-		Detector:  st.Config.Detector,
-		Tags:      st.Config.Tags,
-		FrameSize: st.Config.FrameSize,
-		Cache:     cache,
-		QueueWait: d.QueueWait,
-		RunTime:   d.RunTime,
-		Err:       st.Err,
-	})
-}
-
-// wideOfJob flattens a finished single experiment into a wide event.
-func wideOfJob(exp *experiment, snap jobs.Snapshot, qw, rt time.Duration) wideEvent {
-	ev := wideEvent{
-		Origin:    originJob,
-		ID:        snap.ID,
-		Status:    string(snap.Status),
-		Algorithm: exp.cfg.Algorithm,
-		Detector:  exp.cfg.Detector,
-		Tags:      exp.cfg.Tags,
-		FrameSize: exp.cfg.FrameSize,
-		Cache:     "miss", // cache-served submissions never reach the pool
-		QueueWait: qw,
-		RunTime:   rt,
-		Attempts:  snap.Attempts,
-	}
-	if snap.Err != nil {
-		ev.Err = snap.Err.Error()
-	}
-	return ev
 }

@@ -2,10 +2,11 @@
 // reports every result (Tables V–IX, Figure 5) and the unit of work a
 // heavy-traffic deployment actually receives — into first-class
 // experiments. A Spec is a base sim.Config plus a list of axes; it
-// expands deterministically into canonical per-cell configurations, and
-// a Runner schedules those cells across a shared jobs pool with
-// result-cache dedup, intra-sweep coalescing, per-worker scratch reuse
-// and live per-cell progress events.
+// expands deterministically into canonical per-cell configurations. A
+// Runner, the one compute path for sweep cells and single experiments,
+// schedules them on a shared jobs pool with result-cache dedup,
+// coalescing within and across callers, per-worker scratch reuse and
+// live per-cell progress events.
 package sweep
 
 import (

@@ -7,85 +7,16 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/rescache"
-	"repro/internal/sim"
 )
 
-// Runner schedules sweep cells across a shared jobs pool. Before a cell
-// runs, the result cache is consulted (a hit short-circuits the cell);
-// cells inside one sweep that canonicalise to the same configuration
-// coalesce onto a single computation; computed results are published
-// back to the cache, so a later sweep — or a later single job — hitting
-// the same configuration is served from memory. Per-worker round
-// scratch comes from the shared ScratchPool, so a thousand-cell sweep
-// allocates its working sets roughly Workers times, not Cells times.
-//
-// The zero value is not usable: Pool is required; everything else is
-// optional.
-type Runner struct {
-	// Pool runs the cells. Required.
-	Pool *jobs.Pool
-	// Cache, when set, dedups cells against previously computed results.
-	Cache *rescache.Cache
-	// Origin attributes the runner's cache lookups (default "sweep").
-	Origin string
-	// Scratch, when set, recycles sim.RoundScratch across cells.
-	Scratch *sim.ScratchPool
-	// Window bounds how many cells one sweep keeps in flight on the
-	// pool (default: pool workers + 2), so a huge sweep cannot occupy
-	// the whole bounded queue and starve single-job traffic.
-	Window int
-	// CacheLookup, when set, observes the duration of every result-cache
-	// lookup the runner performs.
-	CacheLookup *obs.Histogram
-	// WindowWait, when set, observes time spent waiting for a slot in
-	// the per-sweep in-flight window — the sweep-side saturation signal.
-	WindowWait *obs.Histogram
-	// OnCellDone, when set, is called once per cell as it reaches a
-	// terminal state (from the feeder or a waiter goroutine; keep it
-	// fast and do not call back into the sweep).
-	OnCellDone func(CellDone)
-
-	started   atomic.Uint64
-	finished  atomic.Uint64
-	run       atomic.Uint64
-	cached    atomic.Uint64
-	coalesced atomic.Uint64
-	failed    atomic.Uint64
-	canceled  atomic.Uint64
-}
-
-// Register exposes the runner's series on reg under prefix (for example
-// "rfidd_sweep" yields rfidd_sweep_sweeps_started_total, ...).
-func (r *Runner) Register(reg *obs.Registry, prefix string) {
-	reg.CounterFunc(prefix+"_sweeps_started_total", "Sweeps accepted and scheduled.", r.started.Load)
-	reg.CounterFunc(prefix+"_sweeps_finished_total", "Sweeps that reached a terminal state.", r.finished.Load)
-	reg.CounterFunc(prefix+"_cells_run_total", "Sweep cells computed on the worker pool.", r.run.Load)
-	reg.CounterFunc(prefix+"_cells_cached_total", "Sweep cells short-circuited by the result cache.", r.cached.Load)
-	reg.CounterFunc(prefix+"_cells_coalesced_total", "Duplicate cells folded onto an identical cell of the same sweep.", r.coalesced.Load)
-	reg.CounterFunc(prefix+"_cells_failed_total", "Sweep cells that failed permanently.", r.failed.Load)
-	reg.CounterFunc(prefix+"_cells_canceled_total", "Sweep cells canceled before completion.", r.canceled.Load)
-}
-
-func (r *Runner) origin() string {
-	if r.Origin == "" {
-		return "sweep"
-	}
-	return r.Origin
-}
-
-func (r *Runner) window() int {
-	if r.Window > 0 {
-		return r.Window
-	}
-	return r.Pool.Stats().Workers + 2
-}
+// Origin attributes sweep cells' cache lookups and Done reports.
+const Origin = "sweep"
 
 // CellState is the live record of one cell: the expanded Cell plus its
 // content key, lifecycle status, result provenance and outcome. Cells
@@ -97,8 +28,8 @@ type CellState struct {
 	Key string
 	// Status is the cell's lifecycle state.
 	Status jobs.Status
-	// Cached marks a cell served from the result cache without running.
-	Cached bool
+	// Source is where the result came from, once the cell is terminal.
+	Source Source
 	// DupOf is the index of the earlier identical cell this one
 	// coalesced onto, or -1 for a primary cell.
 	DupOf int
@@ -109,15 +40,24 @@ type CellState struct {
 	Err string
 }
 
-// CellDone describes one cell's terminal outcome for the OnCellDone
-// hook: a copy of the terminal state plus the decomposed latencies of
-// the underlying job. Cached, coalesced and never-started cells report
-// zero durations.
-type CellDone struct {
-	SweepID   string
-	State     CellState
-	QueueWait time.Duration
-	RunTime   time.Duration
+// Source is where a cell's result came from.
+type Source string
+
+const (
+	FromRun       Source = "run"       // the cell's own flight (or none: it failed or was canceled first)
+	FromCache     Source = "cache"     // the result cache
+	FromCoalesced Source = "coalesced" // an identical cell of the sweep, or another caller's flight
+)
+
+// cache is the source's Done.Cache disposition.
+func (src Source) cache() string {
+	switch src {
+	case FromCache:
+		return "hit"
+	case FromRun:
+		return "miss"
+	}
+	return string(src)
 }
 
 // Counts summarises a sweep's cell outcomes.
@@ -151,17 +91,18 @@ type Sweep struct {
 	name        string
 	axes        []string
 	cellWorkers int
-	pool        *jobs.Pool
+	r           *Runner
 	bus         *obs.Bus
 	cancel      context.CancelFunc
 	done        chan struct{}
 	span        obs.SpanHandle  // the sweep-level span, ended in finish
 	sctx        obs.SpanContext // parent context for per-cell spans
+	window      chan struct{}   // one token per flight the sweep leads: pool workers + 2
+	pending     sync.WaitGroup  // claimed cells not yet settled
 
 	mu         sync.Mutex
 	cells      []CellState
-	jobIDs     map[int]string // submitted primary cells, index → pool job id
-	dups       map[int][]int  // primary index → coalesced cell indexes
+	dups       map[int][]int // primary index → coalesced cell indexes
 	counts     Counts
 	canceled   bool
 	createdAt  time.Time
@@ -169,10 +110,10 @@ type Sweep struct {
 }
 
 // Start expands the spec and begins scheduling its cells. The returned
-// sweep is already running; ctx cancellation (or Cancel) stops feeding
-// new cells and cancels the ones in flight. bus, when non-nil, receives
-// one "cell" event per cell state change and a terminal "sweep" event,
-// and is closed when the sweep finishes.
+// sweep is already running; ctx cancellation stops feeding new cells,
+// and Cancel also takes the claimed ones off their flights. bus, when
+// non-nil, receives one "cell" event per cell state change and a
+// terminal "sweep" event, and is closed when the sweep finishes.
 func (r *Runner) Start(ctx context.Context, id string, spec Spec, bus *obs.Bus) (*Sweep, error) {
 	if r.Pool == nil {
 		return nil, errors.New("sweep: Runner.Pool is required")
@@ -181,222 +122,115 @@ func (r *Runner) Start(ctx context.Context, id string, spec Spec, bus *obs.Bus) 
 	if err != nil {
 		return nil, err
 	}
-	cellWorkers := spec.CellWorkers
-	if cellWorkers < 1 {
-		cellWorkers = 1
+	states := make([]CellState, len(cells))
+	dups := make(map[int][]int)
+	firstByKey := make(map[string]int, len(cells))
+	for i, c := range cells {
+		key, err := rescache.ConfigKey(c.Config)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: keying cell %d: %w", i, err)
+		}
+		states[i] = CellState{Cell: c, Key: key, Status: jobs.StatusQueued, DupOf: -1}
+		if first, dup := firstByKey[key]; dup {
+			states[i].DupOf = first
+			dups[first] = append(dups[first], i)
+		} else {
+			firstByKey[key] = i
+		}
 	}
 	// The span context rides in on ctx (obs.WithSpan); only the trace
 	// position is kept — the derived ctx below governs cancellation.
 	span := obs.SpanFrom(ctx).Start("sweep", "sweep "+id)
 	ctx, cancel := context.WithCancel(ctx)
 	s := &Sweep{
-		id:          id,
-		name:        spec.Name,
-		axes:        spec.AxisNames(),
-		cellWorkers: cellWorkers,
-		pool:        r.Pool,
-		bus:         bus,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		span:        span,
-		sctx:        span.Context(),
-		cells:       make([]CellState, len(cells)),
-		jobIDs:      make(map[int]string),
-		dups:        make(map[int][]int),
-		counts:      Counts{Cells: len(cells)},
-		createdAt:   time.Now(),
-	}
-	firstByKey := make(map[string]int, len(cells))
-	for i, c := range cells {
-		key, err := rescache.ConfigKey(c.Config)
-		if err != nil {
-			cancel()
-			if span.Live() {
-				span.End(obs.SA("status", "failed"))
-			} else {
-				span.End()
-			}
-			return nil, fmt.Errorf("sweep: keying cell %d: %w", i, err)
-		}
-		st := CellState{Cell: c, Key: key, Status: jobs.StatusQueued, DupOf: -1}
-		if first, dup := firstByKey[key]; dup {
-			st.DupOf = first
-			s.dups[first] = append(s.dups[first], i)
-		} else {
-			firstByKey[key] = i
-		}
-		s.cells[i] = st
+		id: id, name: spec.Name, axes: spec.AxisNames(), cellWorkers: max(spec.CellWorkers, 1),
+		r: r, bus: bus, cancel: cancel, done: make(chan struct{}), span: span, sctx: span.Context(),
+		window: make(chan struct{}, r.Pool.Stats().Workers+2),
+		cells:  states, dups: dups, counts: Counts{Cells: len(cells)}, createdAt: time.Now(),
 	}
 	r.started.Add(1)
-	go s.run(ctx, r)
+	go s.run(ctx)
 	return s, nil
 }
 
-// run is the sweep's feeder: it walks the cells in sweep order, serves
-// cache hits inline, and keeps at most Window primaries in flight on
-// the pool. It returns once every cell is terminal.
-func (s *Sweep) run(ctx context.Context, r *Runner) {
-	origin := r.origin()
-	sem := make(chan struct{}, r.window())
-	var wg sync.WaitGroup
+// run is the sweep's feeder: it walks the primary cells in order, serves
+// cache hits inline and claims the rest, leading at most a window of
+// flights at a time so a huge sweep cannot fill the bounded queue. It
+// returns once every cell is terminal. Cell, Key and DupOf are fixed
+// after Start, so it reads them without the lock.
+func (s *Sweep) run(ctx context.Context) {
+	r := s.r
 	for i := range s.cells {
-		s.mu.Lock()
-		dup := s.cells[i].DupOf >= 0
-		s.mu.Unlock()
-		if dup {
+		if s.cells[i].DupOf >= 0 {
 			continue // resolved when its primary finishes
 		}
-		if ctx.Err() != nil {
-			s.completeCellSpan(i, "canceled", time.Now())
-			s.finishCell(r, i, jobs.StatusCanceled, nil, context.Canceled, false, 0, 0)
-			continue
-		}
-		if r.Cache != nil {
-			lookStart := time.Now()
-			v, hit := r.Cache.GetOrigin(s.cells[i].Key, origin)
-			if r.CacheLookup != nil {
-				r.CacheLookup.Observe(time.Since(lookStart).Seconds())
+		span := s.sctx.Start("cell", s.cells[i].Label)
+		if ctx.Err() == nil {
+			if body, hit := r.Lookup(s.cells[i].Key, Origin); hit {
+				s.finishCell(i, span, jobs.StatusDone, body, nil, FromCache, 0, 0)
+				continue
 			}
-			if hit {
-				if body, ok := v.(json.RawMessage); ok {
-					s.completeCellSpan(i, "cache", lookStart)
-					s.finishCell(r, i, jobs.StatusDone, body, nil, true, 0, 0)
-					continue
+			start := time.Now()
+			select {
+			case s.window <- struct{}{}:
+				if r.WindowWait != nil {
+					r.WindowWait.Observe(time.Since(start).Seconds())
 				}
+				s.claim(ctx, i, span)
+				continue
+			case <-ctx.Done():
 			}
 		}
-		semStart := time.Now()
-		select {
-		case sem <- struct{}{}:
-			if r.WindowWait != nil {
-				r.WindowWait.Observe(time.Since(semStart).Seconds())
-			}
-		case <-ctx.Done():
-			s.completeCellSpan(i, "canceled", semStart)
-			s.finishCell(r, i, jobs.StatusCanceled, nil, context.Canceled, false, 0, 0)
-			continue
-		}
-		jobID := s.id + "/c" + strconv.Itoa(i)
-		cfg := s.cells[i].Config // canonical; fixed after Start
-		runCfg := cfg
-		runCfg.Workers = s.cellWorkers
-		idx := i
-		fn := func(jctx context.Context) (any, error) {
-			s.markRunning(idx)
-			agg, err := sim.RunContextPool(jctx, runCfg, r.Scratch)
-			if err != nil {
-				return nil, err
-			}
-			// Exactly the single-job encoding of the canonical config, so
-			// sweep cells and single submissions are byte-identical and
-			// cache-compatible.
-			b, err := json.Marshal(report.NewAggregateSummary(cfg, agg))
-			if err != nil {
-				return nil, err
-			}
-			return json.RawMessage(b), nil
-		}
-		cellSpan := s.sctx.Start("cell", s.cells[i].Label)
-		if err := s.submit(ctx, r, jobID, fn, cellSpan.Context()); err != nil {
-			<-sem
-			status := jobs.StatusFailed
-			if errors.Is(err, context.Canceled) || errors.Is(err, jobs.ErrClosed) {
-				status = jobs.StatusCanceled
-			}
-			s.endCellSpan(cellSpan, i, string(status), "submit-error")
-			s.finishCell(r, i, status, nil, err, false, 0, 0)
-			continue
-		}
-		s.mu.Lock()
-		s.jobIDs[i] = jobID
-		s.mu.Unlock()
-		wg.Add(1)
-		go func(i int, key, jobID string, cellSpan obs.SpanHandle) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			// Terminal state is guaranteed: canceled jobs finish fast and
-			// pool shutdown drains the queue, so waiting on the background
-			// context cannot leak.
-			snap, err := s.pool.Wait(context.Background(), jobID)
-			s.mu.Lock()
-			delete(s.jobIDs, i)
-			s.mu.Unlock()
-			s.pool.Forget(jobID) // keep the pool index bounded under cell streams
-			var qw, rt time.Duration
-			if !snap.StartedAt.IsZero() {
-				qw = snap.StartedAt.Sub(snap.EnqueuedAt)
-				if !snap.FinishedAt.IsZero() {
-					rt = snap.FinishedAt.Sub(snap.StartedAt)
-				}
-			}
-			if err != nil {
-				s.endCellSpan(cellSpan, i, string(jobs.StatusFailed), "run")
-				s.finishCell(r, i, jobs.StatusFailed, nil, err, false, qw, rt)
-				return
-			}
-			s.endCellSpan(cellSpan, i, string(snap.Status), "run")
-			switch snap.Status {
-			case jobs.StatusDone:
-				body, ok := snap.Result.(json.RawMessage)
-				if !ok {
-					s.finishCell(r, i, jobs.StatusFailed, nil, fmt.Errorf("sweep: cell %d returned %T", i, snap.Result), false, qw, rt)
-					return
-				}
-				if r.Cache != nil {
-					r.Cache.Put(key, body)
-				}
-				s.finishCell(r, i, jobs.StatusDone, body, nil, false, qw, rt)
-			case jobs.StatusCanceled:
-				s.finishCell(r, i, jobs.StatusCanceled, nil, snap.Err, false, qw, rt)
-			default:
-				s.finishCell(r, i, jobs.StatusFailed, nil, snap.Err, false, qw, rt)
-			}
-		}(i, s.cells[i].Key, jobID, cellSpan)
+		s.finishCell(i, span, jobs.StatusCanceled, nil, context.Canceled, FromRun, 0, 0)
 	}
-	wg.Wait()
-	s.finish(r)
+	s.pending.Wait()
+	s.finish()
 }
 
-// completeCellSpan records a span for a cell that never ran on the
-// pool: cache hits span the lookup, canceled cells get a zero-duration
-// marker. No-op when the sweep carries no trace context.
-func (s *Sweep) completeCellSpan(i int, disposition string, start time.Time) {
-	if !s.sctx.Valid() {
-		return
-	}
-	s.sctx.Complete("cell", s.cells[i].Label, start, time.Now(),
-		obs.SA("cell", i), obs.SA("disposition", disposition))
-}
-
-// endCellSpan closes a primary cell's live span with its outcome.
-func (s *Sweep) endCellSpan(h obs.SpanHandle, i int, status, disposition string) {
-	if h.Live() {
-		h.End(obs.SA("cell", i), obs.SA("status", status), obs.SA("disposition", disposition))
-		return
-	}
-	h.End()
-}
-
-// submit enqueues the cell job, waiting out transient queue-full
-// rejections so a sweep larger than the bounded queue still drains.
-// The cell span context sc parents the job's queue-wait and run spans.
-func (s *Sweep) submit(ctx context.Context, r *Runner, id string, fn jobs.Func, sc obs.SpanContext) error {
-	tctx := obs.WithSpan(context.Background(), sc)
-	backoff := 2 * time.Millisecond
-	for {
-		err := r.Pool.SubmitTraced(tctx, id, fn)
-		if err == nil || !errors.Is(err, jobs.ErrQueueFull) {
-			return err
-		}
+// claim resolves one primary cell through Runner.Claim, holding a
+// window slot that a leader keeps until it is settled. A full pool
+// queue is waited out with backoff and a fresh, uncounted Claim.
+func (s *Sweep) claim(ctx context.Context, i int, span obs.SpanHandle) {
+	c := &s.cells[i]
+	jobID := s.id + "/c" + strconv.Itoa(i)
+	s.pending.Add(1) // before Claim: a led flight may land before Claim returns
+	req := Request{ID: jobID, Key: c.Key, Config: c.Config, Origin: Origin, Workers: s.cellWorkers, Span: span.Context(), Start: func() { s.markRunning(i) },
+		// The leader frees its slot; a joined cell ends with the flight.
+		Settle: func(snap jobs.Snapshot) {
+			defer s.pending.Done()
+			src, qw, rt := FromCoalesced, time.Duration(0), time.Duration(0)
+			if snap.ID == jobID {
+				<-s.window
+				src, qw, rt = FromRun, snap.QueueWait(), snap.RunTime()
+			}
+			body, _ := snap.Result.(json.RawMessage)
+			s.finishCell(i, span, snap.Status, body, snap.Err, src, qw, rt)
+		}}
+	m, body, err := s.r.Claim(ctx, req)
+	for backoff := 2 * time.Millisecond; errors.Is(err, jobs.ErrQueueFull); backoff = min(2*backoff, 128*time.Millisecond) {
 		select {
 		case <-time.After(backoff):
+			m, body, err = s.r.Claim(ctx, req)
 		case <-ctx.Done():
-			return context.Canceled
-		}
-		if backoff < 128*time.Millisecond {
-			backoff *= 2
+			err = context.Canceled
 		}
 	}
+	if m != nil {
+		if !m.Leads() {
+			<-s.window // joined: settled when the flight lands
+		}
+		return
+	}
+	<-s.window
+	s.pending.Done()
+	status, src := jobs.StatusDone, FromCache // bytes published since the lookup
+	if err != nil {
+		status, src = jobs.StatusFailed, FromRun
+		if errors.Is(err, context.Canceled) || errors.Is(err, jobs.ErrClosed) {
+			status = jobs.StatusCanceled
+		}
+	}
+	s.finishCell(i, span, status, body, err, src, 0, 0)
 }
 
 // markRunning flips a cell to running and publishes its progress event.
@@ -412,22 +246,23 @@ func (s *Sweep) markRunning(i int) {
 	s.bus.Publish("cell", ev)
 }
 
-// finishCell records one primary cell's terminal state, resolves the
-// duplicates coalesced onto it, publishes their events, and bumps the
-// runner's outcome counters. qw and rt decompose the underlying job's
-// latency for the OnCellDone hook (zero when the cell never ran).
-func (s *Sweep) finishCell(r *Runner, i int, status jobs.Status, body json.RawMessage, err error, fromCache bool, qw, rt time.Duration) {
-	s.mu.Lock()
-	if s.cells[i].Status.Terminal() {
-		s.mu.Unlock()
-		return
+// finishCell records one primary cell's terminal state and source, and
+// resolves the duplicates coalesced onto it: spans, events, counters and
+// each cell's Done. qw and rt decompose a led flight's latency.
+func (s *Sweep) finishCell(i int, span obs.SpanHandle, status jobs.Status, body json.RawMessage, err error, src Source, qw, rt time.Duration) {
+	r := s.r
+	if span.Live() {
+		span.End(obs.SA("cell", i), obs.SA("status", string(status)), obs.SA("disposition", string(src)))
+	} else {
+		span.End()
 	}
-	events := make([]map[string]any, 0, 1+len(s.dups[i]))
-	dones := make([]CellDone, 0, 1+len(s.dups[i]))
-	terminate := func(idx int, cached bool, qw, rt time.Duration) {
+	s.mu.Lock()
+	var evBuf [1]map[string]any // one cell, unless it has duplicates
+	var doneBuf [1]Done
+	events, dones := evBuf[:0], doneBuf[:0]
+	terminate := func(idx int, src Source, qw, rt time.Duration) {
 		c := &s.cells[idx]
-		c.Status = status
-		c.Cached = cached
+		c.Status, c.Source = status, src
 		c.Result = body
 		if err != nil {
 			c.Err = err.Error()
@@ -443,22 +278,24 @@ func (s *Sweep) finishCell(r *Runner, i int, status jobs.Status, body json.RawMe
 			r.failed.Add(1)
 		}
 		events = append(events, s.cellEventLocked(idx))
-		if r.OnCellDone != nil {
-			dones = append(dones, CellDone{SweepID: s.id, State: *c, QueueWait: qw, RunTime: rt})
-		}
+		dones = append(dones, Done{ID: s.id + "/c" + strconv.Itoa(idx), Origin: Origin, Label: c.Label,
+			Config: c.Config, Status: status, Cache: src.cache(), Err: c.Err, QueueWait: qw, RunTime: rt})
 	}
-	terminate(i, fromCache, qw, rt)
-	if status == jobs.StatusDone && !fromCache {
-		r.run.Add(1)
-	}
-	if fromCache {
+	terminate(i, src, qw, rt)
+	switch {
+	case src == FromCache:
 		s.counts.Cached++
 		r.cached.Add(1)
+	case src == FromCoalesced:
+		s.counts.Coalesced++
+		r.coalesced.Add(1)
+	case status == jobs.StatusDone:
+		r.run.Add(1)
 	}
 	for _, di := range s.dups[i] {
 		s.counts.Coalesced++
 		r.coalesced.Add(1)
-		terminate(di, false, 0, 0)
+		terminate(di, FromCoalesced, 0, 0)
 		if s.sctx.Valid() {
 			now := time.Now()
 			s.sctx.Complete("cell", s.cells[di].Label, now, now,
@@ -470,7 +307,9 @@ func (s *Sweep) finishCell(r *Runner, i int, status jobs.Status, body json.RawMe
 		s.bus.Publish("cell", ev)
 	}
 	for _, d := range dones {
-		r.OnCellDone(d)
+		if r.OnDone != nil {
+			r.OnDone(d)
+		}
 	}
 }
 
@@ -485,7 +324,7 @@ func (s *Sweep) cellEventLocked(i int) map[string]any {
 		"done":   s.counts.Done,
 		"cells":  s.counts.Cells,
 	}
-	if c.Cached {
+	if c.Source == FromCache {
 		ev["cached"] = true
 	}
 	if c.DupOf >= 0 {
@@ -501,32 +340,24 @@ func (s *Sweep) cellEventLocked(i int) map[string]any {
 // closure and the done signal. The sweep span ends first — a client
 // that polls for the terminal status and immediately fetches the trace
 // must find the span already recorded.
-func (s *Sweep) finish(r *Runner) {
+func (s *Sweep) finish() {
 	s.mu.Lock()
-	counts := s.counts
-	status := terminalStatus(s.canceled, counts)
+	c := s.counts // final: every cell is terminal
+	status := terminalStatus(s.canceled, c)
 	s.mu.Unlock()
 	if s.span.Live() {
-		s.span.End(obs.SA("status", string(status)), obs.SA("cells", counts.Cells),
-			obs.SA("cached", counts.Cached), obs.SA("coalesced", counts.Coalesced),
-			obs.SA("failed", counts.Failed), obs.SA("canceled", counts.Canceled))
+		s.span.End(obs.SA("status", string(status)), obs.SA("cells", c.Cells),
+			obs.SA("cached", c.Cached), obs.SA("coalesced", c.Coalesced),
+			obs.SA("failed", c.Failed), obs.SA("canceled", c.Canceled))
 	} else {
 		s.span.End()
 	}
 	s.mu.Lock()
 	s.finishedAt = time.Now()
-	ev := map[string]any{
-		"sweep":     s.id,
-		"status":    string(status),
-		"cells":     s.counts.Cells,
-		"done":      s.counts.Done,
-		"failed":    s.counts.Failed,
-		"canceled":  s.counts.Canceled,
-		"cached":    s.counts.Cached,
-		"coalesced": s.counts.Coalesced,
-	}
 	s.mu.Unlock()
-	r.finished.Add(1)
+	ev := map[string]any{"sweep": s.id, "status": string(status), "cells": c.Cells, "done": c.Done,
+		"failed": c.Failed, "canceled": c.Canceled, "cached": c.Cached, "coalesced": c.Coalesced}
+	s.r.finished.Add(1)
 	s.bus.Publish("sweep", ev)
 	s.bus.Close()
 	close(s.done)
@@ -589,22 +420,16 @@ func (s *Sweep) Cells(status jobs.Status) []CellState {
 	return out
 }
 
-// Cancel stops feeding new cells and cancels the ones in flight. Safe
-// to call repeatedly and after completion.
+// Cancel stops feeding new cells and takes the claimed ones off their
+// flights (Runner.Leave). Safe to call repeatedly and after completion.
 func (s *Sweep) Cancel() {
 	s.mu.Lock()
 	if s.finishedAt.IsZero() {
 		s.canceled = true
 	}
-	ids := make([]string, 0, len(s.jobIDs))
-	for _, id := range s.jobIDs {
-		ids = append(ids, id)
-	}
 	s.mu.Unlock()
-	s.cancel() // stops the feeder
-	for _, id := range ids {
-		s.pool.Cancel(id)
-	}
+	s.cancel() // stops the feeder, and its Claims from leading
+	s.r.Leave(s.id)
 }
 
 // Wait blocks until every cell is terminal or ctx expires.
@@ -640,14 +465,7 @@ func (s *Sweep) MergedTable() (*report.Table, error) {
 				s.mu.Unlock()
 				return nil, fmt.Errorf("sweep: decoding cell %d result: %w", c.Index, err)
 			}
-			src := "run"
-			switch {
-			case c.Cached:
-				src = "cache"
-			case c.DupOf >= 0:
-				src = "coalesced"
-			}
-			rows = append(rows, report.SweepRow{Coords: c.Coords, Source: src, Summary: sum})
+			rows = append(rows, report.SweepRow{Coords: c.Coords, Source: string(c.Source), Summary: sum})
 		case c.Status.Terminal():
 			note := fmt.Sprintf("cell %d (%s) %s", c.Index, c.Label, c.Status)
 			if c.Err != "" {
