@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet bench bench-json bench-gate trace-demo obssmoke loc
+.PHONY: check build test race vet bench bench-json bench-gate trace-demo smoke loc
 
 check:
 	./scripts/check.sh
@@ -40,10 +40,10 @@ bench-gate:
 loc:
 	./scripts/loc.sh
 
-# obssmoke boots the service in-process, runs a traced sweep, and
-# asserts the joined span tree plus the statusz snapshot.
-obssmoke:
-	$(GO) run ./cmd/obssmoke
+# smoke boots the service in-process once per case (sweep, scenario,
+# obs) and drives each end to end over HTTP.
+smoke:
+	$(GO) run ./cmd/smoke
 
 # trace-demo validates that every trace export (rfidsim -trace and
 # rfidd's trace endpoints) has the shape chrome://tracing and Perfetto

@@ -51,11 +51,11 @@ func TestTraceExportShape(t *testing.T) {
 		Tags: 100, Rounds: 6, Algorithm: sim.AlgFSA, FrameSize: 64,
 		Detector: sim.DetQCD, Strength: 8, Seed: 3, Workers: 2,
 	}
-	exp, err := c.Submit(ctx, base)
+	exp, err := c.Experiments().Submit(ctx, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, exp.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, exp.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	checkTraceShape(t, "/v1/experiments/{id}/trace", fetch(t, ts.URL+"/v1/experiments/"+exp.ID+"/trace"), 10)
@@ -68,11 +68,11 @@ func TestTraceExportShape(t *testing.T) {
 			{Field: sweep.FieldStrength, Ints: []int{4, 16}},
 		},
 	}
-	sw, traceID, err := c.SubmitSweepTraced(ctx, spec, "")
+	sw, traceID, err := c.Sweeps().SubmitTraced(ctx, spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WaitSweep(ctx, sw.ID, 0); err != nil {
+	if _, err := c.Sweeps().Wait(ctx, sw.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	checkTraceShape(t, "/v1/traces/{id}", fetch(t, ts.URL+"/v1/traces/"+traceID), 40)

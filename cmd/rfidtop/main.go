@@ -128,7 +128,7 @@ func (d *dash) frame(ctx context.Context) error {
 		return err
 	}
 	m := parseProm(text)
-	sweeps, err := d.client.ListSweeps(pctx)
+	sweeps, err := d.client.Sweeps().List(pctx, "")
 	if err != nil {
 		return err
 	}
@@ -243,7 +243,7 @@ func (d *dash) retarget(ctx context.Context, sweeps []server.SweepResponse) {
 	d.tailTarget, d.tailStop = target, stop
 	d.tail.reset(target)
 	go func() {
-		err := d.client.WatchSweep(tctx, target, func(ev server.WatchEvent) error {
+		err := d.client.Sweeps().Watch(tctx, target, func(ev server.WatchEvent) error {
 			d.tail.add(formatEvent(ev))
 			return nil
 		})
@@ -268,10 +268,9 @@ func (d *dash) poolSection(b *strings.Builder, m map[string]float64, dt float64,
 	fmt.Fprintf(b, "\x1b[1mpool\x1b[0m     workers %.0f  busy %.0f  busy%%(recent) %s  queue %.0f (hiwater %.0f)\n",
 		workers, m["rfidd_workers_busy"], pct(busyFrac),
 		m["rfidd_queue_depth"], m["rfidd_queue_depth_high_water"])
-	fmt.Fprintf(b, "         jobs done %.0f  failed %.0f  canceled %.0f  retries %.0f  done/s %s\n\n",
+	fmt.Fprintf(b, "         jobs done %.0f  failed %.0f  canceled %.0f  done/s %s\n\n",
 		m["rfidd_jobs_done_total"], m["rfidd_jobs_failed_total"],
-		m["rfidd_jobs_canceled_total"], m["rfidd_jobs_retries_total"],
-		rateStr(jobsPerSec))
+		m["rfidd_jobs_canceled_total"], rateStr(jobsPerSec))
 }
 
 // alertSection renders the SLO alert pane: a one-line summary plus a

@@ -91,48 +91,8 @@ func TestQueueFull(t *testing.T) {
 	close(block)
 }
 
-func TestRetryTransientThenSucceed(t *testing.T) {
-	p := newTestPool(Options{Retries: 3, Backoff: time.Millisecond})
-	defer p.Shutdown(context.Background())
-	var calls atomic.Int32
-	if err := p.Submit("flaky", func(ctx context.Context) (any, error) {
-		if calls.Add(1) < 3 {
-			return nil, Transient(errors.New("blip"))
-		}
-		return "ok", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := p.Wait(context.Background(), "flaky")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Status != StatusDone || snap.Attempts != 3 {
-		t.Errorf("status = %s attempts = %d, want done after 3", snap.Status, snap.Attempts)
-	}
-	if got := p.Stats().Retries; got != 2 {
-		t.Errorf("retries counter = %d, want 2", got)
-	}
-}
-
-func TestTransientExhaustsRetries(t *testing.T) {
-	p := newTestPool(Options{Retries: 2, Backoff: time.Millisecond})
-	defer p.Shutdown(context.Background())
-	boom := errors.New("still down")
-	p.Submit("down", func(ctx context.Context) (any, error) {
-		return nil, Transient(boom)
-	})
-	snap, _ := p.Wait(context.Background(), "down")
-	if snap.Status != StatusFailed || !errors.Is(snap.Err, boom) {
-		t.Errorf("snapshot = %+v", snap)
-	}
-	if snap.Attempts != 3 { // 1 + 2 retries
-		t.Errorf("attempts = %d, want 3", snap.Attempts)
-	}
-}
-
 func TestPermanentErrorNotRetried(t *testing.T) {
-	p := newTestPool(Options{Retries: 5, Backoff: time.Millisecond})
+	p := newTestPool(Options{})
 	defer p.Shutdown(context.Background())
 	var calls atomic.Int32
 	p.Submit("fatal", func(ctx context.Context) (any, error) {
@@ -142,23 +102,6 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	snap, _ := p.Wait(context.Background(), "fatal")
 	if snap.Status != StatusFailed || calls.Load() != 1 {
 		t.Errorf("status = %s calls = %d, want one failed attempt", snap.Status, calls.Load())
-	}
-}
-
-func TestTransientHelpers(t *testing.T) {
-	if Transient(nil) != nil {
-		t.Error("Transient(nil) != nil")
-	}
-	base := errors.New("x")
-	wrapped := Transient(base)
-	if !IsTransient(wrapped) || IsTransient(base) {
-		t.Error("IsTransient misclassifies")
-	}
-	if !errors.Is(wrapped, base) {
-		t.Error("Transient does not unwrap")
-	}
-	if wrapped.Error() != "x" {
-		t.Errorf("message = %q", wrapped.Error())
 	}
 }
 

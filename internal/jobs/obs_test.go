@@ -114,46 +114,26 @@ func TestTransitionCanceledWhileQueued(t *testing.T) {
 }
 
 // TestPoolTracerEvents checks the pool records, into the submitter's
-// trace, one queue-wait and one run span per job and a zero-length
-// retry span under the run of the job that retried.
+// trace, one queue-wait and one run span per job.
 func TestPoolTracerEvents(t *testing.T) {
 	store := obs.NewTraceStore(1, 64)
 	ctx := obs.WithSpan(context.Background(), store.StartTrace("t"))
-	p := NewPool(Options{Workers: 2, Retries: 1, Backoff: time.Millisecond})
+	p := NewPool(Options{Workers: 2})
 
 	p.SubmitTraced(ctx, "ok", func(context.Context) (any, error) { return nil, nil })
-	attempts := 0
-	p.SubmitTraced(ctx, "flaky", func(context.Context) (any, error) {
-		attempts++
-		if attempts == 1 {
-			return nil, Transient(errors.New("blip"))
-		}
-		return nil, nil
-	})
+	p.SubmitTraced(ctx, "failing", func(context.Context) (any, error) { return nil, errors.New("boom") })
 	p.Wait(context.Background(), "ok")
-	p.Wait(context.Background(), "flaky")
+	p.Wait(context.Background(), "failing")
 	if err := p.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	counts := map[string]int{}
-	runOf := map[uint64]any{} // run span ID → job id
 	for _, sp := range store.Spans("t") {
 		counts[sp.Name]++
-		if sp.Name == "run" {
-			runOf[sp.ID] = sp.Attrs[0].Val
-		}
 	}
 	if counts["queue-wait"] != 2 || counts["run"] != 2 {
 		t.Errorf("queue-wait/run spans = %d/%d, want 2/2", counts["queue-wait"], counts["run"])
-	}
-	if counts["retry"] != 1 {
-		t.Fatalf("retry spans = %d, want 1", counts["retry"])
-	}
-	for _, sp := range store.Spans("t") {
-		if sp.Name == "retry" && (runOf[sp.Parent] != "flaky" || sp.DurUS != 0) {
-			t.Errorf("retry span %+v: want a zero-length child of flaky's run span", sp)
-		}
 	}
 }
 

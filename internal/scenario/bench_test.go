@@ -29,6 +29,7 @@ func warehouseSpec() Spec {
 func BenchmarkWarehouse(b *testing.B) {
 	var pool sim.ScratchPool
 	spec := warehouseSpec()
+	primeScratch(b, spec, &pool)
 	b.ReportAllocs()
 	var arrived int64
 	b.ResetTimer()
@@ -51,12 +52,23 @@ func BenchmarkWarehouseSerial(b *testing.B) {
 	var pool sim.ScratchPool
 	spec := warehouseSpec()
 	spec.Workers = 1
+	primeScratch(b, spec, &pool)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunContext(context.Background(), spec, Options{Scratch: &pool}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// primeScratch runs spec once, untimed, so the pool's first-use
+// allocations stay out of allocs/op: otherwise they are averaged over
+// b.N and the figure depends on the iteration count.
+func primeScratch(b *testing.B, spec Spec, pool *sim.ScratchPool) {
+	b.Helper()
+	if _, err := RunContext(context.Background(), spec, Options{Scratch: pool}); err != nil {
+		b.Fatal(err)
 	}
 }
 

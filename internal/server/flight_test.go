@@ -75,7 +75,7 @@ func TestExperimentJoinsQueuedSweepCell(t *testing.T) {
 	defer cancel()
 
 	release := holdWorker(t, s)
-	sw, err := c.SubmitSweep(ctx, sweep.Spec{Base: fastCfg()}) // one cell: fastCfg()
+	sw, err := c.Sweeps().Submit(ctx, sweep.Spec{Base: fastCfg()}) // one cell: fastCfg()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,11 +96,11 @@ func TestExperimentJoinsQueuedSweepCell(t *testing.T) {
 	}
 	release()
 
-	done, err := c.Wait(ctx, exp.ID, 0)
+	done, err := c.Experiments().Wait(ctx, exp.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WaitSweep(ctx, sw.ID, 0); err != nil {
+	if _, err := c.Sweeps().Wait(ctx, sw.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	cells, err := c.SweepCells(ctx, sw.ID, "", true)
@@ -130,11 +130,11 @@ func TestIdenticalSweepsComputeOnce(t *testing.T) {
 	defer cancel()
 
 	release := holdWorker(t, s)
-	a, err := c.SubmitSweep(ctx, fig5MiniSpec())
+	a, err := c.Sweeps().Submit(ctx, fig5MiniSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.SubmitSweep(ctx, fig5MiniSpec())
+	b, err := c.Sweeps().Submit(ctx, fig5MiniSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestIdenticalSweepsComputeOnce(t *testing.T) {
 	var results [2][]SweepCellResponse
 	shared := 0 // cells served by the other sweep's computation
 	for k, id := range []string{a.ID, b.ID} {
-		final, err := c.WaitSweep(ctx, id, 0)
+		final, err := c.Sweeps().Wait(ctx, id, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,15 +188,15 @@ func TestSweepResubmittedAfterCancelComputes(t *testing.T) {
 
 	release := holdWorker(t, s)
 	spec := sweep.Spec{Base: fastCfg()} // one cell: fastCfg()
-	first, err := c.SubmitSweep(ctx, spec)
+	first, err := c.Sweeps().Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitQueued(t, s, first.ID+"/c0")
-	if err := c.CancelSweep(ctx, first.ID); err != nil {
+	if err := c.Sweeps().Cancel(ctx, first.ID); err != nil {
 		t.Fatal(err)
 	}
-	second, err := c.SubmitSweep(ctx, spec)
+	second, err := c.Sweeps().Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSweepResubmittedAfterCancelComputes(t *testing.T) {
 	release()
 
 	for id, want := range map[string]string{first.ID: "canceled", second.ID: "done"} {
-		final, err := c.WaitSweep(ctx, id, 0)
+		final, err := c.Sweeps().Wait(ctx, id, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +238,7 @@ func TestSweepCancelSparesJoinedExperiment(t *testing.T) {
 	defer cancel()
 
 	release := holdWorker(t, s)
-	sw, err := c.SubmitSweep(ctx, sweep.Spec{Base: fastCfg()})
+	sw, err := c.Sweeps().Submit(ctx, sweep.Spec{Base: fastCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,10 +247,10 @@ func TestSweepCancelSparesJoinedExperiment(t *testing.T) {
 	if code := post(t, c, "/v1/experiments", SubmitRequest{Config: fastCfg()}, &exp); code != http.StatusOK {
 		t.Fatalf("joining experiment got HTTP %d, want 200", code)
 	}
-	if err := c.CancelSweep(ctx, sw.ID); err != nil {
+	if err := c.Sweeps().Cancel(ctx, sw.ID); err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.WaitSweep(ctx, sw.ID, 0)
+	final, err := c.Sweeps().Wait(ctx, sw.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestSweepCancelSparesJoinedExperiment(t *testing.T) {
 	}
 	release()
 
-	done, err := c.Wait(ctx, exp.ID, 0)
+	done, err := c.Experiments().Wait(ctx, exp.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,23 +290,23 @@ func TestExperimentCancelSparesJoinedSweep(t *testing.T) {
 	if code := post(t, c, "/v1/experiments", SubmitRequest{Config: fastCfg()}, &exp); code != http.StatusAccepted {
 		t.Fatalf("leading experiment got HTTP %d, want 202", code)
 	}
-	sw, err := c.SubmitSweep(ctx, sweep.Spec{Base: fastCfg()})
+	sw, err := c.Sweeps().Submit(ctx, sweep.Spec{Base: fastCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Cancel(ctx, exp.ID); err != nil {
+	if err := c.Experiments().Cancel(ctx, exp.ID); err != nil {
 		t.Fatal(err)
 	}
 	release()
 
-	final, err := c.WaitSweep(ctx, sw.ID, 0)
+	final, err := c.Sweeps().Wait(ctx, sw.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if final.Status != "done" || final.Counts.Done != 1 {
 		t.Errorf("sweep sharing the cancelled experiment's computation ended %s (%+v), want done", final.Status, final.Counts)
 	}
-	if got, err := c.Wait(ctx, exp.ID, 0); err != nil || got.Status != "canceled" {
+	if got, err := c.Experiments().Wait(ctx, exp.ID, 0); err != nil || got.Status != "canceled" {
 		t.Errorf("cancelled experiment ended %s (%v), want canceled", got.Status, err)
 	}
 	text, err := c.Metrics(ctx)

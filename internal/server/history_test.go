@@ -38,11 +38,11 @@ func TestHistoryEndpointsServeSampledSeries(t *testing.T) {
 	ctx := context.Background()
 
 	// Generate traffic so the run/queue-wait series have observations.
-	exp, err := c.Submit(ctx, fastCfg())
+	exp, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, exp.ID, 5*time.Millisecond); err != nil {
+	if _, err := c.Experiments().Wait(ctx, exp.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 
@@ -129,11 +129,11 @@ func TestHistoryDisabledPaths(t *testing.T) {
 		}
 	}
 	// The service still works without history.
-	exp, err := c.Submit(ctx, fastCfg())
+	exp, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, exp.ID, 5*time.Millisecond); err != nil {
+	if _, err := c.Experiments().Wait(ctx, exp.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -141,11 +141,11 @@ func TestHistoryDisabledPaths(t *testing.T) {
 func TestStatuszShowsTrendsAndAlerts(t *testing.T) {
 	_, c := startServer(t, historyOptions())
 	ctx := context.Background()
-	exp, err := c.Submit(ctx, fastCfg())
+	exp, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, exp.ID, 5*time.Millisecond); err != nil {
+	if _, err := c.Experiments().Wait(ctx, exp.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool {
@@ -163,11 +163,11 @@ func TestStatuszShowsTrendsAndAlerts(t *testing.T) {
 func TestSweepAnnotatesHistoryTimeline(t *testing.T) {
 	s, c := startServer(t, historyOptions())
 	ctx := context.Background()
-	sw, err := c.SubmitSweep(ctx, fig5MiniSpec())
+	sw, err := c.Sweeps().Submit(ctx, fig5MiniSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WaitSweep(ctx, sw.ID, 5*time.Millisecond); err != nil {
+	if _, err := c.Sweeps().Wait(ctx, sw.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool {
@@ -221,11 +221,11 @@ func TestSyntheticAlertFiresAndClears(t *testing.T) {
 		return false
 	}, "first history tick")
 
-	exp, err := c.Submit(ctx, fastCfg())
+	exp, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, exp.ID, 5*time.Millisecond); err != nil {
+	if _, err := c.Experiments().Wait(ctx, exp.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, func() bool {

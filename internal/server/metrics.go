@@ -24,23 +24,24 @@ func (s *Server) registerMetrics() {
 		"Queue wait plus run time per experiment.", obs.DefaultLatencyBuckets)
 	// Latency decomposition by origin: where did an experiment's wall
 	// clock go — waiting in the queue, looking up the cache, or running.
-	s.originLats = map[string]originLat{originJob: s.originLat(originJob), originSweep: s.originLat(originSweep)}
-	s.sweeps.WindowWait = s.reg.Histogram("rfidd_sweep_window_wait_seconds",
+	jobOrigin, sweepOrigin := s.experiments.origin, s.sweeps.origin
+	s.originLats = map[string]originLat{jobOrigin: s.originLat(jobOrigin), sweepOrigin: s.originLat(sweepOrigin)}
+	s.runner.WindowWait = s.reg.Histogram("rfidd_sweep_window_wait_seconds",
 		"Time a sweep cell waited for an in-flight window slot.", obs.DefaultLatencyBuckets)
-	s.sweeps.CacheLookup = func(origin string, d time.Duration) { s.originLats[origin].lookup.Observe(d.Seconds()) }
+	s.runner.CacheLookup = func(origin string, d time.Duration) { s.originLats[origin].lookup.Observe(d.Seconds()) }
 	s.pool.Register(s.reg, "rfidd")
 	s.cache.Register(s.reg, "rfidd_cache")
 	// Cache traffic split by requester: single submissions vs sweep
 	// cells (coalesced duplicates never reach the cache, so these two
 	// origins account for every counted lookup).
-	s.cache.RegisterOrigin(s.reg, "rfidd_cache", originJob)
-	s.cache.RegisterOrigin(s.reg, "rfidd_cache", originSweep)
-	s.sweeps.Register(s.reg, "rfidd_sweep")
+	s.cache.RegisterOrigin(s.reg, "rfidd_cache", jobOrigin)
+	s.cache.RegisterOrigin(s.reg, "rfidd_cache", sweepOrigin)
+	s.runner.Register(s.reg, "rfidd_sweep")
 	s.reg.GaugeFunc("rfidd_sweeps", "Sweep records currently indexed.", func() float64 {
-		return float64(s.sweepRecs.count.Load())
+		return float64(s.sweeps.count.Load())
 	})
 	s.reg.GaugeFunc("rfidd_scenarios", "Scenario records currently indexed.", func() float64 {
-		return float64(s.scenRecs.count.Load())
+		return float64(s.scenarios.count.Load())
 	})
 	// Exposition callbacks run under the registry lock and must stay
 	// lock-free (atomics only), so each record count is mirrored into an

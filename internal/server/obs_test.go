@@ -19,11 +19,11 @@ func TestMetricsIncludesSimAndTransitionSeries(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 8})
 	ctx := context.Background()
 
-	resp, err := c.Submit(ctx, fastCfg())
+	resp, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, resp.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, resp.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	text, err := c.Metrics(ctx)
@@ -68,11 +68,11 @@ func TestTraceEndpoint(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 8})
 	ctx := context.Background()
 
-	resp, err := c.Submit(ctx, fastCfg())
+	resp, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, resp.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, resp.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -117,7 +117,7 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 
 	// A cache-hit record has no run of its own, hence no trace.
-	resp2, err := c.Submit(ctx, fastCfg())
+	resp2, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestTraceEndpoint(t *testing.T) {
 func TestTraceDisabled(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 8, TraceStoreTraces: -1})
 	ctx := context.Background()
-	resp, err := c.Submit(ctx, fastCfg())
+	resp, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, resp.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, resp.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	if code, _ := get(t, c.BaseURL+"/v1/experiments/"+resp.ID+"/trace"); code != http.StatusNotFound {
@@ -160,11 +160,11 @@ func TestPoolTraceEndpoint(t *testing.T) {
 	for seed := uint64(1); seed <= 2; seed++ {
 		cfg := fastCfg()
 		cfg.Seed = seed
-		resp, err := c.Submit(ctx, cfg)
+		resp, err := c.Experiments().Submit(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Wait(ctx, resp.ID, 0); err != nil {
+		if _, err := c.Experiments().Wait(ctx, resp.ID, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,14 +205,14 @@ func TestRequestLogging(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 8, Logger: logger})
 	ctx := context.Background()
 
-	resp, err := c.Submit(ctx, fastCfg())
+	resp, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, resp.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, resp.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(ctx, fastCfg()); err != nil { // cache hit
+	if _, err := c.Experiments().Submit(ctx, fastCfg()); err != nil { // cache hit
 		t.Fatal(err)
 	}
 

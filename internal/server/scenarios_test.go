@@ -39,7 +39,7 @@ func TestScenarioEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	sub, err := c.SubmitScenario(ctx, smallScenario())
+	sub, err := c.Scenarios().Submit(ctx, smallScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestScenarioEndToEnd(t *testing.T) {
 	var epochs int
 	var lastRead float64
 	var terminal WatchEvent
-	err = c.WatchScenario(ctx, sub.ID, func(ev WatchEvent) error {
+	err = c.Scenarios().Watch(ctx, sub.ID, func(ev WatchEvent) error {
 		switch ev.Type {
 		case "epoch":
 			epochs++
@@ -80,7 +80,7 @@ func TestScenarioEndToEnd(t *testing.T) {
 		t.Fatalf("terminal event %+v", terminal.Data)
 	}
 
-	fin, err := c.WaitScenario(ctx, sub.ID, 0)
+	fin, err := c.Scenarios().Wait(ctx, sub.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestScenarioEndToEnd(t *testing.T) {
 		t.Errorf("service result differs from a direct engine run:\n%s\nvs\n%s", fin.Result, want)
 	}
 
-	list, err := c.ListScenarios(ctx)
+	list, err := c.Scenarios().List(ctx, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +129,13 @@ func TestScenarioValidationAndNotFound(t *testing.T) {
 	c := NewClient(ts.URL)
 	ctx := context.Background()
 
-	if _, err := c.SubmitScenario(ctx, scenario.Spec{Readers: 7, ArrivalsPerSecond: 1, DwellMicros: 1, DurationMicros: 1}); err == nil {
+	if _, err := c.Scenarios().Submit(ctx, scenario.Spec{Readers: 7, ArrivalsPerSecond: 1, DwellMicros: 1, DurationMicros: 1}); err == nil {
 		t.Error("non-square reader grid accepted")
 	}
-	if _, err := c.GetScenario(ctx, "scn-404"); err == nil {
+	if _, err := c.Scenarios().Get(ctx, "scn-404"); err == nil {
 		t.Error("unknown scenario served")
 	}
-	if err := c.CancelScenario(ctx, "scn-404"); err == nil {
+	if err := c.Scenarios().Cancel(ctx, "scn-404"); err == nil {
 		t.Error("unknown scenario cancelled")
 	}
 }
@@ -154,14 +154,14 @@ func TestScenarioCancel(t *testing.T) {
 
 	spec := smallScenario()
 	spec.DurationMicros = 3_600_000_000 // an hour of simulated time: never finishes in test wall time
-	sub, err := c.SubmitScenario(ctx, spec)
+	sub, err := c.Scenarios().Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wait until it is actually running (an epoch reported) so the
 	// cancel exercises the in-flight path, not the queued one.
 	for {
-		got, err := c.GetScenario(ctx, sub.ID)
+		got, err := c.Scenarios().Get(ctx, sub.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,10 +170,10 @@ func TestScenarioCancel(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := c.CancelScenario(ctx, sub.ID); err != nil {
+	if err := c.Scenarios().Cancel(ctx, sub.ID); err != nil {
 		t.Fatal(err)
 	}
-	fin, err := c.WaitScenario(ctx, sub.ID, 0)
+	fin, err := c.Scenarios().Wait(ctx, sub.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestScenarioCancel(t *testing.T) {
 	// The watcher goroutine closes the bus on the terminal state, so a
 	// fresh SSE drain ends (with the terminal "scenario" event).
 	sawTerminal := false
-	err = c.WatchScenario(ctx, sub.ID, func(ev WatchEvent) error {
+	err = c.Scenarios().Watch(ctx, sub.ID, func(ev WatchEvent) error {
 		if ev.Type == "scenario" {
 			sawTerminal = true
 		}

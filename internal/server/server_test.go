@@ -61,14 +61,14 @@ func TestEndToEndCachedResubmissionIsByteIdentical(t *testing.T) {
 		t.Fatalf("healthz: %v", err)
 	}
 
-	first, err := c.Submit(ctx, fastCfg())
+	first, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Cached {
 		t.Fatal("first submission reported cached")
 	}
-	done, err := c.Wait(ctx, first.ID, 0)
+	done, err := c.Experiments().Wait(ctx, first.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestEndToEndCachedResubmissionIsByteIdentical(t *testing.T) {
 		t.Fatalf("first run: status=%s err=%q", done.Status, done.Error)
 	}
 
-	second, err := c.Submit(ctx, fastCfg())
+	second, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestEndToEndCachedResubmissionIsByteIdentical(t *testing.T) {
 	alt := fastCfg()
 	alt.IDBits = 64
 	alt.Workers = 3
-	third, err := c.Submit(ctx, alt)
+	third, err := c.Experiments().Submit(ctx, alt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +129,12 @@ func TestConcurrentDuplicateSubmissions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := c.Submit(ctx, fastCfg())
+			resp, err := c.Experiments().Submit(ctx, fastCfg())
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			final, err := c.Wait(ctx, resp.ID, 0)
+			final, err := c.Experiments().Wait(ctx, resp.ID, 0)
 			if err != nil {
 				errs[i] = err
 				return
@@ -186,7 +186,7 @@ func TestDuplicateAfterJobFinishesIsServedFromCache(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	first, err := c.Submit(ctx, fastCfg())
+	first, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestDuplicateAfterJobFinishesIsServedFromCache(t *testing.T) {
 	if rec.Code != 200 || !dup.Cached {
 		t.Fatalf("duplicate got HTTP %d, cached=%v (id %s): it ran the experiment again", rec.Code, dup.Cached, dup.ID)
 	}
-	done, err := c.Wait(ctx, first.ID, 0)
+	done, err := c.Experiments().Wait(ctx, first.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,19 +241,19 @@ func TestSubmitValidationAndNotFound(t *testing.T) {
 	ctx := context.Background()
 
 	bad := sim.Config{Tags: 0, Algorithm: sim.AlgFSA, FrameSize: 10, Detector: sim.DetQCD}
-	if _, err := c.Submit(ctx, bad); err == nil {
+	if _, err := c.Experiments().Submit(ctx, bad); err == nil {
 		t.Error("invalid config accepted")
 	} else if ae, ok := err.(*apiError); !ok || ae.StatusCode != 400 {
 		t.Errorf("invalid config: err = %v, want HTTP 400", err)
 	}
 
-	if _, err := c.Get(ctx, "exp-999"); err == nil {
+	if _, err := c.Experiments().Get(ctx, "exp-999"); err == nil {
 		t.Error("unknown id succeeded")
 	} else if ae, ok := err.(*apiError); !ok || ae.StatusCode != 404 {
 		t.Errorf("unknown id: err = %v, want HTTP 404", err)
 	}
 
-	if err := c.Cancel(ctx, "exp-999"); err == nil {
+	if err := c.Experiments().Cancel(ctx, "exp-999"); err == nil {
 		t.Error("cancel of unknown id succeeded")
 	}
 }
@@ -266,7 +266,7 @@ func TestSubmitImpairedTreeIs400(t *testing.T) {
 	ctx := context.Background()
 	for _, alg := range []string{sim.AlgBT, sim.AlgQT} {
 		cfg := sim.Config{Tags: 200, Seed: 3, Algorithm: alg, Detector: sim.DetQCD, BER: 0.05, CaptureProb: 0.3}
-		if _, err := c.Submit(ctx, cfg); err == nil {
+		if _, err := c.Experiments().Submit(ctx, cfg); err == nil {
 			t.Errorf("%s: impaired config accepted", alg)
 		} else if ae, ok := err.(*apiError); !ok || ae.StatusCode != 400 {
 			t.Errorf("%s: err = %v, want HTTP 400", alg, err)
@@ -281,16 +281,16 @@ func TestListReportsSubmissionsWithoutResults(t *testing.T) {
 	cfgA := fastCfg()
 	cfgB := fastCfg()
 	cfgB.Seed = 43
-	ra, _ := c.Submit(ctx, cfgA)
-	rb, _ := c.Submit(ctx, cfgB)
-	if _, err := c.Wait(ctx, ra.ID, 0); err != nil {
+	ra, _ := c.Experiments().Submit(ctx, cfgA)
+	rb, _ := c.Experiments().Submit(ctx, cfgB)
+	if _, err := c.Experiments().Wait(ctx, ra.ID, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, rb.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, rb.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 
-	list, err := c.List(ctx)
+	list, err := c.Experiments().List(ctx, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,14 +316,14 @@ func TestCancelRunningExperiment(t *testing.T) {
 		Algorithm: sim.AlgFSA, FrameSize: 1500,
 		Detector: sim.DetQCD, Strength: 8, Workers: 1,
 	}
-	resp, err := c.Submit(ctx, slow)
+	resp, err := c.Experiments().Submit(ctx, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Cancel(ctx, resp.ID); err != nil {
+	if err := c.Experiments().Cancel(ctx, resp.ID); err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
-	final, err := c.Wait(ctx, resp.ID, 0)
+	final, err := c.Experiments().Wait(ctx, resp.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestQueueFullShedsLoad(t *testing.T) {
 	var ids []string
 	sawFull := false
 	for seed := uint64(1); seed <= 8; seed++ {
-		resp, err := c.Submit(ctx, slow(seed))
+		resp, err := c.Experiments().Submit(ctx, slow(seed))
 		if err != nil {
 			if ae, ok := err.(*apiError); ok && ae.StatusCode == 503 {
 				sawFull = true
@@ -360,7 +360,7 @@ func TestQueueFullShedsLoad(t *testing.T) {
 		t.Fatal("never saw HTTP 503 despite a depth-1 queue")
 	}
 	for _, id := range ids {
-		_ = c.Cancel(ctx, id)
+		_ = c.Experiments().Cancel(ctx, id)
 	}
 }
 
@@ -375,7 +375,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		cfg := fastCfg()
 		cfg.Seed = seed
-		resp, err := c.Submit(ctx, cfg)
+		resp, err := c.Experiments().Submit(ctx, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +390,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	// Every submission, queued or in-flight at shutdown, must have run
 	// to completion — that is the drain guarantee.
 	for _, id := range ids {
-		final, err := c.Get(ctx, id)
+		final, err := c.Experiments().Get(ctx, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -401,7 +401,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	// New work is refused once draining has begun.
 	cfg := fastCfg()
 	cfg.Seed = 99
-	if _, err := c.Submit(ctx, cfg); err == nil {
+	if _, err := c.Experiments().Submit(ctx, cfg); err == nil {
 		t.Error("submission accepted after shutdown")
 	} else if ae, ok := err.(*apiError); !ok || ae.StatusCode != 503 {
 		t.Errorf("post-shutdown submit: err = %v, want HTTP 503", err)
@@ -412,11 +412,11 @@ func TestMetricsExposition(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 2, QueueDepth: 8})
 	ctx := context.Background()
 
-	resp, err := c.Submit(ctx, fastCfg())
+	resp, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, resp.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, resp.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	text, err := c.Metrics(ctx)
@@ -451,11 +451,11 @@ func TestResultDecodesAsAggregateSummary(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 2, QueueDepth: 8})
 	ctx := context.Background()
 
-	resp, err := c.Submit(ctx, fastCfg())
+	resp, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Wait(ctx, resp.ID, 0)
+	final, err := c.Experiments().Wait(ctx, resp.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,11 +99,11 @@ func parseSSE(t *testing.T, body string) []sseEvent {
 func TestEventsStreamEndToEnd(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 4, EventHistory: 2048})
 	ctx := context.Background()
-	sub, err := c.Submit(ctx, fastCfg())
+	sub, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, sub.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, sub.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -159,11 +159,11 @@ func TestEventsStreamThroughLoggingHandler(t *testing.T) {
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	ctx := context.Background()
-	sub, err := c.Submit(ctx, fastCfg())
+	sub, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, sub.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, sub.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Get(c.BaseURL + "/v1/experiments/" + sub.ID + "/events")
@@ -188,11 +188,11 @@ func TestEventsStreamThroughLoggingHandler(t *testing.T) {
 func TestEventsLastEventIDResume(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 4, EventHistory: 2048})
 	ctx := context.Background()
-	sub, err := c.Submit(ctx, fastCfg())
+	sub, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, sub.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, sub.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -226,11 +226,11 @@ func TestSweepEventsLastEventIDResume(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 2, QueueDepth: 8, EventHistory: 2048})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	sub, err := c.SubmitSweep(ctx, fig5MiniSpec())
+	sub, err := c.Sweeps().Submit(ctx, fig5MiniSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WaitSweep(ctx, sub.ID, 0); err != nil {
+	if _, err := c.Sweeps().Wait(ctx, sub.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -305,7 +305,7 @@ func fetchSSE(t *testing.T, c *Client, path string, hdr map[string]string) []sse
 func injectExperiment(s *Server, id string, bus *obs.Bus) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.byID[id] = &experiment{id: id, bus: bus}
+	s.experiments.byID[id] = &experiment{id: id, bus: bus}
 }
 
 // TestEventsHeartbeat holds a stream open on an idle bus and reads
@@ -423,13 +423,13 @@ func TestEventsNotFound(t *testing.T) {
 func TestClientWatch(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 4, EventHistory: 2048})
 	ctx := context.Background()
-	sub, err := c.Submit(ctx, fastCfg())
+	sub, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var events []WatchEvent
-	err = c.Watch(ctx, sub.ID, func(ev WatchEvent) error {
+	err = c.Experiments().Watch(ctx, sub.ID, func(ev WatchEvent) error {
 		events = append(events, ev)
 		return nil
 	})
@@ -461,7 +461,7 @@ func TestClientWatch(t *testing.T) {
 	// Watching an already-finished experiment replays the ring and still
 	// terminates (the bus retains history after close).
 	n := 0
-	if err := c.Watch(ctx, sub.ID, func(WatchEvent) error { n++; return nil }); err != nil {
+	if err := c.Experiments().Watch(ctx, sub.ID, func(WatchEvent) error { n++; return nil }); err != nil {
 		t.Fatalf("watch after completion: %v", err)
 	}
 	if n != len(events) {
@@ -479,11 +479,11 @@ func TestAuditEndpoint(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Strength = 4 // low strength so misses actually occur
 	cfg.Rounds = 10
-	sub, err := c.Submit(ctx, cfg)
+	sub, err := c.Experiments().Submit(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, sub.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, sub.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -537,11 +537,11 @@ func TestMetricsExpositionConformance(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 4, EnableAudit: true})
 	t.Cleanup(sim.UninstrumentAudit)
 	ctx := context.Background()
-	sub, err := c.Submit(ctx, fastCfg())
+	sub, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, sub.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, sub.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 

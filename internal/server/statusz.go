@@ -56,10 +56,9 @@ th { background: #eee; }
 <td class="num">{{.Pool.QueueHighWater}}</td><td class="num">{{printf "%.3f" .Pool.BusySeconds}}</td></tr>
 </table>
 <table>
-<tr><th>submitted</th><th>done</th><th>failed</th><th>canceled</th><th>retries</th></tr>
+<tr><th>submitted</th><th>done</th><th>failed</th><th>canceled</th></tr>
 <tr><td class="num">{{.Pool.Submitted}}</td><td class="num">{{.Pool.Done}}</td>
-<td class="num">{{.Pool.Failed}}</td><td class="num">{{.Pool.Canceled}}</td>
-<td class="num">{{.Pool.Retries}}</td></tr>
+<td class="num">{{.Pool.Failed}}</td><td class="num">{{.Pool.Canceled}}</td></tr>
 </table>
 
 <h2>result cache</h2>
@@ -212,10 +211,10 @@ func (s *Server) statuszTrends(window time.Duration) []trendRow {
 
 // poolView adds the derived utilisation to jobs.Stats for the template.
 type poolView struct {
-	Workers, Busy, QueueDepth, QueueHighWater  int
-	Submitted, Done, Failed, Canceled, Retries uint64
-	BusySeconds                                float64
-	Utilisation                                float64
+	Workers, Busy, QueueDepth, QueueHighWater int
+	Submitted, Done, Failed, Canceled         uint64
+	BusySeconds                               float64
+	Utilisation                               float64
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
@@ -227,19 +226,19 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 			Workers: ps.Workers, Busy: ps.Busy,
 			QueueDepth: ps.QueueDepth, QueueHighWater: ps.QueueHighWater,
 			Submitted: ps.Submitted, Done: ps.Done, Failed: ps.Failed,
-			Canceled: ps.Canceled, Retries: ps.Retries,
+			Canceled:    ps.Canceled,
 			BusySeconds: ps.BusySeconds, Utilisation: ps.Utilisation(),
 		},
 		Cache:       s.cache.Stats(),
-		JobCache:    s.cache.OriginStats(originJob),
-		SweepCache:  s.cache.OriginStats(originSweep),
+		JobCache:    s.cache.OriginStats(s.experiments.origin),
+		SweepCache:  s.cache.OriginStats(s.sweeps.origin),
 		Experiments: s.experiments.count.Load(),
 		Tracing:     s.spans != nil,
 		Wide:        s.wide.recent(32),
 		WideTotal:   s.wide.count(),
 	}
 	s.mu.Lock()
-	sweeps := s.sweepRecs.records()
+	sweeps := s.sweeps.records()
 	s.mu.Unlock()
 	for i := len(sweeps) - 1; i >= 0 && len(d.Sweeps) < 16; i-- {
 		d.Sweeps = append(d.Sweeps, sweepResponseOf(sweeps[i]))

@@ -29,7 +29,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	sw, err := c.SubmitSweep(ctx, fig5MiniSpec())
+	sw, err := c.Sweeps().Submit(ctx, fig5MiniSpec())
 	if err != nil {
 		t.Fatalf("SubmitSweep: %v", err)
 	}
@@ -41,7 +41,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	// terminal sweep event ends the stream.
 	var cellDone int
 	var sweepEvents int
-	err = c.WatchSweep(ctx, sw.ID, func(ev WatchEvent) error {
+	err = c.Sweeps().Watch(ctx, sw.ID, func(ev WatchEvent) error {
 		switch ev.Type {
 		case "cell":
 			if ev.Data["status"] == "done" {
@@ -59,7 +59,7 @@ func TestSweepEndToEnd(t *testing.T) {
 		t.Fatalf("saw %d cell-done and %d sweep events, want 4 and 1", cellDone, sweepEvents)
 	}
 
-	final, err := c.WaitSweep(ctx, sw.ID, 0)
+	final, err := c.Sweeps().Wait(ctx, sw.ID, 0)
 	if err != nil {
 		t.Fatalf("WaitSweep: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestSweepEndToEnd(t *testing.T) {
 		t.Fatalf("got %d cells", len(cells))
 	}
 	for _, cell := range cells {
-		single, err := c.Submit(ctx, cell.Config)
+		single, err := c.Experiments().Submit(ctx, cell.Config)
 		if err != nil {
 			t.Fatalf("resubmitting cell %d: %v", cell.Index, err)
 		}
@@ -113,11 +113,11 @@ func TestSweepEndToEnd(t *testing.T) {
 
 	// The same sweep again: all four cells short-circuit through the
 	// cache, attributed to the sweep origin on /metrics.
-	sw2, err := c.SubmitSweep(ctx, fig5MiniSpec())
+	sw2, err := c.Sweeps().Submit(ctx, fig5MiniSpec())
 	if err != nil {
 		t.Fatalf("second SubmitSweep: %v", err)
 	}
-	final2, err := c.WaitSweep(ctx, sw2.ID, 0)
+	final2, err := c.Sweeps().Wait(ctx, sw2.ID, 0)
 	if err != nil {
 		t.Fatalf("WaitSweep (second): %v", err)
 	}
@@ -144,7 +144,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 
 	// Sweep listing includes both runs in submission order.
-	list, err := c.ListSweeps(ctx)
+	list, err := c.Sweeps().List(ctx, "")
 	if err != nil {
 		t.Fatalf("ListSweeps: %v", err)
 	}
@@ -158,11 +158,11 @@ func TestSweepCellStatusFilterSharedWithExperiments(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	sw, err := c.SubmitSweep(ctx, fig5MiniSpec())
+	sw, err := c.Sweeps().Submit(ctx, fig5MiniSpec())
 	if err != nil {
 		t.Fatalf("SubmitSweep: %v", err)
 	}
-	if _, err := c.WaitSweep(ctx, sw.ID, 0); err != nil {
+	if _, err := c.Sweeps().Wait(ctx, sw.ID, 0); err != nil {
 		t.Fatalf("WaitSweep: %v", err)
 	}
 	done, err := c.SweepCells(ctx, sw.ID, "done", false)
@@ -184,28 +184,28 @@ func TestSweepCellStatusFilterSharedWithExperiments(t *testing.T) {
 	}
 
 	// The same ?status= vocabulary on the experiment listing.
-	exp, err := c.Submit(ctx, fastCfg())
+	exp, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := c.Wait(ctx, exp.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, exp.ID, 0); err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
-	doneExps, err := c.ListStatus(ctx, "done")
+	doneExps, err := c.Experiments().List(ctx, "done")
 	if err != nil {
 		t.Fatalf("ListStatus done: %v", err)
 	}
 	if len(doneExps) == 0 {
 		t.Error("done experiment filter returned nothing")
 	}
-	queued, err := c.ListStatus(ctx, "queued")
+	queued, err := c.Experiments().List(ctx, "queued")
 	if err != nil {
 		t.Fatalf("ListStatus queued: %v", err)
 	}
 	if len(queued) != 0 {
 		t.Errorf("queued filter returned %d experiments, want 0", len(queued))
 	}
-	if _, err := c.ListStatus(ctx, "bogus"); err == nil {
+	if _, err := c.Experiments().List(ctx, "bogus"); err == nil {
 		t.Error("bogus experiment status filter accepted")
 	}
 }
@@ -221,14 +221,14 @@ func TestSweepCancelEndpoint(t *testing.T) {
 	}
 	spec.Base.Tags = 300
 	spec.Base.Rounds = 30
-	sw, err := c.SubmitSweep(ctx, spec)
+	sw, err := c.Sweeps().Submit(ctx, spec)
 	if err != nil {
 		t.Fatalf("SubmitSweep: %v", err)
 	}
-	if err := c.CancelSweep(ctx, sw.ID); err != nil {
+	if err := c.Sweeps().Cancel(ctx, sw.ID); err != nil {
 		t.Fatalf("CancelSweep: %v", err)
 	}
-	final, err := c.WaitSweep(ctx, sw.ID, 0)
+	final, err := c.Sweeps().Wait(ctx, sw.ID, 0)
 	if err != nil {
 		t.Fatalf("WaitSweep: %v", err)
 	}
@@ -249,7 +249,7 @@ func TestSweepRejectsBadSpecs(t *testing.T) {
 		Base: fastCfg(),
 		Axes: []sweep.Axis{{Field: sweep.FieldSeed, Range: &sweep.Range{From: 1, To: 100}}},
 	}
-	if _, err := c.SubmitSweep(ctx, big); err == nil {
+	if _, err := c.Sweeps().Submit(ctx, big); err == nil {
 		t.Error("a 100-cell sweep passed an 8-cell cap")
 	}
 	// Structurally invalid axis.
@@ -257,7 +257,7 @@ func TestSweepRejectsBadSpecs(t *testing.T) {
 		Base: fastCfg(),
 		Axes: []sweep.Axis{{Field: "bogus", Ints: []int{1}}},
 	}
-	if _, err := c.SubmitSweep(ctx, bad); err == nil {
+	if _, err := c.Sweeps().Submit(ctx, bad); err == nil {
 		t.Error("unknown axis field accepted")
 	}
 	// Invalid per-cell config.
@@ -265,10 +265,10 @@ func TestSweepRejectsBadSpecs(t *testing.T) {
 		Base: fastCfg(),
 		Axes: []sweep.Axis{{Field: sweep.FieldTags, Ints: []int{-4}}},
 	}
-	if _, err := c.SubmitSweep(ctx, badCell); err == nil {
+	if _, err := c.Sweeps().Submit(ctx, badCell); err == nil {
 		t.Error("negative tags cell accepted")
 	}
-	if _, err := c.GetSweep(ctx, "swp-404"); err == nil {
+	if _, err := c.Sweeps().Get(ctx, "swp-404"); err == nil {
 		t.Error("unknown sweep id did not 404")
 	}
 }

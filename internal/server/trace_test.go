@@ -42,14 +42,14 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	sub, traceID, err := c.SubmitSweepTraced(ctx, fig5MiniSpec(), "")
+	sub, traceID, err := c.Sweeps().SubmitTraced(ctx, fig5MiniSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !obs.ValidTraceID(traceID) {
 		t.Fatalf("X-Trace-Id response header %q is not a valid trace ID", traceID)
 	}
-	if _, err := c.WaitSweep(ctx, sub.ID, 0); err != nil {
+	if _, err := c.Sweeps().Wait(ctx, sub.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -102,7 +102,7 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 
 	// Second identical sweep under its own trace: every cell is served
 	// from the cache and still shows up as a span with the disposition.
-	_, trace2, err := c.SubmitSweepTraced(ctx, fig5MiniSpec(), "")
+	_, trace2, err := c.Sweeps().SubmitTraced(ctx, fig5MiniSpec(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 		t.Fatalf("second submission reused trace %q", traceID)
 	}
 	// Waiting on the sweep list: the second sweep is swp-2.
-	if _, err := c.WaitSweep(ctx, "swp-2", 0); err != nil {
+	if _, err := c.Sweeps().Wait(ctx, "swp-2", 0); err != nil {
 		t.Fatal(err)
 	}
 	body2, err := c.Trace(ctx, trace2, "")
@@ -139,14 +139,14 @@ func TestSubmitTraceJoinsRunTrace(t *testing.T) {
 
 	cfg := fastCfg()
 	cfg.Workers = 2 // concurrent rounds must still nest on their tracks
-	sub, traceID, err := c.SubmitTraced(ctx, cfg, "my-trace-01")
+	sub, traceID, err := c.Experiments().SubmitTraced(ctx, cfg, "my-trace-01")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if traceID != "my-trace-01" {
 		t.Fatalf("server did not adopt the client trace ID: got %q", traceID)
 	}
-	if _, err := c.Wait(ctx, sub.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, sub.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -241,11 +241,11 @@ func TestTraceSpanCapCountsDrops(t *testing.T) {
 
 	cfg := fastCfg()
 	cfg.Rounds = 10 // 10 round spans plus their frames: well past 16
-	sub, traceID, err := c.SubmitTraced(ctx, cfg, "")
+	sub, traceID, err := c.Experiments().SubmitTraced(ctx, cfg, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Wait(ctx, sub.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, sub.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	sums, err := c.Traces(ctx)
@@ -273,14 +273,14 @@ func TestTraceStoreDisabled(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	sub, traceID, err := c.SubmitTraced(ctx, fastCfg(), "")
+	sub, traceID, err := c.Experiments().SubmitTraced(ctx, fastCfg(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !obs.ValidTraceID(traceID) {
 		t.Fatalf("disabled store stopped ID propagation: header %q", traceID)
 	}
-	if _, err := c.Wait(ctx, sub.ID, 0); err != nil {
+	if _, err := c.Experiments().Wait(ctx, sub.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Trace(ctx, traceID, ""); err == nil {
@@ -297,7 +297,7 @@ func TestUntracedPollsStayOutOfStore(t *testing.T) {
 	s, c := startServer(t, Options{Workers: 1, QueueDepth: 4})
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		if _, err := c.List(ctx); err != nil {
+		if _, err := c.Experiments().List(ctx, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,11 +313,11 @@ func TestStatusz(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	sub, err := c.SubmitSweep(ctx, fig5MiniSpec())
+	sub, err := c.Sweeps().Submit(ctx, fig5MiniSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.WaitSweep(ctx, sub.ID, 0); err != nil {
+	if _, err := c.Sweeps().Wait(ctx, sub.ID, 0); err != nil {
 		t.Fatal(err)
 	}
 

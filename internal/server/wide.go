@@ -95,7 +95,7 @@ func (s *Server) onDone(d sweep.Done) {
 		lat.queueWait.Observe(d.QueueWait.Seconds())
 		lat.run.Observe(d.RunTime.Seconds())
 	}
-	if d.Origin == originJob && d.Status == jobs.StatusFailed {
+	if d.Origin == s.experiments.origin && d.Status == jobs.StatusFailed {
 		s.hist.Annotate("job", d.ID+" failed") // nil-safe when history is off
 	}
 	ev := wideEvent{Time: time.Now(), Done: d}

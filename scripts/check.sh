@@ -15,14 +15,8 @@ go build ./...
 echo "==> go test -race ./... $*"
 go test -race "$@" ./...
 
-echo "==> sweep smoke (2x2 grid through the service)"
-go run ./cmd/sweepsmoke
-
-echo "==> scenario smoke (streaming warehouse through the service, worker determinism)"
-go run ./cmd/scenariosmoke
-
-echo "==> observability smoke (traced sweep, span tree, statusz, history, SLO alert cycle)"
-go run ./cmd/obssmoke
+echo "==> service smoke (sweep, scenario and observability cases, each on a fresh server)"
+go run ./cmd/smoke
 
 echo "==> benchmark harness tests (bench/ is a module of its own, outside ./...)"
 (cd bench && go test ./...)
