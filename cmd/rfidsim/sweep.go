@@ -61,7 +61,7 @@ func runSweep(ctx context.Context, path string, workers int, jsonOut, csvOut, pr
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	cellCount, err := spec.CellCount()
+	plan, err := sweep.NewPlan(spec)
 	if err != nil {
 		fmt.Fprintln(stderr, "rfidsim: sweep:", err)
 		return 1
@@ -71,14 +71,14 @@ func runSweep(ctx context.Context, path string, workers int, jsonOut, csvOut, pr
 	defer pool.Shutdown(context.Background())
 	runner := &sweep.Runner{
 		Pool:    pool,
-		Cache:   rescache.New(cellCount + 1),
+		Cache:   rescache.New(plan.Len() + 1),
 		Scratch: &sim.ScratchPool{},
 	}
 	var bus *obs.Bus
 	progressDone := make(chan struct{})
 	if progress {
-		bus = obs.NewBus(2*cellCount + 16)
-		sub := bus.Subscribe(2*cellCount+16, 0)
+		bus = obs.NewBus(2*plan.Len() + 16)
+		sub := bus.Subscribe(2*plan.Len()+16, 0)
 		go func() {
 			defer close(progressDone)
 			printed := false
@@ -98,11 +98,7 @@ func runSweep(ctx context.Context, path string, workers int, jsonOut, csvOut, pr
 		close(progressDone)
 	}
 
-	s, err := runner.Start(ctx, "sweep", spec, bus)
-	if err != nil {
-		fmt.Fprintln(stderr, "rfidsim: sweep:", err)
-		return 1
-	}
+	s := runner.Start(ctx, "sweep", plan, bus)
 	if err := s.Wait(ctx); err != nil {
 		s.Cancel()
 		_ = s.Wait(context.Background())

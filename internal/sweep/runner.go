@@ -120,29 +120,39 @@ type flight struct {
 // Member is one caller's place on a flight. It keeps the caller's
 // terminal snapshot, so its owner never reads a forgotten pool entry.
 type Member struct {
-	req   Request
-	f     *flight
-	final *jobs.Snapshot // set under r.mu when settled
+	req     Request
+	f       *flight
+	final   *jobs.Snapshot // set under r.mu as the caller is taken off its flight
+	settled bool           // set under r.mu once Settle has returned
 }
 
 // Leads reports whether the flight runs under this caller's job ID.
 func (m *Member) Leads() bool { return m.req.ID == m.f.id }
 
 // Live reports whether the caller has yet to be settled.
-func (m *Member) Live() bool { return m.settled() == nil }
+func (m *Member) Live() bool { _, settled := m.state(); return !settled }
 
-func (m *Member) settled() *jobs.Snapshot {
+func (m *Member) state() (*jobs.Snapshot, bool) {
 	m.f.r.mu.Lock()
 	defer m.f.r.mu.Unlock()
-	return m.final
+	return m.final, m.settled
 }
 
-// Snapshot returns the caller's terminal snapshot once settled, else
-// the flight's live one from the pool (ok false if the pool lost it).
+// Snapshot returns the caller's terminal snapshot, else the flight's
+// live one from the pool (ok false if the pool lost it). An outcome
+// reads as unfinished until Settle has returned, so whoever sees it
+// also sees its effects.
 func (m *Member) Snapshot() (jobs.Snapshot, bool) {
 	snap, ok := m.f.r.Pool.Get(m.f.id)
-	if final := m.settled(); final != nil { // a landing settles before it forgets
-		return *final, true
+	final, settled := m.state()
+	if final != nil { // a landing takes its callers off before it forgets
+		snap, ok = *final, true
+	}
+	if !settled && snap.Status.Terminal() {
+		snap.Status, snap.FinishedAt, snap.Result, snap.Err = jobs.StatusRunning, time.Time{}, nil, nil
+		if snap.StartedAt.IsZero() {
+			snap.Status = jobs.StatusQueued
+		}
 	}
 	return snap, ok
 }
@@ -294,15 +304,19 @@ func (f *flight) land(snap jobs.Snapshot) {
 	}
 }
 
-// settle ends the caller's job event stream and hands it snap.
+// settle hands the caller snap, marks it settled, then ends its job
+// event stream.
 func (m *Member) settle(snap jobs.Snapshot) {
+	m.req.Settle(snap)
+	m.f.r.mu.Lock()
+	m.settled = true
+	m.f.r.mu.Unlock()
 	from := jobs.StatusRunning
 	if snap.StartedAt.IsZero() {
 		from = jobs.StatusQueued
 	}
 	publishJob(m.req.Bus, m.req.ID, from, snap.Status, snap.Attempts)
 	m.req.Bus.Close()
-	m.req.Settle(snap)
 }
 
 // publishJob mirrors one job lifecycle change onto bus; a terminal one

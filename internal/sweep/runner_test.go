@@ -184,10 +184,7 @@ func TestLeaveSparesOtherCallers(t *testing.T) {
 			if err != nil || lead == nil {
 				t.Fatalf("claim: %v", err)
 			}
-			s, err := r.Start(context.Background(), "swp-1", Spec{Base: cfg}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := r.Start(context.Background(), "swp-1", mustPlan(t, Spec{Base: cfg}), nil)
 			waitMembers(t, r, key, 2)
 			left := "swp-1/c0"
 			if leaver == "sweep" {
@@ -270,5 +267,31 @@ func TestLastLeaverReleasesKey(t *testing.T) {
 	close(hold2)
 	if got := <-secondSettled; got.Status != jobs.StatusDone {
 		t.Errorf("the fresh flight ended %s, want done", got.Status)
+	}
+}
+
+// TestOutcomeVisibleOnceSettled: while a caller's Settle runs, its
+// snapshot still reads unfinished and it is still live, so whoever sees
+// the outcome also sees what Settle did with it.
+func TestOutcomeVisibleOnceSettled(t *testing.T) {
+	pool := jobs.NewPool(jobs.Options{Workers: 1})
+	defer pool.Shutdown(context.Background())
+	r := &Runner{Pool: pool, Cache: rescache.New(8), Scratch: &sim.ScratchPool{}}
+	cfg, key := keyed(t, testSpec().Base)
+	entered, release := make(chan struct{}), make(chan struct{})
+	m, _, err := r.Claim(context.Background(), Request{ID: "lead", Key: key, Config: cfg, Origin: "job", Workers: 1,
+		Settle: func(jobs.Snapshot) { close(entered); <-release }})
+	if err != nil || m == nil {
+		t.Fatalf("claim: %v", err)
+	}
+	<-entered
+	if snap, ok := m.Snapshot(); !ok || snap.Status.Terminal() || !m.Live() {
+		t.Errorf("during Settle: snapshot %s (ok %v), live %v; want unfinished and live", snap.Status, ok, m.Live())
+	}
+	close(release)
+	for deadline := time.Now().Add(10 * time.Second); m.Live() && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+	}
+	if snap, ok := m.Snapshot(); !ok || snap.Status != jobs.StatusDone || m.Live() {
+		t.Errorf("after Settle: snapshot %s (ok %v), live %v; want done and settled", snap.Status, ok, m.Live())
 	}
 }

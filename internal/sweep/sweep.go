@@ -87,70 +87,79 @@ type Snapshot struct {
 // Sweep is one scheduled grid. Create it with Runner.Start; it is safe
 // for concurrent use.
 type Sweep struct {
-	id          string
-	name        string
-	axes        []string
-	cellWorkers int
-	r           *Runner
-	bus         *obs.Bus
-	cancel      context.CancelFunc
-	done        chan struct{}
-	span        obs.SpanHandle  // the sweep-level span, ended in finish
-	sctx        obs.SpanContext // parent context for per-cell spans
-	window      chan struct{}   // one token per flight the sweep leads: pool workers + 2
-	pending     sync.WaitGroup  // claimed cells not yet settled
+	*Plan   // its cells are guarded by mu
+	id      string
+	r       *Runner
+	bus     *obs.Bus
+	cancel  context.CancelFunc
+	done    chan struct{}
+	span    obs.SpanHandle  // the sweep-level span, ended in finish
+	sctx    obs.SpanContext // parent context for per-cell spans
+	window  chan struct{}   // one token per flight the sweep leads: pool workers + 2
+	pending sync.WaitGroup  // claimed cells not yet settled
 
 	mu         sync.Mutex
-	cells      []CellState
-	dups       map[int][]int // primary index → coalesced cell indexes
 	counts     Counts
 	canceled   bool
 	createdAt  time.Time
 	finishedAt time.Time
 }
 
-// Start expands the spec and begins scheduling its cells. The returned
-// sweep is already running; ctx cancellation stops feeding new cells,
-// and Cancel also takes the claimed ones off their flights. bus, when
-// non-nil, receives one "cell" event per cell state change and a
-// terminal "sweep" event, and is closed when the sweep finishes.
-func (r *Runner) Start(ctx context.Context, id string, spec Spec, bus *obs.Bus) (*Sweep, error) {
-	if r.Pool == nil {
-		return nil, errors.New("sweep: Runner.Pool is required")
-	}
+// Plan is a spec expanded and keyed, each duplicate cell linked to the
+// first of its key: the costly part of starting a sweep, done before
+// the caller takes its own locks. A plan starts once.
+type Plan struct {
+	spec  Spec
+	cells []CellState
+	dups  map[int][]int // primary index → coalesced cell indexes
+}
+
+// NewPlan expands spec and keys its cells.
+func NewPlan(spec Spec) (*Plan, error) {
 	cells, err := spec.Expand()
 	if err != nil {
 		return nil, err
 	}
-	states := make([]CellState, len(cells))
-	dups := make(map[int][]int)
+	p := &Plan{spec: spec, cells: make([]CellState, len(cells)), dups: make(map[int][]int)}
 	firstByKey := make(map[string]int, len(cells))
 	for i, c := range cells {
 		key, err := rescache.ConfigKey(c.Config)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: keying cell %d: %w", i, err)
 		}
-		states[i] = CellState{Cell: c, Key: key, Status: jobs.StatusQueued, DupOf: -1}
+		p.cells[i] = CellState{Cell: c, Key: key, Status: jobs.StatusQueued, DupOf: -1}
 		if first, dup := firstByKey[key]; dup {
-			states[i].DupOf = first
-			dups[first] = append(dups[first], i)
+			p.cells[i].DupOf = first
+			p.dups[first] = append(p.dups[first], i)
 		} else {
 			firstByKey[key] = i
 		}
 	}
+	return p, nil
+}
+
+// Len is the number of cells p runs.
+func (p *Plan) Len() int { return len(p.cells) }
+
+// Start begins scheduling p's cells; it cannot fail, since NewPlan has
+// checked them. The returned sweep is already running; ctx cancellation
+// stops feeding new cells, and Cancel also takes the claimed ones off
+// their flights. bus, when non-nil, receives one "cell" event per cell
+// state change and a terminal "sweep" event, and is closed when the
+// sweep finishes.
+func (r *Runner) Start(ctx context.Context, id string, p *Plan, bus *obs.Bus) *Sweep {
 	// The span context rides in on ctx (obs.WithSpan); only the trace
 	// position is kept — the derived ctx below governs cancellation.
 	span := obs.SpanFrom(ctx).Start("sweep", "sweep "+id)
 	ctx, cancel := context.WithCancel(ctx)
 	s := &Sweep{
-		id: id, name: spec.Name, axes: spec.AxisNames(), cellWorkers: max(spec.CellWorkers, 1),
-		r: r, bus: bus, cancel: cancel, done: make(chan struct{}), span: span, sctx: span.Context(),
+		Plan: p, id: id, r: r, bus: bus, cancel: cancel, done: make(chan struct{}), span: span, sctx: span.Context(),
 		window: make(chan struct{}, r.Pool.Stats().Workers+2),
-		cells:  states, dups: dups, counts: Counts{Cells: len(cells)}, createdAt: time.Now(),
+		counts: Counts{Cells: len(p.cells)}, createdAt: time.Now(),
 	}
 	r.started.Add(1)
 	go s.run(ctx)
-	return s, nil
+	return s
 }
 
 // run is the sweep's feeder: it walks the primary cells in order, serves
@@ -194,7 +203,7 @@ func (s *Sweep) claim(ctx context.Context, i int, span obs.SpanHandle) {
 	c := &s.cells[i]
 	jobID := s.id + "/c" + strconv.Itoa(i)
 	s.pending.Add(1) // before Claim: a led flight may land before Claim returns
-	req := Request{ID: jobID, Key: c.Key, Config: c.Config, Origin: Origin, Workers: s.cellWorkers, Span: span.Context(), Start: func() { s.markRunning(i) },
+	req := Request{ID: jobID, Key: c.Key, Config: c.Config, Origin: Origin, Workers: max(s.spec.CellWorkers, 1), Span: span.Context(), Start: func() { s.markRunning(i) },
 		// The leader frees its slot; a joined cell ends with the flight.
 		Settle: func(snap jobs.Snapshot) {
 			defer s.pending.Done()
@@ -396,8 +405,8 @@ func (s *Sweep) Snapshot() Snapshot {
 	defer s.mu.Unlock()
 	return Snapshot{
 		ID:         s.id,
-		Name:       s.name,
-		Axes:       append([]string(nil), s.axes...),
+		Name:       s.spec.Name,
+		Axes:       s.spec.AxisNames(),
 		Status:     s.statusLocked(),
 		Counts:     s.counts,
 		CreatedAt:  s.createdAt,
@@ -451,7 +460,7 @@ func (s *Sweep) Done() <-chan struct{} { return s.done }
 // canceled cell. Callers take Table.Render() or Table.CSV() from it.
 func (s *Sweep) MergedTable() (*report.Table, error) {
 	s.mu.Lock()
-	title := s.name
+	title := s.spec.Name
 	if title == "" {
 		title = s.id
 	}
@@ -474,9 +483,8 @@ func (s *Sweep) MergedTable() (*report.Table, error) {
 			notes = append(notes, note)
 		}
 	}
-	axes := append([]string(nil), s.axes...)
 	s.mu.Unlock()
-	t := report.NewSweepTable("sweep "+title, axes, rows)
+	t := report.NewSweepTable("sweep "+title, s.spec.AxisNames(), rows)
 	for _, n := range notes {
 		t.AddNote("%s", n)
 	}

@@ -26,6 +26,16 @@ func testSpec() Spec {
 	}
 }
 
+// mustPlan plans spec for Runner.Start.
+func mustPlan(t *testing.T, spec Spec) *Plan {
+	t.Helper()
+	p, err := NewPlan(spec)
+	if err != nil {
+		t.Fatalf("NewPlan: %v", err)
+	}
+	return p
+}
+
 // runSweep starts a sweep on a fresh pool and waits it out.
 func runSweep(t *testing.T, spec Spec, workers int, cache *rescache.Cache, r *Runner) *Sweep {
 	t.Helper()
@@ -37,10 +47,7 @@ func runSweep(t *testing.T, spec Spec, workers int, cache *rescache.Cache, r *Ru
 	r.Pool = pool
 	r.Cache = cache
 	r.Scratch = &sim.ScratchPool{}
-	s, err := r.Start(context.Background(), "swp-test", spec, obs.NewBus(256))
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
+	s := r.Start(context.Background(), "swp-test", mustPlan(t, spec), obs.NewBus(256))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Wait(ctx); err != nil {
@@ -165,10 +172,7 @@ func TestSweepCancelLeavesNoOrphans(t *testing.T) {
 	}
 	bus := obs.NewBus(256)
 	sub := bus.Subscribe(256, 0)
-	s, err := r.Start(context.Background(), "swp-cancel", spec, bus)
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
+	s := r.Start(context.Background(), "swp-cancel", mustPlan(t, spec), bus)
 	// Cancel as soon as the first cell reports running.
 	for ev := range sub.Events() {
 		if ev.Type == "cell" && ev.Data["status"] == string(jobs.StatusRunning) {
@@ -211,10 +215,7 @@ func TestSweepEventsAndMergedTable(t *testing.T) {
 	pool := jobs.NewPool(jobs.Options{Workers: 2})
 	defer pool.Shutdown(context.Background())
 	r := &Runner{Pool: pool, Scratch: &sim.ScratchPool{}}
-	s, err := r.Start(context.Background(), "swp-ev", testSpec(), bus)
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
+	s := r.Start(context.Background(), "swp-ev", mustPlan(t, testSpec()), bus)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Wait(ctx); err != nil {
