@@ -66,7 +66,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
 		queue        = flag.Int("queue", 128, "bounded queue depth")
 		cacheSize    = flag.Int("cache", 1024, "result cache capacity in entries")
-		jobTimeout   = flag.Duration("job-timeout", 0, "per-experiment run limit (0 = none)")
+		jobTimeout   = flag.Duration("job-timeout", 0, "run limit per experiment or sweep cell; scenarios are unbounded (0 = none)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain limit")
 		spanTraces   = flag.Int("span-traces", 256, "trace store capacity in traces (0 disables tracing)")
 		spanCap      = flag.Int("span-capacity", 4096, "trace store capacity in spans per trace (further spans are dropped and counted)")

@@ -195,6 +195,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// loadSpec strictly decodes a JSON spec from path ("-" reads stdin):
+// an unknown field is an error, as it is for rfidd's submission bodies.
+func loadSpec[T any](path string) (T, error) {
+	var spec T
+	in := io.Reader(os.Stdin)
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return spec, err
+		}
+		defer f.Close()
+		in = f
+	}
+	dec := json.NewDecoder(in)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return spec, nil
+}
+
 // writeTraceFile writes the store's one trace to path in the format
 // write produces.
 func writeTraceFile(path string, write func(io.Writer, string) error) error {

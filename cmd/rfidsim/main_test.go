@@ -322,6 +322,27 @@ func TestRunSweepCLI(t *testing.T) {
 	}
 }
 
+// TestRunSweepRejectsUnknownField: a sweep spec with a misspelled field
+// exits 1 instead of running with the field silently dropped.
+func TestRunSweepRejectsUnknownField(t *testing.T) {
+	spec := `{
+		"name": "typo",
+		"base": {"Tags": 40, "Seed": 3, "Rounds": 2, "Algorithm": "fsa", "FrameSize": 32, "Detector": "qcd"},
+		"axis": [{"field": "tags", "ints": [30, 60]}]
+	}`
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-sweep", path}, &out, &errb); code != 1 {
+		t.Fatalf("exit code = %d, want 1; stdout: %s", code, out.String())
+	}
+	if !strings.Contains(errb.String(), `unknown field "axis"`) {
+		t.Errorf("stderr does not name the unknown field: %s", errb.String())
+	}
+}
+
 // TestRunScenarioCLI drives the -scenario path: a small streaming
 // warehouse spec from a file, rendered as the summary table and as
 // JSON, with -workers pinned results identical to the default.

@@ -7,45 +7,22 @@ package main
 // -progress renders a live per-epoch status line on stderr.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/report"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
-// loadScenarioSpec reads the spec from path ("-" reads stdin).
-func loadScenarioSpec(path string) (scenario.Spec, error) {
-	var spec scenario.Spec
-	var raw []byte
-	var err error
-	if path == "-" {
-		raw, err = io.ReadAll(os.Stdin)
-	} else {
-		raw, err = os.ReadFile(path)
-	}
-	if err != nil {
-		return spec, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return spec, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return spec, nil
-}
-
 // runScenario executes the -scenario code path and returns the exit
 // code. A ctx timeout (-timeout) aborts the run; the partial result is
 // still printed before exiting 2, mirroring the single-experiment path.
 func runScenario(ctx context.Context, path string, workers int, jsonOut, progress bool, stdout, stderr io.Writer) int {
-	spec, err := loadScenarioSpec(path)
+	spec, err := loadSpec[scenario.Spec](path)
 	if err != nil {
 		fmt.Fprintln(stderr, "rfidsim: scenario:", err)
 		return 1

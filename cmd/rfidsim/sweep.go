@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 
 	"repro/internal/jobs"
@@ -32,28 +31,9 @@ type sweepCellOut struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// loadSweepSpec reads the spec from path ("-" reads stdin).
-func loadSweepSpec(path string) (sweep.Spec, error) {
-	var spec sweep.Spec
-	var raw []byte
-	var err error
-	if path == "-" {
-		raw, err = io.ReadAll(os.Stdin)
-	} else {
-		raw, err = os.ReadFile(path)
-	}
-	if err != nil {
-		return spec, err
-	}
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return spec, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return spec, nil
-}
-
 // runSweep executes the -sweep code path and returns the exit code.
 func runSweep(ctx context.Context, path string, workers int, jsonOut, csvOut, progress bool, stdout, stderr io.Writer) int {
-	spec, err := loadSweepSpec(path)
+	spec, err := loadSpec[sweep.Spec](path)
 	if err != nil {
 		fmt.Fprintln(stderr, "rfidsim: sweep:", err)
 		return 1

@@ -1,9 +1,13 @@
 package experiment
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -123,15 +127,40 @@ func TestFigure8QuickEIBand(t *testing.T) {
 	}
 }
 
+// TestFigure6ShowsLargeReduction: in cases I–II, QCD-8's mean
+// identification delay is more than 40% below CRC-CD's, by more than
+// 3σ, where σ is the reduction's standard error propagated from the
+// spread of the per-round delay means. The figure shows the same
+// reductions.
 func TestFigure6ShowsLargeReduction(t *testing.T) {
-	r, _ := ByID("fig6")
-	out, err := r.Run(Options{Rounds: 3, MaxCase: 1, Seed: 1})
+	o := Options{Rounds: 3, MaxCase: 2, Seed: 1}
+	out, err := Figure6(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := out.Render()
-	if !strings.Contains(s, "%") {
-		t.Errorf("Figure 6 shows no reduction percentage:\n%s", s)
+	rendered := out.Render()
+	o = o.normalize()
+	for _, c := range o.cases() {
+		crc, err := o.run(c, sim.AlgFSA, sim.DetCRCCD, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qcd, err := o.run(c, sim.AlgFSA, sim.DetQCD, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		red := (crc.Delay.Mean() - qcd.Delay.Mean()) / crc.Delay.Mean()
+		relErr := func(a *sim.Aggregate) float64 {
+			return a.DelayMean.StdDev() / math.Sqrt(float64(a.DelayMean.N())) / a.DelayMean.Mean()
+		}
+		sigma := (1 - red) * math.Hypot(relErr(crc), relErr(qcd))
+		if red-0.40 <= 3*sigma {
+			t.Errorf("case %s: reduction %.2f%% ± %.2f%% (1σ) is not above 40%% by 3σ", c.Name, 100*red, 100*sigma)
+		}
+		if pct := report.Pct(red); !strings.Contains(rendered, pct) {
+			t.Errorf("case %s: Figure 6 does not show the %s reduction:\n%s", c.Name, pct, rendered)
+		}
+		t.Logf("case %s: reduction %.2f%% ± %.2f%% (1σ)", c.Name, 100*red, 100*sigma)
 	}
 }
 

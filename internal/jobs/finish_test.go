@@ -19,10 +19,11 @@ func TestPanickingJobFailsAndWorkerContinues(t *testing.T) {
 	reg := obs.NewRegistry()
 	p.Register(reg, "pool")
 
-	if err := p.Submit("boom", func(context.Context) (any, error) { panic("kaboom") }); err != nil {
+	var calls atomic.Int32
+	if err := submit(p, "boom", func(context.Context) (any, error) { calls.Add(1); panic("kaboom") }); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit("next", func(context.Context) (any, error) { return 7, nil }); err != nil {
+	if err := submit(p, "next", func(context.Context) (any, error) { return 7, nil }); err != nil {
 		t.Fatal(err)
 	}
 	boom, err := p.Wait(context.Background(), "boom")
@@ -35,8 +36,8 @@ func TestPanickingJobFailsAndWorkerContinues(t *testing.T) {
 	if msg := boom.Err.Error(); !strings.Contains(msg, "kaboom") || !strings.Contains(msg, "goroutine") {
 		t.Errorf("panic error lacks the value or the stack: %q", msg)
 	}
-	if boom.Attempts != 1 {
-		t.Errorf("panicking job made %d attempts, want 1 (no retry)", boom.Attempts)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("panicking job ran %d times, want 1 (no retry)", n)
 	}
 	next, err := p.Wait(context.Background(), "next")
 	if err != nil {
@@ -76,7 +77,7 @@ func TestFinishHookOnEveryTerminalPath(t *testing.T) {
 			}
 			return fn(ctx)
 		}
-		if err := p.SubmitTracedFinish(context.Background(), id, wrapped, finish); err != nil {
+		if err := p.Submit(context.Background(), id, wrapped, finish); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +121,7 @@ func TestOnDoneRunsBeforeFinishHook(t *testing.T) {
 	p := NewPool(Options{Workers: 1, OnDone: func(Snapshot) { onDone.Add(1) }})
 	defer p.Shutdown(context.Background())
 	seen := make(chan int32, 1)
-	if err := p.SubmitTracedFinish(context.Background(), "j", func(context.Context) (any, error) { return 1, nil },
+	if err := p.Submit(context.Background(), "j", func(context.Context) (any, error) { return 1, nil },
 		func(Snapshot) { seen <- onDone.Load() }); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package jobs provides the experiment service's execution substrate: a
 // bounded FIFO job queue drained by a fixed worker pool. Each job runs
-// under its own context (per-job timeout, explicit cancellation, pool
-// shutdown), and shutdown drains in-flight and queued work before
-// returning.
+// under its own context (explicit cancellation, pool shutdown), and
+// shutdown drains in-flight and queued work before returning. A job that
+// needs a time bound applies it itself.
 //
 // The package is deliberately independent of the simulator: a job is any
 // func(ctx) (any, error), so the pool is reusable for sweeps, floor
@@ -24,7 +24,7 @@ import (
 )
 
 // Func is the unit of work a job executes. It must honour ctx: the pool
-// cancels it on per-job timeout, explicit Cancel, or forced shutdown.
+// cancels it on explicit Cancel or forced shutdown.
 type Func func(ctx context.Context) (any, error)
 
 // Status is a job's lifecycle state.
@@ -45,11 +45,6 @@ func (s Status) Terminal() bool {
 	return s == StatusDone || s == StatusFailed || s == StatusCanceled
 }
 
-// NoTimeout, passed to SubmitTracedTimeout, exempts one job from the
-// pool-wide Options.Timeout: its attempts run until they finish, are
-// canceled, or the pool is force-stopped.
-const NoTimeout time.Duration = -1
-
 // Submission errors.
 var (
 	// ErrQueueFull is returned by Submit when the bounded queue cannot
@@ -62,23 +57,20 @@ var (
 )
 
 // Options configures a Pool. The zero value is usable: workers default
-// to runtime.NumCPU(), queue depth to 64, no per-job timeout.
+// to runtime.NumCPU(), queue depth to 64.
 type Options struct {
 	// Workers is the number of concurrent job runners (default NumCPU).
 	Workers int
 	// QueueDepth bounds the number of queued-but-not-running jobs
 	// (default 64). Submit fails with ErrQueueFull beyond it.
 	QueueDepth int
-	// Timeout bounds each attempt's run time; 0 means no limit.
-	// SubmitTracedTimeout can override it per job.
-	Timeout time.Duration
 	// OnDone, if set, is called after a job reaches a terminal state
 	// (from the worker goroutine; keep it fast).
 	OnDone func(Snapshot)
 	// OnTransition, if set, is called on every job lifecycle change,
-	// including the initial enqueue (From == ""). It runs on the
-	// submitting or worker goroutine; keep it fast and do not call back
-	// into the pool.
+	// including the initial enqueue (From == ""), which is reported
+	// before the job can start. It runs on the submitting or worker
+	// goroutine; keep it fast and do not call back into the pool.
 	OnTransition func(Transition)
 	// Logger, if set, receives structured worker lifecycle and job
 	// terminal logs.
@@ -89,7 +81,6 @@ type Options struct {
 type Transition struct {
 	ID       string
 	From, To Status // From is "" for the initial enqueue
-	Attempts int    // run attempts started when the transition happened
 }
 
 func (o Options) withDefaults() Options {
@@ -106,11 +97,10 @@ func (o Options) withDefaults() Options {
 type Snapshot struct {
 	ID         string
 	Status     Status
-	Attempts   int // run attempts started: 1 once the job has run
 	Result     any
 	Err        error
 	EnqueuedAt time.Time
-	StartedAt  time.Time // zero until the first attempt starts
+	StartedAt  time.Time // zero until the job starts
 	FinishedAt time.Time // zero until terminal
 }
 
@@ -123,8 +113,8 @@ func (s Snapshot) Latency() time.Duration {
 	return s.FinishedAt.Sub(s.EnqueuedAt)
 }
 
-// QueueWait is the time from enqueue to the first attempt's start, and
-// zero for a job that never started.
+// QueueWait is the time from enqueue to the job's start, and zero for a
+// job that never started.
 func (s Snapshot) QueueWait() time.Duration {
 	if s.StartedAt.IsZero() {
 		return 0
@@ -132,8 +122,8 @@ func (s Snapshot) QueueWait() time.Duration {
 	return s.StartedAt.Sub(s.EnqueuedAt)
 }
 
-// RunTime is the time from the first attempt's start to the terminal
-// state, and zero until both are set.
+// RunTime is the time from the job's start to the terminal state, and
+// zero until both are set.
 func (s Snapshot) RunTime() time.Duration {
 	if s.StartedAt.IsZero() || s.FinishedAt.IsZero() {
 		return 0
@@ -143,15 +133,13 @@ func (s Snapshot) RunTime() time.Duration {
 
 // job is the pool-internal mutable state behind a Snapshot.
 type job struct {
-	id      string
-	fn      Func
-	sctx    obs.SpanContext // service-level trace position, captured at submit
-	timeout time.Duration   // 0 = pool default, >0 = override, <0 = unlimited
-	finish  func(Snapshot)  // per-job terminal hook; nil when none
+	id     string
+	fn     Func
+	sctx   obs.SpanContext // service-level trace position, captured at submit
+	finish func(Snapshot)  // per-job terminal hook; nil when none
 
 	mu         sync.Mutex
 	status     Status
-	attempts   int
 	result     any
 	err        error
 	enqueuedAt time.Time
@@ -166,8 +154,7 @@ func (j *job) snapshot() Snapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return Snapshot{
-		ID: j.id, Status: j.status, Attempts: j.attempts,
-		Result: j.result, Err: j.err,
+		ID: j.id, Status: j.status, Result: j.result, Err: j.err,
 		EnqueuedAt: j.enqueuedAt, StartedAt: j.startedAt, FinishedAt: j.finishedAt,
 	}
 }
@@ -178,11 +165,12 @@ type Stats struct {
 	Busy           int // workers currently running a job
 	QueueDepth     int // jobs waiting in the queue
 	QueueHighWater int // deepest the queue has ever been
+	Indexed        int // jobs Get can still find: not yet forgotten
 	Submitted      uint64
 	Done           uint64
 	Failed         uint64
 	Canceled       uint64
-	Panics         uint64  // attempts that panicked (their jobs failed)
+	Panics         uint64  // jobs that panicked (and failed)
 	BusySeconds    float64 // cumulative worker time spent running jobs
 }
 
@@ -207,7 +195,6 @@ type Pool struct {
 
 	mu     sync.Mutex
 	byID   map[string]*job
-	order  []string // submission order, for List
 	closed bool
 
 	busy       atomic.Int64
@@ -239,50 +226,28 @@ func NewPool(o Options) *Pool {
 }
 
 // transition reports one lifecycle change to the OnTransition hook.
-func (p *Pool) transition(id string, from, to Status, attempts int) {
+func (p *Pool) transition(id string, from, to Status) {
 	if p.opts.OnTransition != nil {
-		p.opts.OnTransition(Transition{ID: id, From: from, To: to, Attempts: attempts})
+		p.opts.OnTransition(Transition{ID: id, From: from, To: to})
 	}
 }
 
 // Submit enqueues fn under the caller-chosen id. It fails fast with
 // ErrQueueFull, ErrClosed, or ErrDuplicateID — it never blocks.
-func (p *Pool) Submit(id string, fn Func) error {
-	return p.SubmitTraced(context.Background(), id, fn)
-}
-
-// SubmitTraced is Submit carrying trace context: the span context on
-// ctx (obs.WithSpan) is captured with the job, the time spent queued is
-// recorded as a queue-wait span under it, and each run attempt executes
-// under a child run span so lower layers (the simulator) can attach.
-// Only the span context is retained — ctx's deadline and cancellation
-// do NOT bound the job (use Cancel or Options.Timeout for that), so a
-// request-scoped ctx is safe to pass.
-func (p *Pool) SubmitTraced(ctx context.Context, id string, fn Func) error {
-	return p.SubmitTracedTimeout(ctx, id, fn, 0)
-}
-
-// SubmitTracedTimeout is SubmitTraced with a per-job attempt timeout:
-// 0 keeps the pool-wide Options.Timeout, a positive value replaces it
-// for this job, and NoTimeout removes the bound entirely. Long-running
-// job classes (streaming scenarios) share a pool whose Timeout is sized
-// for one-shot experiments; the override lets them coexist without a
-// second pool.
-func (p *Pool) SubmitTracedTimeout(ctx context.Context, id string, fn Func, timeout time.Duration) error {
-	return p.submit(ctx, id, fn, timeout, nil)
-}
-
-// SubmitTracedFinish is SubmitTraced with a per-job finish hook. finish
-// receives the job's terminal snapshot on the worker, on every terminal
-// path (done, failed, panicked, canceled while queued or running),
-// after the terminal transition and Options.OnDone, and before the
-// worker takes its next job. It must not call back into the pool
-// except for Forget.
-func (p *Pool) SubmitTracedFinish(ctx context.Context, id string, fn Func, finish func(Snapshot)) error {
-	return p.submit(ctx, id, fn, 0, finish)
-}
-
-func (p *Pool) submit(ctx context.Context, id string, fn Func, timeout time.Duration, finish func(Snapshot)) error {
+//
+// The span context on ctx (obs.WithSpan) is captured with the job: the
+// time spent queued is recorded as a queue-wait span under it, and fn
+// runs under a child run span so lower layers (the simulator) can
+// attach. Only the span context is retained — ctx's deadline and
+// cancellation do NOT bound the job (use Cancel, or bound it inside
+// fn), so a request-scoped ctx is safe to pass.
+//
+// finish, if non-nil, receives the job's terminal snapshot on the
+// worker, on every terminal path (done, failed, panicked, canceled while
+// queued or running), after the terminal transition and Options.OnDone,
+// and before the worker takes its next job. It must not call back into
+// the pool except for Forget.
+func (p *Pool) Submit(ctx context.Context, id string, fn Func, finish func(Snapshot)) error {
 	if fn == nil {
 		return fmt.Errorf("jobs: nil Func for job %q", id)
 	}
@@ -296,12 +261,16 @@ func (p *Pool) submit(ctx context.Context, id string, fn Func, timeout time.Dura
 		return fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
 	j := &job{
-		id: id, fn: fn, timeout: timeout, finish: finish,
+		id: id, fn: fn, finish: finish,
 		sctx:       obs.SpanFrom(ctx),
 		status:     StatusQueued,
 		enqueuedAt: time.Now(),
 		done:       make(chan struct{}),
 	}
+	// A worker takes j.mu before anything else, so holding it until the
+	// enqueue is reported keeps queued→running behind it.
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	select {
 	case p.queue <- j:
 	default:
@@ -318,11 +287,10 @@ func (p *Pool) submit(ctx context.Context, id string, fn Func, timeout time.Dura
 		}
 	}
 	p.byID[id] = j
-	p.order = append(p.order, id)
 	p.submitted.Add(1)
-	p.mu.Unlock() // hooks run lock-free: they may take their own locks
+	p.mu.Unlock() // hooks run without the pool lock: they may take their own locks
 
-	p.transition(id, "", StatusQueued, 0)
+	p.transition(id, "", StatusQueued)
 	return nil
 }
 
@@ -337,27 +305,9 @@ func (p *Pool) Get(id string) (Snapshot, bool) {
 	return j.snapshot(), true
 }
 
-// List returns snapshots of all known jobs in submission order.
-func (p *Pool) List() []Snapshot {
-	p.mu.Lock()
-	js := make([]*job, 0, len(p.order))
-	for _, id := range p.order {
-		if j, ok := p.byID[id]; ok {
-			js = append(js, j)
-		}
-	}
-	p.mu.Unlock()
-	out := make([]Snapshot, len(js))
-	for i, j := range js {
-		out[i] = j.snapshot()
-	}
-	return out
-}
-
 // Forget drops a terminal job from the pool's index, so callers that
 // submit unbounded job streams (sweep cells) can bound the index after
-// harvesting each result. Live jobs are refused. The submission-order
-// list is compacted lazily once forgotten entries dominate it.
+// harvesting each result. Live jobs are refused.
 func (p *Pool) Forget(id string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -372,15 +322,6 @@ func (p *Pool) Forget(id string) bool {
 		return false
 	}
 	delete(p.byID, id)
-	if len(p.order) > 16 && len(p.order) > 2*len(p.byID) {
-		kept := p.order[:0]
-		for _, oid := range p.order {
-			if _, live := p.byID[oid]; live {
-				kept = append(kept, oid)
-			}
-		}
-		p.order = kept
-	}
 	return true
 }
 
@@ -424,11 +365,15 @@ func (p *Pool) Wait(ctx context.Context, id string) (Snapshot, error) {
 
 // Stats returns a point-in-time load snapshot.
 func (p *Pool) Stats() Stats {
+	p.mu.Lock()
+	indexed := len(p.byID)
+	p.mu.Unlock()
 	return Stats{
 		Workers:        p.opts.Workers,
 		Busy:           int(p.busy.Load()),
 		QueueDepth:     len(p.queue),
 		QueueHighWater: int(p.qHighWater.Load()),
+		Indexed:        indexed,
 		Submitted:      p.submitted.Load(),
 		Done:           p.nDone.Load(),
 		Failed:         p.nFailed.Load(),
@@ -497,14 +442,13 @@ func (p *Pool) run(j *job) {
 				obs.SA("id", j.id), obs.SA("outcome", "canceled"))
 		}
 		p.nCanceled.Add(1)
-		p.transition(j.id, StatusQueued, StatusCanceled, 0)
+		p.transition(j.id, StatusQueued, StatusCanceled)
 		p.finishLog(j)
 		p.notify(j)
 		return
 	}
 	runCtx, cancel := context.WithCancel(p.hardCtx)
 	j.status = StatusRunning
-	j.attempts = 1
 	j.startedAt = time.Now()
 	j.cancel = cancel
 	j.mu.Unlock()
@@ -514,18 +458,9 @@ func (p *Pool) run(j *job) {
 	}
 	runSpan := j.sctx.Start("jobs", "run")
 	runCtx = obs.WithSpan(runCtx, runSpan.Context())
-	p.transition(j.id, StatusQueued, StatusRunning, 0)
+	p.transition(j.id, StatusQueued, StatusRunning)
 
-	timeout := p.opts.Timeout
-	if j.timeout != 0 { // NoTimeout is negative: no bound
-		timeout = j.timeout
-	}
-	if timeout > 0 {
-		var cancelTimeout context.CancelFunc
-		runCtx, cancelTimeout = context.WithTimeout(runCtx, timeout)
-		defer cancelTimeout()
-	}
-	result, err := p.attempt(runCtx, j)
+	result, err := p.call(runCtx, j)
 
 	j.mu.Lock()
 	j.cancel = nil
@@ -545,24 +480,22 @@ func (p *Pool) run(j *job) {
 		p.nFailed.Add(1)
 	}
 	status := j.status
-	attempts := j.attempts
 	// Record the run span before the job turns terminal, so whoever sees
 	// the terminal state also finds the complete run in the trace.
 	if runSpan.Live() {
-		runSpan.End(obs.SA("id", j.id), obs.SA("status", string(status)),
-			obs.SA("attempts", attempts))
+		runSpan.End(obs.SA("id", j.id), obs.SA("status", string(status)))
 	}
 	close(j.done)
 	j.mu.Unlock()
-	p.transition(j.id, StatusRunning, status, attempts)
+	p.transition(j.id, StatusRunning, status)
 	p.finishLog(j)
 	p.notify(j)
 }
 
-// attempt runs the job's function. A panic ends the attempt with an
-// error carrying the panic value and stack, which fails the job, so the
-// worker goes on to its next job.
-func (p *Pool) attempt(ctx context.Context, j *job) (result any, err error) {
+// call runs the job's function. A panic becomes an error carrying the
+// panic value and stack, which fails the job, so the worker goes on to
+// its next job.
+func (p *Pool) call(ctx context.Context, j *job) (result any, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			p.nPanics.Add(1)
@@ -580,8 +513,7 @@ func (p *Pool) finishLog(j *job) {
 	}
 	snap := j.snapshot()
 	attrs := []any{
-		"id", snap.ID, "status", string(snap.Status),
-		"attempts", snap.Attempts, "latency", snap.Latency(),
+		"id", snap.ID, "status", string(snap.Status), "latency", snap.Latency(),
 	}
 	if snap.Err != nil {
 		attrs = append(attrs, "err", snap.Err.Error())
@@ -609,7 +541,7 @@ func (p *Pool) Register(reg *obs.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_jobs_done_total", "Experiments completed successfully.", p.nDone.Load)
 	reg.CounterFunc(prefix+"_jobs_failed_total", "Experiments that failed permanently.", p.nFailed.Load)
 	reg.CounterFunc(prefix+"_jobs_canceled_total", "Experiments canceled before completion.", p.nCanceled.Load)
-	reg.CounterFunc(prefix+"_jobs_panics_total", "Job attempts that panicked; their jobs failed.", p.nPanics.Load)
+	reg.CounterFunc(prefix+"_jobs_panics_total", "Jobs that panicked; they failed.", p.nPanics.Load)
 	reg.GaugeFunc(prefix+"_queue_depth_high_water", "Deepest the queue has been since startup.",
 		func() float64 { return float64(p.qHighWater.Load()) })
 	reg.CounterFloatFunc(prefix+"_worker_busy_seconds_total", "Cumulative worker time spent running experiments.",

@@ -20,10 +20,15 @@ func newTestPool(o Options) *Pool {
 	return NewPool(o)
 }
 
+// submit enqueues fn under id with no trace context and no finish hook.
+func submit(p *Pool, id string, fn Func) error {
+	return p.Submit(context.Background(), id, fn, nil)
+}
+
 func TestSubmitRunsToDone(t *testing.T) {
 	p := newTestPool(Options{})
 	defer p.Shutdown(context.Background())
-	if err := p.Submit("j1", func(ctx context.Context) (any, error) {
+	if err := submit(p, "j1", func(ctx context.Context) (any, error) {
 		return 42, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -35,8 +40,8 @@ func TestSubmitRunsToDone(t *testing.T) {
 	if snap.Status != StatusDone || snap.Result.(int) != 42 || snap.Err != nil {
 		t.Errorf("snapshot = %+v", snap)
 	}
-	if snap.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1", snap.Attempts)
+	if snap.StartedAt.IsZero() {
+		t.Error("a job that ran has no start time")
 	}
 	if snap.Latency() <= 0 {
 		t.Errorf("latency = %v, want > 0", snap.Latency())
@@ -46,14 +51,14 @@ func TestSubmitRunsToDone(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	p := newTestPool(Options{})
 	defer p.Shutdown(context.Background())
-	if err := p.Submit("j1", nil); err == nil {
+	if err := submit(p, "j1", nil); err == nil {
 		t.Error("nil Func accepted")
 	}
 	ok := func(ctx context.Context) (any, error) { return nil, nil }
-	if err := p.Submit("j1", ok); err != nil {
+	if err := submit(p, "j1", ok); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit("j1", ok); !errors.Is(err, ErrDuplicateID) {
+	if err := submit(p, "j1", ok); !errors.Is(err, ErrDuplicateID) {
 		t.Errorf("duplicate id: err = %v", err)
 	}
 	if _, found := p.Get("nope"); found {
@@ -70,7 +75,7 @@ func TestQueueFull(t *testing.T) {
 
 	block := make(chan struct{})
 	started := make(chan struct{})
-	if err := p.Submit("running", func(ctx context.Context) (any, error) {
+	if err := submit(p, "running", func(ctx context.Context) (any, error) {
 		close(started)
 		<-block
 		return nil, nil
@@ -79,13 +84,13 @@ func TestQueueFull(t *testing.T) {
 	}
 	<-started // the single worker is now occupied
 	sleepy := func(ctx context.Context) (any, error) { return nil, nil }
-	if err := p.Submit("q1", sleepy); err != nil {
+	if err := submit(p, "q1", sleepy); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit("q2", sleepy); err != nil {
+	if err := submit(p, "q2", sleepy); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit("q3", sleepy); !errors.Is(err, ErrQueueFull) {
+	if err := submit(p, "q3", sleepy); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("overfull submit: err = %v, want ErrQueueFull", err)
 	}
 	close(block)
@@ -95,7 +100,7 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	p := newTestPool(Options{})
 	defer p.Shutdown(context.Background())
 	var calls atomic.Int32
-	p.Submit("fatal", func(ctx context.Context) (any, error) {
+	submit(p, "fatal", func(ctx context.Context) (any, error) {
 		calls.Add(1)
 		return nil, errors.New("bad config")
 	})
@@ -105,64 +110,11 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	}
 }
 
-func TestPerJobTimeout(t *testing.T) {
-	p := newTestPool(Options{Timeout: 10 * time.Millisecond})
-	defer p.Shutdown(context.Background())
-	p.Submit("slow", func(ctx context.Context) (any, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	})
-	snap, _ := p.Wait(context.Background(), "slow")
-	if snap.Status != StatusFailed || !errors.Is(snap.Err, context.DeadlineExceeded) {
-		t.Errorf("snapshot = %+v, want failed with DeadlineExceeded", snap)
-	}
-}
-
-// TestPerJobTimeoutOverride: SubmitTracedTimeout's three regimes on a
-// pool whose default timeout is tight. NoTimeout exempts the job (it
-// finishes on its own clock), a positive override replaces the pool
-// default, and 0 inherits it.
-func TestPerJobTimeoutOverride(t *testing.T) {
-	p := newTestPool(Options{Timeout: 20 * time.Millisecond})
-	defer p.Shutdown(context.Background())
-	sleep := func(d time.Duration) Func {
-		return func(ctx context.Context) (any, error) {
-			select {
-			case <-time.After(d):
-				return "finished", nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-	}
-	ctx := context.Background()
-	if err := p.SubmitTracedTimeout(ctx, "exempt", sleep(60*time.Millisecond), NoTimeout); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SubmitTracedTimeout(ctx, "tighter", sleep(60*time.Millisecond), 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SubmitTracedTimeout(ctx, "default", sleep(60*time.Millisecond), 0); err != nil {
-		t.Fatal(err)
-	}
-
-	snap, _ := p.Wait(ctx, "exempt")
-	if snap.Status != StatusDone || snap.Result != "finished" {
-		t.Errorf("exempt job = %+v, want done despite the 20ms pool timeout", snap)
-	}
-	for _, id := range []string{"tighter", "default"} {
-		snap, _ := p.Wait(ctx, id)
-		if snap.Status != StatusFailed || !errors.Is(snap.Err, context.DeadlineExceeded) {
-			t.Errorf("%s job = %+v, want failed with DeadlineExceeded", id, snap)
-		}
-	}
-}
-
 func TestCancelRunning(t *testing.T) {
 	p := newTestPool(Options{})
 	defer p.Shutdown(context.Background())
 	started := make(chan struct{})
-	p.Submit("victim", func(ctx context.Context) (any, error) {
+	submit(p, "victim", func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -188,14 +140,14 @@ func TestCancelQueued(t *testing.T) {
 	defer p.Shutdown(context.Background())
 	block := make(chan struct{})
 	started := make(chan struct{})
-	p.Submit("blocker", func(ctx context.Context) (any, error) {
+	submit(p, "blocker", func(ctx context.Context) (any, error) {
 		close(started)
 		<-block
 		return nil, nil
 	})
 	<-started
 	var ran atomic.Bool
-	p.Submit("queued", func(ctx context.Context) (any, error) {
+	submit(p, "queued", func(ctx context.Context) (any, error) {
 		ran.Store(true)
 		return nil, nil
 	})
@@ -215,7 +167,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	const n = 8
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("j%d", i)
-		if err := p.Submit(id, func(ctx context.Context) (any, error) {
+		if err := submit(p, id, func(ctx context.Context) (any, error) {
 			time.Sleep(5 * time.Millisecond)
 			finished.Add(1)
 			return id, nil
@@ -233,7 +185,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if st.Done != n || st.QueueDepth != 0 || st.Busy != 0 {
 		t.Errorf("post-drain stats = %+v", st)
 	}
-	if err := p.Submit("late", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrClosed) {
+	if err := submit(p, "late", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after shutdown: err = %v, want ErrClosed", err)
 	}
 	// A second Shutdown is a no-op.
@@ -245,7 +197,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 	p := NewPool(Options{Workers: 1, QueueDepth: 4})
 	started := make(chan struct{})
-	p.Submit("stubborn", func(ctx context.Context) (any, error) {
+	submit(p, "stubborn", func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done() // only exits when the pool hard-cancels
 		return nil, ctx.Err()
@@ -268,7 +220,7 @@ func TestStatsAndUtilisation(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
-		p.Submit(fmt.Sprintf("b%d", i), func(ctx context.Context) (any, error) {
+		submit(p, fmt.Sprintf("b%d", i), func(ctx context.Context) (any, error) {
 			started <- struct{}{}
 			<-block
 			return nil, nil
@@ -289,7 +241,7 @@ func TestStatsAndUtilisation(t *testing.T) {
 	}
 }
 
-func TestOnDoneCallbackAndList(t *testing.T) {
+func TestOnDoneCallback(t *testing.T) {
 	doneIDs := make(chan string, 4)
 	p := NewPool(Options{Workers: 2, QueueDepth: 8, OnDone: func(s Snapshot) {
 		if !s.Status.Terminal() {
@@ -298,15 +250,11 @@ func TestOnDoneCallbackAndList(t *testing.T) {
 		doneIDs <- s.ID
 	}})
 	defer p.Shutdown(context.Background())
-	p.Submit("a", func(ctx context.Context) (any, error) { return 1, nil })
-	p.Submit("b", func(ctx context.Context) (any, error) { return nil, errors.New("no") })
+	submit(p, "a", func(ctx context.Context) (any, error) { return 1, nil })
+	submit(p, "b", func(ctx context.Context) (any, error) { return nil, errors.New("no") })
 	got := map[string]bool{<-doneIDs: true, <-doneIDs: true}
 	if !got["a"] || !got["b"] {
 		t.Errorf("OnDone ids = %v", got)
-	}
-	list := p.List()
-	if len(list) != 2 || list[0].ID != "a" || list[1].ID != "b" {
-		t.Errorf("List = %+v, want submission order a,b", list)
 	}
 }
 
@@ -315,7 +263,7 @@ func TestForgetDropsTerminalJobsOnly(t *testing.T) {
 	defer p.Shutdown(context.Background())
 
 	release := make(chan struct{})
-	if err := p.Submit("live", func(ctx context.Context) (any, error) {
+	if err := submit(p, "live", func(ctx context.Context) (any, error) {
 		<-release
 		return nil, nil
 	}); err != nil {
@@ -337,13 +285,13 @@ func TestForgetDropsTerminalJobsOnly(t *testing.T) {
 	if _, ok := p.Get("live"); ok {
 		t.Error("forgotten job still indexed")
 	}
-	if n := len(p.List()); n != 0 {
-		t.Errorf("List returned %d jobs after Forget, want 0", n)
+	if n := p.Stats().Indexed; n != 0 {
+		t.Errorf("Stats().Indexed = %d after Forget, want 0", n)
 	}
 	// The id is reusable afterwards, and the index stays bounded under a
 	// sustained submit/forget stream.
 	for i := 0; i < 100; i++ {
-		if err := p.Submit("live", func(ctx context.Context) (any, error) { return i, nil }); err != nil {
+		if err := submit(p, "live", func(ctx context.Context) (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := p.Wait(context.Background(), "live"); err != nil {
@@ -353,10 +301,7 @@ func TestForgetDropsTerminalJobsOnly(t *testing.T) {
 			t.Fatal("Forget refused a terminal job")
 		}
 	}
-	p.mu.Lock()
-	ordered := len(p.order)
-	p.mu.Unlock()
-	if ordered > 64 {
-		t.Errorf("submission-order list grew to %d entries; lazy compaction failed", ordered)
+	if n := p.Stats().Indexed; n != 0 {
+		t.Errorf("Stats().Indexed = %d after a submit/forget stream, want 0", n)
 	}
 }

@@ -25,7 +25,7 @@ func TestTransitionSequence(t *testing.T) {
 	}})
 	defer p.Shutdown(context.Background())
 
-	if err := p.Submit("t1", func(context.Context) (any, error) { return 1, nil }); err != nil {
+	if err := submit(p, "t1", func(context.Context) (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Wait(context.Background(), "t1"); err != nil {
@@ -48,9 +48,9 @@ func TestTransitionSequence(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	want := []Transition{
-		{ID: "t1", From: "", To: StatusQueued, Attempts: 0},
-		{ID: "t1", From: StatusQueued, To: StatusRunning, Attempts: 0},
-		{ID: "t1", From: StatusRunning, To: StatusDone, Attempts: 1},
+		{ID: "t1", From: "", To: StatusQueued},
+		{ID: "t1", From: StatusQueued, To: StatusRunning},
+		{ID: "t1", From: StatusRunning, To: StatusDone},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("transitions = %+v, want %+v", got, want)
@@ -59,6 +59,34 @@ func TestTransitionSequence(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("transition %d = %+v, want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestEnqueueReportedBeforeRun: the enqueue transition reaches the hook
+// before queued→running, even when the hook is slow and a worker is
+// idle, waiting to take the job the moment it is queued.
+func TestEnqueueReportedBeforeRun(t *testing.T) {
+	var mu sync.Mutex
+	var got []Transition
+	p := NewPool(Options{Workers: 1, OnTransition: func(tr Transition) {
+		if tr.From == "" {
+			time.Sleep(50 * time.Millisecond)
+		}
+		mu.Lock()
+		got = append(got, tr)
+		mu.Unlock()
+	}})
+	defer p.Shutdown(context.Background())
+
+	ran := make(chan struct{})
+	if err := submit(p, "t1", func(context.Context) (any, error) { close(ran); return nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	<-ran
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) < 2 || got[0].To != StatusQueued || got[1].To != StatusRunning {
+		t.Errorf("transitions = %+v, want the enqueue first, then queued→running", got)
 	}
 }
 
@@ -76,11 +104,11 @@ func TestTransitionCanceledWhileQueued(t *testing.T) {
 	defer p.Shutdown(context.Background())
 
 	// Occupy the only worker so the second job stays queued.
-	p.Submit("blocker", func(ctx context.Context) (any, error) {
+	submit(p, "blocker", func(ctx context.Context) (any, error) {
 		<-block
 		return nil, nil
 	})
-	p.Submit("victim", func(context.Context) (any, error) { return nil, nil })
+	submit(p, "victim", func(context.Context) (any, error) { return nil, nil })
 	if !p.Cancel("victim") {
 		t.Fatal("Cancel returned false for a queued job")
 	}
@@ -120,8 +148,8 @@ func TestPoolTracerEvents(t *testing.T) {
 	ctx := obs.WithSpan(context.Background(), store.StartTrace("t"))
 	p := NewPool(Options{Workers: 2})
 
-	p.SubmitTraced(ctx, "ok", func(context.Context) (any, error) { return nil, nil })
-	p.SubmitTraced(ctx, "failing", func(context.Context) (any, error) { return nil, errors.New("boom") })
+	p.Submit(ctx, "ok", func(context.Context) (any, error) { return nil, nil }, nil)
+	p.Submit(ctx, "failing", func(context.Context) (any, error) { return nil, errors.New("boom") }, nil)
 	p.Wait(context.Background(), "ok")
 	p.Wait(context.Background(), "failing")
 	if err := p.Shutdown(context.Background()); err != nil {
@@ -145,8 +173,8 @@ func TestPoolLogging(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&lockedWriter{w: &buf, mu: &mu}, nil))
 	p := NewPool(Options{Workers: 1, Logger: logger})
 
-	p.Submit("good", func(context.Context) (any, error) { return nil, nil })
-	p.Submit("bad", func(context.Context) (any, error) { return nil, errors.New("boom") })
+	submit(p, "good", func(context.Context) (any, error) { return nil, nil })
+	submit(p, "bad", func(context.Context) (any, error) { return nil, errors.New("boom") })
 	p.Wait(context.Background(), "good")
 	p.Wait(context.Background(), "bad")
 	if err := p.Shutdown(context.Background()); err != nil {
@@ -175,7 +203,7 @@ func TestPoolRegisterExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	p.Register(reg, "pool")
 
-	p.Submit("a", func(context.Context) (any, error) { return nil, nil })
+	submit(p, "a", func(context.Context) (any, error) { return nil, nil })
 	p.Wait(context.Background(), "a")
 	if err := p.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

@@ -18,10 +18,10 @@ import (
 func holdWorker(t *testing.T, s *Server) (release func()) {
 	t.Helper()
 	ch := make(chan struct{})
-	if err := s.pool.Submit("hold", func(context.Context) (any, error) {
+	if err := s.pool.Submit(context.Background(), "hold", func(context.Context) (any, error) {
 		<-ch
 		return nil, nil
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	release = sync.OnceFunc(func() { close(ch) })

@@ -304,7 +304,6 @@ type internalError struct{ error }
 // jobView is the lifecycle half of a job-backed record's response.
 type jobView struct {
 	status, enqueued, started, finished, err string
-	attempts                                 int
 	result                                   json.RawMessage
 }
 
@@ -319,7 +318,6 @@ func jobViewOf(snap jobs.Snapshot, ok bool) jobView {
 		enqueued: stamp(snap.EnqueuedAt),
 		started:  stamp(snap.StartedAt),
 		finished: stamp(snap.FinishedAt),
-		attempts: snap.Attempts,
 	}
 	if body, isRaw := snap.Result.(json.RawMessage); isRaw && snap.Status == jobs.StatusDone {
 		v.result = body

@@ -246,7 +246,7 @@ func TestPrunedExperimentsLeaveThePool(t *testing.T) {
 			t.Errorf("pruned %s is still served", id)
 		}
 	}
-	if n := len(s.pool.List()); n > capacity {
+	if n := s.pool.Stats().Indexed; n > capacity {
 		t.Errorf("pool holds %d jobs after %d runs, want at most %d", n, runs, capacity)
 	}
 	metrics, err := c.Metrics(ctx)

@@ -2,11 +2,11 @@ package server
 
 // Scenario endpoints: POST /v1/scenarios accepts a streaming warehouse
 // spec (internal/scenario) and runs it as one long-lived job on the
-// shared worker pool, exempted from the pool-wide experiment timeout
-// via jobs.NoTimeout. Per-epoch progress streams over SSE ("epoch"
-// events, terminal "scenario" event) from a replay ring sized to hold
-// the whole run, so a client connecting after completion still drains
-// every event.
+// shared worker pool; the experiment timeout (Options.JobTimeout) bounds
+// only the compute path, so it does not reach scenarios. Per-epoch
+// progress streams over SSE ("epoch" events, terminal "scenario" event)
+// from a replay ring sized to hold the whole run, so a client connecting
+// after completion still drains every event.
 
 import (
 	"context"
@@ -112,17 +112,13 @@ func (s *Server) startScenario(r *http.Request, spec scenario.Spec) (*scenarioRe
 		return json.RawMessage(b), nil
 	}
 	// The run outlives this request (only the span context rides along)
-	// and is exempt from the pool's one-shot experiment timeout — a
-	// warehouse run is minutes by design, DELETE /v1/scenarios/{id}
-	// bounds it.
-	if err := s.pool.SubmitTracedTimeout(r.Context(), rec.id, fn, jobs.NoTimeout); err != nil {
+	// and nothing bounds its time — a warehouse run is minutes by
+	// design; DELETE /v1/scenarios/{id} ends it.
+	if err := s.pool.Submit(r.Context(), rec.id, fn, s.finishScenario(rec)); err != nil {
 		return nil, "", false, err
 	}
 	s.hist.Annotate("scenario", fmt.Sprintf("%s started (%d readers, λ=%g/s)",
 		rec.id, spec.Readers, spec.ArrivalsPerSecond)) // nil-safe when history is off
-	// Watch for the terminal state: publish the closing "scenario" event,
-	// retire the stream, and mark the history timeline.
-	go s.watchScenario(rec)
 	return rec, rec.id, true, nil
 }
 
@@ -143,22 +139,19 @@ func progressEvent(p scenario.Progress) map[string]any {
 	}
 }
 
-// watchScenario waits for the scenario's pool job to reach a terminal
-// state, then emits the terminal "scenario" SSE event, closes the bus
-// (subscribers drain the replay ring, then hang up) and annotates the
-// metrics history.
-func (s *Server) watchScenario(rec *scenarioRec) {
-	snap, err := s.pool.Wait(context.Background(), rec.id)
-	if err != nil {
-		return // record vanished from the pool; nothing to finalise
+// finishScenario is the scenario job's finish hook: it emits the
+// terminal "scenario" SSE event, closes the bus (subscribers drain the
+// replay ring, then hang up) and annotates the metrics history.
+func (s *Server) finishScenario(rec *scenarioRec) func(jobs.Snapshot) {
+	return func(snap jobs.Snapshot) {
+		data := map[string]any{"id": rec.id, "status": string(snap.Status)}
+		if snap.Err != nil {
+			data["error"] = snap.Err.Error()
+		}
+		rec.bus.Publish("scenario", data)
+		rec.bus.Close()
+		s.hist.Annotate("scenario", fmt.Sprintf("%s %s", rec.id, snap.Status))
 	}
-	data := map[string]any{"id": rec.id, "status": string(snap.Status)}
-	if snap.Err != nil {
-		data["error"] = snap.Err.Error()
-	}
-	rec.bus.Publish("scenario", data)
-	rec.bus.Close()
-	s.hist.Annotate("scenario", fmt.Sprintf("%s %s", rec.id, snap.Status))
 }
 
 // scenarioResponseOf assembles the response for one record from its

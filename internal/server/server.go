@@ -73,7 +73,8 @@ type Options struct {
 	QueueDepth int
 	// CacheSize bounds the result cache, in entries (default 1024).
 	CacheSize int
-	// JobTimeout bounds one experiment's run time; 0 means unlimited.
+	// JobTimeout bounds one experiment's or sweep cell's run time; 0
+	// means unlimited. Scenarios are not bounded by it.
 	JobTimeout time.Duration
 	// TraceStoreTraces bounds how many traces the span store retains
 	// (default 256; negative disables tracing — X-Trace-Id still
@@ -171,7 +172,6 @@ type ExperimentResponse struct {
 	Cached bool       `json:"cached"`
 	Config sim.Config `json:"config"`
 
-	Attempts   int    `json:"attempts,omitempty"`
 	EnqueuedAt string `json:"enqueued_at,omitempty"`
 	StartedAt  string `json:"started_at,omitempty"`
 	FinishedAt string `json:"finished_at,omitempty"`
@@ -268,7 +268,6 @@ func New(o Options) *Server {
 	s.pool = jobs.NewPool(jobs.Options{
 		Workers:      o.Workers,
 		QueueDepth:   o.QueueDepth,
-		Timeout:      o.JobTimeout,
 		OnDone:       func(snap jobs.Snapshot) { s.lat.Observe(snap.Latency().Seconds()) },
 		OnTransition: s.onTransition,
 		Logger:       o.Logger,
@@ -277,6 +276,7 @@ func New(o Options) *Server {
 		Pool:    s.pool,
 		Cache:   s.cache,
 		Scratch: &sim.ScratchPool{},
+		Timeout: o.JobTimeout,
 		OnDone:  s.onDone,
 		// CacheLookup and WindowWait are wired in registerMetrics, where
 		// the histograms are created.
@@ -481,7 +481,7 @@ func (s *Server) responseOf(exp *experiment) ExperimentResponse {
 	}
 	return ExperimentResponse{
 		ID: exp.id, Status: v.status, Cached: exp.cached, Config: exp.cfg,
-		Attempts: v.attempts, EnqueuedAt: v.enqueued, StartedAt: v.started, FinishedAt: v.finished,
+		EnqueuedAt: v.enqueued, StartedAt: v.started, FinishedAt: v.finished,
 		Result: v.result, Error: v.err,
 	}
 }

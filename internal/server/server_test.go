@@ -180,10 +180,10 @@ func TestDuplicateAfterJobFinishesIsServedFromCache(t *testing.T) {
 
 	// Hold the only worker so the first submission stays queued.
 	release := make(chan struct{})
-	if err := s.pool.Submit("hold", func(context.Context) (any, error) {
+	if err := s.pool.Submit(context.Background(), "hold", func(context.Context) (any, error) {
 		<-release
 		return nil, nil
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	first, err := c.Experiments().Submit(ctx, fastCfg())
@@ -194,10 +194,10 @@ func TestDuplicateAfterJobFinishesIsServedFromCache(t *testing.T) {
 	// takes the next one, so this job starting means the first
 	// submission is finished, cached and out of the in-flight map.
 	firstSettled := make(chan struct{})
-	if err := s.pool.Submit("after-first", func(context.Context) (any, error) {
+	if err := s.pool.Submit(context.Background(), "after-first", func(context.Context) (any, error) {
 		close(firstSettled)
 		return nil, nil
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 

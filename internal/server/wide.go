@@ -112,9 +112,6 @@ func (s *Server) onDone(d sweep.Done) {
 	if ev.Label != "" {
 		attrs = append(attrs, "cell", ev.Label)
 	}
-	if ev.Attempts > 0 {
-		attrs = append(attrs, "attempts", ev.Attempts)
-	}
 	if ev.Err != "" {
 		attrs = append(attrs, "err", ev.Err)
 	}

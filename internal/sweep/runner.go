@@ -34,6 +34,9 @@ type Runner struct {
 	Cache *rescache.Cache
 	// Scratch, when set, recycles sim.RoundScratch across flights.
 	Scratch *sim.ScratchPool
+	// Timeout, when positive, bounds each flight's run; a flight that
+	// exceeds it fails with context.DeadlineExceeded.
+	Timeout time.Duration
 	// CacheLookup, when set, observes every counted cache lookup.
 	CacheLookup func(origin string, d time.Duration)
 	// WindowWait, when set, observes time spent waiting for a slot in
@@ -91,7 +94,6 @@ type Done struct {
 	Config             sim.Config
 	Status             jobs.Status
 	Cache              string // "hit", "miss" (led the computation) or "coalesced"
-	Attempts           int
 	Err                string
 	QueueWait, RunTime time.Duration
 }
@@ -103,7 +105,7 @@ func (req Request) Done(snap jobs.Snapshot) Done {
 		d.Err = snap.Err.Error()
 	}
 	if snap.ID == req.ID { // its own job: it led
-		d.Cache, d.Attempts = "miss", snap.Attempts
+		d.Cache = "miss"
 		d.QueueWait, d.RunTime = snap.QueueWait(), snap.RunTime()
 	}
 	return d
@@ -207,7 +209,7 @@ func (r *Runner) Claim(ctx context.Context, req Request) (*Member, json.RawMessa
 	m := &Member{req: req, f: f}
 	f.members = []*Member{m}
 	tctx := obs.WithSpan(context.Background(), req.Span)
-	if err := r.Pool.SubmitTracedFinish(tctx, req.ID, r.execute(req), f.land); err != nil {
+	if err := r.Pool.Submit(tctx, req.ID, r.execute(req), f.land); err != nil {
 		return nil, nil, err
 	}
 	if r.flights == nil {
@@ -259,15 +261,21 @@ func (r *Runner) Leave(id string) int {
 }
 
 // execute is the one compute function: the configuration run on the
-// shared scratch pool and encoded once as the aggregate summary.
+// shared scratch pool, bounded by Timeout, and encoded once as the
+// aggregate summary.
 func (r *Runner) execute(req Request) jobs.Func {
 	run := req.Config
 	run.Workers = req.Workers
 	return func(ctx context.Context) (any, error) {
+		if r.Timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, r.Timeout)
+			defer cancel()
+		}
 		if req.Start != nil {
 			req.Start()
 		}
-		publishJob(req.Bus, req.ID, jobs.StatusQueued, jobs.StatusRunning, 0)
+		publishJob(req.Bus, req.ID, jobs.StatusQueued, jobs.StatusRunning)
 		agg, err := sim.RunContextPool(obs.WithBus(ctx, req.Bus), run, r.Scratch)
 		if err != nil {
 			return nil, err
@@ -315,14 +323,14 @@ func (m *Member) settle(snap jobs.Snapshot) {
 	if snap.StartedAt.IsZero() {
 		from = jobs.StatusQueued
 	}
-	publishJob(m.req.Bus, m.req.ID, from, snap.Status, snap.Attempts)
+	publishJob(m.req.Bus, m.req.ID, from, snap.Status)
 	m.req.Bus.Close()
 }
 
 // publishJob mirrors one job lifecycle change onto bus; a terminal one
 // is an event-stream watcher's cue to hang up.
-func publishJob(bus *obs.Bus, id string, from, to jobs.Status, attempts int) {
+func publishJob(bus *obs.Bus, id string, from, to jobs.Status) {
 	if bus != nil {
-		bus.Publish("job", map[string]any{"id": id, "from": string(from), "to": string(to), "attempts": attempts})
+		bus.Publish("job", map[string]any{"id": id, "from": string(from), "to": string(to)})
 	}
 }

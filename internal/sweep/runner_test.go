@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -13,15 +14,14 @@ import (
 
 // holdPool returns a one-worker pool whose worker is held until release
 // is called (or the test ends).
-func holdPool(t *testing.T, o jobs.Options) (pool *jobs.Pool, release func()) {
+func holdPool(t *testing.T) (pool *jobs.Pool, release func()) {
 	t.Helper()
-	o.Workers, o.QueueDepth = 1, 8
-	pool = jobs.NewPool(o)
+	pool = jobs.NewPool(jobs.Options{Workers: 1, QueueDepth: 8})
 	ch := make(chan struct{})
-	if err := pool.Submit("hold", func(context.Context) (any, error) {
+	if err := pool.Submit(context.Background(), "hold", func(context.Context) (any, error) {
 		<-ch
 		return nil, nil
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	release = sync.OnceFunc(func() { close(ch) })
@@ -67,8 +67,8 @@ func TestFlightContract(t *testing.T) {
 		{name: "canceled-running", cfg: slowConfig(), cancel: "running", want: jobs.StatusCanceled},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pool, release := holdPool(t, jobs.Options{Timeout: tc.timeout})
-			r := &Runner{Pool: pool, Cache: rescache.New(8), Scratch: &sim.ScratchPool{}}
+			pool, release := holdPool(t)
+			r := &Runner{Pool: pool, Cache: rescache.New(8), Scratch: &sim.ScratchPool{}, Timeout: tc.timeout}
 			cfg, key := keyed(t, tc.cfg)
 			started := make(chan struct{})
 			var settled [2]jobs.Snapshot
@@ -93,11 +93,11 @@ func TestFlightContract(t *testing.T) {
 			}
 			type probe struct{ live, cached bool }
 			probed := make(chan probe, 1)
-			if err := pool.Submit("probe", func(context.Context) (any, error) {
+			if err := pool.Submit(context.Background(), "probe", func(context.Context) (any, error) {
 				_, cached := r.Cache.Peek(key)
 				probed <- probe{r.Leader(key) != "", cached}
 				return nil, nil
-			}); err != nil {
+			}, nil); err != nil {
 				t.Fatal(err)
 			}
 			switch tc.cancel {
@@ -146,6 +146,29 @@ func TestFlightContract(t *testing.T) {
 	}
 }
 
+// TestRunnerTimeout: Timeout bounds a flight's run, so a configuration
+// that outruns it fails with a deadline error, and every caller on the
+// flight is settled with that failure.
+func TestRunnerTimeout(t *testing.T) {
+	pool := jobs.NewPool(jobs.Options{Workers: 1})
+	defer pool.Shutdown(context.Background())
+	r := &Runner{Pool: pool, Scratch: &sim.ScratchPool{}, Timeout: 20 * time.Millisecond}
+	cfg, key := keyed(t, slowConfig())
+	settled := make(chan jobs.Snapshot, 2)
+	for _, id := range []string{"lead", "join"} {
+		if _, _, err := r.Claim(context.Background(), Request{ID: id, Key: key, Config: cfg, Origin: "job", Workers: 1,
+			Settle: func(s jobs.Snapshot) { settled <- s }}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 2 {
+		s := <-settled
+		if s.Status != jobs.StatusFailed || !errors.Is(s.Err, context.DeadlineExceeded) {
+			t.Errorf("caller settled %s (%v), want failed with a deadline error", s.Status, s.Err)
+		}
+	}
+}
+
 // waitMembers polls until the live flight for key has n callers.
 func waitMembers(t *testing.T, r *Runner, key string, n int) {
 	t.Helper()
@@ -172,7 +195,7 @@ func waitMembers(t *testing.T, r *Runner, key string, n int) {
 func TestLeaveSparesOtherCallers(t *testing.T) {
 	for _, leaver := range []string{"sweep", "leader"} {
 		t.Run(leaver, func(t *testing.T) {
-			pool, release := holdPool(t, jobs.Options{})
+			pool, release := holdPool(t)
 			var mu sync.Mutex
 			dones := map[string]Done{}
 			report := func(d Done) { mu.Lock(); dones[d.ID] = d; mu.Unlock() }
@@ -231,7 +254,7 @@ func TestLeaveSparesOtherCallers(t *testing.T) {
 // rather than joining the cancelled one. The leaver is settled when its
 // cancelled job lands.
 func TestLastLeaverReleasesKey(t *testing.T) {
-	pool, release := holdPool(t, jobs.Options{})
+	pool, release := holdPool(t)
 	r := &Runner{Pool: pool, Cache: rescache.New(8), Scratch: &sim.ScratchPool{}}
 	cfg, key := keyed(t, testSpec().Base)
 	claim := func(id string) (*Member, chan jobs.Snapshot) {
@@ -253,7 +276,7 @@ func TestLastLeaverReleasesKey(t *testing.T) {
 	// A second hold between the two flights: the cancelled one lands
 	// while the fresh one is still queued.
 	hold2 := make(chan struct{})
-	if err := pool.Submit("hold2", func(context.Context) (any, error) { <-hold2; return nil, nil }); err != nil {
+	if err := pool.Submit(context.Background(), "hold2", func(context.Context) (any, error) { <-hold2; return nil, nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, secondSettled := claim("swp-2/c0")
