@@ -33,6 +33,10 @@ func maxInt(a, b int) int {
 // Blocker simulates a malicious (or privacy-protecting) blocker tag: for
 // every query whose prefix falls inside its protected subtree it responds
 // with garbage, forcing the reader to perceive a collision and recurse.
+// A blocked slot is air's one slot exchange with the blocker as its
+// interferer: the blocker sends garbage after the tags in the contention
+// phase and, if the reader declares a single, in the ID phase too, and
+// it counts as one more responder toward the slot's ground truth.
 type Blocker struct {
 	// Protected is the subtree prefix the blocker defends; a zero-length
 	// prefix blocks the full ID space.
@@ -238,7 +242,11 @@ func Run(pop tagmodel.Population, det detect.Detector, tm timing.Model, opt Opti
 			}
 		}
 
-		o := runQuerySlot(sc, det, ru.resp, opt.Blocker, pe.prefix, now, tm.TauMicros)
+		var jam air.Interferer
+		if opt.Blocker.blocks(pe.prefix) {
+			jam = opt.Blocker.garbage
+		}
+		o := sc.RunSlotInterfered(det, ru.resp, jam, now, tm.TauMicros)
 		now += float64(o.Bits) * tm.TauMicros
 		s.Record(o, now)
 		slots++
@@ -275,56 +283,6 @@ func Run(pop tagmodel.Population, det detect.Detector, tm timing.Model, opt Opti
 		res.Truncated = next.Truncated
 	}
 	return res
-}
-
-// runQuerySlot is air.RunSlot plus the optional blocker transmission.
-func runQuerySlot(sc *air.SlotScratch, det detect.Detector, responders []*tagmodel.Tag, blocker *Blocker, prefix bitstr.BitString, now, tau float64) air.Outcome {
-	if blocker == nil || !blocker.blocks(prefix) {
-		return sc.RunSlot(det, responders, now, tau)
-	}
-	// Rebuild the slot with the blocker's garbage overlapped onto the
-	// contention (and ID) phases. The blocker counts as a responder for
-	// ground truth: its goal is to make every slot look collided.
-	out := air.Outcome{}
-	var ch signal.Channel
-	for _, t := range responders {
-		p := det.ContentionPayload(t)
-		t.BitsSent += int64(p.Len())
-		ch.Transmit(p)
-	}
-	ch.Transmit(blocker.garbage(det.ContentionBits()))
-	rx := ch.Receive()
-	out.Truth = signal.Classify(rx.Responders)
-	out.Declared = det.Classify(rx)
-	out.Bits = det.ContentionBits()
-	if out.Declared != signal.Single {
-		return out
-	}
-	var idPhase signal.Reception
-	if det.NeedsIDPhase() {
-		out.Bits += det.IDPhaseBits()
-		var idCh signal.Channel
-		for _, t := range responders {
-			t.BitsSent += int64(t.ID.Len())
-			idCh.Transmit(t.ID)
-		}
-		idCh.Transmit(blocker.garbage(det.IDPhaseBits()))
-		idPhase = idCh.Receive()
-	}
-	if acked, ok := det.ExtractID(rx, idPhase); ok {
-		for _, t := range responders {
-			if t.ID.Equal(acked) {
-				t.Identified = true
-				t.IdentifiedAtMicros = now + float64(out.Bits)*tau
-				out.Identified = t
-				break
-			}
-		}
-	}
-	if out.Identified == nil {
-		out.Phantom = true
-	}
-	return out
 }
 
 // mergeInto appends a follow-up round's session after dst in time: the
