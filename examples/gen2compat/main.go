@@ -34,7 +34,7 @@ func main() {
 	var rn16Time float64
 	for i, s := range schemes {
 		pop := rfid.NewPopulation(tags, 64, 2026)
-		res := rfid.RunGen2(pop, s.cfg, 7)
+		res := rfid.RunGen2(pop, s.cfg)
 		if !pop.AllIdentified() {
 			log.Fatalf("%s: inventory incomplete", s.name)
 		}

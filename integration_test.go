@@ -142,7 +142,7 @@ func TestPublicEstimatingPolicy(t *testing.T) {
 
 func TestPublicGen2(t *testing.T) {
 	pop := rfid.NewPopulation(60, 64, 21)
-	res := rfid.RunGen2(pop, rfid.NewGen2Config(rfid.Gen2QCD, rfid.NewQCD(8, 64)), 3)
+	res := rfid.RunGen2(pop, rfid.NewGen2Config(rfid.Gen2QCD, rfid.NewQCD(8, 64)))
 	if !pop.AllIdentified() {
 		t.Fatal("gen2 facade failed")
 	}
@@ -151,7 +151,7 @@ func TestPublicGen2(t *testing.T) {
 	}
 	// Stock RN16 also completes.
 	pop2 := rfid.NewPopulation(60, 64, 21)
-	rn := rfid.RunGen2(pop2, rfid.NewGen2Config(rfid.Gen2RN16, nil), 3)
+	rn := rfid.RunGen2(pop2, rfid.NewGen2Config(rfid.Gen2RN16, nil))
 	if !pop2.AllIdentified() || rn.WastedACKs == 0 {
 		t.Errorf("rn16 facade: wasted=%d", rn.WastedACKs)
 	}

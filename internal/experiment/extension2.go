@@ -39,7 +39,7 @@ func Gen2(o Options) (Renderable, error) {
 		for r := 0; r < o.Rounds; r++ {
 			seed := seeds.Uint64()
 			pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
-			res := gen2.Run(pop, cfg, timing.Default, seed)
+			res := gen2.Run(pop, cfg, timing.Default)
 			tme.Add(res.Session.TimeMicros)
 			wasted.Add(float64(res.WastedACKs))
 			queries.Add(float64(res.Queries))

@@ -16,7 +16,7 @@ import (
 func ExampleRun() {
 	pop := tagmodel.NewPopulation(100, 64, prng.New(5))
 	cfg := gen2.DefaultConfig(gen2.ReplyQCD, detect.NewQCD(8, 64))
-	res := gen2.Run(pop, cfg, timing.Default, 7)
+	res := gen2.Run(pop, cfg, timing.Default)
 	fmt.Println(pop.AllIdentified(), res.ACKs >= 100, res.WastedACKs <= 2)
 	// Output: true true true
 }

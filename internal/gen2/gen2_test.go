@@ -29,7 +29,7 @@ func schemes() []Config {
 func TestInventoryCompletes(t *testing.T) {
 	for _, cfg := range schemes() {
 		p := pop(200, 1)
-		res := Run(p, cfg, tm, 7)
+		res := Run(p, cfg, tm)
 		if !p.AllIdentified() {
 			t.Fatalf("%s: tags left unidentified", cfg.Scheme)
 		}
@@ -48,7 +48,7 @@ func TestInventoryCompletes(t *testing.T) {
 func TestSingleTag(t *testing.T) {
 	for _, cfg := range schemes() {
 		p := pop(1, 2)
-		res := Run(p, cfg, tm, 3)
+		res := Run(p, cfg, tm)
 		if !p.AllIdentified() {
 			t.Fatalf("%s: lone tag not identified", cfg.Scheme)
 		}
@@ -63,13 +63,13 @@ func TestRN16WastesACKsOnCollisions(t *testing.T) {
 	// slot that the reader opens costs a full ACK exchange. With 500 tags
 	// there are hundreds of collisions, so wasted ACKs must be plentiful.
 	p := pop(500, 3)
-	res := Run(p, DefaultConfig(ReplyRN16, nil), tm, 9)
+	res := Run(p, DefaultConfig(ReplyRN16, nil), tm)
 	if res.WastedACKs < 100 {
 		t.Errorf("RN16 wasted only %d ACKs over a 500-tag inventory", res.WastedACKs)
 	}
 	// QCD screens collisions before the ACK: essentially none wasted.
 	p2 := pop(500, 3)
-	res2 := Run(p2, DefaultConfig(ReplyQCD, detect.NewQCD(8, 64)), tm, 9)
+	res2 := Run(p2, DefaultConfig(ReplyQCD, detect.NewQCD(8, 64)), tm)
 	if res2.WastedACKs > res.WastedACKs/10 {
 		t.Errorf("QCD wasted %d ACKs vs RN16's %d", res2.WastedACKs, res.WastedACKs)
 	}
@@ -81,7 +81,7 @@ func TestQCDBeatsBothOnTotalTime(t *testing.T) {
 	times := map[ReplyScheme]float64{}
 	for _, cfg := range schemes() {
 		p := pop(300, 4)
-		res := Run(p, cfg, tm, 11)
+		res := Run(p, cfg, tm)
 		times[cfg.Scheme] = res.Session.TimeMicros
 	}
 	if !(times[ReplyQCD] < times[ReplyCRCCD]) {
@@ -95,11 +95,11 @@ func TestQCDBeatsBothOnTotalTime(t *testing.T) {
 func TestCommandChargingToggle(t *testing.T) {
 	cfg := DefaultConfig(ReplyQCD, detect.NewQCD(8, 64))
 	p := pop(100, 5)
-	with := Run(p, cfg, tm, 13)
+	with := Run(p, cfg, tm)
 
 	cfg.ChargeCommands = false
 	p2 := pop(100, 5)
-	without := Run(p2, cfg, tm, 13)
+	without := Run(p2, cfg, tm)
 	if with.Session.TimeMicros <= without.Session.TimeMicros {
 		t.Error("command charging did not increase session time")
 	}
@@ -110,7 +110,7 @@ func TestCommandChargingToggle(t *testing.T) {
 
 func TestFramesCountQueries(t *testing.T) {
 	p := pop(64, 6)
-	res := Run(p, DefaultConfig(ReplyQCD, detect.NewQCD(8, 64)), tm, 17)
+	res := Run(p, DefaultConfig(ReplyQCD, detect.NewQCD(8, 64)), tm)
 	if res.Session.Census.Frames != res.Queries {
 		t.Errorf("frames %d != queries %d", res.Session.Census.Frames, res.Queries)
 	}
@@ -122,7 +122,7 @@ func TestValidation(t *testing.T) {
 			t.Fatal("QCD scheme without detector accepted")
 		}
 	}()
-	Run(pop(2, 7), Config{Scheme: ReplyQCD, QConfig: aloha.QConfig{C: 0.3, MaxQ: 15}}, tm, 1)
+	Run(pop(2, 7), Config{Scheme: ReplyQCD, QConfig: aloha.QConfig{C: 0.3, MaxQ: 15}}, tm)
 }
 
 // TestNegativeInitialQRejected pins that a Q range below zero fails at
@@ -137,7 +137,7 @@ func TestNegativeInitialQRejected(t *testing.T) {
 			t.Fatalf("InitialQ = -1: recovered %v, want the Q range validation error", r)
 		}
 	}()
-	Run(pop(2, 7), cfg, tm, 1)
+	Run(pop(2, 7), cfg, tm)
 }
 
 func TestStateAndSchemeStrings(t *testing.T) {
@@ -158,7 +158,7 @@ func TestStateAndSchemeStrings(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	run := func() float64 {
 		p := pop(100, 8)
-		return Run(p, DefaultConfig(ReplyRN16, nil), tm, 21).Session.TimeMicros
+		return Run(p, DefaultConfig(ReplyRN16, nil), tm).Session.TimeMicros
 	}
 	if run() != run() {
 		t.Error("gen2 inventory not deterministic")

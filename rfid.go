@@ -343,8 +343,8 @@ func NewGen2Config(scheme gen2.ReplyScheme, det Detector) Gen2Config {
 
 // RunGen2 inventories pop through the full Gen-2 command exchange
 // (Query/QueryRep/ACK airtime charged).
-func RunGen2(pop Population, cfg Gen2Config, seed uint64) *Gen2Result {
-	return gen2.Run(pop, cfg, timing.Default, seed)
+func RunGen2(pop Population, cfg Gen2Config) *Gen2Result {
+	return gen2.Run(pop, cfg, timing.Default)
 }
 
 // ---- Structured workloads ----
