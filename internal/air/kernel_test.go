@@ -37,21 +37,55 @@ type slotResult struct {
 	Panicked        bool
 }
 
+// slotEntry runs one slot through one of the package's entry points.
+type slotEntry func(sc *SlotScratch, det detect.Detector, responders []*tagmodel.Tag) Outcome
+
 // runSide runs one slot and reports it, turning a panic (the generic
 // path's answer to a mismatched ID length inside one phase) into a field
 // so both sides must agree on it too.
-func runSide(sc *SlotScratch, det detect.Detector, responders []*tagmodel.Tag) (res slotResult) {
+func runSide(run slotEntry, sc *SlotScratch, det detect.Detector, responders []*tagmodel.Tag) (res slotResult) {
 	defer func() {
 		if recover() != nil {
 			res = slotResult{Panicked: true}
 		}
 	}()
-	o := sc.RunSlot(det, responders, 1000, 0.5)
+	o := run(sc, det, responders)
 	res = slotResult{Truth: o.Truth, Declared: o.Declared, Identified: -1, Phantom: o.Phantom, Bits: o.Bits}
 	if o.Identified != nil {
 		res.Identified = o.Identified.Index
 	}
 	return res
+}
+
+// quietSeed seeds the Rng of the inert impairments below; nothing may
+// draw from it.
+const quietSeed = 0x5eed
+
+// slotEntries are the entries the differential check runs every slot
+// through beside the generic reference: RunSlot, whose slots det's word
+// kernel takes, and RunSlotImpaired over an inert channel — the zero
+// Impairment, and zero probabilities with an Rng, both on det and on the
+// generic path — which must run the same slot and leave quiet undrawn.
+func slotEntries(quiet *prng.Source) map[string]slotEntry {
+	return map[string]slotEntry{
+		"kernel": func(sc *SlotScratch, det detect.Detector, rs []*tagmodel.Tag) Outcome {
+			return sc.RunSlot(det, rs, 1000, 0.5)
+		},
+		"impaired-zero": func(sc *SlotScratch, det detect.Detector, rs []*tagmodel.Tag) Outcome {
+			return sc.RunSlotImpaired(det, rs, &Impairment{}, 1000, 0.5)
+		},
+		"impaired-quiet": func(sc *SlotScratch, det detect.Detector, rs []*tagmodel.Tag) Outcome {
+			return sc.RunSlotImpaired(det, rs, &Impairment{Rng: quiet}, 1000, 0.5)
+		},
+		"generic-impaired-quiet": func(sc *SlotScratch, det detect.Detector, rs []*tagmodel.Tag) Outcome {
+			return sc.RunSlotImpaired(genericOnly{det}, rs, &Impairment{Rng: quiet}, 1000, 0.5)
+		},
+	}
+}
+
+// generic is the reference entry: RunSlot on the generic path.
+func generic(sc *SlotScratch, det detect.Detector, rs []*tagmodel.Tag) Outcome {
+	return sc.RunSlot(genericOnly{det}, rs, 1000, 0.5)
 }
 
 // kernelPopulation builds eight tags with idBits-bit IDs from seed; with
@@ -66,12 +100,30 @@ func kernelPopulation(seed uint64, idBits int, mismatch bool) tagmodel.Populatio
 }
 
 // diffSlots runs the same slots — responder sets of 0..8 tags drawn from
-// seed — through det's word kernel on one population and through the
-// generic path on an identical one, and fails on the first difference
-// in Outcome, BitsSent, Identified, IdentifiedAtMicros or any
-// responder's next PRNG draw. It returns the slot results so callers
-// can check what the slots covered.
+// seed — through each of slotEntries on its own population and through
+// the generic path on an identical one, and fails on the first
+// difference in Outcome, BitsSent, Identified, IdentifiedAtMicros or any
+// responder's next PRNG draw, and if an inert impairment's Rng was drawn
+// from. It returns the kernel's slot results so callers can check what
+// the slots covered.
 func diffSlots(t testing.TB, det detect.Detector, idBits int, seed uint64, mismatch bool, slots int) []slotResult {
+	t.Helper()
+	var results []slotResult
+	quiet := prng.New(quietSeed)
+	for name, entry := range slotEntries(quiet) {
+		got := diffEntry(t, name, entry, det, idBits, seed, mismatch, slots)
+		if name == "kernel" {
+			results = got
+		}
+	}
+	if a, b := quiet.Uint64(), prng.New(quietSeed).Uint64(); a != b {
+		t.Fatalf("%s seed %d: an inert impairment's Rng was drawn from", det.Name(), seed)
+	}
+	return results
+}
+
+// diffEntry is diffSlots for one entry.
+func diffEntry(t testing.TB, name string, entry slotEntry, det detect.Detector, idBits int, seed uint64, mismatch bool, slots int) []slotResult {
 	t.Helper()
 	fast := kernelPopulation(seed, idBits, mismatch)
 	ref := kernelPopulation(seed, idBits, mismatch)
@@ -85,21 +137,21 @@ func diffSlots(t testing.TB, det detect.Detector, idBits int, seed uint64, misma
 		for i, j := range perm {
 			rf[i], rr[i] = fast[j], ref[j]
 		}
-		got := runSide(&scFast, det, rf)
-		want := runSide(&scRef, genericOnly{det}, rr)
+		got := runSide(entry, &scFast, det, rf)
+		want := runSide(generic, &scRef, det, rr)
 		if got != want {
-			t.Fatalf("%s seed %d slot %d (responders %v): kernel %+v, generic %+v", det.Name(), seed, s, perm, got, want)
+			t.Fatalf("%s seed %d slot %d (responders %v): %s %+v, generic %+v", det.Name(), seed, s, perm, name, got, want)
 		}
 		for i := range fast {
 			f, r := fast[i], ref[i]
 			if f.BitsSent != r.BitsSent || f.Identified != r.Identified || f.IdentifiedAtMicros != r.IdentifiedAtMicros {
-				t.Fatalf("%s seed %d slot %d: tag %d kernel {bits %d id %v at %v}, generic {bits %d id %v at %v}",
-					det.Name(), seed, s, i, f.BitsSent, f.Identified, f.IdentifiedAtMicros, r.BitsSent, r.Identified, r.IdentifiedAtMicros)
+				t.Fatalf("%s seed %d slot %d: tag %d %s {bits %d id %v at %v}, generic {bits %d id %v at %v}",
+					det.Name(), seed, s, i, name, f.BitsSent, f.Identified, f.IdentifiedAtMicros, r.BitsSent, r.Identified, r.IdentifiedAtMicros)
 			}
 		}
 		for i := range rf {
 			if a, b := rf[i].Rng.Uint64(), rr[i].Rng.Uint64(); a != b {
-				t.Fatalf("%s seed %d slot %d: responder %d's next draw %#x (kernel) != %#x (generic)", det.Name(), seed, s, rf[i].Index, a, b)
+				t.Fatalf("%s seed %d slot %d: responder %d's next draw %#x (%s) != %#x (generic)", det.Name(), seed, s, rf[i].Index, a, name, b)
 			}
 		}
 		results = append(results, got)
@@ -130,7 +182,8 @@ func kernelCases() []kernelCase {
 }
 
 // TestSlotKernelMatchesGenericPath is the differential test pinning the
-// word kernel to the generic slot path, slot for slot.
+// word kernel, and RunSlotImpaired over an inert channel, to the generic
+// slot path, slot for slot.
 func TestSlotKernelMatchesGenericPath(t *testing.T) {
 	phantoms := 0
 	for _, c := range kernelCases() {
@@ -196,8 +249,9 @@ func TestSlotKernelBinding(t *testing.T) {
 	}
 }
 
-// FuzzSlotKernel drives the differential check from fuzzed seeds over
-// every kernel configuration; the seed corpus runs under go test.
+// FuzzSlotKernel drives the differential check, every entry of
+// slotEntries included, from fuzzed seeds over every kernel
+// configuration; the seed corpus runs under go test.
 func FuzzSlotKernel(f *testing.F) {
 	cases := kernelCases()
 	for i := range cases {

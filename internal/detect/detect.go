@@ -60,9 +60,10 @@ type Detector interface {
 
 // ScratchPayloader is an optional extension of Detector for the generic
 // slot path of internal/air. That path runs every slot the word kernel
-// does not: impaired channels, IDs longer than 64 bits (or, under CRC-CD,
-// not a whole number of bytes), responders whose ID length differs from
-// the detector's, and any Detector other than *QCD, *CRCCD and *Oracle —
+// does not: impaired channels, slots with an interferer on the air (QT's
+// blocker), IDs longer than 64 bits (or, under CRC-CD, not a whole
+// number of bytes), responders whose ID length differs from the
+// detector's, and any Detector other than *QCD, *CRCCD and *Oracle —
 // wrappers that embed one of those included. The word kernel never calls
 // a payload method; it overlaps the three built-in schemes as machine
 // words instead. ContentionPayloadInto behaves exactly like

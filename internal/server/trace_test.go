@@ -59,6 +59,9 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 	}
 	events := chromeTrace(t, body)
 
+	// Spans are recorded as they end, so the sweep span can precede the
+	// request span that started it: index the spans by category first,
+	// then check the sweep → http and cell → sweep parent links.
 	var reqID, sweepID uint64
 	cells := 0
 	cats := map[string]int{}
@@ -69,9 +72,6 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 			reqID = spanIDOf(t, ev, "span")
 		case "sweep":
 			sweepID = spanIDOf(t, ev, "span")
-			if got := spanIDOf(t, ev, "parent"); reqID == 0 || got != reqID {
-				t.Errorf("sweep span parent = %d, want request span %d", got, reqID)
-			}
 		case "cell":
 			cells++
 		}
@@ -86,7 +86,12 @@ func TestSweepTraceEndToEnd(t *testing.T) {
 		t.Errorf("cell spans = %d, want one per cell (4)", cells)
 	}
 	for _, ev := range events {
-		if ev.Cat == "cell" {
+		switch ev.Cat {
+		case "sweep":
+			if got := spanIDOf(t, ev, "parent"); got != reqID {
+				t.Errorf("sweep span parent = %d, want request span %d", got, reqID)
+			}
+		case "cell":
 			if got := spanIDOf(t, ev, "parent"); got != sweepID {
 				t.Errorf("cell span %q parent = %d, want sweep span %d", ev.Name, got, sweepID)
 			}
