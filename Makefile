@@ -30,6 +30,11 @@ bench-json:
 
 # bench-gate re-runs the slot-path suite and fails on a >25% ns/op or
 # ANY allocs/op regression against the committed BENCH_slotpath.json.
+# Only allocs/op is machine-independent: the committed ns/op figures come
+# from one machine. To gate ns/op on this machine, record a baseline
+# from a checkout of the parent commit with
+# `scripts/bench.sh /tmp/parent.json`, then run
+# `scripts/bench_gate.sh /tmp/parent.json` here.
 # After an intentional perf change, refresh the baseline with
 # `make bench-json` and commit the result.
 bench-gate:

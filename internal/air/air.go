@@ -22,25 +22,28 @@
 //     responder and classification a word compare; no payload, channel
 //     or detector interface call is involved.
 //   - The generic path takes everything else. It builds each contention
-//     payload (see detect.ScratchPayloader), overlaps it on a reusable
-//     signal.Channel and asks the detector to classify. What rides it:
-//     impaired channels (an active Impairment's capture draw and bit
-//     errors), QT blocked slots (qtree's Blocker as an Interferer), Gen-2
-//     detector replies (gen2 adds its ACK bookkeeping around RunSlot),
-//     IDs longer than 64 bits or not a whole number of bytes under
-//     CRC-CD, a responder whose ID length differs from the detector's,
-//     and any other Detector, including a wrapper that embeds one of the
-//     three (rfidd's timed and audited detectors).
+//     payload with detect.Detector.ContentionPayload, the detector's one
+//     payload method, in the SlotScratch's payload buffer, overlaps it
+//     on a reusable signal.Channel and asks the detector to classify.
+//     What rides it: impaired channels (an active Impairment's capture
+//     draw and bit errors), QT blocked slots (qtree's Blocker as an
+//     Interferer), Gen-2 detector replies (gen2 adds its ACK bookkeeping
+//     around RunSlot), IDs longer than 64 bits or not a whole number of
+//     bytes under CRC-CD, a responder whose ID length differs from the
+//     detector's, and any other Detector, including a wrapper that embeds
+//     one of the three (rfidd's timed and audited detectors).
 //
 // Both paths produce the same Outcome, BitsSent, IdentifiedAtMicros and
 // PRNG draws for any slot both can run; the differential test and
 // FuzzSlotKernel pin that, inert impairments included. Neither allocates
 // over the ideal channel: the kernel never touches the heap, and the
-// generic path reaches zero once a reused SlotScratch owns its buffers,
-// provided the detector (or the wrapper around it) implements
-// detect.ScratchPayloader. The allocation-guard test pins RunSlot at 0
-// allocs/op for QCD, CRC-CD and the oracle with a fresh scratch; keep it
-// green when touching either path.
+// generic path reaches zero once a reused SlotScratch owns its buffers.
+// Every detector builds its payload in the scratch it is handed, and a
+// wrapper inherits that method by embedding; the payload is valid only
+// until the next call, and the channel copies it on Transmit. The
+// allocation-guard test pins RunSlot at 0 allocs/op for QCD, CRC-CD and
+// the oracle with a fresh scratch; keep it green when touching either
+// path.
 package air
 
 import (
@@ -141,10 +144,10 @@ func (sc *SlotScratch) runGeneric(out *Outcome, det detect.Detector, responders 
 	ch := &sc.contention
 	ch.Reset()
 	for i, t := range responders {
-		payload := detect.PayloadInto(det, t, &sc.payload)
-		t.BitsSent += int64(payload.Len())
+		sc.payload = det.ContentionPayload(t, sc.payload)
+		t.BitsSent += int64(sc.payload.Len())
 		if captured < 0 || i == captured {
-			ch.Transmit(payload)
+			ch.Transmit(sc.payload)
 		}
 	}
 	contention := receive(ch, det.ContentionBits(), senders, im, jam)
@@ -155,13 +158,14 @@ func (sc *SlotScratch) runGeneric(out *Outcome, det detect.Detector, responders 
 	}
 
 	// The reader believes exactly one tag responded. Run the ID phase if
-	// the scheme defers the ID, then acknowledge the extracted ID; only a
-	// tag whose ID matches the acknowledgement byte-for-byte considers
-	// itself identified (EPC Gen-2 ACK semantics), so a misdetected
-	// collision usually wastes the slot rather than corrupting state.
+	// the scheme defers the ID (IDPhaseBits > 0), then acknowledge the
+	// extracted ID; only a tag whose ID matches the acknowledgement
+	// byte-for-byte considers itself identified (EPC Gen-2 ACK
+	// semantics), so a misdetected collision usually wastes the slot
+	// rather than corrupting state.
 	var idPhase signal.Reception
-	if det.NeedsIDPhase() {
-		out.Bits += det.IDPhaseBits()
+	if idBits := det.IDPhaseBits(); idBits > 0 {
+		out.Bits += idBits
 		idCh := &sc.idPhase
 		idCh.Reset()
 		for i, t := range responders {
@@ -170,7 +174,7 @@ func (sc *SlotScratch) runGeneric(out *Outcome, det detect.Detector, responders 
 				idCh.Transmit(t.ID)
 			}
 		}
-		idPhase = receive(idCh, det.IDPhaseBits(), senders, im, jam)
+		idPhase = receive(idCh, idBits, senders, im, jam)
 	}
 
 	acked, ok := det.ExtractID(contention, idPhase)

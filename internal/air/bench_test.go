@@ -3,6 +3,7 @@ package air
 import (
 	"testing"
 
+	"repro/internal/bitstr"
 	"repro/internal/crc"
 	"repro/internal/detect"
 	"repro/internal/signal"
@@ -77,7 +78,7 @@ var benchSink signal.SlotType
 func BenchmarkClassifyOnly(b *testing.B) {
 	det := detect.NewQCD(8, 64)
 	p := pop(2, 1)
-	rx := signal.Overlap(det.ContentionPayload(p[0]), det.ContentionPayload(p[1]))
+	rx := signal.Overlap(det.ContentionPayload(p[0], bitstr.BitString{}), det.ContentionPayload(p[1], bitstr.BitString{}))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -13,16 +13,9 @@ import (
 
 // genericOnly hides a detector's concrete type, so RunSlot takes the
 // generic path for it: the reference the word kernel is checked against.
-// Like rfidd's timed and audited detectors, it keeps the scratch-payload
-// route of that path.
+// Like rfidd's timed and audited detectors, it gets the payload method by
+// embedding.
 type genericOnly struct{ detect.Detector }
-
-func (d genericOnly) ContentionPayloadInto(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString {
-	if sp, ok := d.Detector.(detect.ScratchPayloader); ok {
-		return sp.ContentionPayloadInto(t, scratch)
-	}
-	return d.Detector.ContentionPayload(t)
-}
 
 // kernelCRCs are the CRC-CD parameter sets the differential checks cover.
 var kernelCRCs = []crc.Params{crc.CRC5EPC, crc.CRC8ATM, crc.CRC16EPC, crc.CRC16CCITTFalse, crc.CRC32IEEE}
@@ -246,6 +239,55 @@ func TestSlotKernelBinding(t *testing.T) {
 		if got := sc.kernelFor(det) != nil; got != want {
 			t.Fatalf("%T: kernel bound = %v, want %v", det, got, want)
 		}
+	}
+}
+
+// TestSlotScratchPayloadsDoNotAlias runs an oracle slot with a 72-bit
+// burst, a two-responder QCD-36 slot and the oracle slot again on one
+// SlotScratch on the generic path. The generic path hands each slot's
+// payload back as the next slot's scratch, so if the oracle returned a
+// buffer of its own, the QCD slot would build its 72-bit preamble in
+// that buffer and overwrite the burst. Each slot must match the same
+// slot run by fresh detectors on a fresh scratch: the heard contention
+// signal, the Outcome and every tag's BitsSent.
+func TestSlotScratchPayloadsDoNotAlias(t *testing.T) {
+	newDets := func() []detect.Detector {
+		return []detect.Detector{detect.NewOracle(72, 64), detect.NewQCD(36, 64)}
+	}
+	slots := []struct {
+		det        int // index into newDets: the oracle or QCD-36
+		responders []int
+	}{{0, []int{0}}, {1, []int{1, 2}}, {0, []int{3}}}
+
+	dets := newDets()
+	reused, fresh := pop(4, 9), pop(4, 9)
+	var sc SlotScratch
+	for s, sl := range slots {
+		pick := func(p tagmodel.Population) []*tagmodel.Tag {
+			rs := make([]*tagmodel.Tag, len(sl.responders))
+			for i, j := range sl.responders {
+				rs[i] = p[j]
+			}
+			return rs
+		}
+		var fsc SlotScratch
+		got := runSide(generic, &sc, dets[sl.det], pick(reused))
+		want := runSide(generic, &fsc, newDets()[sl.det], pick(fresh))
+		if got != want {
+			t.Fatalf("slot %d: reused scratch %+v, fresh scratch %+v", s, got, want)
+		}
+		if a, b := sc.contention.Receive().Signal, fsc.contention.Receive().Signal; !a.Equal(b) {
+			t.Fatalf("slot %d: reused scratch heard %v, fresh scratch %v", s, a, b)
+		}
+		for i := range reused {
+			if a, b := reused[i].BitsSent, fresh[i].BitsSent; a != b {
+				t.Fatalf("slot %d: tag %d sent %d bits on the reused scratch, %d on a fresh one", s, i, a, b)
+			}
+		}
+	}
+	burst := bitstr.Not(bitstr.New(72))
+	if p := dets[0].ContentionPayload(reused[0], bitstr.BitString{}); !p.Equal(burst) {
+		t.Fatalf("oracle payload after the slots = %v, want the all-ones burst %v", p, burst)
 	}
 }
 

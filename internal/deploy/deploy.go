@@ -144,22 +144,7 @@ func (f *Floor) cellOf(p Point) [2]int {
 
 // TagsInRange returns the tags a reader covers, via the grid index.
 func (f *Floor) TagsInRange(r Reader) tagmodel.Population {
-	if f.grid == nil {
-		return nil
-	}
-	lo := f.cellOf(Point{X: math.Max(0, r.Pos.X-r.Range), Y: math.Max(0, r.Pos.Y-r.Range)})
-	hi := f.cellOf(Point{X: math.Min(f.Side, r.Pos.X+r.Range), Y: math.Min(f.Side, r.Pos.Y+r.Range)})
-	var out tagmodel.Population
-	for cx := lo[0]; cx <= hi[0]; cx++ {
-		for cy := lo[1]; cy <= hi[1]; cy++ {
-			for _, i := range f.grid[[2]int{cx, cy}] {
-				if r.Covers(f.Tags[i].Pos) {
-					out = append(out, f.Tags[i].Tag)
-				}
-			}
-		}
-	}
-	return out
+	return f.population(f.tagIndicesInRange(r))
 }
 
 // Coverage returns the fraction of tags covered by at least one reader.

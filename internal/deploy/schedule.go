@@ -221,13 +221,14 @@ func (f *Floor) RunUnscheduled(carrierRadius float64, run SessionFn) Unscheduled
 	return res
 }
 
-// tagIndicesInRange is TagsInRange returning indices into f.Tags.
+// tagIndicesInRange returns the indices into f.Tags of the tags r
+// covers, found through the grid index.
 func (f *Floor) tagIndicesInRange(r Reader) []int {
 	if f.grid == nil {
 		return nil
 	}
-	lo := f.cellOf(Point{X: maxF(0, r.Pos.X-r.Range), Y: maxF(0, r.Pos.Y-r.Range)})
-	hi := f.cellOf(Point{X: minF(f.Side, r.Pos.X+r.Range), Y: minF(f.Side, r.Pos.Y+r.Range)})
+	lo := f.cellOf(Point{X: max(0, r.Pos.X-r.Range), Y: max(0, r.Pos.Y-r.Range)})
+	hi := f.cellOf(Point{X: min(f.Side, r.Pos.X+r.Range), Y: min(f.Side, r.Pos.Y+r.Range)})
 	var out []int
 	for cx := lo[0]; cx <= hi[0]; cx++ {
 		for cy := lo[1]; cy <= hi[1]; cy++ {
@@ -247,18 +248,4 @@ func (f *Floor) population(indices []int) tagmodel.Population {
 		pop = append(pop, f.Tags[i].Tag)
 	}
 	return pop
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -59,7 +59,7 @@ func TestCRC16AliasExistsAndFoolsCRCCD(t *testing.T) {
 	src := prng.New(1)
 	ta := tagmodel.New(0, idA, src.Split())
 	tb := tagmodel.New(1, idB, src.Split())
-	rx := signal.Overlap(det.ContentionPayload(ta), det.ContentionPayload(tb))
+	rx := signal.Overlap(det.ContentionPayload(ta, bitstr.BitString{}), det.ContentionPayload(tb, bitstr.BitString{}))
 	if got := det.Classify(rx); got != signal.Single {
 		t.Fatalf("alias pair classified %v by CRC-CD; expected a missed collision", got)
 	}
@@ -69,7 +69,7 @@ func TestCRC16AliasExistsAndFoolsCRCCD(t *testing.T) {
 	q := NewQCD(16, 64)
 	misses := 0
 	for i := 0; i < 1000; i++ {
-		rxq := signal.Overlap(q.ContentionPayload(ta), q.ContentionPayload(tb))
+		rxq := signal.Overlap(q.ContentionPayload(ta, bitstr.BitString{}), q.ContentionPayload(tb, bitstr.BitString{}))
 		if q.Classify(rxq) == signal.Single {
 			misses++
 		}

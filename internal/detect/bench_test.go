@@ -3,6 +3,7 @@ package detect
 import (
 	"testing"
 
+	"repro/internal/bitstr"
 	"repro/internal/crc"
 	"repro/internal/signal"
 )
@@ -10,7 +11,7 @@ import (
 func BenchmarkQCDClassify(b *testing.B) {
 	q := NewQCD(8, 64)
 	tag := newTag(64, 1)
-	rx := signal.Overlap(q.ContentionPayload(tag))
+	rx := signal.Overlap(q.ContentionPayload(tag, bitstr.BitString{}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = q.Classify(rx)
@@ -20,7 +21,7 @@ func BenchmarkQCDClassify(b *testing.B) {
 func BenchmarkCRCCDClassify(b *testing.B) {
 	d := NewCRCCD(crc.CRC32IEEE, 64)
 	tag := newTag(64, 1)
-	rx := signal.Overlap(d.ContentionPayload(tag))
+	rx := signal.Overlap(d.ContentionPayload(tag, bitstr.BitString{}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = d.Classify(rx)
@@ -30,17 +31,19 @@ func BenchmarkCRCCDClassify(b *testing.B) {
 func BenchmarkQCDPayload(b *testing.B) {
 	q := NewQCD(8, 64)
 	tag := newTag(64, 2)
+	var s bitstr.BitString
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = q.ContentionPayload(tag)
+		s = q.ContentionPayload(tag, s)
 	}
 }
 
 func BenchmarkCRCCDPayload(b *testing.B) {
 	d := NewCRCCD(crc.CRC32IEEE, 64)
 	tag := newTag(64, 3)
+	var s bitstr.BitString
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = d.ContentionPayload(tag)
+		s = d.ContentionPayload(tag, s)
 	}
 }

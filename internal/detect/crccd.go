@@ -66,17 +66,8 @@ func (c *CRCCD) Name() string { return "CRC-CD/" + c.params.Name }
 // CRCWidth returns l_crc in bits.
 func (c *CRCCD) CRCWidth() int { return c.params.Width }
 
-// ContentionPayload is the framed unit ID ⊕ crc(ID).
-func (c *CRCCD) ContentionPayload(t *tagmodel.Tag) bitstr.BitString {
-	if t.ID.Len() != c.idBits {
-		panic(fmt.Sprintf("detect: tag ID of %d bits under a %d-bit CRC-CD", t.ID.Len(), c.idBits))
-	}
-	return bitstr.Concat(t.ID, bitstr.FromUint64(c.checksumID(t.ID), c.params.Width))
-}
-
-// ContentionPayloadInto implements ScratchPayloader: the framed unit is
-// assembled in scratch, whose buffer is reused across slots.
-func (c *CRCCD) ContentionPayloadInto(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString {
+// ContentionPayload builds the framed unit ID ⊕ crc(ID) in scratch.
+func (c *CRCCD) ContentionPayload(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString {
 	if t.ID.Len() != c.idBits {
 		panic(fmt.Sprintf("detect: tag ID of %d bits under a %d-bit CRC-CD", t.ID.Len(), c.idBits))
 	}
@@ -115,10 +106,7 @@ func (c *CRCCD) Classify(rx signal.Reception) signal.SlotType {
 // ContentionBits is l_id + l_crc: the ID and checksum ride in every slot.
 func (c *CRCCD) ContentionBits() int { return c.idBits + c.params.Width }
 
-// NeedsIDPhase is false: the ID was already carried in contention.
-func (c *CRCCD) NeedsIDPhase() bool { return false }
-
-// IDPhaseBits is zero for CRC-CD.
+// IDPhaseBits is zero: the ID was already carried in contention.
 func (c *CRCCD) IDPhaseBits() int { return 0 }
 
 // ExtractID returns the ID portion of the contention signal.

@@ -31,8 +31,13 @@ type Detector interface {
 	Name() string
 
 	// ContentionPayload returns the bits tag t transmits in the contention
-	// phase of a slot. It may consume randomness from t.Rng.
-	ContentionPayload(t *tagmodel.Tag) bitstr.BitString
+	// phase of a slot, drawing from t.Rng whatever the scheme needs. It
+	// builds the payload in scratch and returns it, never a buffer of its
+	// own: the caller passes each return value back as the next scratch,
+	// so a payload is valid only until the next call. Scratch travels by
+	// value so the call never forces the caller's slot state onto the
+	// heap; the zero BitString is a valid scratch.
+	ContentionPayload(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString
 
 	// Classify decides the slot type from the overlapped contention
 	// signal. Implementations other than the oracle must not read
@@ -43,12 +48,9 @@ type Detector interface {
 	// The reader must budget it for every slot, including idle ones.
 	ContentionBits() int
 
-	// NeedsIDPhase reports whether a slot classified single is followed by
-	// a separate ID transmission (true for QCD, false for CRC-CD where the
-	// ID rode along in the contention phase).
-	NeedsIDPhase() bool
-
-	// IDPhaseBits is the airtime of that ID transmission.
+	// IDPhaseBits is the airtime of the separate ID transmission that
+	// follows a slot classified single, or 0 when the scheme has none
+	// (CRC-CD, where the ID rode along in the contention phase).
 	IDPhaseBits() int
 
 	// ExtractID recovers the acknowledged ID from a slot declared single:
@@ -58,45 +60,13 @@ type Detector interface {
 	ExtractID(contention, idPhase signal.Reception) (id bitstr.BitString, ok bool)
 }
 
-// ScratchPayloader is an optional extension of Detector for the generic
-// slot path of internal/air. That path runs every slot the word kernel
-// does not: impaired channels, slots with an interferer on the air (QT's
-// blocker), IDs longer than 64 bits (or, under CRC-CD, not a whole
-// number of bytes), responders whose ID length differs from the
-// detector's, and any Detector other than *QCD, *CRCCD and *Oracle —
-// wrappers that embed one of those included. The word kernel never calls
-// a payload method; it overlaps the three built-in schemes as machine
-// words instead. ContentionPayloadInto behaves exactly like
-// ContentionPayload — same bits, same draws from t.Rng — but may reuse
-// scratch's backing storage to build the payload. The caller passes the
-// previous return value back in as scratch on the next call; the payload
-// is only valid until then, so the slot engine copies it into the channel
-// before reuse. Scratch travels by value (not by pointer) so that this
-// interface call never forces the caller's slot state onto the heap.
-// Wrappers that decorate a Detector should forward this interface so the
-// generic path stays allocation-free under instrumentation.
-type ScratchPayloader interface {
-	ContentionPayloadInto(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString
-}
-
-// PayloadInto dispatches to ContentionPayloadInto when d implements
-// ScratchPayloader, threading *scratch through it, and falls back to
-// ContentionPayload otherwise.
-func PayloadInto(d Detector, t *tagmodel.Tag, scratch *bitstr.BitString) bitstr.BitString {
-	if sp, ok := d.(ScratchPayloader); ok {
-		*scratch = sp.ContentionPayloadInto(t, *scratch)
-		return *scratch
-	}
-	return d.ContentionPayload(t)
-}
-
 // SlotBits returns the total airtime in bits of a slot classified as
 // typ under detector d. This is the quantity the paper's timing analysis
 // integrates: CRC-CD pays ContentionBits for every slot type, QCD pays
 // 2·l for idle/collided slots and 2·l + l_id for single slots.
 func SlotBits(d Detector, typ signal.SlotType) int {
 	bits := d.ContentionBits()
-	if typ == signal.Single && d.NeedsIDPhase() {
+	if typ == signal.Single {
 		bits += d.IDPhaseBits()
 	}
 	return bits

@@ -32,7 +32,7 @@ func min64(n int) int {
 func TestQCDPayloadShape(t *testing.T) {
 	q := NewQCD(8, 64)
 	tag := newTag(64, 1)
-	p := q.ContentionPayload(tag)
+	p := q.ContentionPayload(tag, bitstr.BitString{})
 	if p.Len() != 16 {
 		t.Fatalf("payload length = %d, want 16", p.Len())
 	}
@@ -53,7 +53,7 @@ func TestQCDClassifyIdle(t *testing.T) {
 func TestQCDClassifySingle(t *testing.T) {
 	q := NewQCD(8, 64)
 	tag := newTag(64, 2)
-	rx := signal.Overlap(q.ContentionPayload(tag))
+	rx := signal.Overlap(q.ContentionPayload(tag, bitstr.BitString{}))
 	if got := q.Classify(rx); got != signal.Single {
 		t.Errorf("lone responder classified as %v", got)
 	}
@@ -155,7 +155,7 @@ func TestQCDEmpiricalMissRate(t *testing.T) {
 	a, b := newTag(64, 10), newTag(64, 11)
 	misses, trials := 0, 20000
 	for i := 0; i < trials; i++ {
-		rx := signal.Overlap(q.ContentionPayload(a), q.ContentionPayload(b))
+		rx := signal.Overlap(q.ContentionPayload(a, bitstr.BitString{}), q.ContentionPayload(b, bitstr.BitString{}))
 		if q.Classify(rx) == signal.Single {
 			misses++
 		}
@@ -197,7 +197,7 @@ func TestQCDStrengthValidation(t *testing.T) {
 func TestCRCCDPayloadAndClassify(t *testing.T) {
 	d := NewCRCCD(crc.CRC16EPC, 64)
 	tag := newTag(64, 4)
-	p := d.ContentionPayload(tag)
+	p := d.ContentionPayload(tag, bitstr.BitString{})
 	if p.Len() != 80 {
 		t.Fatalf("payload = %d bits, want 64+16", p.Len())
 	}
@@ -217,7 +217,7 @@ func TestCRCCDClassifyIdleAndCollision(t *testing.T) {
 		t.Errorf("idle classified %v", got)
 	}
 	a, b := newTag(64, 5), newTag(64, 6)
-	rx := signal.Overlap(d.ContentionPayload(a), d.ContentionPayload(b))
+	rx := signal.Overlap(d.ContentionPayload(a, bitstr.BitString{}), d.ContentionPayload(b, bitstr.BitString{}))
 	if got := d.Classify(rx); got != signal.Collided {
 		t.Errorf("collision classified %v (CRC aliasing is ~2^-16, not this pair)", got)
 	}
@@ -233,7 +233,7 @@ func TestCRCCDCollisionDetectionRate(t *testing.T) {
 		if a.ID.Equal(b.ID) {
 			continue
 		}
-		rx := signal.Overlap(d.ContentionPayload(a), d.ContentionPayload(b))
+		rx := signal.Overlap(d.ContentionPayload(a, bitstr.BitString{}), d.ContentionPayload(b, bitstr.BitString{}))
 		if d.Classify(rx) == signal.Single {
 			t.Fatalf("trial %d: collision missed by CRC-CD (possible but ~2^-16; investigate)", i)
 		}
@@ -265,7 +265,7 @@ func TestCRCCDWrongTagLengthPanics(t *testing.T) {
 			t.Fatal("mismatched tag ID length not rejected")
 		}
 	}()
-	d.ContentionPayload(newTag(32, 7))
+	d.ContentionPayload(newTag(32, 7), bitstr.BitString{})
 }
 
 // --- Oracle ---

@@ -15,7 +15,7 @@ import (
 type Oracle struct {
 	contentionBits int // configurable floor, usually 1 (a minimal RN burst)
 	idBits         int
-	burst          bitstr.BitString // precomputed all-ones contention burst
+	zero           bitstr.BitString // all-zero template the burst complements
 }
 
 // NewOracle returns an oracle detector. contentionBits models the shortest
@@ -28,17 +28,19 @@ func NewOracle(contentionBits, idBits int) *Oracle {
 	return &Oracle{
 		contentionBits: contentionBits,
 		idBits:         idBits,
-		burst:          bitstr.Not(bitstr.New(contentionBits)),
+		zero:           bitstr.New(contentionBits),
 	}
 }
 
 // Name implements Detector.
 func (o *Oracle) Name() string { return "Oracle" }
 
-// ContentionPayload is a minimal constant burst; content is irrelevant
-// because classification uses ground truth.
-func (o *Oracle) ContentionPayload(*tagmodel.Tag) bitstr.BitString {
-	return o.burst
+// ContentionPayload builds a minimal all-ones burst in scratch; content
+// is irrelevant because classification uses ground truth. The burst is
+// built fresh on each call, never shared, so a caller that reuses the
+// payload as its next scratch cannot overwrite it.
+func (o *Oracle) ContentionPayload(_ *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString {
+	return bitstr.NotInto(&scratch, o.zero)
 }
 
 // Classify reads the ground-truth responder count.
@@ -49,10 +51,7 @@ func (o *Oracle) Classify(rx signal.Reception) signal.SlotType {
 // ContentionBits implements Detector.
 func (o *Oracle) ContentionBits() int { return o.contentionBits }
 
-// NeedsIDPhase is true: like QCD, the ID is sent only in single slots.
-func (o *Oracle) NeedsIDPhase() bool { return true }
-
-// IDPhaseBits implements Detector.
+// IDPhaseBits is l_id: like QCD, the ID is sent only in single slots.
 func (o *Oracle) IDPhaseBits() int { return o.idBits }
 
 // ExtractID reads the ID-phase reception.

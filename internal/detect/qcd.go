@@ -39,16 +39,10 @@ func (q *QCD) Name() string { return fmt.Sprintf("QCD-%d", q.strength) }
 // Strength returns the random-integer length in bits.
 func (q *QCD) Strength() int { return q.strength }
 
-// ContentionPayload draws r from the tag's stream and returns r ⊕ r̄.
-func (q *QCD) ContentionPayload(t *tagmodel.Tag) bitstr.BitString {
-	r := bitstr.FromUint64(t.Rng.Bits(q.strength), q.strength)
-	return bitstr.Concat(r, bitstr.Not(r))
-}
-
-// ContentionPayloadInto implements ScratchPayloader. It draws exactly the
-// same random integer as ContentionPayload; the preamble is assembled in
-// scratch, which for strengths up to 32 stays inline and costs nothing.
-func (q *QCD) ContentionPayloadInto(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString {
+// ContentionPayload draws r from the tag's stream and builds r ⊕ r̄ in
+// scratch; for strengths up to 32 the preamble stays inline and costs
+// nothing.
+func (q *QCD) ContentionPayload(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString {
 	r := bitstr.FromUint64(t.Rng.Bits(q.strength), q.strength)
 	return bitstr.ConcatInto(&scratch, r, bitstr.Not(r))
 }
@@ -82,11 +76,8 @@ func (q *QCD) Classify(rx signal.Reception) signal.SlotType {
 // ContentionBits is the preamble length l_prm = 2·strength.
 func (q *QCD) ContentionBits() int { return 2 * q.strength }
 
-// NeedsIDPhase is true: QCD tags transmit their ID only after the reader
-// declares the slot single.
-func (q *QCD) NeedsIDPhase() bool { return true }
-
-// IDPhaseBits is the ID length l_id.
+// IDPhaseBits is the ID length l_id: QCD tags transmit their ID only
+// after the reader declares the slot single.
 func (q *QCD) IDPhaseBits() int { return q.idBits }
 
 // ExtractID reads the acknowledged ID from the ID-phase reception.

@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/aloha"
+	"repro/internal/analytic"
 )
 
 // Estimator predicts the number of tags that participated in a frame,
@@ -93,7 +94,7 @@ func (m MLE) Estimate(c aloha.FrameCensus) float64 {
 	}
 	bestN, bestD := 0.0, math.Inf(1)
 	for n := 0; n <= hi; n++ {
-		e0, e1, ec := expectedCensus(float64(n), f)
+		e0, e1, ec := analytic.FSAExpectedCensus(float64(n), f)
 		d0 := e0 - float64(c.Idle)
 		d1 := e1 - float64(c.Single)
 		dc := ec - float64(c.Collided)
@@ -104,14 +105,6 @@ func (m MLE) Estimate(c aloha.FrameCensus) float64 {
 		}
 	}
 	return bestN
-}
-
-func expectedCensus(n, f float64) (idle, single, collided float64) {
-	p := 1 / f
-	idle = f * math.Pow(1-p, n)
-	single = n * math.Pow(1-p, n-1)
-	collided = f - idle - single
-	return
 }
 
 // All returns every built-in estimator.

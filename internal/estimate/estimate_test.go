@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/aloha"
+	"repro/internal/analytic"
 	"repro/internal/detect"
 	"repro/internal/prng"
 	"repro/internal/tagmodel"
@@ -76,7 +77,7 @@ func TestMLEExactOnExpectedCensus(t *testing.T) {
 	// (the distance at the truth is 0).
 	for _, n := range []float64{10, 50, 200} {
 		f := 128.0
-		e0, e1, ec := expectedCensus(n, f)
+		e0, e1, ec := analytic.FSAExpectedCensus(n, f)
 		c := aloha.FrameCensus{
 			Size: int(f), Idle: int(math.Round(e0)),
 			Single: int(math.Round(e1)), Collided: int(math.Round(ec)),

@@ -7,6 +7,8 @@ import (
 	"repro/internal/air"
 	"repro/internal/aloha"
 	"repro/internal/analytic"
+	"repro/internal/btree"
+	"repro/internal/crc"
 	"repro/internal/detect"
 	"repro/internal/epc"
 	"repro/internal/metrics"
@@ -138,6 +140,66 @@ func TestLemma2SlotsMatchClosedForm(t *testing.T) {
 		t.Logf("BT/%s: %.2f slots per %d tags, Lemma 2 %.1f, σ %.2f", det, agg.Slots.Mean(), c.Tags, want, sigma)
 		if got := agg.Slots.Mean(); math.Abs(got-want) > 3*sigma {
 			t.Errorf("BT/%s: %.1f slots per %d tags, Lemma 2 %.1f ± %.1f (3σ)", det, got, c.Tags, want, 3*sigma)
+		}
+	}
+}
+
+// slotPathDetector hides a detector's concrete type, so air runs its
+// slots on the generic path instead of the word kernel.
+type slotPathDetector struct{ detect.Detector }
+
+// btTimes runs rounds BT inventories of n tags under det on the exact
+// engine and accumulates each round's TimeMicros.
+func btTimes(det detect.Detector, n, rounds int, seed uint64) *stats.Accumulator {
+	var acc stats.Accumulator
+	seeds := prng.New(seed)
+	for r := 0; r < rounds; r++ {
+		pop := tagmodel.NewPopulation(n, epc.IDBits, prng.New(seeds.Uint64()))
+		acc.Add(btree.Run(pop, det, timing.Default).TimeMicros)
+	}
+	return &acc
+}
+
+// TestBTTimeMatchesClosedForm checks BT transmission time against
+// Section V-B at Lemma 2's configuration (case II, 200 rounds, seed 1):
+// the mean TimeMicros under CRC-CD against analytic.BTTimeCRC, under
+// QCD-16 against analytic.BTTimeQCD, and the efficiency improvement
+// 1 − t_qcd/t_crc of the two means against analytic.BTEI. Each must sit
+// within 3σ of the round mean; the EI's σ is propagated from the two
+// means' (the runs are independent). Both slot paths run it: the word
+// kernel and the generic path, whose ID phase follows a slot declared
+// single whenever IDPhaseBits > 0.
+func TestBTTimeMatchesClosedForm(t *testing.T) {
+	c := epc.PaperCases()[1]
+	const rounds, strength = 200, 16
+	n, l, tau := float64(c.Tags), analytic.PaperLengths(strength), timing.Default.TauMicros
+	for _, path := range []struct {
+		name string
+		wrap func(detect.Detector) detect.Detector
+	}{
+		{"kernel", func(d detect.Detector) detect.Detector { return d }},
+		{"generic", func(d detect.Detector) detect.Detector { return slotPathDetector{d} }},
+	} {
+		crcT := btTimes(path.wrap(detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits)), c.Tags, rounds, 1)
+		qcdT := btTimes(path.wrap(detect.NewQCD(strength, epc.IDBits)), c.Tags, rounds, 1)
+		sem := func(a *stats.Accumulator) float64 { return a.StdDev() / math.Sqrt(float64(a.N())) }
+		for _, m := range []struct {
+			name string
+			got  *stats.Accumulator
+			want float64
+		}{{"CRC-CD", crcT, analytic.BTTimeCRC(n, l, tau)}, {"QCD-16", qcdT, analytic.BTTimeQCD(n, l, tau)}} {
+			sigma := sem(m.got)
+			t.Logf("%s BT/%s: %.0f μs per %d tags, closed form %.0f, σ %.0f", path.name, m.name, m.got.Mean(), c.Tags, m.want, sigma)
+			if math.Abs(m.got.Mean()-m.want) > 3*sigma {
+				t.Errorf("%s BT/%s: %.0f μs per %d tags, closed form %.0f ± %.0f (3σ)", path.name, m.name, m.got.Mean(), c.Tags, m.want, 3*sigma)
+			}
+		}
+		tc, tq := crcT.Mean(), qcdT.Mean()
+		ei, want := 1-tq/tc, analytic.BTEI(l)
+		sigma := math.Hypot(sem(qcdT)/tc, tq*sem(crcT)/(tc*tc))
+		t.Logf("%s BT: EI %.5f, closed form %.5f, σ %.5f", path.name, ei, want, sigma)
+		if math.Abs(ei-want) > 3*sigma {
+			t.Errorf("%s BT: EI %.5f, closed form %.5f ± %.5f (3σ)", path.name, ei, want, 3*sigma)
 		}
 	}
 }

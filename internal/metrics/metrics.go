@@ -105,6 +105,23 @@ func (s *Session) Reset() {
 	}
 }
 
+// Merge folds src into s: counts and airtime sum, and src's delays
+// append shifted by offsetMicros. A follow-up round whose clock started
+// at zero passes s's end time; an aggregate of independent rounds
+// passes 0. It must cover every exported Session field — the reflection
+// test TestMergeSessionCoversEveryField fails on a new field that is not
+// merged here (DelaysMicros was silently dropped once).
+func (s *Session) Merge(src *Session, offsetMicros float64) {
+	s.Census.Add(src.Census)
+	s.Detection.Add(src.Detection)
+	s.Bits += src.Bits
+	s.TimeMicros += src.TimeMicros
+	for _, d := range src.DelaysMicros {
+		s.DelaysMicros = append(s.DelaysMicros, offsetMicros+d)
+	}
+	s.TagsIdentified += src.TagsIdentified
+}
+
 // FrameInfo summarises one completed frame: its census delta and the
 // simulated time at which it ended. Delivered to the hook installed
 // with SetFrameHook.

@@ -200,7 +200,7 @@ func Run(proto Protocol, det detect.Detector, arr Arrivals, durationMicros float
 				mt.wasRead = true
 			}
 		}
-		mergeSession(&res.Session, s)
+		res.Session.Merge(s, 0)
 		now += s.TimeMicros
 	}
 	// Drain: anything still in the field counts by its read status.
@@ -215,19 +215,6 @@ func Run(proto Protocol, det detect.Detector, arr Arrivals, durationMicros float
 		res.MeanFieldSize = fieldSizeSum / float64(res.Rounds)
 	}
 	return res
-}
-
-// mergeSession folds one round's session into the run aggregate. It
-// must cover every exported metrics.Session field — the reflection test
-// TestMergeSessionCoversEveryField fails the build of any new field
-// that is not merged here (DelaysMicros was silently dropped once).
-func mergeSession(dst *metrics.Session, src *metrics.Session) {
-	dst.Census.Add(src.Census)
-	dst.Detection.Add(src.Detection)
-	dst.Bits += src.Bits
-	dst.TimeMicros += src.TimeMicros
-	dst.DelaysMicros = append(dst.DelaysMicros, src.DelaysMicros...)
-	dst.TagsIdentified += src.TagsIdentified
 }
 
 func min64(n int) int {

@@ -115,3 +115,17 @@ func TestMeanFieldSizeTracksLittlesLaw(t *testing.T) {
 		t.Errorf("mean field size %.1f, Little's law predicts ≈25", res.MeanFieldSize)
 	}
 }
+
+// TestRunSessionKeepsDelays: the end-to-end consequence of the fix —
+// a mobile run's aggregate session carries one delay sample per
+// identified-tag event across all rounds.
+func TestRunSessionKeepsDelays(t *testing.T) {
+	res := Run(ProtoBT, detect.NewQCD(8, 64), Arrivals{RatePerSecond: 2000, DwellMicros: 100_000}, 500_000, 11)
+	if res.Session.TagsIdentified == 0 {
+		t.Fatal("run identified nothing")
+	}
+	if got := int64(len(res.Session.DelaysMicros)); got != res.Session.TagsIdentified {
+		t.Fatalf("aggregate session has %d delay samples for %d identifications",
+			got, res.Session.TagsIdentified)
+	}
+}

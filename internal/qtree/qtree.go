@@ -278,25 +278,12 @@ func Run(pop tagmodel.Population, det detect.Detector, tm timing.Model, opt Opti
 			Blocker: opt.Blocker, MaxSlots: maxSlots - slots, FanoutBits: opt.FanoutBits,
 			Scratch: sc, Reuse: ru,
 		})
-		mergeInto(s, next.Session)
+		// The child's clock started at zero: its delays follow ours.
+		s.Merge(next.Session, s.TimeMicros)
 		res.LeafQueries = append(res.LeafQueries, next.LeafQueries...)
 		res.Truncated = next.Truncated
 	}
 	return res
-}
-
-// mergeInto appends a follow-up round's session after dst in time: the
-// child's clock started at zero, so its delays shift by dst's end time.
-func mergeInto(dst, src *metrics.Session) {
-	base := dst.TimeMicros
-	dst.Census.Add(src.Census)
-	dst.Detection.Add(src.Detection)
-	dst.Bits += src.Bits
-	dst.TimeMicros += src.TimeMicros
-	for _, d := range src.DelaysMicros {
-		dst.DelaysMicros = append(dst.DelaysMicros, base+d)
-	}
-	dst.TagsIdentified += src.TagsIdentified
 }
 
 // RunAQS performs an AQS round: it replays the leaf queries a previous

@@ -10,13 +10,11 @@ package sim
 import (
 	"sync/atomic"
 
-	"repro/internal/bitstr"
 	"repro/internal/detect"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/audit"
 	"repro/internal/signal"
-	"repro/internal/tagmodel"
 )
 
 // activeAuditor is the installed auditor, nil when auditing is off.
@@ -45,13 +43,6 @@ func (d auditedDetector) Classify(rx signal.Reception) signal.SlotType {
 	declared := d.Detector.Classify(rx)
 	d.rec.Observe(d.oracle.Classify(rx), declared, rx)
 	return declared
-}
-
-// ContentionPayloadInto forwards the wrapped detector's scratch-payload
-// fast path (detect.ScratchPayloader) so auditing does not force the
-// slot engine off its zero-allocation route.
-func (d auditedDetector) ContentionPayloadInto(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString {
-	return detect.PayloadInto(d.Detector, t, &scratch)
 }
 
 // frameEvents builds a frame hook publishing one "frame" event per

@@ -10,12 +10,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bitstr"
 	"repro/internal/detect"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/signal"
-	"repro/internal/tagmodel"
 )
 
 // simSeries are the simulator-level metric handles, registered on one
@@ -85,13 +83,6 @@ func (d timedDetector) Classify(rx signal.Reception) signal.SlotType {
 	v := d.Detector.Classify(rx)
 	d.h.Observe(time.Since(start).Seconds())
 	return v
-}
-
-// ContentionPayloadInto forwards the wrapped detector's scratch-payload
-// fast path (detect.ScratchPayloader) so instrumentation does not force
-// the slot engine off its zero-allocation route.
-func (d timedDetector) ContentionPayloadInto(t *tagmodel.Tag, scratch bitstr.BitString) bitstr.BitString {
-	return detect.PayloadInto(d.Detector, t, &scratch)
 }
 
 // frameSpans builds a metrics frame hook that records one "frame"

@@ -24,6 +24,15 @@
 #
 # To refresh the baseline after an intentional change:
 #   scripts/bench.sh      # rewrites BENCH_slotpath.json in place
+#
+# Only allocs/op is independent of the machine. The committed
+# baseline's ns/op figures were recorded on one particular machine, so
+# against it the ns/op half of the gate measures the machine as much as
+# the code; on another machine use GATE_ALLOCS_ONLY=1. To gate ns/op,
+# record the baseline on the same machine from a checkout of the parent
+# commit, then gate the change against it:
+#   scripts/bench.sh /tmp/parent.json           # in the parent checkout
+#   scripts/bench_gate.sh /tmp/parent.json      # in the change's checkout
 set -eu
 
 cd "$(dirname "$0")/.."
