@@ -17,14 +17,17 @@ import (
 	"repro/internal/prng"
 )
 
+// benchExperiment times one artifact as a reproduction run of its own:
+// each iteration resolves the runner afresh, so it starts from an empty
+// memo and simulates every configuration the artifact reads.
 func benchExperiment(b *testing.B, id string, o experiment.Options) {
 	b.Helper()
-	r, ok := experiment.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		r, ok := experiment.ByID(id)
+		if !ok {
+			b.Fatalf("unknown experiment %q", id)
+		}
 		out, err := r.Run(o)
 		if err != nil {
 			b.Fatal(err)

@@ -52,9 +52,10 @@ func main() {
 		Rounds: *rounds, MaxCase: *maxCase, Seed: *seed, Workers: *workers,
 	}
 
-	run := func(id, title string) {
+	run := func(r rfid.Experiment) {
+		id, title := r.ID, r.Title
 		start := time.Now()
-		out, csv, err := rfid.RunExperimentCSV(id, opts)
+		out, csv, err := rfid.RenderExperiment(r, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "paper: %s: %v\n", id, err)
 			os.Exit(1)
@@ -74,14 +75,15 @@ func main() {
 	}
 
 	if *exp == "all" {
+		fmt.Print("(artifacts share one run's aggregates: each (N.Ns) credits a shared configuration to the first artifact that needs it)\n\n")
 		for _, r := range rfid.Experiments() {
-			run(r.ID, r.Title)
+			run(r)
 		}
 		return
 	}
 	for _, r := range rfid.Experiments() {
 		if r.ID == *exp {
-			run(r.ID, r.Title)
+			run(r)
 			return
 		}
 	}

@@ -32,8 +32,9 @@ type wordKernel struct {
 	kind           kernelKind
 	strength       int    // QCD: bits of r
 	mask           uint64 // QCD: the low strength bits
-	idBits         int
+	idBits         int    // the ID length every responder must have
 	contentionBits int
+	idPhaseBits    int // the detector's ID phase; 0 when the ID rode in contention
 	crc            *detect.CRCCD
 }
 
@@ -73,7 +74,7 @@ func bindKernel(det detect.Detector) wordKernel {
 	if k.idBits > 64 {
 		return wordKernel{}
 	}
-	k.det, k.contentionBits = det, det.ContentionBits()
+	k.det, k.contentionBits, k.idPhaseBits = det, det.ContentionBits(), det.IDPhaseBits()
 	return k
 }
 
@@ -132,11 +133,12 @@ func (k *wordKernel) run(out *Outcome, responders []*tagmodel.Tag, nowMicros, ta
 	}
 	out.Declared = signal.Single
 
-	// CRC-CD's ID rode in the contention phase; QCD and the oracle send it
-	// now, and the reader hears the OR of the responders' IDs.
+	// A scheme with an ID phase (QCD, the oracle) has every responder
+	// send its ID now, and the reader hears the OR of the IDs; CRC-CD's
+	// ID rode in the contention phase.
 	acked := orA
-	if k.kind != kernelCRCCD {
-		out.Bits += k.idBits
+	if k.idPhaseBits > 0 {
+		out.Bits += k.idPhaseBits
 		acked = 0
 		for _, t := range responders {
 			t.BitsSent += int64(k.idBits)

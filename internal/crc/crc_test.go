@@ -17,6 +17,30 @@ func TestPresetsSelfTest(t *testing.T) {
 	}
 }
 
+// TestTableForSharesPresetTables: a preset's table is built once and
+// shared; any other parameter set gets a table of its own. Either way
+// the table computes the catalogue check value.
+func TestTableForSharesPresetTables(t *testing.T) {
+	check := []byte("123456789")
+	for _, p := range Presets() {
+		tab := TableFor(p)
+		if tab != TableFor(p) {
+			t.Errorf("%s: TableFor built a second table", p.Name)
+		}
+		if got := tab.Checksum(check); got != p.Check {
+			t.Errorf("%s: shared table check = %#x, want %#x", p.Name, got, p.Check)
+		}
+	}
+	custom := CRC16CCITTFalse
+	custom.Name = "custom"
+	if TableFor(custom) == TableFor(custom) {
+		t.Error("a non-preset parameter set shares a table")
+	}
+	if got := TableFor(custom).Checksum(check); got != custom.Check {
+		t.Errorf("custom table check = %#x, want %#x", got, custom.Check)
+	}
+}
+
 func TestCRC32AgainstStdlib(t *testing.T) {
 	// Our from-scratch CRC-32 must agree with hash/crc32 on arbitrary data.
 	r := rand.New(rand.NewSource(1))

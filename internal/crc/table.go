@@ -1,6 +1,9 @@
 package crc
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"sync"
+)
 
 // Table is a byte-at-a-time CRC engine with a precomputed 256-entry lookup
 // table. This is the classic fast software implementation whose memory
@@ -51,6 +54,26 @@ func NewTable(p Params) *Table {
 		t.init = reflect(t.init, p.Width)
 	}
 	return t
+}
+
+// presetTables holds one table per preset, built on first use: the
+// simulator builds a CRC-CD detector for every round, and computing a
+// table costs microseconds.
+var presetTables = sync.OnceValue(func() map[Params]*Table {
+	m := make(map[Params]*Table)
+	for _, p := range Presets() {
+		m[p] = NewTable(p)
+	}
+	return m
+})
+
+// TableFor returns p's lookup table: the shared one when p is a preset
+// (a Table is read-only once built), a fresh one otherwise.
+func TableFor(p Params) *Table {
+	if t, ok := presetTables()[p]; ok {
+		return t
+	}
+	return NewTable(p)
 }
 
 func (t *Table) widthMask() uint64 { return t.p.mask() }

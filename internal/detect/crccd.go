@@ -31,7 +31,7 @@ func NewCRCCD(params crc.Params, idBits int) *CRCCD {
 	if params.RefIn && idBits%8 != 0 {
 		panic(fmt.Sprintf("detect: %s reflects input bytes; idBits %d is not a whole number of bytes", params.Name, idBits))
 	}
-	return &CRCCD{params: params, idBits: idBits, tab: crc.NewTable(params)}
+	return &CRCCD{params: params, idBits: idBits, tab: crc.TableFor(params)}
 }
 
 // crcFastBytes bounds the stack buffer of the table-driven checksum path:

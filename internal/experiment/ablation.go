@@ -86,7 +86,7 @@ func AblationFramePolicy(o Options) (Renderable, error) {
 		run := func(det string) (float64, error) {
 			cfg := o.baseConfig(c, p.alg, det, 8)
 			cfg.FramePolicy = p.policy
-			agg, err := sim.Run(cfg)
+			agg, err := o.aggregate(cfg)
 			if err != nil {
 				return 0, err
 			}

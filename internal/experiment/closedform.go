@@ -28,7 +28,7 @@ func Lemma1(o Options) (Renderable, error) {
 			Algorithm: sim.AlgFSA, FrameSize: f,
 			Detector: sim.DetOracle, Workers: o.Workers,
 		}
-		agg, err := sim.Run(cfg)
+		agg, err := o.aggregate(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -46,7 +46,7 @@ func Lemma1(o Options) (Renderable, error) {
 		Algorithm: sim.AlgFSA, FramePolicy: sim.PolicyOptimal,
 		Detector: sim.DetOracle, Workers: o.Workers,
 	}
-	agg, err := sim.Run(opt)
+	agg, err := o.aggregate(opt)
 	if err != nil {
 		return nil, err
 	}

@@ -8,8 +8,10 @@ package experiment
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/epc"
+	"repro/internal/rescache"
 	"repro/internal/sim"
 )
 
@@ -71,6 +73,10 @@ type Options struct {
 	Seed uint64
 	// Workers bounds parallel rounds (default GOMAXPROCS).
 	Workers int
+
+	// memo is the reproduction run's shared aggregates, set by the
+	// Registry runners; nil computes every aggregate afresh.
+	memo *memo
 }
 
 func (o Options) normalize() Options {
@@ -115,7 +121,54 @@ func (o Options) baseConfig(c epc.Case, alg, det string, strength int) sim.Confi
 
 // run executes one aggregate.
 func (o Options) run(c epc.Case, alg, det string, strength int) (*sim.Aggregate, error) {
-	return sim.Run(o.baseConfig(c, alg, det, strength))
+	return o.aggregate(o.baseConfig(c, alg, det, strength))
+}
+
+// memo holds the aggregates of one reproduction run, keyed by
+// rescache.ConfigKey, so a configuration several artifacts need (the
+// Table VI cases at strength 8 serve most of Section VI) is simulated
+// once. Aggregate and Config hold no slices or maps, so the stored values
+// are independent of every copy handed out.
+type memo struct {
+	mu     sync.Mutex
+	aggs   map[string]sim.Aggregate
+	misses int // aggregates computed, one per distinct key when runs are sequential
+}
+
+func newMemo() *memo { return &memo{aggs: map[string]sim.Aggregate{}} }
+
+// aggregate is every experiment's one way to a Monte-Carlo aggregate:
+// with a memo it validates cfg, serves the run's memoised aggregate for
+// cfg's canonical key and runs sim.Run only on a miss; without one it is
+// sim.Run. The caller owns the returned copy. Concurrent misses on one
+// key both compute, and store the same bit-identical aggregate.
+func (o Options) aggregate(cfg sim.Config) (*sim.Aggregate, error) {
+	if o.memo == nil {
+		return sim.Run(cfg)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	key, err := rescache.ConfigKey(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m := o.memo
+	m.mu.Lock()
+	agg, ok := m.aggs[key]
+	m.mu.Unlock()
+	if ok {
+		return &agg, nil
+	}
+	fresh, err := sim.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	m.mu.Lock()
+	m.aggs[key] = *fresh
+	m.misses++
+	m.mu.Unlock()
+	return fresh, nil
 }
 
 // Runner is a named experiment.
@@ -125,9 +178,15 @@ type Runner struct {
 	Run   func(Options) (Renderable, error)
 }
 
-// Registry lists every experiment in paper order.
-func Registry() []Runner {
-	return []Runner{
+// Registry lists every experiment in paper order. One call is one
+// reproduction run: its runners share one memo, so each distinct
+// configuration is simulated once however many artifacts read it, and
+// nothing is shared with the runners of another call.
+func Registry() []Runner { return registry(newMemo()) }
+
+// registry binds every experiment's runner to m.
+func registry(m *memo) []Runner {
+	rs := []Runner{
 		{ID: "lemma1", Title: "Lemma 1: FSA throughput peaks at 1/e when F = n", Run: Lemma1},
 		{ID: "lemma2", Title: "Lemma 2: BT needs 2.885n slots (λ ≈ 0.35)", Run: Lemma2},
 		{ID: "table2", Title: "Table II: minimum EI of QCD on FSA", Run: Table2},
@@ -159,9 +218,17 @@ func Registry() []Runner {
 		{ID: "phy", Title: "EI under real Gen-2 PHY link budgets (PIE/FM0/Miller)", Run: Phy},
 		{ID: "privacy", Title: "Backward-channel protection: pseudo-ID mixing & same-bit leakage", Run: Privacy},
 	}
+	for i := range rs {
+		run := rs[i].Run
+		rs[i].Run = func(o Options) (Renderable, error) {
+			o.memo = m
+			return run(o)
+		}
+	}
+	return rs
 }
 
-// ByID returns the named experiment.
+// ByID returns the named experiment, bound to a memo of its own.
 func ByID(id string) (Runner, bool) {
 	for _, r := range Registry() {
 		if r.ID == id {

@@ -1,0 +1,150 @@
+package experiment
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/epc"
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
+
+// TestSharedRunMatchesSoloRuns: every artifact run from one registry
+// renders text and CSV byte-identical to the same artifact run alone
+// through ByID, and the shared run simulated each distinct configuration
+// exactly once.
+func TestSharedRunMatchesSoloRuns(t *testing.T) {
+	o := Options{Rounds: 2, MaxCase: 2, Seed: 1}
+	m := newMemo()
+	for _, r := range registry(m) {
+		shared, err := r.Run(o)
+		if err != nil {
+			t.Fatalf("%s shared: %v", r.ID, err)
+		}
+		solo, ok := ByID(r.ID)
+		if !ok {
+			t.Fatalf("ByID(%q) not found", r.ID)
+		}
+		alone, err := solo.Run(o)
+		if err != nil {
+			t.Fatalf("%s alone: %v", r.ID, err)
+		}
+		if got, want := shared.Render(), alone.Render(); got != want {
+			t.Errorf("%s: shared run renders\n%s\nalone\n%s", r.ID, got, want)
+		}
+		if got, want := CSVOf(shared), CSVOf(alone); got != want {
+			t.Errorf("%s: shared run CSV\n%s\nalone\n%s", r.ID, got, want)
+		}
+	}
+	if m.misses != len(m.aggs) {
+		t.Errorf("memo computed %d aggregates for %d distinct configurations", m.misses, len(m.aggs))
+	}
+	if len(m.aggs) == 0 {
+		t.Error("no artifact went through the memo")
+	}
+}
+
+// TestConcurrentRunnersShareOneMemo: artifacts run at once from one
+// registry, reading overlapping configurations through the same memo,
+// render what each renders alone.
+func TestConcurrentRunnersShareOneMemo(t *testing.T) {
+	o := Options{Rounds: 2, MaxCase: 1, Seed: 1}
+	ids := map[string]bool{"table7": true, "table9": true, "fig7": true, "fig8": true}
+	want := map[string]string{}
+	for id := range ids {
+		r, _ := ByID(id)
+		out, err := r.Run(o)
+		if err != nil {
+			t.Fatalf("%s alone: %v", id, err)
+		}
+		want[id] = out.Render()
+	}
+	var wg sync.WaitGroup
+	for _, r := range Registry() {
+		if !ids[r.ID] {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out, err := r.Run(o)
+			if err != nil {
+				t.Errorf("%s shared: %v", r.ID, err)
+				return
+			}
+			if got := out.Render(); got != want[r.ID] {
+				t.Errorf("%s: concurrent shared run renders\n%s\nalone\n%s", r.ID, got, want[r.ID])
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestMemoHandsOutCopies: an artifact that mutates the aggregate it was
+// given changes neither the memo nor what a later artifact reads.
+func TestMemoHandsOutCopies(t *testing.T) {
+	o := Options{Rounds: 2, MaxCase: 1, Seed: 1, memo: newMemo()}
+	c := epc.PaperCases()[0]
+	fresh, err := o.run(c, sim.AlgFSA, sim.DetQCD, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *fresh
+	for i := 0; i < 3; i++ {
+		got, err := o.run(c, sim.AlgFSA, sim.DetQCD, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != want {
+			t.Fatalf("read %d: memo served %+v, want %+v", i, *got, want)
+		}
+		fresh.TimeMicros.Add(1e9) // the first reader keeps mutating its copy
+		got.Slots.Add(1e9)
+		got.Cfg.Tags = -1
+	}
+	if o.memo.misses != 1 {
+		t.Errorf("memo computed %d aggregates for one configuration", o.memo.misses)
+	}
+}
+
+// TestRegistriesShareNothing: one Registry call is one reproduction run.
+// Re-running an artifact from the same registry simulates nothing, while
+// a second Registry call, and ByID, simulate it afresh.
+func TestRegistriesShareNothing(t *testing.T) {
+	reg := obs.NewRegistry()
+	sim.Instrument(reg)
+	t.Cleanup(sim.Uninstrument)
+	simulated := reg.Counter("sim_rounds_total", "Identification rounds completed.")
+
+	o := Options{Rounds: 2, MaxCase: 1, Seed: 1}
+	runLemma2 := func(rs []Runner) uint64 {
+		t.Helper()
+		before := simulated.Value()
+		for _, r := range rs {
+			if r.ID == "lemma2" {
+				if _, err := r.Run(o); err != nil {
+					t.Fatal(err)
+				}
+				return simulated.Value() - before
+			}
+		}
+		t.Fatal("lemma2 not registered")
+		return 0
+	}
+	first := Registry()
+	solo, _ := ByID("lemma2")
+	for _, step := range []struct {
+		name string
+		rs   []Runner
+		want uint64
+	}{
+		{"first registry", first, 2},
+		{"first registry again", first, 0},
+		{"second registry", Registry(), 2},
+		{"ByID", []Runner{solo}, 2},
+	} {
+		if got := runLemma2(step.rs); got != step.want {
+			t.Errorf("%s: simulated %d rounds, want %d", step.name, got, step.want)
+		}
+	}
+}

@@ -1,51 +1,34 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/aloha"
-	"repro/internal/crc"
+	"repro/internal/detect"
 	"repro/internal/obs/audit"
 	"repro/internal/signal"
 )
 
 // statModel derives the closed-form detector model stat mode evaluates
-// from the configured detector. The airtime figures match internal/detect
-// exactly (QCD: 2l contention + l_id ID phase; CRC-CD: l_id + l_crc in
-// every slot; oracle: 1-bit probe + l_id ID phase) and the false-single
+// from the configured detector. The airtime figures are the built
+// detector's own ContentionBits and IDPhaseBits, so stat mode charges
+// every slot exactly what the exact engines do, and the false-single
 // exponents match the analytic miss models the audit layer checks
 // against (QCD Theorem 1's l·(m-1); CRC aliasing's ≈2^-width; the oracle
 // never misses).
 func statModel(c Config) (aloha.StatModel, error) {
-	switch c.Detector {
-	case DetQCD:
-		return aloha.StatModel{
-			Name:           fmt.Sprintf("QCD-%d", c.Strength),
-			ContentionBits: 2 * c.Strength,
-			IDPhaseBits:    c.IDBits,
-			Strength:       c.Strength,
-		}, nil
-	case DetCRCCD:
-		p, ok := crc.ByName(c.CRCName)
-		if !ok {
-			return aloha.StatModel{}, fmt.Errorf("sim: unknown CRC preset %q", c.CRCName)
-		}
-		return aloha.StatModel{
-			Name:           "CRC-CD/" + p.Name,
-			ContentionBits: c.IDBits + p.Width,
-			IDPhaseBits:    0,
-			MissExp:        p.Width,
-		}, nil
-	case DetOracle:
-		return aloha.StatModel{
-			Name:           "oracle",
-			ContentionBits: 1,
-			IDPhaseBits:    c.IDBits,
-			MissExp:        -1,
-		}, nil
-	default:
-		return aloha.StatModel{}, fmt.Errorf("sim: unknown detector %q", c.Detector)
+	det, err := BuildDetector(c)
+	if err != nil {
+		return aloha.StatModel{}, err
 	}
+	m := aloha.StatModel{ContentionBits: det.ContentionBits(), IDPhaseBits: det.IDPhaseBits()}
+	switch d := det.(type) {
+	case *detect.QCD:
+		m.Name, m.Strength = d.Name(), d.Strength()
+	case *detect.CRCCD:
+		m.Name, m.MissExp = d.Name(), d.CRCWidth()
+	default: // the oracle
+		m.Name, m.MissExp = "oracle", -1
+	}
+	return m, nil
 }
 
 // auditObserver adapts the stat engines' per-slot verdict feed to the

@@ -451,7 +451,13 @@ type ExperimentOptions = experiment.Options
 // Experiment is a registered paper artifact (table, figure, or ablation).
 type Experiment = experiment.Runner
 
-// Experiments lists every registered experiment in paper order.
+// Experiments lists every registered experiment in paper order. One call
+// is one reproduction run: the returned experiments share one memo of
+// Monte-Carlo aggregates, so a configuration several artifacts need is
+// simulated once, by the first artifact that needs it, and read from the
+// memo by the rest. Timing the artifacts one by one therefore credits
+// shared configurations to that first artifact. RunExperiment and
+// RunExperimentCSV start a fresh run on every call.
 func Experiments() []Experiment { return experiment.Registry() }
 
 // RunExperiment regenerates one paper artifact by id ("table7", "fig5",
@@ -468,7 +474,13 @@ func RunExperimentCSV(id string, o ExperimentOptions) (text, csv string, err err
 	if !ok {
 		return "", "", errUnknownExperiment(id)
 	}
-	out, err := r.Run(o)
+	return RenderExperiment(r, o)
+}
+
+// RenderExperiment runs e and returns its rendered text and its tabular
+// data as CSV (empty when the artifact has none).
+func RenderExperiment(e Experiment, o ExperimentOptions) (text, csv string, err error) {
+	out, err := e.Run(o)
 	if err != nil {
 		return "", "", err
 	}
