@@ -28,7 +28,7 @@ func main() {
 		rounds  = flag.Int("rounds", 0, "Monte-Carlo rounds (0 = paper's 100)")
 		maxCase = flag.Int("maxcase", 0, "limit Table VI cases to 1..4 (0 = all; case IV has 50000 tags)")
 		seed    = flag.Uint64("seed", 1, "master seed")
-		workers = flag.Int("workers", 0, "parallel rounds (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "concurrent runs per artifact: Monte-Carlo rounds and independent runs (0 = GOMAXPROCS); output does not depend on it")
 		chart   = flag.Bool("chart", false, "render data series as ASCII bar charts as well")
 		outDir  = flag.String("out", "", "directory to write one <id>.txt per artifact (created if needed)")
 		list    = flag.Bool("list", false, "list experiment ids and exit")

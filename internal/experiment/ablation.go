@@ -5,10 +5,8 @@ import (
 
 	"repro/internal/aloha"
 	"repro/internal/crc"
-	"repro/internal/deploy"
 	"repro/internal/detect"
 	"repro/internal/epc"
-	"repro/internal/prng"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/tagmodel"
@@ -137,33 +135,27 @@ func Floor(o Options) (Renderable, error) {
 	t := report.NewTable("Multi-reader floor (Table V): 100 readers, 100m×100m, 3m range",
 		"tags on floor", "covered", "identified", "CRC-CD time", "QCD-8 time", "EI")
 
-	for _, n := range []int{1000, 5000} {
-		var tCRC, tQCD float64
-		var covered, identified int
-		for _, det := range []detect.Detector{
-			detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits),
-			detect.NewQCD(8, epc.IDBits),
-		} {
-			rng := prng.New(o.Seed)
-			floor := deploy.NewFloor(100)
-			floor.PlaceReadersGrid(100, 3)
-			pop := tagmodel.NewPopulation(n, epc.IDBits, rng)
-			floor.PlaceTags(pop, rng)
-			tm := timing.Default
-			micros, ident := floor.RunSequential(func(sub tagmodel.Population) float64 {
-				return aloha.Exact(sub, det, tm, aloha.Options{}).FSA(aloha.NewFixed(maxi(1, len(sub)))).TimeMicros
-			})
-			if _, isQCD := det.(*detect.QCD); isQCD {
-				tQCD = micros
-			} else {
-				tCRC = micros
-			}
-			identified = ident
-			covered = int(floor.Coverage() * float64(n))
-		}
-		ei := (tCRC - tQCD) / tCRC
-		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", covered),
-			fmt.Sprintf("%d", identified), fmtMicros(tCRC), fmtMicros(tQCD), report.Pct(ei))
+	sizes := []int{1000, 5000}
+	dets := []detect.Detector{detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits), detect.NewQCD(8, epc.IDBits)}
+	// Run i is (floor size i/2, detector i%2).
+	type run struct {
+		micros              float64
+		covered, identified int
+	}
+	runs := make([]run, len(sizes)*len(dets))
+	o.each(len(runs), func(i int) {
+		n, det := sizes[i/2], dets[i%2]
+		floor, _ := floorWithTags(n, o.Seed)
+		micros, ident := floor.RunSequential(func(sub tagmodel.Population) float64 {
+			return aloha.Exact(sub, det, timing.Default, aloha.Options{}).FSA(aloha.NewFixed(maxi(1, len(sub)))).TimeMicros
+		})
+		runs[i] = run{micros, int(floor.Coverage() * float64(n)), ident}
+	})
+	for i, n := range sizes {
+		crcRun, qcdRun := runs[2*i], runs[2*i+1]
+		ei := (crcRun.micros - qcdRun.micros) / crcRun.micros
+		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", qcdRun.covered),
+			fmt.Sprintf("%d", qcdRun.identified), fmtMicros(crcRun.micros), fmtMicros(qcdRun.micros), report.Pct(ei))
 	}
 	t.AddNote("a 10m reader grid with 3m range covers ~28%% of the floor; uncovered tags are unreachable by design")
 	return t, nil

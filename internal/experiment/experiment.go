@@ -7,12 +7,16 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/epc"
+	"repro/internal/prng"
 	"repro/internal/rescache"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Renderable is anything the drivers can return (report.Table,
@@ -71,7 +75,9 @@ type Options struct {
 	MaxCase int
 	// Seed is the master seed (default 1).
 	Seed uint64
-	// Workers bounds parallel rounds (default GOMAXPROCS).
+	// Workers bounds each artifact's concurrent runs: the rounds of a
+	// simulated configuration, or a driver's own independent runs
+	// (default GOMAXPROCS). Results do not depend on it.
 	Workers int
 
 	// memo is the reproduction run's shared aggregates, set by the
@@ -169,6 +175,78 @@ func (o Options) aggregate(cfg sim.Config) (*sim.Aggregate, error) {
 	m.misses++
 	m.mu.Unlock()
 	return fresh, nil
+}
+
+// each runs fn(0), …, fn(n-1), a driver's independent runs, on at most
+// Workers goroutines (Workers ≤ 0 means GOMAXPROCS, as in sim); with
+// one worker it calls them inline, in index order. A unit writes only
+// its own index's slot and the caller folds the slots in index order, so
+// results are identical at any worker count. A unit must not call
+// aggregate: sim.Run would fan its rounds out inside this fan-out.
+func (o Options) each(n int, fn func(i int)) {
+	workers := o.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// perRound is the Monte-Carlo loop of the drivers that run their own
+// rounds: it runs fn(k, seed) for every configuration k < n and every
+// round as one unit of each, and returns the results by configuration,
+// each in round order. Round r of every configuration starts from the
+// r-th draw of prng.New(Seed), pre-drawn so scheduling cannot move it.
+func perRound[T any](o Options, n int, fn func(k int, seed uint64) T) [][]T {
+	src := prng.New(o.Seed)
+	seeds := make([]uint64, o.Rounds)
+	for r := range seeds {
+		seeds[r] = src.Uint64()
+	}
+	flat := make([]T, n*len(seeds))
+	o.each(len(flat), func(i int) {
+		flat[i] = fn(i/len(seeds), seeds[i%len(seeds)])
+	})
+	byConfig := make([][]T, n)
+	for k := range byConfig {
+		byConfig[k] = flat[k*len(seeds) : (k+1)*len(seeds)]
+	}
+	return byConfig
+}
+
+// means folds per-round metric vectors into each metric's mean, adding
+// the rounds in round order.
+func means(rounds [][]float64) []float64 {
+	accs := make([]stats.Accumulator, len(rounds[0]))
+	for _, r := range rounds {
+		for i, x := range r {
+			accs[i].Add(x)
+		}
+	}
+	out := make([]float64, len(accs))
+	for i := range accs {
+		out[i] = accs[i].Mean()
+	}
+	return out
 }
 
 // Runner is a named experiment.

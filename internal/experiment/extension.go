@@ -30,33 +30,26 @@ func AblationEstimate(o Options) (Renderable, error) {
 	t := report.NewTable("Ablation: frame sizing via cardinality estimation (case II, QCD-8)",
 		"policy", "slots (mean)", "throughput", "time")
 
-	runPolicy := func(name string, mk func() aloha.FramePolicy) error {
-		var slots, thr, tme stats.Accumulator
-		seeds := prng.New(o.Seed)
-		for r := 0; r < o.Rounds; r++ {
-			pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seeds.Uint64()))
-			s := aloha.Exact(pop, det, tm, aloha.Options{}).FSA(mk())
-			slots.Add(float64(s.Census.Slots()))
-			thr.Add(s.Census.Throughput())
-			tme.Add(s.TimeMicros)
-		}
-		t.AddRow(name, report.F(slots.Mean(), 0), report.F(thr.Mean(), 3), fmtMicros(tme.Mean()))
-		return nil
+	type policy struct {
+		name string
+		mk   func() aloha.FramePolicy
 	}
-
-	if err := runPolicy("fixed-300 (Table VI)", func() aloha.FramePolicy { return aloha.NewFixed(c.Slots) }); err != nil {
-		return nil, err
-	}
+	pols := []policy{{"fixed-300 (Table VI)", func() aloha.FramePolicy { return aloha.NewFixed(c.Slots) }}}
 	for _, est := range estimate.All() {
-		est := est
-		if err := runPolicy("estimate-"+est.Name(), func() aloha.FramePolicy {
+		pols = append(pols, policy{"estimate-" + est.Name(), func() aloha.FramePolicy {
 			return estimate.NewPolicy(est, c.Slots)
-		}); err != nil {
-			return nil, err
-		}
+		}})
 	}
-	if err := runPolicy("optimal (clairvoyant)", func() aloha.FramePolicy { return aloha.Optimal{N: c.Tags} }); err != nil {
-		return nil, err
+	pols = append(pols, policy{"optimal (clairvoyant)", func() aloha.FramePolicy { return aloha.Optimal{N: c.Tags} }})
+
+	rounds := perRound(o, len(pols), func(k int, seed uint64) []float64 {
+		pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
+		s := aloha.Exact(pop, det, tm, aloha.Options{}).FSA(pols[k].mk())
+		return []float64{float64(s.Census.Slots()), s.Census.Throughput(), s.TimeMicros}
+	})
+	for k, p := range pols {
+		m := means(rounds[k])
+		t.AddRow(p.name, report.F(m[0], 0), report.F(m[1], 3), fmtMicros(m[2]))
 	}
 	t.AddNote("estimators close most of the gap between a mis-sized fixed frame and the Lemma-1 optimum")
 	return t, nil
@@ -72,23 +65,28 @@ func Mobility(o Options) (Renderable, error) {
 		"dwell", "protocol", "CRC-CD miss", "QCD-8 miss", "QCD reads/CRC reads")
 	const rate = 2000
 	duration := 2e6 // 2 s simulated
-	for _, dwellMs := range []float64{3, 5, 10, 25} {
-		arr := mobility.Arrivals{RatePerSecond: rate, DwellMicros: dwellMs * 1000}
-		for _, proto := range []mobility.Protocol{mobility.ProtoBT, mobility.ProtoABS} {
-			crcRes := mobility.Run(proto, detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits), arr, duration, o.Seed)
-			qcdRes := mobility.Run(proto, detect.NewQCD(8, epc.IDBits), arr, duration, o.Seed)
-			ratio := 0.0
-			if crcRes.Read > 0 {
-				ratio = float64(qcdRes.Read) / float64(crcRes.Read)
-			}
-			t.AddRow(
-				fmt.Sprintf("%.0fms", dwellMs),
-				proto.String(),
-				report.Pct(crcRes.MissRate()),
-				report.Pct(qcdRes.MissRate()),
-				report.F(ratio, 2),
-			)
+	dwellsMs := []float64{3, 5, 10, 25}
+	protos := []mobility.Protocol{mobility.ProtoBT, mobility.ProtoABS}
+	dets := []detect.Detector{detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits), detect.NewQCD(8, epc.IDBits)}
+	// Run i is (dwell i/4, protocol i/2%2, detector i%2).
+	res := make([]mobility.Result, len(dwellsMs)*len(protos)*len(dets))
+	o.each(len(res), func(i int) {
+		arr := mobility.Arrivals{RatePerSecond: rate, DwellMicros: dwellsMs[i/4] * 1000}
+		res[i] = mobility.Run(protos[i/2%2], dets[i%2], arr, duration, o.Seed)
+	})
+	for i := 0; i < len(res); i += 2 {
+		crcRes, qcdRes := res[i], res[i+1]
+		ratio := 0.0
+		if crcRes.Read > 0 {
+			ratio = float64(qcdRes.Read) / float64(crcRes.Read)
 		}
+		t.AddRow(
+			fmt.Sprintf("%.0fms", dwellsMs[i/4]),
+			protos[i/2%2].String(),
+			report.Pct(crcRes.MissRate()),
+			report.Pct(qcdRes.MissRate()),
+			report.F(ratio, 2),
+		)
 	}
 	t.AddNote("miss = tag left the field unread; QCD's shorter slots read the same flow with far fewer losses")
 	return t, nil
@@ -104,34 +102,38 @@ func AblationEnergy(o Options) (Renderable, error) {
 	tm := timing.Default
 	t := report.NewTable("Ablation: mean bits transmitted per tag (case I)",
 		"protocol", "CRC-CD", "QCD-8", "saving")
-	for _, proto := range []string{"fsa", "bt"} {
-		means := map[string]float64{}
-		for _, detName := range []string{"crccd", "qcd"} {
-			var det detect.Detector
-			if detName == "qcd" {
-				det = detect.NewQCD(8, epc.IDBits)
-			} else {
-				det = detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits)
-			}
-			var acc stats.Accumulator
-			seeds := prng.New(o.Seed)
-			for r := 0; r < o.Rounds; r++ {
-				pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seeds.Uint64()))
-				if proto == "fsa" {
-					aloha.Exact(pop, det, tm, aloha.Options{}).FSA(aloha.NewFixed(c.Slots))
-				} else {
-					btree.Run(pop, det, tm)
-				}
-				for _, tag := range pop {
-					acc.Add(float64(tag.BitsSent))
-				}
-			}
-			means[detName] = acc.Mean()
+	protos := []string{"fsa", "bt"}
+	dets := []detect.Detector{detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits), detect.NewQCD(8, epc.IDBits)}
+	// Configuration k is (protocol k/2, detector k%2); a round yields
+	// every tag's transmitted bits, in population order.
+	rounds := perRound(o, len(protos)*len(dets), func(k int, seed uint64) []int64 {
+		pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
+		if protos[k/2] == "fsa" {
+			aloha.Exact(pop, dets[k%2], tm, aloha.Options{}).FSA(aloha.NewFixed(c.Slots))
+		} else {
+			btree.Run(pop, dets[k%2], tm)
 		}
-		saving := (means["crccd"] - means["qcd"]) / means["crccd"]
+		bits := make([]int64, len(pop))
+		for i, tag := range pop {
+			bits[i] = tag.BitsSent
+		}
+		return bits
+	})
+	for p, proto := range protos {
+		var means [2]float64 // CRC-CD, QCD
+		for d := range means {
+			var acc stats.Accumulator
+			for _, bits := range rounds[2*p+d] {
+				for _, b := range bits {
+					acc.Add(float64(b))
+				}
+			}
+			means[d] = acc.Mean()
+		}
+		saving := (means[0] - means[1]) / means[0]
 		t.AddRow(proto,
-			report.F(means["crccd"], 0)+" bits",
-			report.F(means["qcd"], 0)+" bits",
+			report.F(means[0], 0)+" bits",
+			report.F(means[1], 0)+" bits",
 			report.Pct(saving))
 	}
 	t.AddNote("CRC-CD tags retransmit the 96-bit ID+CRC in every contention; QCD tags send 16-bit preambles until singled out")

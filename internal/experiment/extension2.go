@@ -13,7 +13,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/prng"
 	"repro/internal/report"
-	"repro/internal/stats"
 	"repro/internal/tagmodel"
 	"repro/internal/timing"
 )
@@ -32,28 +31,23 @@ func Gen2(o Options) (Renderable, error) {
 		gen2.DefaultConfig(gen2.ReplyCRCCD, detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits)),
 		gen2.DefaultConfig(gen2.ReplyQCD, detect.NewQCD(8, epc.IDBits)),
 	}
+	rounds := perRound(o, len(configs), func(k int, seed uint64) []float64 {
+		pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
+		res := gen2.Run(pop, configs[k], timing.Default)
+		return []float64{res.Session.TimeMicros, float64(res.WastedACKs), float64(res.Queries), float64(res.CommandBits)}
+	})
 	var baseline float64
 	for i, cfg := range configs {
-		var tme, wasted, queries, cmdBits stats.Accumulator
-		seeds := prng.New(o.Seed)
-		for r := 0; r < o.Rounds; r++ {
-			seed := seeds.Uint64()
-			pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
-			res := gen2.Run(pop, cfg, timing.Default)
-			tme.Add(res.Session.TimeMicros)
-			wasted.Add(float64(res.WastedACKs))
-			queries.Add(float64(res.Queries))
-			cmdBits.Add(float64(res.CommandBits))
-		}
+		m := means(rounds[i]) // time, wasted ACKs, queries, command bits
 		if i == 0 {
-			baseline = tme.Mean()
+			baseline = m[0]
 		}
-		ei := (baseline - tme.Mean()) / baseline
+		ei := (baseline - m[0]) / baseline
 		t.AddRow(cfg.Scheme.String(),
-			fmtMicros(tme.Mean()),
-			report.F(wasted.Mean(), 0),
-			report.F(queries.Mean(), 1),
-			report.F(cmdBits.Mean(), 0),
+			fmtMicros(m[0]),
+			report.F(m[1], 0),
+			report.F(m[2], 1),
+			report.F(m[3], 0),
 			report.Pct(ei))
 	}
 	t.AddNote("stock RN16 carries no self-check: every collided slot costs a full wasted ACK exchange")
@@ -70,31 +64,20 @@ func Noise(o Options) (Renderable, error) {
 	s := report.NewSeries("Noise: identification time vs channel BER (case I, FSA)",
 		"BER", "time (μs)", "CRC-CD", "QCD-8", "EI")
 	tm := timing.Default
-	for _, ber := range []float64{0, 1e-4, 1e-3, 3e-3, 1e-2} {
-		times := map[string]float64{}
-		for _, detName := range []string{"crccd", "qcd"} {
-			var det detect.Detector
-			if detName == "qcd" {
-				det = detect.NewQCD(8, epc.IDBits)
-			} else {
-				det = detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits)
-			}
-			var acc stats.Accumulator
-			seeds := prng.New(o.Seed)
-			for r := 0; r < o.Rounds; r++ {
-				seed := seeds.Uint64()
-				pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
-				var im *air.Impairment
-				if ber > 0 {
-					im = &air.Impairment{BER: ber, Rng: prng.New(seed ^ 0x9015e)}
-				}
-				sess := aloha.Exact(pop, det, tm, aloha.Options{Impairment: im}).FSA(aloha.NewFixed(c.Slots))
-				acc.Add(sess.TimeMicros)
-			}
-			times[detName] = acc.Mean()
+	bers := []float64{0, 1e-4, 1e-3, 3e-3, 1e-2}
+	dets := []detect.Detector{detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits), detect.NewQCD(8, epc.IDBits)}
+	// Configuration k is (BER k/2, detector k%2).
+	rounds := perRound(o, len(bers)*len(dets), func(k int, seed uint64) []float64 {
+		pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
+		var im *air.Impairment
+		if ber := bers[k/2]; ber > 0 {
+			im = &air.Impairment{BER: ber, Rng: prng.New(seed ^ 0x9015e)}
 		}
-		ei := (times["crccd"] - times["qcd"]) / times["crccd"]
-		s.Add(ber, times["crccd"], times["qcd"], ei)
+		return []float64{aloha.Exact(pop, dets[k%2], tm, aloha.Options{Impairment: im}).FSA(aloha.NewFixed(c.Slots)).TimeMicros}
+	})
+	for b, ber := range bers {
+		tCRC, tQCD := means(rounds[2*b])[0], means(rounds[2*b+1])[0]
+		s.Add(ber, tCRC, tQCD, (tCRC-tQCD)/tCRC)
 	}
 	return s, nil
 }
@@ -109,21 +92,18 @@ func Capture(o Options) (Renderable, error) {
 		"capture prob", "mean", "slots", "time (μs)")
 	tm := timing.Default
 	det := detect.NewQCD(8, epc.IDBits)
-	for _, p := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
-		var slots, tme stats.Accumulator
-		seeds := prng.New(o.Seed)
-		for r := 0; r < o.Rounds; r++ {
-			seed := seeds.Uint64()
-			pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
-			var im *air.Impairment
-			if p > 0 {
-				im = &air.Impairment{CaptureProb: p, Rng: prng.New(seed ^ 0xca9)}
-			}
-			sess := aloha.Exact(pop, det, tm, aloha.Options{Impairment: im}).FSA(aloha.NewFixed(c.Slots))
-			slots.Add(float64(sess.Census.Slots()))
-			tme.Add(sess.TimeMicros)
+	probs := []float64{0, 0.25, 0.5, 0.75, 1.0}
+	rounds := perRound(o, len(probs), func(k int, seed uint64) []float64 {
+		pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
+		var im *air.Impairment
+		if p := probs[k]; p > 0 {
+			im = &air.Impairment{CaptureProb: p, Rng: prng.New(seed ^ 0xca9)}
 		}
-		s.Add(p, slots.Mean(), tme.Mean())
+		sess := aloha.Exact(pop, det, tm, aloha.Options{Impairment: im}).FSA(aloha.NewFixed(c.Slots))
+		return []float64{float64(sess.Census.Slots()), sess.TimeMicros}
+	})
+	for k, p := range probs {
+		s.Add(p, means(rounds[k])...)
 	}
 	return s, nil
 }
@@ -145,11 +125,26 @@ func Schedule(o Options) (Renderable, error) {
 		return aloha.Exact(sub, det, tm, aloha.Options{}).FSA(aloha.NewFixed(f)).TimeMicros
 	}
 	const tags = 2000
-	for _, radius := range []float64{10, 15, 25, 40} {
-		f1, _ := floorWithTags(tags, o.Seed)
-		seq, _ := f1.RunSequential(session)
-		f2, _ := floorWithTags(tags, o.Seed)
-		res := f2.RunScheduled(radius, session)
+	radii := []float64{10, 15, 25, 40}
+	// Unit i < len(radii) schedules a fresh floor at radius i; the last
+	// two run the sequential baseline every row shares and the
+	// unscheduled all-on activation (carrier radius 20m).
+	scheduled := make([]deploy.ScheduleResult, len(radii))
+	var seq float64
+	var un deploy.UnscheduledResult
+	o.each(len(radii)+2, func(i int) {
+		f, _ := floorWithTags(tags, o.Seed)
+		switch i - len(radii) {
+		case 0:
+			seq, _ = f.RunSequential(session)
+		case 1:
+			un = f.RunUnscheduled(20, session)
+		default:
+			scheduled[i] = f.RunScheduled(radii[i], session)
+		}
+	})
+	for i, radius := range radii {
+		res := scheduled[i]
 		t.AddRow(fmt.Sprintf("%.0fm", radius),
 			fmt.Sprintf("%d", res.Colors),
 			fmtMicros(seq),
@@ -159,8 +154,6 @@ func Schedule(o Options) (Renderable, error) {
 	t.AddNote("speedup = summed airtime / makespan; wider interference radii force more colors and less parallelism")
 
 	// The failure mode scheduling avoids: all readers keyed up at once.
-	f3, _ := floorWithTags(tags, o.Seed)
-	un := f3.RunUnscheduled(20, session)
 	t2 := report.NewTable("Unscheduled all-on activation (carrier radius 20m): Reader-Tag collisions",
 		"identified", "jammed (covered but drowned)", "makespan")
 	t2.AddRow(fmt.Sprintf("%d", un.Identified), fmt.Sprintf("%d", un.Jammed), fmtMicros(un.MakespanMicros))
@@ -184,31 +177,23 @@ func EDFSAExperiment(o Options) (Renderable, error) {
 	t := report.NewTable("EDFSA (frame cap 256) vs capped fixed FSA, 2000 tags",
 		"algorithm", "CRC-CD time", "QCD-8 time", "slots (QCD)", "λ (QCD)")
 	tm := timing.Default
-	run := func(det detect.Detector, edfsa bool, seed uint64) (float64, int64, float64) {
-		var tme, slots, thr stats.Accumulator
-		seeds := prng.New(seed)
-		for r := 0; r < o.Rounds; r++ {
-			pop := tagmodel.NewPopulation(2000, epc.IDBits, prng.New(seeds.Uint64()))
-			var sess *metrics.Session
-			if edfsa {
-				sess = aloha.Exact(pop, det, tm, aloha.Options{}).EDFSA(aloha.EDFSAConfig{MaxFrame: 256})
-			} else {
-				sess = aloha.Exact(pop, det, tm, aloha.Options{}).FSA(aloha.NewFixed(256))
-			}
-			tme.Add(sess.TimeMicros)
-			slots.Add(float64(sess.Census.Slots()))
-			thr.Add(sess.Census.Throughput())
+	edfsa := []bool{false, true}
+	dets := []detect.Detector{detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits), detect.NewQCD(8, epc.IDBits)}
+	// Configuration k is (algorithm k/2, detector k%2).
+	rounds := perRound(o, len(edfsa)*len(dets), func(k int, seed uint64) []float64 {
+		pop := tagmodel.NewPopulation(2000, epc.IDBits, prng.New(seed))
+		var sess *metrics.Session
+		if edfsa[k/2] {
+			sess = aloha.Exact(pop, dets[k%2], tm, aloha.Options{}).EDFSA(aloha.EDFSAConfig{MaxFrame: 256})
+		} else {
+			sess = aloha.Exact(pop, dets[k%2], tm, aloha.Options{}).FSA(aloha.NewFixed(256))
 		}
-		return tme.Mean(), int64(slots.Mean()), thr.Mean()
-	}
-	for _, alg := range []struct {
-		name  string
-		edfsa bool
-	}{{"fixed-256", false}, {"edfsa-256", true}} {
-		crcT, _, _ := run(detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits), alg.edfsa, o.Seed)
-		qcdT, qcdSlots, qcdThr := run(detect.NewQCD(8, epc.IDBits), alg.edfsa, o.Seed)
-		t.AddRow(alg.name, fmtMicros(crcT), fmtMicros(qcdT),
-			fmt.Sprintf("%d", qcdSlots), report.F(qcdThr, 3))
+		return []float64{sess.TimeMicros, float64(sess.Census.Slots()), sess.Census.Throughput()}
+	})
+	for a, name := range []string{"fixed-256", "edfsa-256"} {
+		crcM, qcdM := means(rounds[2*a]), means(rounds[2*a+1]) // time, slots, λ
+		t.AddRow(name, fmtMicros(crcM[0]), fmtMicros(qcdM[0]),
+			fmt.Sprintf("%d", int64(qcdM[1])), report.F(qcdM[2], 3))
 	}
 	t.AddNote("grouping keeps per-frame occupancy near the λ=1/e point despite the hardware frame cap")
 	return t, nil

@@ -7,7 +7,6 @@ import (
 	"repro/internal/privacy"
 	"repro/internal/prng"
 	"repro/internal/report"
-	"repro/internal/stats"
 )
 
 // Privacy evaluates the backward-channel protection of Section II's
@@ -20,32 +19,35 @@ func Privacy(o Options) (Renderable, error) {
 
 	t := report.NewTable("Backward-channel protection: pseudo-ID mixing (64-bit IDs)",
 		"metric", "value", "reference")
-	var rounds stats.Accumulator
-	entropyAt := map[int]*stats.Accumulator{1: {}, 4: {}, 8: {}, 16: {}}
-	seeds := prng.New(o.Seed)
-	for r := 0; r < o.Rounds; r++ {
-		rng := prng.New(seeds.Uint64())
+	// A round yields the rounds a fresh session took to full recovery,
+	// then the residual entropy after each of ks mixing rounds.
+	ks := []int{1, 4, 8, 16}
+	runs := perRound(o, 1, func(_ int, seed uint64) []float64 {
+		out := make([]float64, 1+len(ks))
+		rng := prng.New(seed)
 		id := bitstr.FromUint64(rng.Bits(64), 64)
 		s := privacy.NewSession(id, rng.Split())
-		k := 0
-		for !s.Complete() || k < 16 {
+		for k := 1; !s.Complete() || k <= 16; k++ {
 			s.Round()
-			k++
-			if acc, ok := entropyAt[k]; ok {
-				acc.Add(s.ResidualEntropyBits())
+			for i, at := range ks {
+				if k == at {
+					out[1+i] = s.ResidualEntropyBits()
+				}
 			}
 			if k >= 200 {
 				break
 			}
 		}
-		rounds.Add(float64(recoveryRounds(id, rng.Split())))
-	}
+		out[0] = float64(recoveryRounds(id, rng.Split()))
+		return out
+	})[0]
+	m := means(runs)
 	t.AddRow("rounds to full reader recovery (mean)",
-		report.F(rounds.Mean(), 2),
+		report.F(m[0], 2),
 		fmt.Sprintf("analytic E[max Geom] = %.2f", privacy.ExpectedRounds(idBits)))
-	for _, k := range []int{1, 4, 8, 16} {
+	for i, k := range ks {
 		t.AddRow(fmt.Sprintf("eavesdropper residual entropy after %d rounds", k),
-			report.F(entropyAt[k].Mean(), 2)+" bits",
+			report.F(m[1+i], 2)+" bits",
 			"64 bits would be perfect secrecy")
 	}
 	enc := privacy.NewRandomizedBitEncoding(prng.New(o.Seed))

@@ -7,7 +7,6 @@ import (
 	"repro/internal/prng"
 	"repro/internal/qtree"
 	"repro/internal/report"
-	"repro/internal/stats"
 	"repro/internal/tagmodel"
 	"repro/internal/timing"
 	"repro/internal/trace"
@@ -29,30 +28,32 @@ func Workloads(o Options) (Renderable, error) {
 	detFSA := detect.NewQCD(8, 96)
 	tm := timing.Default
 
-	for _, kind := range trace.Kinds() {
-		var qtBin, qtQuad, fsa stats.Accumulator
-		shared := 0
-		seeds := prng.New(o.Seed)
-		for r := 0; r < o.Rounds; r++ {
-			seed := seeds.Uint64()
-			build := func() tagmodel.Population {
-				pop, err := trace.Build(trace.Spec{Kind: kind, N: n, IDBits: 96}, prng.New(seed))
-				if err != nil {
-					panic(err)
-				}
-				return pop
+	kinds := trace.Kinds()
+	// A round yields the shared prefix length and the slots of binary QT,
+	// 4-ary QT and FSA.
+	rounds := perRound(o, len(kinds), func(k int, seed uint64) []float64 {
+		build := func() tagmodel.Population {
+			pop, err := trace.Build(trace.Spec{Kind: kinds[k], N: n, IDBits: 96}, prng.New(seed))
+			if err != nil {
+				panic(err)
 			}
-			pop := build()
-			shared = trace.SharedPrefixLen(pop)
-			qtBin.Add(float64(qtree.Run(pop, det, tm, qtree.Options{FanoutBits: 1}).Session.Census.Slots()))
-			qtQuad.Add(float64(qtree.Run(build(), det, tm, qtree.Options{FanoutBits: 2}).Session.Census.Slots()))
-			fsa.Add(float64(aloha.Exact(build(), detFSA, tm, aloha.Options{}).FSA(aloha.NewFixed(n)).Census.Slots()))
+			return pop
 		}
+		pop := build()
+		return []float64{
+			float64(trace.SharedPrefixLen(pop)),
+			float64(qtree.Run(pop, det, tm, qtree.Options{FanoutBits: 1}).Session.Census.Slots()),
+			float64(qtree.Run(build(), det, tm, qtree.Options{FanoutBits: 2}).Session.Census.Slots()),
+			float64(aloha.Exact(build(), detFSA, tm, aloha.Options{}).FSA(aloha.NewFixed(n)).Census.Slots()),
+		}
+	})
+	for k, kind := range kinds {
+		last, m := rounds[k][len(rounds[k])-1], means(rounds[k])
 		t.AddRow(string(kind),
-			fmt.Sprintf("%d bits", shared),
-			report.F(qtBin.Mean(), 0),
-			report.F(qtQuad.Mean(), 0),
-			report.F(fsa.Mean(), 0))
+			fmt.Sprintf("%d bits", int(last[0])),
+			report.F(m[1], 0),
+			report.F(m[2], 0),
+			report.F(m[3], 0))
 	}
 	t.AddNote("FSA slot counts are flat across shapes; QT pays one collided level per shared-prefix bit (binary) or per two bits (4-ary)")
 	return t, nil

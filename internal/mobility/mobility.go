@@ -117,19 +117,30 @@ func Run(proto Protocol, det detect.Detector, arr Arrivals, durationMicros float
 	now := 0.0
 	nextArrival := now + rng.Exp(1e6/arr.RatePerSecond)
 	var field []*mobileTag
-	seen := make(map[string]bool)
+	// Word-sized IDs dedup on the raw integer, longer ones on their key
+	// string, built once per draw.
+	seenWord := make(map[uint64]bool)
+	seenKey := make(map[string]bool)
 	nextIndex := 0
 
 	admit := func(at float64) {
 		// Draw a unique ID for the newcomer.
 		var id bitstr.BitString
 		for {
-			id = bitstr.FromUint64(rng.Bits(min64(arr.idBits())), min64(arr.idBits()))
+			w := rng.Bits(min64(arr.idBits()))
+			id = bitstr.FromUint64(w, min64(arr.idBits()))
+			if arr.idBits() <= 64 {
+				if !seenWord[w] {
+					seenWord[w] = true
+					break
+				}
+				continue
+			}
 			for id.Len() < arr.idBits() {
 				id = bitstr.Concat(id, bitstr.FromUint64(rng.Bits(1), 1))
 			}
-			if !seen[id.Key()] {
-				seen[id.Key()] = true
+			if k := id.Key(); !seenKey[k] {
+				seenKey[k] = true
 				break
 			}
 		}

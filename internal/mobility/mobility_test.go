@@ -129,3 +129,31 @@ func TestRunSessionKeepsDelays(t *testing.T) {
 			got, res.Session.TagsIdentified)
 	}
 }
+
+// TestRunIDDrawsPinned: the newcomer ID draw — word-sized IDs deduped on
+// the raw integer, longer ones on their key string — keeps the draw
+// sequence these runs were pinned with, across a 16-bit ID space small
+// enough for the dedup to reject draws, the 64-bit word and 96-bit IDs.
+func TestRunIDDrawsPinned(t *testing.T) {
+	for _, c := range []struct {
+		bits                          int
+		proto                         Protocol
+		arrived, read, missed, rounds int
+		slots                         int64
+	}{
+		{16, ProtoBT, 954, 954, 0, 1001, 22867},
+		{16, ProtoABS, 954, 954, 0, 1673, 17323},
+		{64, ProtoBT, 984, 984, 0, 552, 12729},
+		{64, ProtoABS, 984, 984, 0, 674, 8677},
+		{96, ProtoBT, 999, 999, 0, 405, 9737},
+		{96, ProtoABS, 998, 998, 0, 458, 6831},
+	} {
+		arr := Arrivals{RatePerSecond: 2000, DwellMicros: 5000, IDBits: c.bits}
+		r := Run(c.proto, detect.NewQCD(8, c.bits), arr, 5e5, 7)
+		got := [5]int64{int64(r.Arrived), int64(r.Read), int64(r.Missed), int64(r.Rounds), r.Session.Census.Slots()}
+		want := [5]int64{int64(c.arrived), int64(c.read), int64(c.missed), int64(c.rounds), c.slots}
+		if got != want {
+			t.Errorf("%d-bit %v: arrived/read/missed/rounds/slots = %v, pinned %v", c.bits, c.proto, got, want)
+		}
+	}
+}
