@@ -31,7 +31,8 @@
 //     around RunSlot), IDs longer than 64 bits or not a whole number of
 //     bytes under CRC-CD, a responder whose ID length differs from the
 //     detector's, and any other Detector, including a wrapper that embeds
-//     one of the three (rfidd's timed and audited detectors).
+//     one of the three (sim's audited detector, which needs the
+//     overlapped preamble for its exemplars).
 //
 // Both paths produce the same Outcome, BitsSent, IdentifiedAtMicros and
 // PRNG draws for any slot both can run; the differential test and

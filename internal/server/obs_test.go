@@ -35,7 +35,6 @@ func TestMetricsIncludesSimAndTransitionSeries(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE sim_rounds_total counter",
 		`sim_slots_total{type="single"}`,
-		"sim_detector_classify_seconds_bucket",
 		`rfidd_job_transitions_total{from="new",to="queued"} 1`,
 		`rfidd_job_transitions_total{from="queued",to="running"} 1`,
 		`rfidd_job_transitions_total{from="running",to="done"} 1`,

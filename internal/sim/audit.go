@@ -1,9 +1,9 @@
 package sim
 
 // Shadow-oracle verdict auditing: when enabled, every slot verdict of
-// every round is re-classified by a detect.Oracle (which reads the
-// ground-truth responder count the reception already carries) and the
-// confusion cell folded into the process-wide auditor. Like metric
+// every round is re-classified by the oracle's rule (signal.Classify of
+// the ground-truth responder count the reception already carries) and
+// the confusion cell folded into the process-wide auditor. Like metric
 // instrumentation, the disabled path costs one atomic pointer load per
 // round and nothing per slot.
 
@@ -32,16 +32,15 @@ func InstrumentAudit(a *audit.Auditor) { activeAuditor.Store(a) }
 func UninstrumentAudit() { activeAuditor.Store(nil) }
 
 // auditedDetector wraps the configured detector so that every verdict
-// is shadowed by the oracle's ground-truth classification.
+// is shadowed by the ground-truth classification.
 type auditedDetector struct {
 	detect.Detector
-	oracle *detect.Oracle
-	rec    *audit.Recorder
+	rec *audit.Recorder
 }
 
 func (d auditedDetector) Classify(rx signal.Reception) signal.SlotType {
 	declared := d.Detector.Classify(rx)
-	d.rec.Observe(d.oracle.Classify(rx), declared, rx)
+	d.rec.Observe(signal.Classify(rx.Responders), declared, rx)
 	return declared
 }
 

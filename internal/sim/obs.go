@@ -10,10 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/detect"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/signal"
 )
 
 // simSeries are the simulator-level metric handles, registered on one
@@ -25,18 +23,11 @@ type simSeries struct {
 	slotsCollided *obs.Counter
 	frames        *obs.Counter
 	identified    *obs.Counter
-	detLatency    *obs.Histogram
 }
 
 // instr is the active instrumentation, nil when disabled. A single
 // atomic pointer so RunRound's hot path pays one load.
 var instr atomic.Pointer[simSeries]
-
-// detectorLatencyBuckets bound the per-verdict classification latency
-// histogram, in seconds: verdicts are nanosecond-to-microsecond scale.
-var detectorLatencyBuckets = []float64{
-	1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 1e-4, 1e-3,
-}
 
 // Instrument registers the simulator's metric series on reg and starts
 // recording into them from every subsequent RunRound, process-wide.
@@ -51,8 +42,6 @@ func Instrument(reg *obs.Registry) {
 		slotsCollided: reg.Counter("sim_slots_total", slotsHelp, obs.L("type", "collided")),
 		frames:        reg.Counter("sim_frames_total", "Frames announced across all rounds."),
 		identified:    reg.Counter("sim_tags_identified_total", "Tags acknowledged across all rounds."),
-		detLatency: reg.Histogram("sim_detector_classify_seconds",
-			"Wall-clock latency of one detector verdict.", detectorLatencyBuckets),
 	})
 }
 
@@ -68,21 +57,6 @@ func (m *simSeries) record(s *metrics.Session) {
 	m.slotsCollided.Add(uint64(s.Census.Collided))
 	m.frames.Add(uint64(s.Census.Frames))
 	m.identified.Add(uint64(s.TagsIdentified))
-}
-
-// timedDetector wraps a detector to observe per-verdict wall-clock
-// latency. Only installed while instrumentation is active: it costs two
-// clock reads per slot.
-type timedDetector struct {
-	detect.Detector
-	h *obs.Histogram
-}
-
-func (d timedDetector) Classify(rx signal.Reception) signal.SlotType {
-	start := time.Now()
-	v := d.Detector.Classify(rx)
-	d.h.Observe(time.Since(start).Seconds())
-	return v
 }
 
 // frameSpans builds a metrics frame hook that records one "frame"

@@ -31,17 +31,31 @@ func TestInstrumentRecordsSeries(t *testing.T) {
 		`sim_slots_total{type="single"} 400`,
 		`sim_slots_total{type="collided"}`,
 		"sim_frames_total",
-		"sim_detector_classify_seconds_count",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
 	}
-	// The detector latency histogram saw one verdict per slot.
-	wantVerdicts := uint64(agg.Slots.Mean() * float64(c.Rounds))
-	line := "sim_detector_classify_seconds_count " + strconv.FormatUint(wantVerdicts, 10)
-	if !strings.Contains(text, line) {
-		t.Errorf("exposition missing %q (one verdict per slot):\n%s", line, text)
+	// The three census series account for every slot of the run (1440
+	// for baseCfg).
+	var slots uint64
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, "sim_slots_total{") {
+			continue
+		}
+		f := strings.Fields(line)
+		v, err := strconv.ParseUint(f[len(f)-1], 10, 64)
+		if err != nil {
+			t.Fatalf("sim_slots_total sample %q: %v", line, err)
+		}
+		slots += v
+	}
+	if want := uint64(agg.Slots.Mean() * float64(c.Rounds)); slots != want {
+		t.Errorf("sim_slots_total sums to %d, want the run's %d slots", slots, want)
+	}
+	// Instrumentation observes sessions, never individual verdicts.
+	if strings.Contains(text, "sim_detector_classify_seconds") {
+		t.Errorf("exposition still carries the per-verdict latency histogram:\n%s", text)
 	}
 }
 

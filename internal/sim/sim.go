@@ -341,11 +341,13 @@ type roundEnv struct {
 // picks the slot backend: exact mode builds the population and the
 // detector, stat mode draws straight from the round-seeded stream into
 // the closed-form detector model, and the algorithm picks the driver.
-// When metric instrumentation is active (Instrument) the exact detector
-// is wrapped to time verdicts and the finished session is folded into
-// the registry; when auditing is active (InstrumentAudit) every verdict
-// is shadowed by the oracle; the round span and the bus receive
-// per-frame spans and events for the FSA reader.
+// The engines get the detector BuildDetector returned, so metric
+// instrumentation (Instrument) never changes the slot path: it only
+// folds the finished session into the registry. Auditing
+// (InstrumentAudit) is the one wrapper: it shadows every verdict with
+// the ground truth, which moves exact slots onto air's generic path.
+// The round span and the bus receive per-frame spans and events for
+// the FSA reader.
 func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metrics.Session, error) {
 	c = c.withDefaults()
 	if err := c.Validate(); err != nil {
@@ -387,12 +389,9 @@ func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metr
 		if det, err = BuildDetector(c); err != nil {
 			return nil, err
 		}
-		if m != nil {
-			det = timedDetector{Detector: det, h: m.detLatency}
-		}
 		if a != nil {
 			rec = a.Recorder(det.Name(), strength, env.round, env.bus)
-			det = auditedDetector{Detector: det, oracle: detect.NewOracle(1, c.IDBits), rec: rec}
+			det = auditedDetector{Detector: det, rec: rec}
 		}
 		if c.BER > 0 || c.CaptureProb > 0 {
 			// Same split draw as the historical rng.Split(), minus the

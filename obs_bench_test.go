@@ -83,6 +83,33 @@ func TestDisabledInstrumentationAddsNoAllocations(t *testing.T) {
 	}
 }
 
+// TestInstrumentedRoundAllocatesLikePlainRound guards the enabled
+// metrics path: an instrumented round runs the same slot path as a
+// plain one and only folds the finished session into counters, so it
+// must allocate exactly as many objects per round. A wrapper around the
+// detector would box it once per round and hide it from air's word
+// kernel.
+func TestInstrumentedRoundAllocatesLikePlainRound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement in -short mode")
+	}
+	c := benchRoundCfg()
+	measure := func() float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := sim.RunRound(c, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	sim.Uninstrument()
+	plain := measure()
+	sim.Instrument(obs.NewRegistry())
+	defer sim.Uninstrument()
+	if instrumented := measure(); instrumented != plain {
+		t.Errorf("instrumented round allocates %v objects, plain round %v", instrumented, plain)
+	}
+}
+
 // BenchmarkRunRoundAudited measures the opt-in cost of shadow-oracle
 // auditing (run with -bench 'RunRound' -benchmem to compare all three).
 func BenchmarkRunRoundAudited(b *testing.B) {
