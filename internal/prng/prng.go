@@ -263,10 +263,22 @@ func (s *Source) binomial(n int, p, r, logq float64) int {
 		}
 		return k
 	}
-	// CDF inversion via the pmf recurrence
-	// P(k+1) = P(k) · (n-k)/(k+1) · p/(1-p), seeded at P(0) = (1-p)^n.
-	u := s.Float64()
-	pk := math.Exp(float64(n) * logq)
+	return invertAt(n, r, float64(n)*logq, s.Float64())
+}
+
+// invertAt is invert(n, r, u, math.Exp(x)): invertBracketed's answer
+// when it certifies one, else the loop seeded with math.Exp.
+func invertAt(n int, r, x, u float64) int {
+	if k, ok := invertBracketed(n, r, x, u); ok {
+		return k
+	}
+	return invert(n, r, u, math.Exp(x))
+}
+
+// invert is the CDF inversion of Binomial(n, p) at u via the pmf
+// recurrence P(k+1) = P(k) · (n-k)/(k+1) · p/(1-p), seeded at
+// pk = P(0) = (1-p)^n. Its arithmetic defines every inversion draw.
+func invert(n int, r, u, pk float64) int {
 	cum := pk
 	k := 0
 	for cum <= u && k < n {
@@ -278,6 +290,86 @@ func (s *Source) binomial(n int, p, r, logq float64) int {
 		}
 	}
 	return k
+}
+
+// invertBracketed returns invert(n, r, u, math.Exp(x)) without calling
+// math.Exp, or ok = false when it cannot certify the answer. It runs
+// invert's recurrence on both ends of a bracket lo ≤ math.Exp(x) ≤ hi at
+// once, with the same factors. Multiplying by a non-negative factor and
+// adding non-negatives both round monotonically, so the exact chain's pk
+// and cum stay between the two chains' at every step; where both chains
+// agree on cum > u, so does invert. An ambiguous test, or a pk leaving
+// the normal range unless both chains hit 0, returns ok = false.
+//
+// The explicit conversions keep an FMA-fusing compiler from merging the
+// chains' steps. If it fuses invert's own cum += pk, that loop rounds
+// once where the chains round twice. The bracket's 2^-37 margin on each
+// side still holds it: at mean ≤ 64, P(k) ≤ 64^k/k! leaves the normal
+// range before k = 600, and 600 steps drift by less than 2^-42.
+func invertBracketed(n int, r, x, u float64) (k int, ok bool) {
+	if !(x >= expBracketMin) {
+		return 0, false
+	}
+	pkLo, pkHi := expBracket(x)
+	cumLo, cumHi := pkLo, pkHi
+	for {
+		if cumLo > u {
+			return k, true
+		}
+		if cumHi > u {
+			return 0, false
+		}
+		if k == n {
+			return k, true
+		}
+		k++
+		f := r * float64(n-k+1) / float64(k)
+		pkLo = float64(pkLo * f)
+		pkHi = float64(pkHi * f)
+		cumLo = float64(cumLo + pkLo)
+		cumHi = float64(cumHi + pkHi)
+		if pkLo < 0x1p-1022 {
+			// invert stops at pk == 0 whatever cum is.
+			return k, pkHi == 0
+		}
+	}
+}
+
+const (
+	// expBracketMin is the least x expBracket takes: e^-700 and the
+	// bracket's intermediates stay well inside the normal range.
+	expBracketMin = -700
+	// expBracketWidth is the bracket's relative half-width, far above the
+	// evaluation error below, so any math.Exp accurate to an ulp is inside.
+	expBracketWidth = 0x1p-37
+)
+
+// exp2Table[j] is 2^(j/256).
+var exp2Table = func() (t [256]float64) {
+	for j := range t {
+		t[j] = math.Exp2(float64(j) / 256)
+	}
+	return t
+}()
+
+// expBracket returns lo ≤ e^x ≤ hi, hi/lo ≈ 1 + 2^-36, for x in
+// [expBracketMin, 0]. It writes x = (256m + j)·ln2/256 + r with
+// |r| ≤ ln2/512 and evaluates e^x ≈ 2^m · 2^(j/256) · (1 + r + r²/2 + r³/6).
+// The truncation error is below r⁴/24 < 2^-42.7, r's own rounding below
+// 2^-42.7, and the table and the arithmetic add a few ulps: the estimate
+// is within 2^-41.5 of e^x, and the bracket widens it by 2^-37.
+func expBracket(x float64) (lo, hi float64) {
+	const (
+		invStep = 256 / math.Ln2
+		step    = math.Ln2 / 256
+		shifter = 0x1.8p52 // adding it rounds |y| < 2^51 to an integer in the low bits
+	)
+	t := x*invStep + shifter
+	N := int64(math.Float64bits(t) - math.Float64bits(shifter))
+	r := x - (t-shifter)*step
+	scale := exp2Table[N&255] * math.Float64frombits(uint64(1023+N>>8)<<52)
+	v := scale * (1 + r + r*r*(0.5+r*(1.0/6)))
+	return v * (1 - expBracketWidth), v * (1 + expBracketWidth)
 }
 
 // Exp returns a draw from the exponential distribution with the given

@@ -360,10 +360,81 @@ func slotLawLs() []int {
 	return ls
 }
 
+// referenceBinomial is Binomial as it stood before the bracketed
+// inversion: the CDF inversion seeded with math.Exp, nothing shared with
+// invertBracketed, so the differential tests below can catch a bug in
+// the bracket. The normal branch is the package's own.
+func referenceBinomial(s *Source, n int, p float64) int {
+	if n == 0 || p == 0 {
+		return 0
+	}
+	if p == 1 {
+		return n
+	}
+	q := 1 - p
+	r, logq := p/q, math.Log(q)
+	mean := float64(n) * p
+	if mean > binomialInversionCap {
+		z := s.normal()
+		k := int(math.Round(mean + z*math.Sqrt(mean*(1-p))))
+		return max(0, min(k, n))
+	}
+	return referenceInvert(n, r, s.Float64(), math.Exp(float64(n)*logq))
+}
+
+// referenceInvert is the inversion loop referenceBinomial runs.
+func referenceInvert(n int, r, u, pk float64) int {
+	cum := pk
+	k := 0
+	for cum <= u && k < n {
+		k++
+		pk *= r * float64(n-k+1) / float64(k)
+		cum += pk
+		if pk == 0 {
+			break
+		}
+	}
+	return k
+}
+
+// TestBinomialMatchesReference pins Binomial(n, 1/float64(L)) to
+// referenceBinomial draw for draw on identical streams: same value and
+// same stream consumption, on both sides of the mean = 64 switch. A
+// handful of other p reach the bracket's domain edges: x = 0 (p below
+// an ulp of 1) and x < -700 (p near 1).
+func TestBinomialMatchesReference(t *testing.T) {
+	const draws = 16
+	check := func(n int, p float64, seed uint64) {
+		t.Helper()
+		a, b := New(seed), New(seed)
+		for i := 0; i < draws; i++ {
+			want := referenceBinomial(a, n, p)
+			if got := b.Binomial(n, p); got != want {
+				t.Fatalf("n=%d p=%v draw %d: Binomial = %d, reference = %d", n, p, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d p=%v: Binomial consumed a different number of raw draws", n, p)
+		}
+	}
+	for _, L := range slotLawLs() {
+		for _, n := range []int{1, 2, 3, 64*L - 1, 64*L + 1, 50000} {
+			if n > 0 {
+				check(n, 1/float64(L), uint64(L)<<20^uint64(n))
+			}
+		}
+	}
+	for _, p := range []float64{0.3, 0.5, 0.9, 0.999, 1 - 1e-12, 1e-17} {
+		for _, n := range []int{1, 5, 64, 70} {
+			check(n, p, math.Float64bits(p)^uint64(n))
+		}
+	}
+}
+
 // TestBinomialSlotMatchesBinomial pins BinomialSlot(n, NewSlotLaw(L))
-// to Binomial(n, 1/float64(L)) draw for draw on identical streams:
-// same value and same stream consumption, both sides of the mean = 64
-// switch to the normal approximation.
+// and Binomial(n, 1/float64(L)) to referenceBinomial draw for draw on
+// identical streams: same value and same stream consumption, both sides
+// of the mean = 64 switch to the normal approximation.
 func TestBinomialSlotMatchesBinomial(t *testing.T) {
 	const draws = 8
 	for _, L := range slotLawLs() {
@@ -376,17 +447,122 @@ func TestBinomialSlotMatchesBinomial(t *testing.T) {
 		}
 		for _, n := range []int{0, 1, 2, 64*L - 1, 64 * L, 64*L + 1, 50000} {
 			seed := uint64(L)<<20 ^ uint64(n)
-			a, b := New(seed), New(seed)
+			ref, a, b := New(seed), New(seed), New(seed)
 			for i := 0; i < draws; i++ {
-				want := a.Binomial(n, 1/float64(L))
+				want := referenceBinomial(ref, n, p)
+				if got := a.Binomial(n, p); got != want {
+					t.Fatalf("L=%d n=%d draw %d: Binomial = %d, reference = %d", L, n, i, got, want)
+				}
 				if got := b.BinomialSlot(n, &law); got != want {
-					t.Fatalf("L=%d n=%d draw %d: BinomialSlot = %d, Binomial = %d", L, n, i, got, want)
+					t.Fatalf("L=%d n=%d draw %d: BinomialSlot = %d, reference = %d", L, n, i, got, want)
 				}
 			}
-			if a.Uint64() != b.Uint64() {
-				t.Fatalf("L=%d n=%d: BinomialSlot consumed a different number of raw draws", L, n)
+			next := ref.Uint64()
+			if a.Uint64() != next || b.Uint64() != next {
+				t.Fatalf("L=%d n=%d: stream consumption differs from the reference", L, n)
 			}
 		}
+	}
+}
+
+// TestInvertBracketedFallsBackAtCDFSteps sets u exactly at, and an ulp
+// either side of, the reference chain's CDF steps, where no bracket can
+// decide cum > u: invertBracketed must decline the exact steps, and
+// invertAt must return the reference k at every u.
+func TestInvertBracketedFallsBackAtCDFSteps(t *testing.T) {
+	declined := 0
+	for _, L := range []int{2, 3, 16, 781, 1 << 15} {
+		law := NewSlotLaw(L)
+		for _, n := range []int{1, 2, 7, L, 3 * L, 64 * L} {
+			x := float64(n) * law.logq
+			pk0 := math.Exp(x)
+			pk, cum := pk0, pk0
+			for k := 0; k < min(n, 40) && cum < 1; k++ {
+				if _, ok := invertBracketed(n, law.r, x, cum); ok {
+					t.Errorf("L=%d n=%d: u = cum_%d = %v certified", L, n, k, cum)
+				} else {
+					declined++
+				}
+				for _, u := range []float64{math.Nextafter(cum, 0), cum, math.Nextafter(cum, 1)} {
+					if got, want := invertAt(n, law.r, x, u), referenceInvert(n, law.r, u, pk0); got != want {
+						t.Errorf("L=%d n=%d u=%v: invertAt = %d, reference = %d", L, n, u, got, want)
+					}
+				}
+				pk *= law.r * float64(n-k) / float64(k+1)
+				cum += pk
+			}
+		}
+	}
+	if declined == 0 {
+		t.Fatal("no CDF step was tried")
+	}
+	// u at or past the top of the CDF walks the chain to k = n or into
+	// underflow, where the bracket must decline until both ends hit 0.
+	for _, L := range []int{2, 3, 781, 1 << 15} {
+		law := NewSlotLaw(L)
+		for _, n := range []int{1, 3, L, 64 * L} {
+			x := float64(n) * law.logq
+			for _, u := range []float64{1 - 0x1p-53, 1, 2} {
+				if got, want := invertAt(n, law.r, x, u), referenceInvert(n, law.r, u, math.Exp(x)); got != want {
+					t.Errorf("L=%d n=%d u=%v: invertAt = %d, reference = %d", L, n, u, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestInvertBracketedRarelyFallsBack keeps the bracket useful: over the
+// slot laws that reach the inversion (L > 1) and uniform u, nearly
+// every inversion is certified.
+func TestInvertBracketedRarelyFallsBack(t *testing.T) {
+	s := New(5)
+	tried, declined := 0, 0
+	for _, L := range slotLawLs()[1:] {
+		law := NewSlotLaw(L)
+		for _, n := range []int{1, 2, L / 2, L, 4 * L, 64 * L} {
+			if n < 1 {
+				continue
+			}
+			x := float64(n) * law.logq
+			for i := 0; i < 20; i++ {
+				tried++
+				if _, ok := invertBracketed(n, law.r, x, s.Float64()); !ok {
+					declined++
+				}
+			}
+		}
+	}
+	if declined > tried/1000 {
+		t.Fatalf("%d of %d inversions fell back", declined, tried)
+	}
+}
+
+// TestExpBracketContainsExp checks lo ≤ math.Exp(x) ≤ hi with four ulps
+// to spare, so any Exp accurate to an ulp is inside, on 10^6 x over the
+// slot laws' range [-90, 0], a sample of the rest of the domain and its
+// edges; and that the bracket stays near its 2^-36 relative width.
+func TestExpBracketContainsExp(t *testing.T) {
+	check := func(x float64) {
+		lo, hi := expBracket(x)
+		e := math.Exp(x)
+		if !(lo <= e*(1-0x1p-50) && e*(1+0x1p-50) <= hi) {
+			t.Fatalf("x=%v: bracket [%v, %v] misses Exp = %v", x, lo, hi, e)
+		}
+		if w := hi/lo - 1; w > 0x1p-35 {
+			t.Fatalf("x=%v: relative width %v", x, w)
+		}
+	}
+	s := New(17)
+	for i := 0; i < 1_000_000; i++ {
+		check(-90 * s.Float64())
+	}
+	for i := 0; i < 100_000; i++ {
+		check(expBracketMin * s.Float64())
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), -0x1p-1074, -1e-300, -0x1p-60,
+		-math.Ln2 / 512, -math.Ln2 / 256, -math.Ln2, -89, -90,
+		expBracketMin, math.Nextafter(expBracketMin, 0)} {
+		check(x)
 	}
 }
 
@@ -416,15 +592,19 @@ func FuzzBinomialSlot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, n uint32, l uint16) {
 		L := int(l)%(1<<15) + 1
 		law := NewSlotLaw(L)
-		a, b := New(seed), New(seed)
+		ref, a, b := New(seed), New(seed), New(seed)
 		for i := 0; i < 4; i++ {
-			want := a.Binomial(int(n), 1/float64(L))
+			want := referenceBinomial(ref, int(n), 1/float64(L))
+			if got := a.Binomial(int(n), 1/float64(L)); got != want {
+				t.Fatalf("L=%d n=%d draw %d: Binomial = %d, reference = %d", L, n, i, got, want)
+			}
 			if got := b.BinomialSlot(int(n), &law); got != want {
-				t.Fatalf("L=%d n=%d draw %d: BinomialSlot = %d, Binomial = %d", L, n, i, got, want)
+				t.Fatalf("L=%d n=%d draw %d: BinomialSlot = %d, reference = %d", L, n, i, got, want)
 			}
 		}
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("L=%d n=%d: stream consumption differs", L, n)
+		next := ref.Uint64()
+		if a.Uint64() != next || b.Uint64() != next {
+			t.Fatalf("L=%d n=%d: stream consumption differs from the reference", L, n)
 		}
 	})
 }
@@ -464,3 +644,47 @@ func BenchmarkFillIntn(b *testing.B) {
 		s.FillIntn(buf, 3000)
 	}
 }
+
+// BenchmarkBinomialSlot draws over the law mix of a case-IV stat-mode
+// Q-adaptive session: the (R, L) sequence a 50 000-tag Gen-2 inventory
+// (InitialQ 4, C 0.3, MaxQ 15) visits, recorded once and replayed, one
+// BinomialSlot per op.
+func BenchmarkBinomialSlot(b *testing.B) {
+	type draw struct{ n, L int32 }
+	var mix []draw
+	rec := New(1)
+	laws := make([]SlotLaw, 1<<15+1)
+	for L := 1; L < len(laws); L++ {
+		laws[L] = NewSlotLaw(L)
+	}
+	active, qfp := 50000, 4.0
+	for active > 0 {
+		q := math.Round(qfp)
+		frame := 1 << int(q)
+		roundActive := active
+		for slot := 0; slot < frame && active > 0 && math.Round(qfp) == q; slot++ {
+			L := frame - slot
+			mix = append(mix, draw{int32(roundActive), int32(L)})
+			m := rec.BinomialSlot(roundActive, &laws[L])
+			roundActive -= m
+			switch {
+			case m == 0:
+				qfp = max(qfp-0.3, 0)
+			case m == 1:
+				active--
+			default:
+				qfp = min(qfp+0.3, 15)
+			}
+		}
+	}
+	s := New(2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := mix[i%len(mix)]
+		binomialSink = s.BinomialSlot(int(d.n), &laws[d.L])
+	}
+}
+
+// binomialSink keeps BenchmarkBinomialSlot's draws live.
+var binomialSink int

@@ -19,6 +19,36 @@ type coverIndex struct {
 	// stride is one reader list's packed size: a header word plus room
 	// for the longest cell list.
 	stride int
+	// band brackets every reader's range edge in squared distance for
+	// coverPair.
+	band coverBand
+}
+
+// coverBand holds squared-distance thresholds: a point at computed
+// d² < in2 from a reader is covered by it, and at d² > out2 uncovered,
+// both at its float64 position and once rounded to float32. Between
+// them coverPair asks Covers and the float32 point is recomputed.
+type coverBand struct{ in2, out2 float64 }
+
+// newCoverBand returns the band of readers with ranges in [rMin, rMax]
+// on an arena whose points move at most shift when rounded to float32.
+// The relative 1e-9 slack absorbs every float64 rounding in d², the
+// thresholds and Covers' own verdict; shift covers the float32 move. An
+// inner threshold that is not a positive normal square (a tiny range on
+// a large floor) never settles a point as covered, and a range whose
+// square leaves the normal range never settles one at all.
+func newCoverBand(rMin, rMax, shift float64) coverBand {
+	const slack, minNormal = 1e-9, 0x1p-1022
+	b := coverBand{in2: -1, out2: math.Inf(1)}
+	if !(rMin*rMin >= minNormal && rMax*rMax <= math.MaxFloat64) {
+		return b
+	}
+	if in := rMin*(1-slack) - shift; in > 0 && in*in >= minNormal {
+		b.in2 = in * in
+	}
+	out := rMax*(1+slack) + shift
+	b.out2 = out * out
+	return b
 }
 
 // newCoverIndex precomputes, per cell, the readers whose disc
@@ -56,6 +86,14 @@ func newCoverIndex(f *deploy.Floor, side, cellSize float64) *coverIndex {
 		longest = max(longest, len(ids))
 	}
 	c.stride = 1 + longest
+	rMin, rMax := math.Inf(1), math.Inf(-1)
+	for _, r := range f.Readers {
+		rMin, rMax = min(rMin, r.Range), max(rMax, r.Range)
+	}
+	// A coordinate in [0, side] moves at most side·2^-24 when rounded to
+	// float32 (or half float32's subnormal spacing 2^-149), so a point
+	// moves less than side·2^-23.
+	c.band = newCoverBand(rMin, rMax, max(side*0x1p-23, 0x1p-149))
 	return c
 }
 
@@ -72,6 +110,32 @@ func (c *coverIndex) cover(dst []int32, x, y float64) int {
 		}
 	}
 	return n
+}
+
+// coverPair is cover at (x, y) that also reports same: whether cover at
+// (x, y) rounded to float32 certainly returns the same list. It computes
+// each candidate's d² once; same holds when the rounded point stays in
+// the cell and every candidate's d² falls outside the band.
+func (c *coverIndex) coverPair(dst []int32, x, y float64) (n int, same bool) {
+	cx := min(int(x/c.cellSize), c.cells-1)
+	cy := min(int(y/c.cellSize), c.cells-1)
+	same = min(int(float64(float32(x))/c.cellSize), c.cells-1) == cx &&
+		min(int(float64(float32(y))/c.cellSize), c.cells-1) == cy
+	for _, id := range c.cellReaders[cy*c.cells+cx] {
+		r := &c.readers[id]
+		dx, dy := r.Pos.X-x, r.Pos.Y-y
+		d2 := dx*dx + dy*dy
+		in := d2 < c.band.in2
+		if !in && !(d2 > c.band.out2) {
+			same = false
+			in = r.Covers(deploy.Point{X: x, Y: y})
+		}
+		if in {
+			dst[n] = id
+			n++
+		}
+	}
+	return n, same
 }
 
 // uncovered is the clear-list header of a tag no reader covered at
@@ -105,18 +169,22 @@ type arrivalBatch struct {
 }
 
 // add appends one arrival at the float64 position (x, y) and records
-// both of its reader lists.
+// both of its reader lists. The clear-list is a copy of the push list
+// when coverPair settles the rounded point, else cover at that point.
 func (b *arrivalBatch) add(cov *coverIndex, arrive, leave, x, y float64) {
 	b.tags = append(b.tags, arrival{arrive: arrive, leave: leave})
 	s := cov.stride
 	i := len(b.lists)
 	b.lists = slices.Grow(b.lists, 2*s)[:i+2*s]
 	push, clear := b.lists[i:i+s], b.lists[i+s:i+2*s]
-	n := cov.cover(push[1:], x, y)
+	n, same := cov.coverPair(push[1:], x, y)
 	push[0] = int32(n)
-	if n == 0 {
+	switch {
+	case n == 0:
 		clear[0] = uncovered
-	} else {
+	case same:
+		copy(clear, push[:1+n])
+	default:
 		clear[0] = int32(cov.cover(clear[1:], float64(float32(x)), float64(float32(y))))
 	}
 }

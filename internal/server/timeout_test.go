@@ -28,7 +28,7 @@ func TestJobTimeoutBoundsExperimentsNotScenarios(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := smallScenario()
-	spec.DurationMicros = 30_000_000 // a few hundred ms of wall time
+	spec.DurationMicros = 120_000_000 // well over 100 ms of wall time
 	scn, err := c.Scenarios().Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
