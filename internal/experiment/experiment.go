@@ -7,13 +7,10 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/epc"
-	"repro/internal/prng"
 	"repro/internal/rescache"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -177,51 +174,22 @@ func (o Options) aggregate(cfg sim.Config) (*sim.Aggregate, error) {
 	return fresh, nil
 }
 
-// each runs fn(0), …, fn(n-1), a driver's independent runs, on at most
-// Workers goroutines (Workers ≤ 0 means GOMAXPROCS, as in sim); with
-// one worker it calls them inline, in index order. A unit writes only
-// its own index's slot and the caller folds the slots in index order, so
-// results are identical at any worker count. A unit must not call
-// aggregate: sim.Run would fan its rounds out inside this fan-out.
+// each runs fn(0), …, fn(n-1), a driver's independent runs, as sim.Fan's
+// units over Workers. A unit writes only its own index's slot and the
+// caller folds the slots in index order, so results are identical at any
+// worker count. A unit must not call aggregate: sim.Run would fan its
+// rounds out inside this fan-out.
 func (o Options) each(n int, fn func(i int)) {
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	sim.Fan(o.Workers, n, nil, sim.UnitFunc(func(i int, _ *sim.RoundScratch) { fn(i) }))
 }
 
 // perRound is the Monte-Carlo loop of the drivers that run their own
 // rounds: it runs fn(k, seed) for every configuration k < n and every
 // round as one unit of each, and returns the results by configuration,
-// each in round order. Round r of every configuration starts from the
-// r-th draw of prng.New(Seed), pre-drawn so scheduling cannot move it.
+// each in round order. Round r of every configuration starts from
+// sim.RoundSeeds' r-th seed.
 func perRound[T any](o Options, n int, fn func(k int, seed uint64) T) [][]T {
-	src := prng.New(o.Seed)
-	seeds := make([]uint64, o.Rounds)
-	for r := range seeds {
-		seeds[r] = src.Uint64()
-	}
+	seeds := sim.RoundSeeds(o.Seed, o.Rounds)
 	flat := make([]T, n*len(seeds))
 	o.each(len(flat), func(i int) {
 		flat[i] = fn(i/len(seeds), seeds[i%len(seeds)])

@@ -204,7 +204,15 @@ func (s *Source) Binomial(n int, p float64) int {
 		return n
 	}
 	q := 1 - p
-	return s.binomial(n, p, p/q, math.Log(q))
+	logq := math.Log(q)
+	if x := float64(n) * logq; x < expBracketMin && math.Exp(x) == 0 && float64(n)*p <= binomialInversionCap {
+		// (1-p)^n underflows, so the inversion's seed mass is 0 and it
+		// would stop at k = 1. Only p near 1 gets here: invert the
+		// mirrored law Binomial(n, 1-p), whose seed p^n is near 1, at
+		// the same one Float64.
+		return n - invertAt(n, q/p, float64(n)*math.Log(p), s.Float64())
+	}
+	return s.binomial(n, p, p/q, logq)
 }
 
 // SlotLaw holds the constants of Binomial(·, 1/L), the responder count

@@ -360,10 +360,33 @@ func slotLawLs() []int {
 	return ls
 }
 
+// TestBinomialNearOneMean: where (1-p)^n underflows (p within 1e-5 of 1
+// at n = 64) the inversion's seed mass is 0, so Binomial must draw the
+// mirrored law instead of stopping at k = 1. The mean of 1000 draws sits
+// within 0.01 of n·p.
+func TestBinomialNearOneMean(t *testing.T) {
+	const n, draws = 64, 1000
+	for _, p := range []float64{1 - 1e-12, 0.999999} {
+		s := New(math.Float64bits(p))
+		sum := 0
+		for i := 0; i < draws; i++ {
+			k := s.Binomial(n, p)
+			if k < 0 || k > n {
+				t.Fatalf("p=%v: draw %d out of [0,%d]", p, k, n)
+			}
+			sum += k
+		}
+		if mean := float64(sum) / draws; math.Abs(mean-n*p) > 0.01 {
+			t.Errorf("p=%v: mean of %d draws %.4f, want %.4f", p, draws, mean, n*p)
+		}
+	}
+}
+
 // referenceBinomial is Binomial as it stood before the bracketed
 // inversion: the CDF inversion seeded with math.Exp, nothing shared with
 // invertBracketed, so the differential tests below can catch a bug in
-// the bracket. The normal branch is the package's own.
+// the bracket. The normal branch is the package's own, and so is the
+// mirror where (1-p)^n underflows.
 func referenceBinomial(s *Source, n int, p float64) int {
 	if n == 0 || p == 0 {
 		return 0
@@ -379,7 +402,10 @@ func referenceBinomial(s *Source, n int, p float64) int {
 		k := int(math.Round(mean + z*math.Sqrt(mean*(1-p))))
 		return max(0, min(k, n))
 	}
-	return referenceInvert(n, r, s.Float64(), math.Exp(float64(n)*logq))
+	if pk := math.Exp(float64(n) * logq); pk > 0 {
+		return referenceInvert(n, r, s.Float64(), pk)
+	}
+	return n - referenceInvert(n, q/p, s.Float64(), math.Exp(float64(n)*math.Log(p)))
 }
 
 // referenceInvert is the inversion loop referenceBinomial runs.

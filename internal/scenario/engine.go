@@ -4,14 +4,11 @@ import (
 	"context"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/deploy"
 	"repro/internal/detect"
 	"repro/internal/metrics"
 	"repro/internal/prng"
-	"repro/internal/sched"
 	"repro/internal/signal"
 	"repro/internal/sim"
 	"repro/internal/timing"
@@ -54,6 +51,11 @@ type engine struct {
 	departCov []int32
 
 	newlyRead []Handle // per-group merge scratch
+
+	// group and groupStart are the colour class runGroup is running and
+	// its window's start, read by RunUnit.
+	group      []int
+	groupStart float64
 
 	res        *Result
 	epochReads int64
@@ -226,47 +228,23 @@ func (e *engine) onDepart(payload uint64) {
 	e.store.Release(h)
 }
 
-// runGroup executes one colour class's sessions. Readers of one class
-// are non-interfering by construction, and each session touches only
-// its own reader's state plus read-only store columns, so they run
-// concurrently; results cannot depend on the worker count because every
-// reader consumes only its own PRNG stream.
+// runGroup executes one colour class's sessions as sim.Fan's units, one
+// per reader. Readers of one class are non-interfering by construction,
+// and each session touches only its own reader's state plus read-only
+// store columns, so they run concurrently; results cannot depend on the
+// worker count because every reader consumes only its own PRNG stream,
+// and mergeGroup folds them in ascending reader order. The engine is the
+// unit, reading the group and its start from two fields, so the fan-out
+// (once per colour class per epoch) allocates nothing at one worker.
 func (e *engine) runGroup(group []int, start float64, workers int, pool *sim.ScratchPool) {
-	if workers > len(group) {
-		workers = len(group)
-	}
-	if workers <= 1 {
-		rs := pool.Get()
-		for _, id := range group {
-			e.runSession(id, start, rs.IndexFrame())
-		}
-		pool.Put(rs)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rs := pool.Get()
-			defer pool.Put(rs)
-			fr := rs.IndexFrame()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(group) {
-					return
-				}
-				e.runSession(group[i], start, fr)
-			}
-		}()
-	}
-	wg.Wait()
+	e.group, e.groupStart = group, start
+	sim.Fan(workers, len(group), pool, e)
 }
 
-func (e *engine) runSession(id int, start float64, fr *sched.IndexFrame) {
-	e.rds[id].session(e.store, fr, e.costs, start, e.spec.SessionMicros,
-		e.spec.NewcomerBatch, e.spec.MaxFrame)
+// RunUnit runs the session of the current group's i-th reader.
+func (e *engine) RunUnit(i int, rs *sim.RoundScratch) {
+	e.rds[e.group[i]].session(e.store, rs.IndexFrame(), e.costs, e.groupStart,
+		e.spec.SessionMicros, e.spec.NewcomerBatch, e.spec.MaxFrame)
 }
 
 // mergeGroup folds the group's sessions back into global state, in

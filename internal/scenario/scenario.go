@@ -148,6 +148,12 @@ func (s Spec) WithDefaults() Spec {
 	return s
 }
 
+// MaxCoverCells is the ceiling on the engine's coverage grid, which
+// holds one reader list per square cell of side ReadRangeMetres:
+// ceil(SideMetres/ReadRangeMetres)² cells. It admits a side of 1024
+// read ranges; Table V's 100 m arena at 3 m needs 34² = 1156 cells.
+const MaxCoverCells = 1 << 20
+
 // Validate reports spec errors. It validates the defaulted form, so a
 // zero-flow spec fails but omitted geometry does not.
 func (s Spec) Validate() error {
@@ -161,6 +167,10 @@ func (s Spec) Validate() error {
 	}
 	if s.ReadRangeMetres <= 0 {
 		return fmt.Errorf("scenario: read range %v must be positive", s.ReadRangeMetres)
+	}
+	if g := math.Ceil(s.SideMetres / s.ReadRangeMetres); g*g > MaxCoverCells {
+		return fmt.Errorf("scenario: side %v over read range %v needs %.0f coverage cells, over the %d-cell ceiling",
+			s.SideMetres, s.ReadRangeMetres, g*g, MaxCoverCells)
 	}
 	if s.InterferenceRadiusMetres < 0 {
 		return fmt.Errorf("scenario: negative interference radius %v", s.InterferenceRadiusMetres)

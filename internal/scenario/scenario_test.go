@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -147,6 +149,31 @@ func TestValidate(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d: expected a validation error", i)
 		}
+	}
+}
+
+// TestValidateRejectsHugeCoverGrid: a spec whose coverage grid,
+// ceil(side/range)² cells, is over MaxCoverCells fails Validate with an
+// error naming the ceiling instead of asking the engine for the memory
+// (at 1e12 m over 1e-3 m the allocation panicked). Table V's defaults
+// and a grid right at the ceiling still validate.
+func TestValidateRejectsHugeCoverGrid(t *testing.T) {
+	ceiling := strconv.Itoa(MaxCoverCells) + "-cell ceiling"
+	for _, geom := range [][2]float64{{1e12, 1e-3}, {1e5, 3}, {1025, 1}} {
+		spec := smallSpec()
+		spec.SideMetres, spec.ReadRangeMetres = geom[0], geom[1]
+		err := spec.Validate()
+		if err == nil || !strings.Contains(err.Error(), ceiling) {
+			t.Errorf("side %v, range %v: Validate = %v, want the %s", geom[0], geom[1], err, ceiling)
+		}
+	}
+	edge := smallSpec()
+	edge.SideMetres, edge.ReadRangeMetres = 1024, 1
+	if err := edge.Validate(); err != nil {
+		t.Errorf("a 1024² grid is at the ceiling: %v", err)
+	}
+	if err := (Spec{ArrivalsPerSecond: 100, DwellMicros: 1000, DurationMicros: 1000}).Validate(); err != nil {
+		t.Errorf("Table V geometry: %v", err)
 	}
 }
 

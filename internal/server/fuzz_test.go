@@ -37,6 +37,7 @@ func FuzzSubmitKey(f *testing.F) {
 			`"arrivals_per_second":4000,"dwell_micros":150000,"duration_micros":400000,"session_micros":2000,"seed":7}}`,
 		`{"spec":{"arrivals_per_second":100000,"dwell_micros":50000,"exponential_dwell":true,"duration_micros":1000000,"workers":4}}`,
 		`{"spec":{"readers":-3,"side_metres":-1,"arrivals_per_second":-1,"duration_micros":0,"epochs_per_progress":-2}}`,
+		`{"spec":{"side_metres":1e12,"read_range_metres":1e-3,"arrivals_per_second":4000,"dwell_micros":150000,"duration_micros":400000}}`,
 	} {
 		f.Add([]byte(seed))
 	}

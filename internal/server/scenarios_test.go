@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -137,6 +142,48 @@ func TestScenarioValidationAndNotFound(t *testing.T) {
 	}
 	if err := c.Scenarios().Cancel(ctx, "scn-404"); err == nil {
 		t.Error("unknown scenario cancelled")
+	}
+}
+
+// TestScenarioHugeCoverGridRejected: a spec whose coverage grid is over
+// scenario.MaxCoverCells (a 1e12 m arena at a 1e-3 m read range, which
+// once panicked the engine's allocation) answers 400 naming the ceiling,
+// and no job starts.
+func TestScenarioHugeCoverGridRejected(t *testing.T) {
+	svc := New(Options{Workers: 1, QueueDepth: 4})
+	defer svc.Shutdown(context.Background())
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	spec := smallScenario()
+	spec.SideMetres, spec.ReadRangeMetres = 1e12, 1e-3
+	body, err := json.Marshal(ScenarioSubmitRequest{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d (%s), want 400", resp.StatusCode, msg)
+	}
+	if ceiling := strconv.Itoa(scenario.MaxCoverCells) + "-cell ceiling"; !strings.Contains(string(msg), ceiling) {
+		t.Errorf("error %s does not name the %s", msg, ceiling)
+	}
+	ctx := context.Background()
+	c := NewClient(ts.URL)
+	if recs, err := c.Scenarios().List(ctx, ""); err != nil || len(recs) != 0 {
+		t.Errorf("scenarios listed after the rejected submit: %v, %v", recs, err)
+	}
+	text, err := c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := metricValue(t, text, "rfidd_jobs_submitted_total"); got != 0 {
+		t.Errorf("rfidd_jobs_submitted_total = %v after the rejected submit", got)
 	}
 }
 

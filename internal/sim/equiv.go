@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/prng"
 	"repro/internal/stats"
 )
 
@@ -97,8 +96,8 @@ func collect(cfg Config, seeds []uint64) (equivSamples, error) {
 // rounds in stat mode and KS-tests each observable at significance
 // alpha. cfg.Mode and cfg.Rounds are ignored; the configuration must
 // otherwise be valid in both modes (framed ALOHA, ideal channel). The
-// result is deterministic in (cfg, rounds): seeds derive from cfg.Seed
-// exactly as Run's round seeds do.
+// result is deterministic in (cfg, rounds): its seeds are RoundSeeds',
+// so the harness runs the very rounds an experiment would.
 func StatEquivalence(cfg Config, rounds int, alpha float64) (*EquivReport, error) {
 	if rounds < 10 {
 		return nil, fmt.Errorf("sim: StatEquivalence needs >= 10 rounds, got %d", rounds)
@@ -112,13 +111,7 @@ func StatEquivalence(cfg Config, rounds int, alpha float64) (*EquivReport, error
 		return nil, err
 	}
 
-	// Same seed schedule as RunContext so the harness exercises the very
-	// rounds an experiment would run.
-	parent := prng.New(cfg.Seed)
-	seeds := make([]uint64, rounds)
-	for i := range seeds {
-		seeds[i] = parent.Uint64()
-	}
+	seeds := RoundSeeds(cfg.Seed, rounds)
 
 	es, err := collect(exact, seeds)
 	if err != nil {

@@ -1,12 +1,14 @@
 // Package sim orchestrates Monte-Carlo identification experiments: it
 // builds tag populations, wires an anti-collision algorithm to a collision
-// detector, fans the paper's 100 repetition rounds out over a worker pool,
-// and folds the per-round sessions into deterministic aggregates.
+// detector, fans the paper's 100 repetition rounds out over a worker budget
+// with Fan, and folds the per-round sessions into deterministic aggregates.
+// Fan and RoundSeeds are also the fan-out and seed schedule of the
+// experiment drivers' own Monte-Carlo loops and of the scenario engine.
 //
-// Determinism: round r draws its seed from the r-th output of a parent
-// PRNG before any worker starts, and per-round results are folded in round
-// order after all workers finish, so the aggregate is bit-identical
-// regardless of GOMAXPROCS or scheduling.
+// Determinism: round r starts from RoundSeeds' r-th seed, drawn from one
+// parent PRNG before any round runs, and per-round results are folded in
+// round order after every round finishes, so the aggregate is
+// bit-identical regardless of worker count, GOMAXPROCS or scheduling.
 package sim
 
 import (
@@ -527,7 +529,8 @@ func RunContext(ctx context.Context, c Config) (*Aggregate, error) {
 // RunContextPool is RunContext drawing per-worker round scratch from sp
 // instead of allocating it, so back-to-back runs (sweep cells) reuse the
 // same working sets. A nil pool reproduces RunContext exactly; the
-// aggregate is bit-identical either way.
+// aggregate is bit-identical either way. The rounds are Fan's units over
+// Config.Workers, so at one worker they run on the caller's goroutine.
 func RunContextPool(ctx context.Context, c Config, sp *ScratchPool) (*Aggregate, error) {
 	c = c.withDefaults()
 	if err := c.Validate(); err != nil {
@@ -536,72 +539,42 @@ func RunContextPool(ctx context.Context, c Config, sp *ScratchPool) (*Aggregate,
 	bus := obs.BusFrom(ctx)
 	expSpan := obs.SpanFrom(ctx).Start("sim", "experiment")
 	expCtx := expSpan.Context()
-	// Pre-draw per-round seeds so parallel scheduling cannot affect them.
-	parent := prng.New(c.Seed)
-	seeds := make([]uint64, c.Rounds)
-	for i := range seeds {
-		seeds[i] = parent.Uint64()
-	}
+	seeds := RoundSeeds(c.Seed, c.Rounds)
 
 	results := make([]roundResult, c.Rounds)
-	var wg sync.WaitGroup
 	var completed atomic.Int64
-	work := make(chan int)
-	workers := c.Workers
-	if workers > c.Rounds {
-		workers = c.Rounds
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One scratch per worker: every round this worker runs reuses
-			// the same population, slot, scheduler and session storage, so
-			// the summary must be extracted before the next round starts.
-			// With a pool the scratch outlives this run too.
-			rs := sp.Get()
-			defer sp.Put(rs)
-			for r := range work {
-				if ctx.Err() != nil {
-					continue // drain without computing
-				}
-				rsp := expCtx.Start("sim", "round")
-				s, err := runRound(c, seeds[r], roundEnv{round: r, span: rsp.Context(), bus: bus}, rs)
-				if s == nil {
-					if rsp.Live() {
-						rsp.End(obs.SA("round", r), obs.SA("error", fmt.Sprint(err)))
-					}
-					results[r] = roundResult{err: err}
-					continue
-				}
-				if rsp.Live() {
-					rsp.End(roundAttrs(r, s)...)
-				}
-				results[r] = roundResult{fold: summarizeRound(s), ok: true}
-				done := completed.Add(1)
-				if bus.Enabled() {
-					bus.Publish("round", map[string]any{
-						"round":      r,
-						"completed":  done,
-						"rounds":     c.Rounds,
-						"slots":      s.Census.Slots(),
-						"identified": s.TagsIdentified,
-						"sim_us":     s.TimeMicros,
-					})
-				}
-			}
-		}()
-	}
-feed:
-	for r := 0; r < c.Rounds; r++ {
-		select {
-		case work <- r:
-		case <-ctx.Done():
-			break feed
+	// Each worker's scratch serves every round it runs, so the summary
+	// is extracted before its next round starts; with a pool the scratch
+	// outlives this run too.
+	Fan(c.Workers, c.Rounds, sp, UnitFunc(func(r int, rs *RoundScratch) {
+		if ctx.Err() != nil {
+			return // cancelled: skip the rounds not yet started
 		}
-	}
-	close(work)
-	wg.Wait()
+		rsp := expCtx.Start("sim", "round")
+		s, err := runRound(c, seeds[r], roundEnv{round: r, span: rsp.Context(), bus: bus}, rs)
+		if s == nil {
+			if rsp.Live() {
+				rsp.End(obs.SA("round", r), obs.SA("error", fmt.Sprint(err)))
+			}
+			results[r] = roundResult{err: err}
+			return
+		}
+		if rsp.Live() {
+			rsp.End(roundAttrs(r, s)...)
+		}
+		results[r] = roundResult{fold: summarizeRound(s), ok: true}
+		done := completed.Add(1)
+		if bus.Enabled() {
+			bus.Publish("round", map[string]any{
+				"round":      r,
+				"completed":  done,
+				"rounds":     c.Rounds,
+				"slots":      s.Census.Slots(),
+				"identified": s.TagsIdentified,
+				"sim_us":     s.TimeMicros,
+			})
+		}
+	}))
 
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		// Fold whatever finished so the caller can flush partial results.
