@@ -63,7 +63,7 @@ const (
 func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
+		workers      = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 128, "bounded queue depth")
 		cacheSize    = flag.Int("cache", 1024, "result cache capacity in entries")
 		jobTimeout   = flag.Duration("job-timeout", 0, "run limit per experiment or sweep cell; scenarios are unbounded (0 = none)")

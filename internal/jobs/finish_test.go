@@ -20,13 +20,9 @@ func TestPanickingJobFailsAndWorkerContinues(t *testing.T) {
 	p.Register(reg, "pool")
 
 	var calls atomic.Int32
-	if err := submit(p, "boom", func(context.Context) (any, error) { calls.Add(1); panic("kaboom") }); err != nil {
-		t.Fatal(err)
-	}
-	if err := submit(p, "next", func(context.Context) (any, error) { return 7, nil }); err != nil {
-		t.Fatal(err)
-	}
-	boom, err := p.Wait(context.Background(), "boom")
+	boomJob := mustSubmit(t, p, "boom", func(context.Context) (any, error) { calls.Add(1); panic("kaboom") })
+	nextJob := mustSubmit(t, p, "next", func(context.Context) (any, error) { return 7, nil })
+	boom, err := boomJob.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +35,7 @@ func TestPanickingJobFailsAndWorkerContinues(t *testing.T) {
 	if n := calls.Load(); n != 1 {
 		t.Errorf("panicking job ran %d times, want 1 (no retry)", n)
 	}
-	next, err := p.Wait(context.Background(), "next")
+	next, err := nextJob.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +65,7 @@ func TestFinishHookOnEveryTerminalPath(t *testing.T) {
 		pending.Add(-1)
 		finished <- s
 	}
-	submit := func(id string, fn Func) {
+	submit := func(id string, fn Func) *Job {
 		t.Helper()
 		wrapped := func(ctx context.Context) (any, error) {
 			if n := pending.Add(1); n != 1 {
@@ -77,25 +73,27 @@ func TestFinishHookOnEveryTerminalPath(t *testing.T) {
 			}
 			return fn(ctx)
 		}
-		if err := p.Submit(context.Background(), id, wrapped, finish); err != nil {
+		j, err := p.Submit(context.Background(), id, wrapped, finish)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return j
 	}
 
 	running := make(chan struct{})
-	submit("running-canceled", func(ctx context.Context) (any, error) {
+	runningCanceled := submit("running-canceled", func(ctx context.Context) (any, error) {
 		close(running)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
-	submit("queued-canceled", func(context.Context) (any, error) { return nil, nil })
+	queuedCanceled := submit("queued-canceled", func(context.Context) (any, error) { return nil, nil })
 	submit("done", func(context.Context) (any, error) { return 1, nil })
 	submit("failed", func(context.Context) (any, error) { return nil, errors.New("no") })
 	submit("panicked", func(context.Context) (any, error) { panic("boom") })
 	<-running
-	p.Cancel("queued-canceled")
+	queuedCanceled.Cancel()
 	pending.Add(1) // its hook runs without the job ever starting
-	p.Cancel("running-canceled")
+	runningCanceled.Cancel()
 
 	want := map[string]Status{
 		"running-canceled": StatusCanceled, "queued-canceled": StatusCanceled,
@@ -121,7 +119,7 @@ func TestOnDoneRunsBeforeFinishHook(t *testing.T) {
 	p := NewPool(Options{Workers: 1, OnDone: func(Snapshot) { onDone.Add(1) }})
 	defer p.Shutdown(context.Background())
 	seen := make(chan int32, 1)
-	if err := p.Submit(context.Background(), "j", func(context.Context) (any, error) { return 1, nil },
+	if _, err := p.Submit(context.Background(), "j", func(context.Context) (any, error) { return 1, nil },
 		func(Snapshot) { seen <- onDone.Load() }); err != nil {
 		t.Fatal(err)
 	}

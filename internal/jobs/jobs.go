@@ -4,6 +4,12 @@
 // shutdown drains in-flight and queued work before returning. A job that
 // needs a time bound applies it itself.
 //
+// Submit returns a *Job handle, and the handle is the only way to reach
+// the job: the pool keeps no index, and holds a job only while it is
+// queued or running. Whoever keeps the handle keeps the job's snapshot;
+// a terminal job drops its function and finish hook, so a kept handle
+// pins nothing else.
+//
 // The package is deliberately independent of the simulator: a job is any
 // func(ctx) (any, error), so the pool is reusable for sweeps, floor
 // inventories, or future workloads.
@@ -52,14 +58,12 @@ var (
 	ErrQueueFull = errors.New("jobs: queue full")
 	// ErrClosed is returned by Submit after Shutdown has begun.
 	ErrClosed = errors.New("jobs: pool closed")
-	// ErrDuplicateID is returned by Submit when the ID is already taken.
-	ErrDuplicateID = errors.New("jobs: duplicate job id")
 )
 
 // Options configures a Pool. The zero value is usable: workers default
-// to runtime.NumCPU(), queue depth to 64.
+// to runtime.GOMAXPROCS(0), queue depth to 64.
 type Options struct {
-	// Workers is the number of concurrent job runners (default NumCPU).
+	// Workers is the number of concurrent job runners (default GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds the number of queued-but-not-running jobs
 	// (default 64). Submit fails with ErrQueueFull beyond it.
@@ -85,7 +89,7 @@ type Transition struct {
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
@@ -131,12 +135,13 @@ func (s Snapshot) RunTime() time.Duration {
 	return s.FinishedAt.Sub(s.StartedAt)
 }
 
-// job is the pool-internal mutable state behind a Snapshot.
-type job struct {
+// Job is the handle of one submitted job. Its id labels spans, logs and
+// transitions; the pool does not look jobs up by it.
+type Job struct {
 	id     string
-	fn     Func
+	fn     Func            // nil once terminal
 	sctx   obs.SpanContext // service-level trace position, captured at submit
-	finish func(Snapshot)  // per-job terminal hook; nil when none
+	finish func(Snapshot)  // per-job terminal hook; nil when none, or once terminal
 
 	mu         sync.Mutex
 	status     Status
@@ -150,7 +155,8 @@ type job struct {
 	done       chan struct{}      // closed on terminal state
 }
 
-func (j *job) snapshot() Snapshot {
+// Snapshot returns a copy of the job's externally visible state.
+func (j *Job) Snapshot() Snapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return Snapshot{
@@ -165,7 +171,6 @@ type Stats struct {
 	Busy           int // workers currently running a job
 	QueueDepth     int // jobs waiting in the queue
 	QueueHighWater int // deepest the queue has ever been
-	Indexed        int // jobs Get can still find: not yet forgotten
 	Submitted      uint64
 	Done           uint64
 	Failed         uint64
@@ -186,15 +191,14 @@ func (s Stats) Utilisation() float64 {
 // with NewPool; it is safe for concurrent use.
 type Pool struct {
 	opts  Options
-	queue chan *job
+	queue chan *Job
 	wg    sync.WaitGroup
 
 	// hardCtx cancels running jobs when a shutdown deadline expires.
 	hardCtx  context.Context
 	hardStop context.CancelFunc
 
-	mu     sync.Mutex
-	byID   map[string]*job
+	mu     sync.Mutex // guards closed against a send on the closed queue
 	closed bool
 
 	busy       atomic.Int64
@@ -213,10 +217,9 @@ func NewPool(o Options) *Pool {
 	hardCtx, hardStop := context.WithCancel(context.Background())
 	p := &Pool{
 		opts:     o,
-		queue:    make(chan *job, o.QueueDepth),
+		queue:    make(chan *Job, o.QueueDepth),
 		hardCtx:  hardCtx,
 		hardStop: hardStop,
-		byID:     make(map[string]*job),
 	}
 	for w := 0; w < o.Workers; w++ {
 		p.wg.Add(1)
@@ -232,8 +235,9 @@ func (p *Pool) transition(id string, from, to Status) {
 	}
 }
 
-// Submit enqueues fn under the caller-chosen id. It fails fast with
-// ErrQueueFull, ErrClosed, or ErrDuplicateID — it never blocks.
+// Submit enqueues fn under the caller-chosen id label and returns the
+// job's handle. It fails fast with ErrQueueFull or ErrClosed — it never
+// blocks.
 //
 // The span context on ctx (obs.WithSpan) is captured with the job: the
 // time spent queued is recorded as a queue-wait span under it, and fn
@@ -246,21 +250,17 @@ func (p *Pool) transition(id string, from, to Status) {
 // worker, on every terminal path (done, failed, panicked, canceled while
 // queued or running), after the terminal transition and Options.OnDone,
 // and before the worker takes its next job. It must not call back into
-// the pool except for Forget.
-func (p *Pool) Submit(ctx context.Context, id string, fn Func, finish func(Snapshot)) error {
+// the pool.
+func (p *Pool) Submit(ctx context.Context, id string, fn Func, finish func(Snapshot)) (*Job, error) {
 	if fn == nil {
-		return fmt.Errorf("jobs: nil Func for job %q", id)
+		return nil, fmt.Errorf("jobs: nil Func for job %q", id)
 	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return ErrClosed
+		return nil, ErrClosed
 	}
-	if _, dup := p.byID[id]; dup {
-		p.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrDuplicateID, id)
-	}
-	j := &job{
+	j := &Job{
 		id: id, fn: fn, finish: finish,
 		sctx:       obs.SpanFrom(ctx),
 		status:     StatusQueued,
@@ -275,7 +275,7 @@ func (p *Pool) Submit(ctx context.Context, id string, fn Func, finish func(Snaps
 	case p.queue <- j:
 	default:
 		p.mu.Unlock()
-		return ErrQueueFull
+		return nil, ErrQueueFull
 	}
 	// Track the deepest the queue has been: saturation shows up here
 	// long before submissions start bouncing with ErrQueueFull.
@@ -286,55 +286,17 @@ func (p *Pool) Submit(ctx context.Context, id string, fn Func, finish func(Snaps
 			break
 		}
 	}
-	p.byID[id] = j
 	p.submitted.Add(1)
 	p.mu.Unlock() // hooks run without the pool lock: they may take their own locks
 
 	p.transition(id, "", StatusQueued)
-	return nil
-}
-
-// Get returns the snapshot of the job with the given id.
-func (p *Pool) Get(id string) (Snapshot, bool) {
-	p.mu.Lock()
-	j, ok := p.byID[id]
-	p.mu.Unlock()
-	if !ok {
-		return Snapshot{}, false
-	}
-	return j.snapshot(), true
-}
-
-// Forget drops a terminal job from the pool's index, so callers that
-// submit unbounded job streams (sweep cells) can bound the index after
-// harvesting each result. Live jobs are refused.
-func (p *Pool) Forget(id string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	j, ok := p.byID[id]
-	if !ok {
-		return false
-	}
-	j.mu.Lock()
-	terminal := j.status.Terminal()
-	j.mu.Unlock()
-	if !terminal {
-		return false
-	}
-	delete(p.byID, id)
-	return true
+	return j, nil
 }
 
 // Cancel requests cancellation of the job: a queued job is skipped when
 // it reaches a worker, a running job has its context canceled. It
-// reports whether the job exists and was still live.
-func (p *Pool) Cancel(id string) bool {
-	p.mu.Lock()
-	j, ok := p.byID[id]
-	p.mu.Unlock()
-	if !ok {
-		return false
-	}
+// reports whether the job was still live.
+func (j *Job) Cancel() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.status.Terminal() {
@@ -348,32 +310,22 @@ func (p *Pool) Cancel(id string) bool {
 }
 
 // Wait blocks until the job reaches a terminal state or ctx expires.
-func (p *Pool) Wait(ctx context.Context, id string) (Snapshot, error) {
-	p.mu.Lock()
-	j, ok := p.byID[id]
-	p.mu.Unlock()
-	if !ok {
-		return Snapshot{}, fmt.Errorf("jobs: unknown job %q", id)
-	}
+func (j *Job) Wait(ctx context.Context) (Snapshot, error) {
 	select {
 	case <-j.done:
-		return j.snapshot(), nil
+		return j.Snapshot(), nil
 	case <-ctx.Done():
-		return j.snapshot(), ctx.Err()
+		return j.Snapshot(), ctx.Err()
 	}
 }
 
 // Stats returns a point-in-time load snapshot.
 func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	indexed := len(p.byID)
-	p.mu.Unlock()
 	return Stats{
 		Workers:        p.opts.Workers,
 		Busy:           int(p.busy.Load()),
 		QueueDepth:     len(p.queue),
 		QueueHighWater: int(p.qHighWater.Load()),
-		Indexed:        indexed,
 		Submitted:      p.submitted.Load(),
 		Done:           p.nDone.Load(),
 		Failed:         p.nFailed.Load(),
@@ -429,7 +381,7 @@ func (p *Pool) worker(wid int) {
 }
 
 // run executes one job and records its terminal state.
-func (p *Pool) run(j *job) {
+func (p *Pool) run(j *Job) {
 	j.mu.Lock()
 	if j.canceled { // canceled while still queued
 		j.status = StatusCanceled
@@ -495,7 +447,7 @@ func (p *Pool) run(j *job) {
 // call runs the job's function. A panic becomes an error carrying the
 // panic value and stack, which fails the job, so the worker goes on to
 // its next job.
-func (p *Pool) call(ctx context.Context, j *job) (result any, err error) {
+func (p *Pool) call(ctx context.Context, j *Job) (result any, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			p.nPanics.Add(1)
@@ -506,12 +458,12 @@ func (p *Pool) call(ctx context.Context, j *job) (result any, err error) {
 }
 
 // finishLog emits one structured log line for a job's terminal state.
-func (p *Pool) finishLog(j *job) {
+func (p *Pool) finishLog(j *Job) {
 	l := p.opts.Logger
 	if l == nil {
 		return
 	}
-	snap := j.snapshot()
+	snap := j.Snapshot()
 	attrs := []any{
 		"id", snap.ID, "status", string(snap.Status), "latency", snap.Latency(),
 	}
@@ -548,13 +500,15 @@ func (p *Pool) Register(reg *obs.Registry, prefix string) {
 		func() float64 { return time.Duration(p.busyNanos.Load()).Seconds() })
 }
 
-// notify runs the pool-wide OnDone, then the job's finish hook.
-func (p *Pool) notify(j *job) {
-	snap := j.snapshot()
+// notify runs the pool-wide OnDone, then the job's finish hook, then
+// drops the job's closures: a kept handle pins only its snapshot.
+func (p *Pool) notify(j *Job) {
+	snap := j.Snapshot()
 	if p.opts.OnDone != nil {
 		p.opts.OnDone(snap)
 	}
 	if j.finish != nil {
 		j.finish(snap)
 	}
+	j.fn, j.finish = nil, nil
 }

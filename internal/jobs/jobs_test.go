@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,19 +22,27 @@ func newTestPool(o Options) *Pool {
 }
 
 // submit enqueues fn under id with no trace context and no finish hook.
-func submit(p *Pool, id string, fn Func) error {
+func submit(p *Pool, id string, fn Func) (*Job, error) {
 	return p.Submit(context.Background(), id, fn, nil)
+}
+
+// mustSubmit is submit for jobs the test expects the pool to accept.
+func mustSubmit(t *testing.T, p *Pool, id string, fn Func) *Job {
+	t.Helper()
+	j, err := submit(p, id, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j
 }
 
 func TestSubmitRunsToDone(t *testing.T) {
 	p := newTestPool(Options{})
 	defer p.Shutdown(context.Background())
-	if err := submit(p, "j1", func(ctx context.Context) (any, error) {
+	j := mustSubmit(t, p, "j1", func(ctx context.Context) (any, error) {
 		return 42, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := p.Wait(context.Background(), "j1")
+	})
+	snap, err := j.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,22 +60,10 @@ func TestSubmitRunsToDone(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	p := newTestPool(Options{})
 	defer p.Shutdown(context.Background())
-	if err := submit(p, "j1", nil); err == nil {
+	if _, err := submit(p, "j1", nil); err == nil {
 		t.Error("nil Func accepted")
 	}
-	ok := func(ctx context.Context) (any, error) { return nil, nil }
-	if err := submit(p, "j1", ok); err != nil {
-		t.Fatal(err)
-	}
-	if err := submit(p, "j1", ok); !errors.Is(err, ErrDuplicateID) {
-		t.Errorf("duplicate id: err = %v", err)
-	}
-	if _, found := p.Get("nope"); found {
-		t.Error("Get found an unknown id")
-	}
-	if _, err := p.Wait(context.Background(), "nope"); err == nil {
-		t.Error("Wait on unknown id succeeded")
-	}
+	mustSubmit(t, p, "j1", func(ctx context.Context) (any, error) { return nil, nil })
 }
 
 func TestQueueFull(t *testing.T) {
@@ -75,22 +72,16 @@ func TestQueueFull(t *testing.T) {
 
 	block := make(chan struct{})
 	started := make(chan struct{})
-	if err := submit(p, "running", func(ctx context.Context) (any, error) {
+	mustSubmit(t, p, "running", func(ctx context.Context) (any, error) {
 		close(started)
 		<-block
 		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	<-started // the single worker is now occupied
 	sleepy := func(ctx context.Context) (any, error) { return nil, nil }
-	if err := submit(p, "q1", sleepy); err != nil {
-		t.Fatal(err)
-	}
-	if err := submit(p, "q2", sleepy); err != nil {
-		t.Fatal(err)
-	}
-	if err := submit(p, "q3", sleepy); !errors.Is(err, ErrQueueFull) {
+	mustSubmit(t, p, "q1", sleepy)
+	mustSubmit(t, p, "q2", sleepy)
+	if _, err := submit(p, "q3", sleepy); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("overfull submit: err = %v, want ErrQueueFull", err)
 	}
 	close(block)
@@ -100,11 +91,11 @@ func TestPermanentErrorNotRetried(t *testing.T) {
 	p := newTestPool(Options{})
 	defer p.Shutdown(context.Background())
 	var calls atomic.Int32
-	submit(p, "fatal", func(ctx context.Context) (any, error) {
+	j := mustSubmit(t, p, "fatal", func(ctx context.Context) (any, error) {
 		calls.Add(1)
 		return nil, errors.New("bad config")
 	})
-	snap, _ := p.Wait(context.Background(), "fatal")
+	snap, _ := j.Wait(context.Background())
 	if snap.Status != StatusFailed || calls.Load() != 1 {
 		t.Errorf("status = %s calls = %d, want one failed attempt", snap.Status, calls.Load())
 	}
@@ -114,24 +105,21 @@ func TestCancelRunning(t *testing.T) {
 	p := newTestPool(Options{})
 	defer p.Shutdown(context.Background())
 	started := make(chan struct{})
-	submit(p, "victim", func(ctx context.Context) (any, error) {
+	j := mustSubmit(t, p, "victim", func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
 	<-started
-	if !p.Cancel("victim") {
+	if !j.Cancel() {
 		t.Fatal("Cancel returned false for a running job")
 	}
-	snap, _ := p.Wait(context.Background(), "victim")
+	snap, _ := j.Wait(context.Background())
 	if snap.Status != StatusCanceled {
 		t.Errorf("status = %s, want canceled", snap.Status)
 	}
-	if p.Cancel("victim") {
+	if j.Cancel() {
 		t.Error("Cancel succeeded twice")
-	}
-	if p.Cancel("ghost") {
-		t.Error("Cancel found an unknown id")
 	}
 }
 
@@ -140,22 +128,22 @@ func TestCancelQueued(t *testing.T) {
 	defer p.Shutdown(context.Background())
 	block := make(chan struct{})
 	started := make(chan struct{})
-	submit(p, "blocker", func(ctx context.Context) (any, error) {
+	mustSubmit(t, p, "blocker", func(ctx context.Context) (any, error) {
 		close(started)
 		<-block
 		return nil, nil
 	})
 	<-started
 	var ran atomic.Bool
-	submit(p, "queued", func(ctx context.Context) (any, error) {
+	j := mustSubmit(t, p, "queued", func(ctx context.Context) (any, error) {
 		ran.Store(true)
 		return nil, nil
 	})
-	if !p.Cancel("queued") {
+	if !j.Cancel() {
 		t.Fatal("Cancel returned false for a queued job")
 	}
 	close(block)
-	snap, _ := p.Wait(context.Background(), "queued")
+	snap, _ := j.Wait(context.Background())
 	if snap.Status != StatusCanceled || ran.Load() {
 		t.Errorf("queued job ran despite cancellation: %+v ran=%v", snap, ran.Load())
 	}
@@ -167,13 +155,11 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	const n = 8
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("j%d", i)
-		if err := submit(p, id, func(ctx context.Context) (any, error) {
+		mustSubmit(t, p, id, func(ctx context.Context) (any, error) {
 			time.Sleep(5 * time.Millisecond)
 			finished.Add(1)
 			return id, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 	if err := p.Shutdown(context.Background()); err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -185,7 +171,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	if st.Done != n || st.QueueDepth != 0 || st.Busy != 0 {
 		t.Errorf("post-drain stats = %+v", st)
 	}
-	if err := submit(p, "late", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrClosed) {
+	if _, err := submit(p, "late", func(ctx context.Context) (any, error) { return nil, nil }); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after shutdown: err = %v, want ErrClosed", err)
 	}
 	// A second Shutdown is a no-op.
@@ -197,7 +183,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 	p := NewPool(Options{Workers: 1, QueueDepth: 4})
 	started := make(chan struct{})
-	submit(p, "stubborn", func(ctx context.Context) (any, error) {
+	j := mustSubmit(t, p, "stubborn", func(ctx context.Context) (any, error) {
 		close(started)
 		<-ctx.Done() // only exits when the pool hard-cancels
 		return nil, ctx.Err()
@@ -208,7 +194,7 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 	if err := p.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown err = %v, want DeadlineExceeded", err)
 	}
-	snap, _ := p.Get("stubborn")
+	snap := j.Snapshot()
 	if snap.Status != StatusCanceled {
 		t.Errorf("status = %s, want canceled after forced shutdown", snap.Status)
 	}
@@ -220,7 +206,7 @@ func TestStatsAndUtilisation(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{}, 2)
 	for i := 0; i < 2; i++ {
-		submit(p, fmt.Sprintf("b%d", i), func(ctx context.Context) (any, error) {
+		mustSubmit(t, p, fmt.Sprintf("b%d", i), func(ctx context.Context) (any, error) {
 			started <- struct{}{}
 			<-block
 			return nil, nil
@@ -250,58 +236,49 @@ func TestOnDoneCallback(t *testing.T) {
 		doneIDs <- s.ID
 	}})
 	defer p.Shutdown(context.Background())
-	submit(p, "a", func(ctx context.Context) (any, error) { return 1, nil })
-	submit(p, "b", func(ctx context.Context) (any, error) { return nil, errors.New("no") })
+	mustSubmit(t, p, "a", func(ctx context.Context) (any, error) { return 1, nil })
+	mustSubmit(t, p, "b", func(ctx context.Context) (any, error) { return nil, errors.New("no") })
 	got := map[string]bool{<-doneIDs: true, <-doneIDs: true}
 	if !got["a"] || !got["b"] {
 		t.Errorf("OnDone ids = %v", got)
 	}
 }
 
-func TestForgetDropsTerminalJobsOnly(t *testing.T) {
+// TestTerminalJobPinsNoClosure: a terminal job drops its function and
+// finish hook, so a kept handle does not keep what they capture alive.
+func TestTerminalJobPinsNoClosure(t *testing.T) {
 	p := newTestPool(Options{})
 	defer p.Shutdown(context.Background())
-
-	release := make(chan struct{})
-	if err := submit(p, "live", func(ctx context.Context) (any, error) {
-		<-release
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
+	type captured struct {
+		n   int
+		pad [64]byte // too big for the tiny allocator, so it is finalised alone
 	}
-	if p.Forget("live") {
-		t.Error("Forget accepted a live job")
-	}
-	if p.Forget("absent") {
-		t.Error("Forget accepted an unknown job")
-	}
-	close(release)
-	if _, err := p.Wait(context.Background(), "live"); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Forget("live") {
-		t.Error("Forget refused a terminal job")
-	}
-	if _, ok := p.Get("live"); ok {
-		t.Error("forgotten job still indexed")
-	}
-	if n := p.Stats().Indexed; n != 0 {
-		t.Errorf("Stats().Indexed = %d after Forget, want 0", n)
-	}
-	// The id is reusable afterwards, and the index stays bounded under a
-	// sustained submit/forget stream.
-	for i := 0; i < 100; i++ {
-		if err := submit(p, "live", func(ctx context.Context) (any, error) { return i, nil }); err != nil {
+	const n = 8
+	var freed atomic.Int32
+	handles := make([]*Job, n)
+	for i := range handles {
+		v := &captured{n: i}
+		runtime.SetFinalizer(v, func(*captured) { freed.Add(1) })
+		j, err := p.Submit(context.Background(), fmt.Sprintf("j%d", i),
+			func(context.Context) (any, error) { return v.n, nil },
+			func(Snapshot) { _ = v.pad })
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Wait(context.Background(), "live"); err != nil {
-			t.Fatal(err)
-		}
-		if !p.Forget("live") {
-			t.Fatal("Forget refused a terminal job")
+		handles[i] = j
+	}
+	for _, j := range handles {
+		if snap, err := j.Wait(context.Background()); err != nil || snap.Status != StatusDone {
+			t.Fatalf("job %s: %s, %v", snap.ID, snap.Status, err)
 		}
 	}
-	if n := p.Stats().Indexed; n != 0 {
-		t.Errorf("Stats().Indexed = %d after a submit/forget stream, want 0", n)
+	deadline := time.Now().Add(5 * time.Second)
+	for freed.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d captured values freed", freed.Load(), n)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
+	runtime.KeepAlive(handles)
 }

@@ -25,10 +25,8 @@ func TestTransitionSequence(t *testing.T) {
 	}})
 	defer p.Shutdown(context.Background())
 
-	if err := submit(p, "t1", func(context.Context) (any, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Wait(context.Background(), "t1"); err != nil {
+	j := mustSubmit(t, p, "t1", func(context.Context) (any, error) { return 1, nil })
+	if _, err := j.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -79,9 +77,7 @@ func TestEnqueueReportedBeforeRun(t *testing.T) {
 	defer p.Shutdown(context.Background())
 
 	ran := make(chan struct{})
-	if err := submit(p, "t1", func(context.Context) (any, error) { close(ran); return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
+	mustSubmit(t, p, "t1", func(context.Context) (any, error) { close(ran); return nil, nil })
 	<-ran
 	mu.Lock()
 	defer mu.Unlock()
@@ -104,19 +100,19 @@ func TestTransitionCanceledWhileQueued(t *testing.T) {
 	defer p.Shutdown(context.Background())
 
 	// Occupy the only worker so the second job stays queued.
-	submit(p, "blocker", func(ctx context.Context) (any, error) {
+	mustSubmit(t, p, "blocker", func(ctx context.Context) (any, error) {
 		<-block
 		return nil, nil
 	})
-	submit(p, "victim", func(context.Context) (any, error) { return nil, nil })
-	if !p.Cancel("victim") {
+	victim := mustSubmit(t, p, "victim", func(context.Context) (any, error) { return nil, nil })
+	if !victim.Cancel() {
 		t.Fatal("Cancel returned false for a queued job")
 	}
 	close(block)
-	if _, err := p.Wait(context.Background(), "victim"); err != nil {
+	if _, err := victim.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	snap, _ := p.Get("victim")
+	snap := victim.Snapshot()
 	if snap.Status != StatusCanceled {
 		t.Fatalf("victim status = %v", snap.Status)
 	}
@@ -148,10 +144,10 @@ func TestPoolTracerEvents(t *testing.T) {
 	ctx := obs.WithSpan(context.Background(), store.StartTrace("t"))
 	p := NewPool(Options{Workers: 2})
 
-	p.Submit(ctx, "ok", func(context.Context) (any, error) { return nil, nil }, nil)
-	p.Submit(ctx, "failing", func(context.Context) (any, error) { return nil, errors.New("boom") }, nil)
-	p.Wait(context.Background(), "ok")
-	p.Wait(context.Background(), "failing")
+	ok, _ := p.Submit(ctx, "ok", func(context.Context) (any, error) { return nil, nil }, nil)
+	failing, _ := p.Submit(ctx, "failing", func(context.Context) (any, error) { return nil, errors.New("boom") }, nil)
+	ok.Wait(context.Background())
+	failing.Wait(context.Background())
 	if err := p.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +169,10 @@ func TestPoolLogging(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&lockedWriter{w: &buf, mu: &mu}, nil))
 	p := NewPool(Options{Workers: 1, Logger: logger})
 
-	submit(p, "good", func(context.Context) (any, error) { return nil, nil })
-	submit(p, "bad", func(context.Context) (any, error) { return nil, errors.New("boom") })
-	p.Wait(context.Background(), "good")
-	p.Wait(context.Background(), "bad")
+	good := mustSubmit(t, p, "good", func(context.Context) (any, error) { return nil, nil })
+	bad := mustSubmit(t, p, "bad", func(context.Context) (any, error) { return nil, errors.New("boom") })
+	good.Wait(context.Background())
+	bad.Wait(context.Background())
 	if err := p.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -203,8 +199,7 @@ func TestPoolRegisterExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	p.Register(reg, "pool")
 
-	submit(p, "a", func(context.Context) (any, error) { return nil, nil })
-	p.Wait(context.Background(), "a")
+	mustSubmit(t, p, "a", func(context.Context) (any, error) { return nil, nil }).Wait(context.Background())
 	if err := p.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -18,7 +19,7 @@ import (
 func holdWorker(t *testing.T, s *Server) (release func()) {
 	t.Helper()
 	ch := make(chan struct{})
-	if err := s.pool.Submit(context.Background(), "hold", func(context.Context) (any, error) {
+	if _, err := s.pool.Submit(context.Background(), "hold", func(context.Context) (any, error) {
 		<-ch
 		return nil, nil
 	}, nil); err != nil {
@@ -29,12 +30,16 @@ func holdWorker(t *testing.T, s *Server) (release func()) {
 	return release
 }
 
-// waitQueued polls until the pool has accepted job id.
-func waitQueued(t *testing.T, s *Server, id string) {
+// waitQueued polls until job id leads the live flight computing cfg.
+func waitQueued(t *testing.T, s *Server, cfg sim.Config, id string) {
 	t.Helper()
+	p, err := prepareExperiment(SubmitRequest{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, ok := s.pool.Get(id); ok {
+		if s.runner.Leader(p.key) == id {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -79,7 +84,7 @@ func TestExperimentJoinsQueuedSweepCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitQueued(t, s, sw.ID+"/c0")
+	waitQueued(t, s, fastCfg(), sw.ID+"/c0")
 
 	var exp ExperimentResponse
 	if code := post(t, c, "/v1/experiments", SubmitRequest{Config: fastCfg()}, &exp); code != http.StatusOK {
@@ -192,7 +197,7 @@ func TestSweepResubmittedAfterCancelComputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitQueued(t, s, first.ID+"/c0")
+	waitQueued(t, s, fastCfg(), first.ID+"/c0")
 	if err := c.Sweeps().Cancel(ctx, first.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +205,7 @@ func TestSweepResubmittedAfterCancelComputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitQueued(t, s, second.ID+"/c0")
+	waitQueued(t, s, fastCfg(), second.ID+"/c0")
 	release()
 
 	for id, want := range map[string]string{first.ID: "canceled", second.ID: "done"} {
@@ -242,7 +247,7 @@ func TestSweepCancelSparesJoinedExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitQueued(t, s, sw.ID+"/c0")
+	waitQueued(t, s, fastCfg(), sw.ID+"/c0")
 	var exp ExperimentResponse
 	if code := post(t, c, "/v1/experiments", SubmitRequest{Config: fastCfg()}, &exp); code != http.StatusOK {
 		t.Fatalf("joining experiment got HTTP %d, want 200", code)

@@ -4,10 +4,14 @@ package server
 // lifecycle. A body is decoded, normalised and started under a minted
 // ID; the record is indexed in creation order; GET/list/events/cancel
 // serve it; and the oldest terminal records are pruned past a fixed
-// cap. A kind plugs in only what differs: its route, noun, ID prefix
-// and cap, how a body is normalised (prepare) and its work begun
-// (start), when a record is live, how it renders, which bus streams its
-// events and how it is cancelled. handleSubmit and mount own the rest.
+// cap. A record owns the handle its work runs under (a scenario its
+// pool job, an experiment its flight membership; a sweep is its own
+// handle), and nothing else keeps a terminal job, so pruning a record
+// lets its job go with it. A kind plugs in only what differs: its
+// route, noun, ID prefix and cap, how a body is normalised (prepare)
+// and its work begun (start), when a record is live, how it renders,
+// which bus streams its events and how it is cancelled. handleSubmit
+// and mount own the rest.
 
 import (
 	"encoding/json"
@@ -112,10 +116,8 @@ func (k *kind[Q, P, T, R]) records() []T {
 }
 
 // prune evicts the oldest terminal records above cap, stopping at the
-// first live one. Each evicted ID's pool job is forgotten with it (a
-// sweep has none; Forget ignores the ID): the job's closure pins the
-// run's tracer and event bus, so the pool index must shrink with the
-// registry.
+// first live one. An evicted record takes its job with it: the pool
+// holds no terminal job, and a terminal job pins no closure.
 func (k *kind[Q, P, T, R]) prune() {
 	for len(k.order) > k.cap {
 		id := k.order[0]
@@ -124,7 +126,6 @@ func (k *kind[Q, P, T, R]) prune() {
 		}
 		k.order = k.order[1:]
 		delete(k.byID, id)
-		k.srv.pool.Forget(id)
 	}
 	k.count.Store(int64(len(k.byID)))
 }
@@ -307,12 +308,8 @@ type jobView struct {
 	result                                   json.RawMessage
 }
 
-// jobViewOf reads a job snapshot into a jobView; ok false (the pool no
-// longer knows the job) reads as lost.
-func jobViewOf(snap jobs.Snapshot, ok bool) jobView {
-	if !ok {
-		return jobView{status: string(jobs.StatusFailed), err: "job state lost"}
-	}
+// jobViewOf reads a job snapshot into a jobView.
+func jobViewOf(snap jobs.Snapshot) jobView {
 	v := jobView{
 		status:   string(snap.Status),
 		enqueued: stamp(snap.EnqueuedAt),

@@ -44,14 +44,15 @@ type ScenarioResponse struct {
 	Error  string          `json:"error,omitempty"`
 }
 
-// scenarioRec is the server-side record behind a scenario ID. Lifecycle
-// state lives in the pool job with the same ID; the record carries what
-// the pool does not: the defaulted spec, the event bus and the latest
+// scenarioRec is the server-side record behind a scenario ID. It owns
+// the run's pool job, which holds the lifecycle state, and carries what
+// the job does not: the defaulted spec, the event bus and the latest
 // progress snapshot (stored from the engine's OnEpoch callback, read by
 // handlers without taking s.mu).
 type scenarioRec struct {
 	id   string
 	spec scenario.Spec
+	job  *jobs.Job
 	bus  *obs.Bus
 	prog atomic.Pointer[scenario.Progress]
 }
@@ -70,13 +71,10 @@ func (s *Server) newScenarios() *scenarioKind {
 			return []any{"readers", rec.spec.Readers, "arrivals_per_second", rec.spec.ArrivalsPerSecond,
 				"duration_micros", rec.spec.DurationMicros}
 		},
-		live: func(rec *scenarioRec) bool {
-			snap, ok := s.pool.Get(rec.id)
-			return ok && !snap.Status.Terminal()
-		},
+		live:   func(rec *scenarioRec) bool { return !rec.job.Snapshot().Status.Terminal() },
 		view:   s.scenarioResponseOf,
 		bus:    func(rec *scenarioRec) *obs.Bus { return rec.bus },
-		cancel: func(rec *scenarioRec) bool { return s.pool.Cancel(rec.id) },
+		cancel: func(rec *scenarioRec) bool { return rec.job.Cancel() },
 		byID:   make(map[string]*scenarioRec),
 	}
 }
@@ -114,7 +112,8 @@ func (s *Server) startScenario(r *http.Request, spec scenario.Spec) (*scenarioRe
 	// The run outlives this request (only the span context rides along)
 	// and nothing bounds its time — a warehouse run is minutes by
 	// design; DELETE /v1/scenarios/{id} ends it.
-	if err := s.pool.Submit(r.Context(), rec.id, fn, s.finishScenario(rec)); err != nil {
+	var err error
+	if rec.job, err = s.pool.Submit(r.Context(), rec.id, fn, s.finishScenario(rec)); err != nil {
 		return nil, "", false, err
 	}
 	s.hist.Annotate("scenario", fmt.Sprintf("%s started (%d readers, λ=%g/s)",
@@ -155,9 +154,9 @@ func (s *Server) finishScenario(rec *scenarioRec) func(jobs.Snapshot) {
 }
 
 // scenarioResponseOf assembles the response for one record from its
-// pool snapshot and latest progress.
+// job's snapshot and latest progress.
 func (s *Server) scenarioResponseOf(rec *scenarioRec) ScenarioResponse {
-	v := jobViewOf(s.pool.Get(rec.id))
+	v := jobViewOf(rec.job.Snapshot())
 	return ScenarioResponse{
 		ID: rec.id, Status: v.status, Spec: rec.spec,
 		EnqueuedAt: v.enqueued, StartedAt: v.started, FinishedAt: v.finished,

@@ -67,7 +67,7 @@ import (
 
 // Options sizes the service. Zero fields take the documented defaults.
 type Options struct {
-	// Workers is the worker-pool size (default runtime.NumCPU via jobs).
+	// Workers is the worker-pool size (default runtime.GOMAXPROCS via jobs).
 	Workers int
 	// QueueDepth bounds the backlog of queued experiments (default 64).
 	QueueDepth int

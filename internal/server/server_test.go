@@ -180,7 +180,7 @@ func TestDuplicateAfterJobFinishesIsServedFromCache(t *testing.T) {
 
 	// Hold the only worker so the first submission stays queued.
 	release := make(chan struct{})
-	if err := s.pool.Submit(context.Background(), "hold", func(context.Context) (any, error) {
+	if _, err := s.pool.Submit(context.Background(), "hold", func(context.Context) (any, error) {
 		<-release
 		return nil, nil
 	}, nil); err != nil {
@@ -194,7 +194,7 @@ func TestDuplicateAfterJobFinishesIsServedFromCache(t *testing.T) {
 	// takes the next one, so this job starting means the first
 	// submission is finished, cached and out of the in-flight map.
 	firstSettled := make(chan struct{})
-	if err := s.pool.Submit(context.Background(), "after-first", func(context.Context) (any, error) {
+	if _, err := s.pool.Submit(context.Background(), "after-first", func(context.Context) (any, error) {
 		close(firstSettled)
 		return nil, nil
 	}, nil); err != nil {

@@ -26,10 +26,11 @@ func (f UnitFunc) RunUnit(i int, rs *RoundScratch) { f(i, rs) }
 // when every unit has returned. The goroutines claim indices from one
 // atomic counter, so each index runs exactly once; at one worker every
 // unit runs inline, in index order, on the caller's goroutine. Each
-// goroutine takes one RoundScratch from pool for all the units it runs
-// and puts it back when done (a nil pool allocates fresh scratch). A
-// unit writes only its own index's results, so a caller that folds them
-// in index order gets the same answer at every worker count.
+// goroutine that claims a unit takes one RoundScratch from pool for all
+// the units it runs and puts it back when done (a nil pool allocates
+// fresh scratch); one that claims none takes nothing. A unit writes
+// only its own index's results, so a caller that folds them in index
+// order gets the same answer at every worker count.
 func Fan(workers, n int, pool *ScratchPool, u Unit) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -48,9 +49,13 @@ func Fan(workers, n int, pool *ScratchPool, u Unit) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			i := int(next.Add(1)) - 1
+			if i >= n { // the others ran every unit before this one started
+				return
+			}
 			rs := pool.Get()
 			defer pool.Put(rs)
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			for ; i < n; i = int(next.Add(1)) - 1 {
 				u.RunUnit(i, rs)
 			}
 		}()

@@ -116,15 +116,16 @@ func (req Request) Done(snap jobs.Snapshot) Done {
 type flight struct {
 	r       *Runner
 	id, key string
+	job     *jobs.Job // set in Claim under r.mu, before any caller sees the flight
 	members []*Member // the callers still waiting on it; nil once it lands
 }
 
-// Member is one caller's place on a flight. It keeps the caller's
-// terminal snapshot, so its owner never reads a forgotten pool entry.
+// Member is one caller's place on a flight. It reads the flight's job,
+// unless the caller left a flight that runs on.
 type Member struct {
 	req     Request
 	f       *flight
-	final   *jobs.Snapshot // set under r.mu as the caller is taken off its flight
+	final   *jobs.Snapshot // a leaver's canceled snapshot, set under r.mu
 	settled bool           // set under r.mu once Settle has returned
 }
 
@@ -140,15 +141,14 @@ func (m *Member) state() (*jobs.Snapshot, bool) {
 	return m.final, m.settled
 }
 
-// Snapshot returns the caller's terminal snapshot, else the flight's
-// live one from the pool (ok false if the pool lost it). An outcome
-// reads as unfinished until Settle has returned, so whoever sees it
-// also sees its effects.
-func (m *Member) Snapshot() (jobs.Snapshot, bool) {
-	snap, ok := m.f.r.Pool.Get(m.f.id)
+// Snapshot returns the caller's snapshot: a leaver's canceled one, else
+// the flight's job's. An outcome reads as unfinished until Settle has
+// returned, so whoever sees it also sees its effects.
+func (m *Member) Snapshot() jobs.Snapshot {
+	snap := m.f.job.Snapshot()
 	final, settled := m.state()
-	if final != nil { // a landing takes its callers off before it forgets
-		snap, ok = *final, true
+	if final != nil {
+		snap = *final
 	}
 	if !settled && snap.Status.Terminal() {
 		snap.Status, snap.FinishedAt, snap.Result, snap.Err = jobs.StatusRunning, time.Time{}, nil, nil
@@ -156,7 +156,7 @@ func (m *Member) Snapshot() (jobs.Snapshot, bool) {
 			snap.Status = jobs.StatusQueued
 		}
 	}
-	return snap, ok
+	return snap
 }
 
 // Lookup is a caller's one counted cache lookup for key, attributed to
@@ -209,9 +209,11 @@ func (r *Runner) Claim(ctx context.Context, req Request) (*Member, json.RawMessa
 	m := &Member{req: req, f: f}
 	f.members = []*Member{m}
 	tctx := obs.WithSpan(context.Background(), req.Span)
-	if err := r.Pool.Submit(tctx, req.ID, r.execute(req), f.land); err != nil {
+	job, err := r.Pool.Submit(tctx, req.ID, r.execute(req), f.land)
+	if err != nil {
 		return nil, nil, err
 	}
+	f.job = job
 	if r.flights == nil {
 		r.flights = make(map[string]*flight)
 	}
@@ -242,11 +244,11 @@ func (r *Runner) Leave(id string) int {
 		case len(leaving) == 0:
 		case len(staying) == 0:
 			delete(r.flights, key)
-			r.Pool.Cancel(f.id)
+			f.job.Cancel()
 		default:
 			f.members = staying
-			snap, _ := r.Pool.Get(f.id)
-			snap.ID, snap.Status, snap.Err, snap.Result, snap.FinishedAt = f.id, jobs.StatusCanceled, context.Canceled, nil, time.Now()
+			snap := f.job.Snapshot()
+			snap.Status, snap.Err, snap.Result, snap.FinishedAt = jobs.StatusCanceled, context.Canceled, nil, time.Now()
 			for _, m := range leaving {
 				m.final = &snap
 			}
@@ -289,8 +291,8 @@ func (r *Runner) execute(req Request) jobs.Func {
 }
 
 // land is the flight's terminal path, run on the pool worker before its
-// next job: publish the bytes, release the key, forget the job, then
-// settle every caller still on the flight.
+// next job: publish the bytes, release the key, then settle every caller
+// still on the flight.
 func (f *flight) land(snap jobs.Snapshot) {
 	r := f.r
 	if body, ok := snap.Result.(json.RawMessage); ok && snap.Status == jobs.StatusDone && r.Cache != nil {
@@ -302,11 +304,7 @@ func (f *flight) land(snap jobs.Snapshot) {
 	}
 	members := f.members
 	f.members = nil
-	for _, m := range members {
-		m.final = &snap
-	}
 	r.mu.Unlock()
-	r.Pool.Forget(f.id)
 	for _, m := range members {
 		m.settle(snap)
 	}

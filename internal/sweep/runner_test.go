@@ -18,7 +18,7 @@ func holdPool(t *testing.T) (pool *jobs.Pool, release func()) {
 	t.Helper()
 	pool = jobs.NewPool(jobs.Options{Workers: 1, QueueDepth: 8})
 	ch := make(chan struct{})
-	if err := pool.Submit(context.Background(), "hold", func(context.Context) (any, error) {
+	if _, err := pool.Submit(context.Background(), "hold", func(context.Context) (any, error) {
 		<-ch
 		return nil, nil
 	}, nil); err != nil {
@@ -48,9 +48,9 @@ func slowConfig() sim.Config {
 
 // TestFlightContract drives a flight down every terminal path and checks
 // that it publishes its bytes (on success) and releases its key on the
-// worker before that worker's next job, that the pool forgets its job
-// and the flight its callers, and that every caller is settled with the
-// final snapshot, which its membership keeps.
+// worker before that worker's next job, that the flight drops its
+// callers, and that every caller is settled with the final snapshot,
+// which its membership reads through the flight's job.
 func TestFlightContract(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -93,7 +93,7 @@ func TestFlightContract(t *testing.T) {
 			}
 			type probe struct{ live, cached bool }
 			probed := make(chan probe, 1)
-			if err := pool.Submit(context.Background(), "probe", func(context.Context) (any, error) {
+			if _, err := pool.Submit(context.Background(), "probe", func(context.Context) (any, error) {
 				_, cached := r.Cache.Peek(key)
 				probed <- probe{r.Leader(key) != "", cached}
 				return nil, nil
@@ -102,12 +102,12 @@ func TestFlightContract(t *testing.T) {
 			}
 			switch tc.cancel {
 			case "queued":
-				pool.Cancel("lead")
+				lead.f.job.Cancel()
 				release()
 			case "running":
 				release()
 				<-started
-				pool.Cancel("lead")
+				lead.f.job.Cancel()
 			default:
 				release()
 			}
@@ -118,15 +118,12 @@ func TestFlightContract(t *testing.T) {
 			if p.cached != (tc.want == jobs.StatusDone) {
 				t.Errorf("bytes published = %v, want %v", p.cached, tc.want == jobs.StatusDone)
 			}
-			if _, ok := pool.Get("lead"); ok {
-				t.Error("the landed flight's job is still in the pool")
-			}
 			if lead.f.members != nil {
 				t.Error("the landed flight still holds its callers")
 			}
 			for k, m := range []*Member{lead, join} {
-				if got, ok := m.Snapshot(); !ok || got.Status != tc.want || m.Live() {
-					t.Errorf("caller %d: final snapshot %s (ok %v, live %v), want %s", k, got.Status, ok, m.Live(), tc.want)
+				if got := m.Snapshot(); got.Status != tc.want || m.Live() {
+					t.Errorf("caller %d: final snapshot %s (live %v), want %s", k, got.Status, m.Live(), tc.want)
 				}
 				if settled[k].Status != tc.want || settled[k].ID != "lead" {
 					t.Errorf("caller %d settled with %s/%s, want lead/%s", k, settled[k].ID, settled[k].Status, tc.want)
@@ -140,7 +137,7 @@ func TestFlightContract(t *testing.T) {
 				t.Errorf("claim after landing: flight %v, %d bytes, %v", next != nil, len(body), err)
 			}
 			if next != nil {
-				pool.Cancel("next")
+				next.f.job.Cancel()
 			}
 		})
 	}
@@ -276,7 +273,7 @@ func TestLastLeaverReleasesKey(t *testing.T) {
 	// A second hold between the two flights: the cancelled one lands
 	// while the fresh one is still queued.
 	hold2 := make(chan struct{})
-	if err := pool.Submit(context.Background(), "hold2", func(context.Context) (any, error) { <-hold2; return nil, nil }, nil); err != nil {
+	if _, err := pool.Submit(context.Background(), "hold2", func(context.Context) (any, error) { <-hold2; return nil, nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, secondSettled := claim("swp-2/c0")
@@ -308,13 +305,13 @@ func TestOutcomeVisibleOnceSettled(t *testing.T) {
 		t.Fatalf("claim: %v", err)
 	}
 	<-entered
-	if snap, ok := m.Snapshot(); !ok || snap.Status.Terminal() || !m.Live() {
-		t.Errorf("during Settle: snapshot %s (ok %v), live %v; want unfinished and live", snap.Status, ok, m.Live())
+	if snap := m.Snapshot(); snap.Status.Terminal() || !m.Live() {
+		t.Errorf("during Settle: snapshot %s, live %v; want unfinished and live", snap.Status, m.Live())
 	}
 	close(release)
 	for deadline := time.Now().Add(10 * time.Second); m.Live() && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 	}
-	if snap, ok := m.Snapshot(); !ok || snap.Status != jobs.StatusDone || m.Live() {
-		t.Errorf("after Settle: snapshot %s (ok %v), live %v; want done and settled", snap.Status, ok, m.Live())
+	if snap := m.Snapshot(); snap.Status != jobs.StatusDone || m.Live() {
+		t.Errorf("after Settle: snapshot %s, live %v; want done and settled", snap.Status, m.Live())
 	}
 }
