@@ -196,7 +196,7 @@ func (b *statSlots) runFrame(frameSize int) {
 				single++
 				s.TagsIdentified++
 				end := base + int64(slot+1)*cb + declared*extra
-				s.DelaysMicros = append(s.DelaysMicros, float64(end)*b.tau)
+				s.AddDelay(float64(end) * b.tau)
 				if b.observe != nil {
 					b.observe(signal.Single, signal.Single, 1)
 				}
@@ -306,7 +306,7 @@ func (b *statSlots) qRound(qs *QState, q, active int) {
 			bits += extra
 			s.Census.Single++
 			s.TagsIdentified++
-			s.DelaysMicros = append(s.DelaysMicros, float64(bits)*b.tau)
+			s.AddDelay(float64(bits) * b.tau)
 			active--
 			if b.observe != nil {
 				b.observe(signal.Single, signal.Single, 1)

@@ -204,7 +204,7 @@ func qAdaptiveStatReference(n int, model StatModel, cfg QConfig, rng *prng.Sourc
 				bits += extra
 				s.Census.Single++
 				s.TagsIdentified++
-				s.DelaysMicros = append(s.DelaysMicros, float64(bits)*tm.TauMicros)
+				s.AddDelay(float64(bits) * tm.TauMicros)
 				remaining--
 			default:
 				s.Census.Collided++
@@ -253,7 +253,8 @@ func TestQAdaptiveStatMatchesReference(t *testing.T) {
 				got := Stat(n, model, tm, rng, Options{Scratch: &sc}).QAdaptive(cfg)
 				if got.Census != want.Census || got.Detection != want.Detection || got.Bits != want.Bits ||
 					got.TimeMicros != want.TimeMicros || got.TagsIdentified != want.TagsIdentified ||
-					!slices.Equal(got.DelaysMicros, want.DelaysMicros) || rng.Uint64() != refRng.Uint64() {
+					!slices.Equal(got.DelaysMicros, want.DelaysMicros) || got.DelayFold() != want.DelayFold() ||
+					rng.Uint64() != refRng.Uint64() {
 					t.Fatalf("n=%d cfg=%+v model=%s: session diverged from the per-slot reference", n, cfg, model.Name)
 				}
 			}

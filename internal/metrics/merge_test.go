@@ -69,6 +69,9 @@ func TestMergeSessionCoversEveryField(t *testing.T) {
 			t.Errorf("Merge drops Session.%s: merged %v, want %v", field.Name, got, want)
 		}
 	}
+	// The delay fold is unexported derived state, not a merged field:
+	// it must equal the fold of the merged delay log.
+	checkFold(t, "merged session", &dst)
 }
 
 // TestMergeSessionAccumulates pins the additive semantics over two
@@ -89,4 +92,5 @@ func TestMergeSessionAccumulates(t *testing.T) {
 	if want := []float64{1, 2, 9, 16.5}; !reflect.DeepEqual(dst.DelaysMicros, want) {
 		t.Fatalf("DelaysMicros after an offset merge = %v, want %v", dst.DelaysMicros, want)
 	}
+	checkFold(t, "after an offset merge", &dst)
 }

@@ -3,11 +3,17 @@
 // VIII), collision-detection accuracy (Figure 5), utilisation rate UR
 // (Table IX), per-tag identification delay (Figure 6), transmission time
 // (Figure 7), and efficiency improvement EI (Tables II–III, Figure 8).
+//
+// A Session's delay log has one writer, Session.AddDelay, which appends
+// to DelaysMicros and folds the same value into the session's Welford
+// accumulator, so consumers read DelayFold instead of walking the log
+// again. Record, Merge and the stat engines all write through it.
 package metrics
 
 import (
 	"repro/internal/air"
 	"repro/internal/signal"
+	"repro/internal/stats"
 )
 
 // Census counts slots by ground-truth type plus the frame count; these are
@@ -79,12 +85,15 @@ type Session struct {
 	TimeMicros float64
 
 	// DelaysMicros holds each identified tag's identification delay, the
-	// Figure-6 metric: time from session start to the tag's ACK.
+	// Figure-6 metric: time from session start to the tag's ACK, in
+	// identification order. Write it only through AddDelay.
 	DelaysMicros []float64
 
 	// TagsIdentified counts acknowledged tags (equals the population size
 	// when the session ran to completion).
 	TagsIdentified int64
+
+	delay stats.Accumulator // the Welford fold of DelaysMicros, in order
 
 	keepLog bool
 	slotLog []SlotRecord
@@ -96,8 +105,8 @@ type Session struct {
 // Reset clears the session for reuse by a new identification run,
 // retaining the capacity of the delay and slot-log slices so a pooled
 // session allocates its working set once per worker instead of once per
-// round. Hooks and the slot-log toggle are cleared too; the engine
-// re-installs them from its options.
+// round. Hooks, the slot-log toggle and the delay fold are cleared too;
+// the engine re-installs the hooks from its options.
 func (s *Session) Reset() {
 	*s = Session{
 		DelaysMicros: s.DelaysMicros[:0],
@@ -106,21 +115,35 @@ func (s *Session) Reset() {
 }
 
 // Merge folds src into s: counts and airtime sum, and src's delays
-// append shifted by offsetMicros. A follow-up round whose clock started
-// at zero passes s's end time; an aggregate of independent rounds
-// passes 0. It must cover every exported Session field — the reflection
-// test TestMergeSessionCoversEveryField fails on a new field that is not
-// merged here (DelaysMicros was silently dropped once).
+// are added in order, shifted by offsetMicros. A follow-up round whose
+// clock started at zero passes s's end time; an aggregate of
+// independent rounds passes 0. It must cover every exported Session
+// field — the reflection test TestMergeSessionCoversEveryField fails on
+// a new field that is not merged here (DelaysMicros was silently
+// dropped once).
 func (s *Session) Merge(src *Session, offsetMicros float64) {
 	s.Census.Add(src.Census)
 	s.Detection.Add(src.Detection)
 	s.Bits += src.Bits
 	s.TimeMicros += src.TimeMicros
 	for _, d := range src.DelaysMicros {
-		s.DelaysMicros = append(s.DelaysMicros, offsetMicros+d)
+		s.AddDelay(offsetMicros + d)
 	}
 	s.TagsIdentified += src.TagsIdentified
 }
+
+// AddDelay records one identified tag's delay: it appends d to
+// DelaysMicros and folds it into the session's delay accumulator. It is
+// the one writer of both, so DelayFold always equals a fresh
+// stats.Accumulator.AddAll over DelaysMicros, bit for bit.
+func (s *Session) AddDelay(d float64) {
+	s.DelaysMicros = append(s.DelaysMicros, d)
+	s.delay.Add(d)
+}
+
+// DelayFold returns the Welford fold of DelaysMicros, built as each
+// delay was recorded.
+func (s *Session) DelayFold() stats.Accumulator { return s.delay }
 
 // FrameInfo summarises one completed frame: its census delta and the
 // simulated time at which it ended. Delivered to the hook installed
@@ -180,7 +203,7 @@ func (s *Session) Record(o air.Outcome, endMicros float64) {
 	s.TimeMicros = endMicros
 	if o.Identified != nil {
 		s.TagsIdentified++
-		s.DelaysMicros = append(s.DelaysMicros, o.Identified.IdentifiedAtMicros)
+		s.AddDelay(o.Identified.IdentifiedAtMicros)
 	}
 	if s.keepLog {
 		s.slotLog = append(s.slotLog, SlotRecord{

@@ -462,10 +462,11 @@ type Aggregate struct {
 // session the moment the round finishes — everything Aggregate.fold
 // needs, copied out by value, so the session's storage can be recycled
 // for the worker's next round while the final fold still happens in
-// round order. The per-round delay accumulator is built in the worker
-// (AddAll in identification order, exactly as fold used to), so the
-// floating-point operation sequence — and therefore the aggregate — is
-// bit-identical to folding the full sessions.
+// round order. The per-round delay accumulator is the session's own
+// fold (metrics.Session.DelayFold), built as each delay was recorded in
+// identification order, so the floating-point operation sequence — and
+// therefore the aggregate — is bit-identical to folding the full
+// sessions.
 type roundFold struct {
 	census     metrics.Census
 	detection  metrics.Detection
@@ -485,15 +486,14 @@ func (f roundFold) ur(idBits int) float64 {
 
 // summarizeRound extracts a session's fold summary.
 func summarizeRound(s *metrics.Session) roundFold {
-	f := roundFold{
+	return roundFold{
 		census:     s.Census,
 		detection:  s.Detection,
 		bits:       s.Bits,
 		timeMicros: s.TimeMicros,
 		identified: s.TagsIdentified,
+		delay:      s.DelayFold(),
 	}
-	f.delay.AddAll(s.DelaysMicros)
-	return f
 }
 
 type roundResult struct {

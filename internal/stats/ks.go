@@ -62,7 +62,8 @@ func KSPValue(d float64, na, nb int) float64 {
 	sign := 1.0
 	converged := false
 	for k := 1; k <= 100; k++ {
-		term := sign * math.Exp(-2*float64(k)*float64(k)*lambda*lambda)
+		// Rounded before the sum (explicit conversion): no fused add.
+		term := float64(sign * math.Exp(-2*float64(k)*float64(k)*lambda*lambda))
 		sum += term
 		if math.Abs(term) < 1e-12 {
 			converged = true

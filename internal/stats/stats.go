@@ -22,6 +22,10 @@ type Accumulator struct {
 
 // Add absorbs one observation.
 func (a *Accumulator) Add(x float64) {
+	// Inlined, x may still be a caller's unrounded product (a delay is
+	// bits·τ); the conversion makes the fold see the stored float64, as
+	// AddAll over the recorded values does, and not fuse x - mean.
+	x = float64(x)
 	a.n++
 	if a.n == 1 {
 		a.min, a.max = x, x
@@ -35,7 +39,9 @@ func (a *Accumulator) Add(x float64) {
 	}
 	d := x - a.mean
 	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
+	// Rounded before the add (explicit conversion): arm64, ppc64le and
+	// s390x would otherwise fuse the update and move σ off amd64's bits.
+	a.m2 += float64(d * (x - a.mean))
 }
 
 // AddAll absorbs a slice of observations.
@@ -143,14 +149,16 @@ func Percentile(sorted []float64, p float64) float64 {
 	if p >= 1 {
 		return sorted[len(sorted)-1]
 	}
-	pos := p * float64(len(sorted)-1)
+	// Each product is rounded on its own (explicit conversions), so no
+	// architecture fuses it into the subtraction or sum that follows.
+	pos := float64(p * float64(len(sorted)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // Histogram is a fixed-width bucket histogram over [Lo, Hi); values
