@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet bench bench-json bench-gate trace-demo smoke loc
+.PHONY: check build test race vet bench bench-json bench-gate trace-demo loc
 
 check:
 	./scripts/check.sh
@@ -44,11 +44,6 @@ bench-gate:
 # entries report their net change from it.
 loc:
 	./scripts/loc.sh
-
-# smoke boots the service in-process once per case (sweep, scenario,
-# obs) and drives each end to end over HTTP.
-smoke:
-	$(GO) run ./cmd/smoke
 
 # trace-demo validates that every trace export (rfidsim -trace and
 # rfidd's trace endpoints) has the shape chrome://tracing and Perfetto

@@ -184,7 +184,7 @@ func (sc *SlotScratch) runGeneric(out *Outcome, det detect.Detector, responders 
 	}
 	if out.Identified != nil {
 		out.Identified.Identified = true
-		out.Identified.IdentifiedAtMicros = nowMicros + float64(out.Bits)*tauMicros
+		out.Identified.IdentifiedAtMicros = nowMicros + float64(float64(out.Bits)*tauMicros)
 	} else {
 		out.Phantom = true
 	}

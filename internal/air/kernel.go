@@ -148,7 +148,7 @@ func (k *wordKernel) run(out *Outcome, responders []*tagmodel.Tag, nowMicros, ta
 	for _, t := range responders {
 		if t.ID.Uint64() == acked {
 			t.Identified = true
-			t.IdentifiedAtMicros = nowMicros + float64(out.Bits)*tauMicros
+			t.IdentifiedAtMicros = nowMicros + float64(float64(out.Bits)*tauMicros)
 			out.Identified = t
 			return
 		}

@@ -64,7 +64,7 @@ func (b *exactSlots) runFrame(size int) {
 	now := b.now
 	for i := 0; i < size; i++ {
 		o := b.sc.RunSlotImpaired(b.det, b.buckets.Bucket(i), b.imp, now, b.tau)
-		now += float64(o.Bits) * b.tau
+		now += float64(float64(o.Bits) * b.tau)
 		b.sess.Record(o, now)
 	}
 	b.now = now
@@ -110,7 +110,7 @@ func (b *exactSlots) qRound(qs *QState, q, active int) {
 	for slot := 0; slot < frameSlots && active > 0; slot++ {
 		responders := b.buckets.Bucket(slot)
 		o := b.sc.RunSlotImpaired(b.det, responders, b.imp, now, b.tau)
-		now += float64(o.Bits) * b.tau
+		now += float64(float64(o.Bits) * b.tau)
 		b.sess.Record(o, now)
 		if o.Identified != nil {
 			active--

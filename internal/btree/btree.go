@@ -152,7 +152,7 @@ func run(g *groupStack, n int, det detect.Detector, tm timing.Model, onIdentify 
 		}
 		responders := g.top()
 		o := sc.RunSlot(det, responders, now, tm.TauMicros)
-		now += float64(o.Bits) * tm.TauMicros
+		now += float64(float64(o.Bits) * tm.TauMicros)
 		s.Record(o, now)
 		s.Census.Frames++
 		slots++

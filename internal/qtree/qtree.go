@@ -247,7 +247,7 @@ func Run(pop tagmodel.Population, det detect.Detector, tm timing.Model, opt Opti
 			jam = opt.Blocker.garbage
 		}
 		o := sc.RunSlotInterfered(det, ru.resp, jam, now, tm.TauMicros)
-		now += float64(o.Bits) * tm.TauMicros
+		now += float64(float64(o.Bits) * tm.TauMicros)
 		s.Record(o, now)
 		slots++
 		if o.Identified != nil {

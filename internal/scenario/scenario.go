@@ -32,6 +32,7 @@ import (
 	"math"
 
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -186,6 +187,9 @@ func (s Spec) Validate() error {
 	}
 	if s.Strength < 1 || s.Strength > 64 {
 		return fmt.Errorf("scenario: QCD strength %d out of [1,64]", s.Strength)
+	}
+	if s.IDBits < 1 || s.IDBits > sim.MaxIDBits {
+		return fmt.Errorf("scenario: id_bits %d out of [1,%d]", s.IDBits, sim.MaxIDBits)
 	}
 	if s.SessionMicros <= 0 {
 		return fmt.Errorf("scenario: session_micros %v must be positive", s.SessionMicros)

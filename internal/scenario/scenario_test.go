@@ -144,6 +144,8 @@ func TestValidate(t *testing.T) {
 		{ArrivalsPerSecond: 100, DwellMicros: 1000, DurationMicros: 1000, Readers: 7},
 		{ArrivalsPerSecond: 100, DwellMicros: 1000, DurationMicros: 1000, Strength: 99},
 		{ArrivalsPerSecond: -1, DwellMicros: 1000, DurationMicros: 1000},
+		{ArrivalsPerSecond: 100, DwellMicros: 1000, DurationMicros: 1000, IDBits: -5},
+		{ArrivalsPerSecond: 100, DwellMicros: 1000, DurationMicros: 1000, IDBits: 497},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +33,26 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// waitForSamples waits until the history holds at least n samples of
+// series. A counter step only registers in the history if the ring
+// already holds the value before it, so a test waits for a sample
+// before driving traffic it wants to see as a rate.
+func waitForSamples(t *testing.T, c *Client, series string, n int) {
+	t.Helper()
+	waitFor(t, 10*time.Second, func() bool {
+		idx, err := c.HistoryIndex(context.Background())
+		if err != nil {
+			return false
+		}
+		for _, info := range idx.Series {
+			if info.Name == series {
+				return info.Samples >= n
+			}
+		}
+		return false
+	}, fmt.Sprintf("%d history samples of %s", n, series))
 }
 
 func TestHistoryEndpointsServeSampledSeries(t *testing.T) {
@@ -163,6 +185,7 @@ func TestStatuszShowsTrendsAndAlerts(t *testing.T) {
 func TestSweepAnnotatesHistoryTimeline(t *testing.T) {
 	s, c := startServer(t, historyOptions())
 	ctx := context.Background()
+	waitForSamples(t, c, "obs_tsdb_ticks_total", 1)
 	sw, err := c.Sweeps().Submit(ctx, fig5MiniSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -170,6 +193,23 @@ func TestSweepAnnotatesHistoryTimeline(t *testing.T) {
 	if _, err := c.Sweeps().Wait(ctx, sw.ID, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
+	// The sweep's cells show as real rates on the sweep-origin series.
+	rateSeries := []string{
+		`rfidd_queue_wait_seconds_count{origin="sweep"}`,
+		`rfidd_run_seconds_count{origin="sweep"}`,
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		resp, err := c.MetricsHistory(ctx, rateSeries, 0, tsdb.ReduceRate)
+		if err != nil || len(resp.Results) != len(rateSeries) {
+			return false
+		}
+		for _, res := range resp.Results {
+			if !slices.ContainsFunc(res.Points, func(p tsdb.Point) bool { return p.V > 0 }) {
+				return false
+			}
+		}
+		return true
+	}, "positive sweep-origin rate points")
 	waitFor(t, 5*time.Second, func() bool {
 		var started, finished bool
 		for _, a := range s.hist.Annotations(time.Time{}) {
@@ -186,104 +226,127 @@ func TestSweepAnnotatesHistoryTimeline(t *testing.T) {
 }
 
 func TestSyntheticAlertFiresAndClears(t *testing.T) {
-	// A breach-by-construction policy: every job run counts as bad
-	// (threshold below the first bucket), tiny windows so the cycle
-	// completes in test time.
+	// Two breach-by-construction objectives with tiny windows, so each
+	// cycle completes in test time. The latency one counts every job run
+	// as bad (threshold below the first bucket); one job's counter step
+	// is hot in every window at once, so it fires without passing
+	// pending. The gauge one is breached by the test itself and walks
+	// the slow pair: pending once half the short window is over the
+	// threshold, firing once half the long window confirms it. The fast
+	// pair's unreachable burn keeps it out of that walk.
 	cfg := slo.Config{
 		Windows: slo.Windows{
-			Fast: slo.Duration(50 * time.Millisecond), FastLong: slo.Duration(150 * time.Millisecond), FastBurn: 10,
+			Fast: slo.Duration(50 * time.Millisecond), FastLong: slo.Duration(150 * time.Millisecond), FastBurn: 1e9,
 			Slow: slo.Duration(100 * time.Millisecond), SlowLong: slo.Duration(300 * time.Millisecond), SlowBurn: 5,
 		},
 		Objectives: []slo.Objective{{
 			Name: "synthetic-run-latency", Kind: slo.KindLatency,
 			Series: `rfidd_run_seconds{origin="job"}`, Threshold: 0.0000001, Target: 0.99,
+		}, {
+			Name: "synthetic-breach", Kind: slo.KindGauge,
+			Series: "synthetic_breach", Threshold: 0.5, Target: 0.9,
 		}},
 	}
 	o := historyOptions()
 	o.SLOConfig = &cfg
 	s, c := startServer(t, o)
 	ctx := context.Background()
+	breach := s.Registry().Gauge("synthetic_breach", "Set to 1 by the test to breach the synthetic gauge objective.")
 
-	// Let the sampler record a baseline tick first: a counter step is
-	// only a step if the ring holds the value before it. (Series exist
-	// from construction — probes register eagerly — so wait for actual
-	// samples, not for the index to be non-empty.)
-	waitFor(t, 5*time.Second, func() bool {
-		idx, err := c.HistoryIndex(ctx)
+	// A full long window of quiet samples (300 ms at 5 ms ticks) first:
+	// the job's counter step then has its pre-step value in the ring,
+	// and the gauge breach cannot confirm before the short window saw it.
+	waitForSamples(t, c, "synthetic_breach", 60)
+	state := func(i int) (string, int) {
+		resp, err := c.Alerts(ctx)
+		if err != nil || len(resp.Alerts) != len(cfg.Objectives) {
+			t.Fatalf("alerts: %+v, %v", resp, err)
+		}
+		return resp.Alerts[i].State, resp.Firing
+	}
+	runJob := func() {
+		exp, err := c.Experiments().Submit(ctx, fastCfg())
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		for _, info := range idx.Series {
-			if info.Samples > 0 {
-				return true
+		if _, err := c.Experiments().Wait(ctx, exp.ID, 5*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, cycle := range []struct{ start, stop func() }{
+		{runJob, func() {}}, // traffic stops with the one job
+		{func() { breach.Set(1) }, func() { breach.Set(0) }},
+	} {
+		name := cfg.Objectives[i].Name
+		if st, firing := state(i); st != slo.StateInactive || firing != 0 {
+			t.Fatalf("%s before its breach: %s with %d firing, want inactive and 0", name, st, firing)
+		}
+		cycle.start()
+		waitFor(t, 10*time.Second, func() bool {
+			st, firing := state(i)
+			return st == slo.StateFiring && firing == 1
+		}, name+" to fire")
+
+		// Firing is visible on statusz.
+		body, err := c.Statusz(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(body, name) || !strings.Contains(body, "firing") {
+			t.Fatalf("statusz does not show %s firing", name)
+		}
+
+		// The breach ages out of the short window and resolves.
+		cycle.stop()
+		waitFor(t, 10*time.Second, func() bool {
+			st, firing := state(i)
+			return firing == 0 && (st == slo.StateResolved || st == slo.StateInactive)
+		}, name+" to clear")
+	}
+
+	// The alert stream replays the whole transition log, in order;
+	// polling above may have skipped a state, the stream cannot.
+	want := map[string][]string{
+		"synthetic-run-latency": {slo.StateFiring, slo.StateResolved},
+		"synthetic-breach":      {slo.StatePending, slo.StateFiring, slo.StateResolved},
+	}
+	got := map[string][]string{}
+	walked := func() bool {
+		for name, w := range want {
+			if !hasSubsequence(got[name], w) {
+				return false
 			}
 		}
-		return false
-	}, "first history tick")
+		return true
+	}
+	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	err := c.WatchAlerts(wctx, func(ev WatchEvent) error {
+		name, _ := ev.Data["objective"].(string)
+		if to, _ := ev.Data["to"].(string); ev.Type == "alert" && to != "" {
+			got[name] = append(got[name], to)
+		}
+		if walked() {
+			return ErrStopWatch
+		}
+		return nil
+	})
+	if err != nil && wctx.Err() == nil {
+		t.Fatalf("alert stream: %v", err)
+	}
+	if !walked() {
+		t.Fatalf("alert transitions = %v, want the subsequences %v", got, want)
+	}
+	lintLiveMetrics(t, c, "runtime_goroutines", "obs_tsdb_ticks_total", "slo_burn_rate")
+}
 
-	exp, err := c.Experiments().Submit(ctx, fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Experiments().Wait(ctx, exp.ID, 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, func() bool {
-		resp, err := c.Alerts(ctx)
-		return err == nil && resp.Firing == 1
-	}, "synthetic alert to fire")
-
-	// Firing is visible on statusz.
-	body, err := c.Statusz(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(body, "synthetic-run-latency") || !strings.Contains(body, "firing") {
-		t.Fatalf("statusz does not show the firing alert")
-	}
-
-	// Traffic stopped with the one job; the breach ages out → resolves.
-	waitFor(t, 10*time.Second, func() bool {
-		resp, err := c.Alerts(ctx)
-		if err != nil || resp.Firing != 0 {
-			return false
-		}
-		for _, a := range resp.Alerts {
-			if a.State == slo.StateResolved || a.State == slo.StateInactive {
-				return true
-			}
-		}
-		return false
-	}, "synthetic alert to clear")
-
-	// The full transition history is on the alert bus replay ring.
-	sub := s.alertBus.Subscribe(1, 0)
-	var states []string
-drain:
-	for {
-		select {
-		case ev, ok := <-sub.Events():
-			if !ok {
-				break drain
-			}
-			if ev.Type == "alert" {
-				states = append(states, ev.Data["to"].(string))
-			}
-		default:
-			break drain
+// hasSubsequence reports whether want appears in got, in order.
+func hasSubsequence(got, want []string) bool {
+	i := 0
+	for _, s := range got {
+		if i < len(want) && s == want[i] {
+			i++
 		}
 	}
-	sub.Close()
-	var sawFiring, sawClear bool
-	for _, st := range states {
-		if st == slo.StateFiring {
-			sawFiring = true
-		}
-		if sawFiring && (st == slo.StateResolved || st == slo.StateInactive) {
-			sawClear = true
-		}
-	}
-	if !sawFiring || !sawClear {
-		t.Fatalf("alert bus transitions = %v, want firing then resolved/inactive", states)
-	}
+	return i == len(want)
 }

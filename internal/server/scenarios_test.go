@@ -123,6 +123,38 @@ func TestScenarioEndToEnd(t *testing.T) {
 	if len(list) != 1 || list[0].ID != sub.ID || list[0].Result != nil {
 		t.Fatalf("listing %+v", list)
 	}
+
+	// Worker count is scheduling, never arithmetic: pinned to 1 and to 4
+	// workers, the service returns the direct run's bytes once the
+	// spec's workers field is set aside.
+	for _, workers := range []int{1, 4} {
+		spec := smallScenario()
+		spec.Workers = workers
+		sub, err := c.Scenarios().Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin, err := c.Scenarios().Wait(ctx, sub.ID, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res scenario.Result
+		if err := json.Unmarshal(fin.Result, &res); err != nil {
+			t.Fatalf("workers %d: %s finished %s: %v", workers, sub.ID, fin.Status, err)
+		}
+		if res.Spec.Workers != workers {
+			t.Fatalf("workers %d: result spec ran at %d workers", workers, res.Spec.Workers)
+		}
+		res.Spec.Workers = 0
+		got, err := json.Marshal(&res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("workers %d changed the result:\n%s\nvs\n%s", workers, got, want)
+		}
+	}
+	lintLiveMetrics(t, c, "rfidd_scenarios 3")
 }
 
 // TestScenarioValidationAndNotFound covers the request-error surface.

@@ -5,13 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -51,6 +55,34 @@ func metricValue(t *testing.T, text, name string) float64 {
 		t.Fatalf("metric %s: %v", name, err)
 	}
 	return v
+}
+
+// lintLiveMetrics fetches the live /metrics exposition, requires the
+// Prometheus 0.0.4 text content type and every want line, and passes
+// the whole text through the Prometheus text-format linter.
+func lintLiveMetrics(t *testing.T, c *Client, wants ...string) {
+	t.Helper()
+	resp, err := http.Get(c.BaseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
+		t.Errorf("/metrics Content-Type = %q", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := string(body)
+	for _, want := range wants {
+		if !strings.Contains(text, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	for _, err := range obs.LintPrometheus(text) {
+		t.Errorf("/metrics lint: %v", err)
+	}
 }
 
 func TestEndToEndCachedResubmissionIsByteIdentical(t *testing.T) {
@@ -270,6 +302,27 @@ func TestSubmitImpairedTreeIs400(t *testing.T) {
 			t.Errorf("%s: impaired config accepted", alg)
 		} else if ae, ok := err.(*apiError); !ok || ae.StatusCode != 400 {
 			t.Errorf("%s: err = %v, want HTTP 400", alg, err)
+		}
+	}
+}
+
+// TestSubmitHostileIDBitsIs400 pins that a tag ID length no population
+// can be drawn with is refused at submission, on every route that takes
+// one. Before Validate bounded it, the first body below passed and
+// panicked on a fan-out goroutine, which took the whole process down.
+func TestSubmitHostileIDBitsIs400(t *testing.T) {
+	_, c := startServer(t, Options{Workers: 2, QueueDepth: 4})
+	const run = `"Rounds":8,"Workers":2,"Algorithm":"fsa","FrameSize":16,"Detector":"qcd","Strength":8`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/experiments", `{"config":{"Tags":20,` + run + `,"IDBits":-5}}`},
+		{"/v1/experiments", `{"config":{"Tags":20,` + run + `,"IDBits":1}}`},
+		{"/v1/experiments", `{"config":{"Tags":20,` + run + `,"IDBits":497}}`},
+		{"/v1/sweeps", `{"spec":{"base":{"Tags":20,` + run + `,"IDBits":-5},"axes":[{"field":"strength","ints":[4,8]}]}}`},
+		{"/v1/scenarios", `{"spec":{"arrivals_per_second":4000,"dwell_micros":150000,"duration_micros":400000,"id_bits":-5}}`},
+	} {
+		if code, _, body := postRaw(t, c.BaseURL+tc.path, []byte(tc.body)); code != http.StatusBadRequest ||
+			!strings.Contains(strings.ToLower(string(body)), "bit") {
+			t.Errorf("POST %s %s: %d %s, want 400 naming the ID length", tc.path, tc.body, code, body)
 		}
 	}
 }

@@ -100,8 +100,13 @@ func TestSweepEndToEnd(t *testing.T) {
 	if len(lines) != 5 {
 		t.Fatalf("merged CSV has %d lines, want 5:\n%s", len(lines), csv)
 	}
-	if !strings.HasPrefix(lines[0], "case,strength,") {
+	if !strings.HasPrefix(lines[0], "case,strength,") || !strings.HasSuffix(lines[0], ",source") {
 		t.Fatalf("merged CSV header %q", lines[0])
+	}
+	for _, l := range lines[1:] {
+		if strings.Count(l, ",") != strings.Count(lines[0], ",") {
+			t.Errorf("ragged CSV row %q under header %q", l, lines[0])
+		}
 	}
 	table, err := c.SweepReport(ctx, sw.ID, "table")
 	if err != nil {
@@ -125,23 +130,14 @@ func TestSweepEndToEnd(t *testing.T) {
 		t.Fatalf("second sweep cached %d cells, want 4: %+v", final2.Counts.Cached, final2.Counts)
 	}
 
-	text, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	for _, want := range []string{
+	lintLiveMetrics(t, c,
 		`rfidd_cache_origin_hits_total{origin="sweep"} 4`,
 		`rfidd_cache_origin_misses_total{origin="sweep"} 4`,
 		`rfidd_cache_origin_hits_total{origin="job"} 4`,
 		`rfidd_sweep_cells_run_total 4`,
 		`rfidd_sweep_cells_cached_total 4`,
 		`rfidd_sweep_sweeps_finished_total 2`,
-		`rfidd_sweeps 2`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics exposition lacks %q", want)
-		}
-	}
+		`rfidd_sweeps 2`)
 
 	// Sweep listing includes both runs in submission order.
 	list, err := c.Sweeps().List(ctx, "")

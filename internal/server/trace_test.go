@@ -331,7 +331,7 @@ func TestStatusz(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"rfidd statusz", "worker pool", "result cache",
+		"rfidd statusz", "worker pool", "result cache", "sweeps",
 		sub.ID, "recent wide events", "origin",
 	} {
 		if !strings.Contains(body, want) {

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -31,6 +33,12 @@ func (f UnitFunc) RunUnit(i int, rs *RoundScratch) { f(i, rs) }
 // fresh scratch); one that claims none takes nothing. A unit writes
 // only its own index's results, so a caller that folds them in index
 // order gets the same answer at every worker count.
+//
+// A unit that panics on a worker goroutine ends the fan-out: no
+// goroutine claims another unit, the panicking one drops its scratch,
+// and once all have returned Fan panics on the caller's goroutine with
+// the first panic's value and that worker's stack, where the caller's
+// recover (the job pool's) sees it.
 func Fan(workers, n int, pool *ScratchPool, u Unit) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -45,22 +53,35 @@ func Fan(workers, n int, pool *ScratchPool, u Unit) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var first sync.Once
+	var panicked any
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					next.Store(int64(n)) // no goroutine claims another unit
+					first.Do(func() {
+						panicked = fmt.Sprintf("%v\n\nstack of the fan worker that panicked:\n%s", v, debug.Stack())
+					})
+				}
+			}()
 			i := int(next.Add(1)) - 1
 			if i >= n { // the others ran every unit before this one started
 				return
 			}
 			rs := pool.Get()
-			defer pool.Put(rs)
 			for ; i < n; i = int(next.Add(1)) - 1 {
 				u.RunUnit(i, rs)
 			}
+			pool.Put(rs)
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // RoundSeeds is the seed schedule of every Monte-Carlo loop: round r

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,6 +130,32 @@ func TestFanTakesOneScratchPerGoroutine(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFanWorkerPanicReachesCaller: a unit that panics on a worker
+// goroutine does not take the process down; the other goroutines stop
+// claiming units, and Fan panics on the caller's goroutine with the
+// unit's panic value and the worker's stack, where a recover sees it.
+func TestFanWorkerPanicReachesCaller(t *testing.T) {
+	var ran atomic.Int32
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		Fan(2, 1000, nil, UnitFunc(func(i int, _ *RoundScratch) {
+			ran.Add(1)
+			if i == 3 {
+				panic("unit 3 failed")
+			}
+			runtime.Gosched()
+		}))
+		return nil
+	}()
+	msg, _ := got.(string)
+	if !strings.Contains(msg, "unit 3 failed") || !strings.Contains(msg, "TestFanWorkerPanicReachesCaller") {
+		t.Fatalf("recovered %v, want the unit's panic value and the worker's stack", got)
+	}
+	if n := ran.Load(); n == 1000 {
+		t.Errorf("all %d units ran after a panic, want the fan-out stopped", n)
 	}
 }
 

@@ -74,6 +74,10 @@ const (
 	ModeStat  = "stat"
 )
 
+// MaxIDBits is the longest tag ID Validate accepts: 496 bits, the
+// largest EPC a Gen-2 tag can backscatter.
+const MaxIDBits = 496
+
 // Config describes one experiment configuration.
 type Config struct {
 	Tags   int    // population size n
@@ -162,6 +166,12 @@ func (c Config) Validate() error {
 	}
 	if c.Rounds < 1 {
 		return fmt.Errorf("sim: Rounds = %d, need at least 1", c.Rounds)
+	}
+	if c.IDBits < 1 || c.IDBits > MaxIDBits {
+		return fmt.Errorf("sim: IDBits = %d out of [1,%d]", c.IDBits, MaxIDBits)
+	}
+	if c.IDBits < 63 && uint64(c.Tags) > uint64(1)<<uint(c.IDBits) {
+		return fmt.Errorf("sim: %d tags cannot have unique %d-bit IDs", c.Tags, c.IDBits)
 	}
 	switch c.Algorithm {
 	case AlgFSA:

@@ -121,6 +121,22 @@ func TestValidation(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Error("negative rounds accepted")
 	}
+	// ID lengths no population can be drawn with, checked by Validate
+	// alone: running the 2^30-bit one would try to allocate gigabytes.
+	for _, tc := range []struct{ tags, bits int }{{20, -5}, {20, 1}, {20, 4}, {20, MaxIDBits + 1}, {20, 1 << 30}} {
+		c := baseCfg()
+		c.Tags, c.IDBits = tc.tags, tc.bits
+		if err := c.Validate(); err == nil {
+			t.Errorf("%d tags with %d-bit IDs accepted", tc.tags, tc.bits)
+		}
+	}
+	for _, tc := range []struct{ tags, bits int }{{16, 4}, {20, 5}, {20, MaxIDBits}} {
+		c := baseCfg()
+		c.Tags, c.IDBits = tc.tags, tc.bits
+		if err := c.Validate(); err != nil {
+			t.Errorf("%d tags with %d-bit IDs rejected: %v", tc.tags, tc.bits, err)
+		}
+	}
 }
 
 func TestQCDBeatsCRCInAggregate(t *testing.T) {

@@ -15,9 +15,6 @@ go build ./...
 echo "==> go test -race ./... $*"
 go test -race "$@" ./...
 
-echo "==> service smoke (sweep, scenario and observability cases, each on a fresh server)"
-go run ./cmd/smoke
-
 echo "==> benchmark harness tests (bench/ is a module of its own, outside ./...)"
 (cd bench && go test ./...)
 
