@@ -114,13 +114,19 @@ func (k *wordKernel) run(out *Outcome, responders []*tagmodel.Tag, nowMicros, ta
 		}
 		single = orB == ^orA&k.mask
 	case kernelCRCCD:
+		// A lone responder's checksum is crc(id) on both sides of the
+		// compare, so only an overlap pays the two CRCs.
+		single = len(responders) == 1
 		for _, t := range responders {
-			id := t.ID.Uint64()
-			orA |= id
-			orB |= k.crc.ChecksumUint64(id)
+			orA |= t.ID.Uint64()
 			t.BitsSent += int64(k.contentionBits)
 		}
-		single = k.crc.ChecksumUint64(orA) == orB
+		if !single {
+			for _, t := range responders {
+				orB |= k.crc.ChecksumUint64(t.ID.Uint64())
+			}
+			single = k.crc.ChecksumUint64(orA) == orB
+		}
 	default: // kernelOracle
 		for _, t := range responders {
 			t.BitsSent += int64(k.contentionBits)

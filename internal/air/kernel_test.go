@@ -61,9 +61,7 @@ const quietSeed = 0x5eed
 // generic path — which must run the same slot and leave quiet undrawn.
 func slotEntries(quiet *prng.Source) map[string]slotEntry {
 	return map[string]slotEntry{
-		"kernel": func(sc *SlotScratch, det detect.Detector, rs []*tagmodel.Tag) Outcome {
-			return sc.RunSlot(det, rs, 1000, 0.5)
-		},
+		"kernel": kernel,
 		"impaired-zero": func(sc *SlotScratch, det detect.Detector, rs []*tagmodel.Tag) Outcome {
 			return sc.RunSlotImpaired(det, rs, &Impairment{}, 1000, 0.5)
 		},
@@ -74,6 +72,11 @@ func slotEntries(quiet *prng.Source) map[string]slotEntry {
 			return sc.RunSlotImpaired(genericOnly{det}, rs, &Impairment{Rng: quiet}, 1000, 0.5)
 		},
 	}
+}
+
+// kernel is RunSlot on det itself, which takes det's word kernel.
+func kernel(sc *SlotScratch, det detect.Detector, rs []*tagmodel.Tag) Outcome {
+	return sc.RunSlot(det, rs, 1000, 0.5)
 }
 
 // generic is the reference entry: RunSlot on the generic path.
@@ -196,6 +199,32 @@ func TestSlotKernelMatchesGenericPath(t *testing.T) {
 	// branch must have been exercised.
 	if phantoms == 0 {
 		t.Fatal("no phantom read in any slot: the misdetection branch went untested")
+	}
+}
+
+// TestSlotKernelSingleCRCCD pins the CRC-CD kernel's lone-responder
+// shortcut, which skips both checksums: each tag alone in its slot must
+// be declared single and identified, with the generic path's BitsSent,
+// identification stamp and Outcome.
+func TestSlotKernelSingleCRCCD(t *testing.T) {
+	for _, idBits := range []int{64, 24} {
+		for _, p := range kernelCRCs {
+			det := detect.NewCRCCD(p, idBits)
+			fast, ref := kernelPopulation(1, idBits, false), kernelPopulation(1, idBits, false)
+			var scFast, scRef SlotScratch
+			for i := range fast {
+				got := runSide(kernel, &scFast, det, fast[i:i+1])
+				want := runSide(generic, &scRef, det, ref[i:i+1])
+				if got != want || got.Declared != signal.Single || got.Identified != fast[i].Index {
+					t.Fatalf("%s over %d-bit IDs, tag %d alone: kernel %+v, generic %+v", det.Name(), idBits, i, got, want)
+				}
+				f, r := fast[i], ref[i]
+				if f.BitsSent != r.BitsSent || f.IdentifiedAtMicros != r.IdentifiedAtMicros {
+					t.Fatalf("%s over %d-bit IDs, tag %d alone: kernel {bits %d at %v}, generic {bits %d at %v}",
+						det.Name(), idBits, i, f.BitsSent, f.IdentifiedAtMicros, r.BitsSent, r.IdentifiedAtMicros)
+				}
+			}
+		}
 	}
 }
 

@@ -100,9 +100,9 @@ func (b *exactSlots) groupFrame(g, size int) {
 // qRound buckets the round once at its Query: a tag whose counter would
 // reach zero at slot k is exactly a tag that drew k, so the slot loop
 // reads buckets instead of decrementing counters per QueryRep, without
-// changing a single responder set — tags that lost an arbitration sit out
-// the rest of the round either way, because a tag only ever responds in
-// the one slot it drew.
+// changing a single responder set. Unacknowledged responders enter the
+// arbitrate state: they sit out the rest of the round, because a tag only
+// ever responds in the one slot it drew, and re-draw at the next Query.
 func (b *exactSlots) qRound(qs *QState, q, active int) {
 	frameSlots := 1 << uint(q)
 	b.inContention().BuildActivePrefix(frameSlots, qPlacePrefix)
@@ -114,13 +114,6 @@ func (b *exactSlots) qRound(qs *QState, q, active int) {
 		b.sess.Record(o, now)
 		if o.Identified != nil {
 			active--
-		}
-		// Unacknowledged responders enter the arbitrate state: they sit
-		// out the rest of this round and re-draw at the next Query.
-		for _, t := range responders {
-			if !t.Identified {
-				t.Slot = -1
-			}
 		}
 		if qs.Step(o.Truth) {
 			break // QueryAdjust: restart the round with the new Q

@@ -23,14 +23,13 @@ type Cost struct {
 func CRCCDCost(p Params, idBits int) Cost {
 	payload := allOnes(idBits)
 	_, ops := ChecksumBitsCounted(p, payload)
-	tab := NewTable(p)
 	return Cost{
 		Scheme:         "CRC-CD (" + p.Name + ")",
 		Instructions:   ops,
 		Complexity:     "O(l)",
 		MemoryBits:     p.Width + idBits, // register plus the ID being fed
 		TransmitBits:   idBits + p.Width,
-		LookupTableB:   tab.SizeBytes(),
+		LookupTableB:   TableFor(p).SizeBytes(),
 		GateEstimate:   gateEstimateCRC(p),
 		InstrPerBitHot: float64(ops) / float64(idBits),
 	}

@@ -15,6 +15,13 @@
 // Table IV "more than 100 instructions, O(l)" claim is about; the
 // table-driven implementation is the reader-side fast path and the source
 // of the "1KB lookup table" memory figure.
+//
+// That figure is the cost model: one 256-entry byte table, which
+// Table.SizeBytes reports. The simulator's own Table keeps seven more
+// per-byte-position tables so that the word kernel's checksum of an ID of
+// up to 8 bytes is independent lookups (slicing-by-n); they make the
+// simulation faster and change no checksum, and Table IV does not count
+// them.
 package crc
 
 import (

@@ -1,6 +1,7 @@
 package crc
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -72,13 +73,43 @@ func TestBitSerialMatchesTable(t *testing.T) {
 				t.Fatalf("%s: bit-serial %#x != table %#x on %d bytes", p.Name, bs, tb, n)
 			}
 		}
-		// The word form is the table over the word's big-endian bytes.
+	}
+}
+
+// wordParams are the parameter sets the word checksum is checked on:
+// every preset, plus a 12-bit MSB-first width that is not a whole number
+// of bytes and both 64-bit forms, whose register outlasts a short word.
+func wordParams() []Params {
+	return append(Presets(),
+		Params{Name: "CRC-12/DECT", Width: 12, Poly: 0x80F},
+		Params{Name: "CRC-64/ECMA-182", Width: 64, Poly: 0x42F0E1EBA9EA3693},
+		Params{Name: "CRC-64/XZ", Width: 64, Poly: 0x42F0E1EBA9EA3693, Init: ^uint64(0),
+			RefIn: true, RefOut: true, XorOut: ^uint64(0)})
+}
+
+// checkWord fails t unless tab.ChecksumUint64(v, n) is the bit-serial
+// Checksum of v's n-byte big-endian encoding.
+func checkWord(t *testing.T, p Params, tab *Table, v uint64, n int) {
+	t.Helper()
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], v<<(64-8*uint(n)))
+	if want, got := Checksum(p, buf[:n]), tab.ChecksumUint64(v, n); got != want {
+		t.Fatalf("%s: word checksum of %#x over %d bytes = %#x, bit-serial %#x", p.Name, v, n, got, want)
+	}
+}
+
+// TestChecksumUint64MatchesChecksum: the word tables compute the checksum
+// of a word's big-endian bytes, for every width and word length.
+func TestChecksumUint64MatchesChecksum(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for _, p := range wordParams() {
+		tab := NewTable(p)
 		for n := 1; n <= 8; n++ {
-			data := make([]byte, n)
-			r.Read(data)
-			v := bitstr.FromBytes(data, 8*n).Uint64()
-			if bs, w := Checksum(p, data), tab.ChecksumUint64(v, n); bs != w {
-				t.Fatalf("%s: bit-serial %#x != word %#x on %d bytes", p.Name, bs, w, n)
+			for _, v := range []uint64{0, ^uint64(0), 1, 0x80 << (8 * uint(n-1))} {
+				checkWord(t, p, tab, v, n)
+			}
+			for i := 0; i < 50; i++ {
+				checkWord(t, p, tab, r.Uint64(), n)
 			}
 		}
 	}

@@ -40,3 +40,22 @@ func FuzzEnginesAgree(f *testing.F) {
 		}
 	})
 }
+
+// FuzzChecksumUint64 cross-checks the word tables against the bit-serial
+// engine: ChecksumUint64(v, n) is the checksum of v's n-byte big-endian
+// encoding for every parameter set of wordParams.
+func FuzzChecksumUint64(f *testing.F) {
+	f.Add(uint64(0), uint8(8))
+	f.Add(^uint64(0), uint8(1))
+	f.Add(uint64(0x0123456789ABCDEF), uint8(3))
+	params := wordParams()
+	tables := make([]*Table, len(params))
+	for i, p := range params {
+		tables[i] = NewTable(p)
+	}
+	f.Fuzz(func(t *testing.T, v uint64, n uint8) {
+		for i, p := range params {
+			checkWord(t, p, tables[i], v, 1+int(n%8))
+		}
+	})
+}

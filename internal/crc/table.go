@@ -1,18 +1,23 @@
 package crc
 
-import (
-	"encoding/binary"
-	"sync"
-)
+import "sync"
 
 // Table is a byte-at-a-time CRC engine with a precomputed 256-entry lookup
 // table. This is the classic fast software implementation whose memory
 // footprint (256 × width/8 bytes ≈ 1 KB for CRC-32) is what Table IV of
 // the paper charges CRC-CD with; readers can afford it, tags cannot.
+// ChecksumUint64 also reads seven per-byte-position tables, which
+// SizeBytes does not count (see the package doc).
 type Table struct {
 	p    Params
 	init uint64 // the register's starting value, reflected for RefIn
-	tab  [256]uint64
+	// tab[0] is the byte table. tab[k][b] is the register that byte b
+	// followed by k zero bytes leaves in a zero register.
+	tab [8][256]uint64
+	// zero[n] is the register n zero bytes leave in the initial one. A
+	// CRC register is linear in the register and the data, so the word
+	// b_0…b_{n-1} leaves zero[n] ^ tab[n-1][b_0] ^ … ^ tab[0][b_{n-1}].
+	zero [9]uint64
 }
 
 // NewTable precomputes the lookup table for p.
@@ -47,11 +52,20 @@ func NewTable(p Params) *Table {
 			// left-aligned in an 8-bit window; see narrowEntry.
 			reg = t.narrowEntry(byte(b))
 		}
-		t.tab[b] = reg & t.widthMask()
+		t.tab[0][b] = reg & t.widthMask()
 	}
 	t.init = p.Init & p.mask()
 	if p.RefIn {
 		t.init = reflect(t.init, p.Width)
+	}
+	var zeros [8]byte
+	for k := 1; k < len(t.tab); k++ {
+		for b, reg := range t.tab[k-1] {
+			t.tab[k][b] = t.update(reg, zeros[:1])
+		}
+	}
+	for n := range t.zero {
+		t.zero[n] = t.update(t.init, zeros[:n])
 	}
 	return t
 }
@@ -105,11 +119,16 @@ func (t *Table) Checksum(data []byte) uint64 {
 
 // ChecksumUint64 computes the CRC of the n low-order bytes of v, most
 // significant first: the Checksum of v's n-byte big-endian encoding, for
-// callers that hold the data as a word. n must lie in 1..8.
+// callers that hold the data as a word. n must lie in 1..8. Byte k from
+// the bottom of v has k bytes of the word after it, so it looks up
+// tab[k].
 func (t *Table) ChecksumUint64(v uint64, n int) uint64 {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v<<(64-8*uint(n)))
-	return t.finish(t.update(t.init, buf[:n]))
+	reg := t.zero[n]
+	for k := range t.tab[:n] {
+		reg ^= t.tab[k][byte(v)]
+		v >>= 8
+	}
+	return t.finish(reg)
 }
 
 // Engine is a streaming CRC accumulator over a Table.
@@ -138,19 +157,19 @@ func (t *Table) update(reg uint64, data []byte) uint64 {
 	switch {
 	case p.RefIn:
 		for _, b := range data {
-			reg = (reg >> 8) ^ t.tab[byte(reg)^b]
+			reg = (reg >> 8) ^ t.tab[0][byte(reg)^b]
 		}
 	case p.Width >= 8:
 		shift := uint(p.Width - 8)
 		for _, b := range data {
-			reg = ((reg << 8) ^ t.tab[byte(reg>>shift)^b]) & p.mask()
+			reg = ((reg << 8) ^ t.tab[0][byte(reg>>shift)^b]) & p.mask()
 		}
 	default:
 		// Narrow non-reflected CRC: keep register left-aligned in 8 bits.
 		up := uint(8 - p.Width)
 		r8 := reg << up
 		for _, b := range data {
-			r8 = t.tab[byte(r8)^b] << up
+			r8 = t.tab[0][byte(r8)^b] << up
 		}
 		reg = r8 >> up
 	}

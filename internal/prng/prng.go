@@ -254,7 +254,7 @@ func (s *Source) BinomialSlot(n int, law *SlotLaw) int {
 // binomial draws Binomial(n, p) for n > 0 and 0 < p < 1, given
 // r = p/(1-p) and logq = log(1-p).
 func (s *Source) binomial(n int, p, r, logq float64) int {
-	mean := float64(n) * p
+	mean := float64(float64(n) * p)
 	if mean > binomialInversionCap {
 		// Normal approximation N(np, np(1-p)), rounded and clamped. At
 		// np > 64 the skew correction is below 1e-2 counts; stat mode
@@ -262,7 +262,7 @@ func (s *Source) binomial(n int, p, r, logq float64) int {
 		// where the m-dependence (a 2^-l(m-1) miss probability) is long
 		// past underflow anyway.
 		z := s.normal()
-		k := int(math.Round(mean + z*math.Sqrt(mean*(1-p))))
+		k := int(math.Round(mean + float64(z*math.Sqrt(mean*(1-p)))))
 		if k < 0 {
 			k = 0
 		}
@@ -285,13 +285,15 @@ func invertAt(n int, r, x, u float64) int {
 
 // invert is the CDF inversion of Binomial(n, p) at u via the pmf
 // recurrence P(k+1) = P(k) · (n-k)/(k+1) · p/(1-p), seeded at
-// pk = P(0) = (1-p)^n. Its arithmetic defines every inversion draw.
+// pk = P(0) = (1-p)^n. Its arithmetic defines every inversion draw; the
+// explicit conversion rounds pk before cum adds it, so no compiler fuses
+// the two steps into one rounding.
 func invert(n int, r, u, pk float64) int {
 	cum := pk
 	k := 0
 	for cum <= u && k < n {
 		k++
-		pk *= r * float64(n-k+1) / float64(k)
+		pk = float64(pk * (r * float64(n-k+1) / float64(k)))
 		cum += pk
 		if pk == 0 {
 			break // deep-tail underflow; cum can no longer grow
@@ -309,11 +311,9 @@ func invert(n int, r, u, pk float64) int {
 // agree on cum > u, so does invert. An ambiguous test, or a pk leaving
 // the normal range unless both chains hit 0, returns ok = false.
 //
-// The explicit conversions keep an FMA-fusing compiler from merging the
-// chains' steps. If it fuses invert's own cum += pk, that loop rounds
-// once where the chains round twice. The bracket's 2^-37 margin on each
-// side still holds it: at mean ≤ 64, P(k) ≤ 64^k/k! leaves the normal
-// range before k = 600, and 600 steps drift by less than 2^-42.
+// The explicit conversions here and in invert keep an FMA-fusing
+// compiler from merging a product into the following sum, so the chains
+// and invert round every step alike on every architecture.
 func invertBracketed(n int, r, x, u float64) (k int, ok bool) {
 	if !(x >= expBracketMin) {
 		return 0, false
@@ -365,18 +365,20 @@ var exp2Table = func() (t [256]float64) {
 // |r| ≤ ln2/512 and evaluates e^x ≈ 2^m · 2^(j/256) · (1 + r + r²/2 + r³/6).
 // The truncation error is below r⁴/24 < 2^-42.7, r's own rounding below
 // 2^-42.7, and the table and the arithmetic add a few ulps: the estimate
-// is within 2^-41.5 of e^x, and the bracket widens it by 2^-37.
+// is within 2^-41.5 of e^x, and the bracket widens it by 2^-37. The
+// explicit conversions round every product, so the bracket has the same
+// bits on every architecture.
 func expBracket(x float64) (lo, hi float64) {
 	const (
 		invStep = 256 / math.Ln2
 		step    = math.Ln2 / 256
 		shifter = 0x1.8p52 // adding it rounds |y| < 2^51 to an integer in the low bits
 	)
-	t := x*invStep + shifter
+	t := float64(x*invStep) + shifter
 	N := int64(math.Float64bits(t) - math.Float64bits(shifter))
-	r := x - (t-shifter)*step
+	r := x - float64((t-shifter)*step)
 	scale := exp2Table[N&255] * math.Float64frombits(uint64(1023+N>>8)<<52)
-	v := scale * (1 + r + r*r*(0.5+r*(1.0/6)))
+	v := scale * (1 + r + float64(r*r*(0.5+float64(r*(1.0/6)))))
 	return v * (1 - expBracketWidth), v * (1 + expBracketWidth)
 }
 
@@ -402,8 +404,11 @@ func (s *Source) normal() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Bits returns n random bits packed into the low bits of a uint64.
-// It panics unless 0 <= n <= 64.
+// Bits returns n random bits packed into the low bits of a uint64: the
+// top n bits of one Uint64. For 1 <= n <= 62 that is the very draw
+// Intn(1<<n) makes, since Uint64n's multiply-shift by a power of two
+// keeps the top bits and never rejects. Bits(0) consumes nothing, where
+// Intn(1) consumes one Uint64. It panics unless 0 <= n <= 64.
 func (s *Source) Bits(n int) uint64 {
 	if n < 0 || n > 64 {
 		panic("prng: Bits length out of range")

@@ -137,6 +137,32 @@ func TestBits(t *testing.T) {
 	}
 }
 
+// TestBitsIsIntnOfPowerOfTwo pins the identity the frame scheduler draws
+// power-of-two frames by: Bits(q) returns Intn(1<<q)'s value and leaves
+// the stream where Intn leaves it, while the 1-slot draw Intn(1) still
+// consumes one Uint64.
+func TestBitsIsIntnOfPowerOfTwo(t *testing.T) {
+	for q := 1; q <= 62; q++ {
+		bits, intn := New(uint64(q)), New(uint64(q))
+		for i := 0; i < 200; i++ {
+			if got, want := bits.Bits(q), intn.Intn(1<<q); got != uint64(want) {
+				t.Fatalf("q=%d draw %d: Bits = %d, Intn = %d", q, i, got, want)
+			}
+		}
+		if *bits != *intn {
+			t.Fatalf("q=%d: Bits left the stream elsewhere than Intn", q)
+		}
+	}
+	s, ref := New(3), New(3)
+	if s.Intn(1) != 0 {
+		t.Fatal("Intn(1) != 0")
+	}
+	ref.Uint64()
+	if *s != *ref {
+		t.Fatal("Intn(1) did not consume exactly one draw")
+	}
+}
+
 func TestBitsPanicsOutOfRange(t *testing.T) {
 	for _, n := range []int{-1, 65} {
 		func() {

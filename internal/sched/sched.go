@@ -20,10 +20,18 @@
 // old append order. Responder sets per slot are therefore bit-identical
 // to the scan-based engines'; the differential tests in this package pin
 // that equivalence.
+//
+// A frame of 2^q slots (q ≥ 1) draws each slot as prng's Bits(q), the
+// top q bits of one Uint64, instead of Intn(2^q). The two are the same
+// draw: for a power-of-two bound Lemire's multiply-shift keeps exactly
+// those top bits and never rejects, so both consume one Uint64 and return
+// the same value. Other frame sizes, and the 1-slot frame (whose Intn(1)
+// still consumes a draw), call Intn.
 package sched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/tagmodel"
 )
@@ -75,22 +83,27 @@ func (f *Frame) Build(pop []*tagmodel.Tag, slots int, draw func(*tagmodel.Tag) i
 }
 
 // BuildSlots is Build specialised for the standard framed-ALOHA draw —
-// every unidentified tag stores t.Rng.Intn(slots) in t.Slot, identified
-// tags are withheld — with the draw inlined into the counting pass. The
+// every unidentified tag draws t.Rng.Intn(slots), identified tags are
+// withheld — with the draw inlined into the counting pass. The
 // PRNG sequence is identical to passing the equivalent closure to Build;
 // skipping the per-tag indirect call just makes the hot draw pass cheaper
 // for the engines that issue one Build per Query (Q-adaptive's rounds are
 // a handful of slots long, so draw passes dominate their profile).
 func (f *Frame) BuildSlots(pop []*tagmodel.Tag, slots int) {
 	counts := f.prepare(pop, slots, slots)
+	q := topBits(slots)
 	n := 0
 	for i, t := range pop {
 		if t.Identified {
 			f.drawn[i] = -1
 			continue
 		}
-		s := t.Rng.Intn(slots)
-		t.Slot = s
+		var s int
+		if q > 0 {
+			s = int(t.Rng.Bits(q))
+		} else {
+			s = t.Rng.Intn(slots)
+		}
 		f.drawn[i] = int32(s)
 		counts[s]++
 		n++
@@ -133,6 +146,7 @@ func (f *Frame) BuildActive(slots int) { f.BuildActivePrefix(slots, slots) }
 // every Bucket result are identical to BuildActive's.
 func (f *Frame) BuildActivePrefix(slots, prefix int) {
 	counts := f.prepare(f.active, slots, prefix)
+	q := topBits(slots)
 	p := int32(f.prefix)
 	f.ptag = f.ptag[:0]
 	f.pslot = f.pslot[:0]
@@ -145,8 +159,12 @@ func (f *Frame) BuildActivePrefix(slots, prefix int) {
 		if t.Identified {
 			continue
 		}
-		s := t.Rng.Intn(slots)
-		t.Slot = s
+		var s int
+		if q > 0 {
+			s = int(t.Rng.Bits(q))
+		} else {
+			s = t.Rng.Intn(slots)
+		}
 		if w != i {
 			f.active[w] = t
 		}
@@ -161,6 +179,16 @@ func (f *Frame) BuildActivePrefix(slots, prefix int) {
 	f.active = f.active[:w]
 	f.src = f.active
 	f.place(f.ptag, counts, len(f.ptag), f.pslot)
+}
+
+// topBits returns q when slots = 2^q, the frames whose slot draw is
+// Bits(q) (see the package doc), and 0 for every other size. The 1-slot
+// frame gets 0 as well, so it keeps drawing by Intn.
+func topBits(slots int) int {
+	if slots&(slots-1) != 0 {
+		return 0
+	}
+	return bits.TrailingZeros(uint(slots))
 }
 
 // prepare sizes the frame's arrays and returns the zeroed counts array

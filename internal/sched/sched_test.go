@@ -148,46 +148,48 @@ func TestFrameMatchesPerSlotScan(t *testing.T) {
 
 // TestBuildSlotsMatchesClosure pins the specialised draw: BuildSlots on
 // one twin must produce exactly the buckets of Build with the standard
-// closure on the other — same PRNG consumption, same Slot writes, same
-// withheld identified tags.
+// Intn closure on the other — same PRNG consumption, same withheld
+// identified tags — on frames drawn by Intn (24, 1) and by top bits (32).
+// A second build on each twin checks that the streams were left alike.
 func TestBuildSlotsMatchesClosure(t *testing.T) {
-	pop, ref := twinPops(t, 90, 29)
-	for i := 0; i < len(pop); i += 4 {
-		pop[i].Identified = true
-		ref[i].Identified = true
-	}
-	const F = 24
-	var fast, slow sched.Frame
-	fast.BuildSlots(pop, F)
-	slow.Build(ref, F, func(tag *tagmodel.Tag) int {
-		if tag.Identified {
-			return -1
-		}
-		tag.Slot = tag.Rng.Intn(F)
-		return tag.Slot
-	})
-	if fast.Participants() != slow.Participants() {
-		t.Fatalf("participants %d, want %d", fast.Participants(), slow.Participants())
-	}
-	for i := 0; i < F; i++ {
-		want := make([]int, 0, 8)
-		for _, tag := range slow.Bucket(i) {
-			want = append(want, tag.Index)
-		}
-		sameBucket(t, "buildslots", i, fast.Bucket(i), want)
-	}
-	for i := range pop {
-		if !pop[i].Identified && pop[i].Slot != ref[i].Slot {
-			t.Fatalf("tag %d drew %d, want %d", i, pop[i].Slot, ref[i].Slot)
-		}
+	for _, F := range []int{24, 32, 1} {
+		t.Run(fmt.Sprintf("F=%d", F), func(t *testing.T) {
+			pop, ref := twinPops(t, 90, 29)
+			for i := 0; i < len(pop); i += 4 {
+				pop[i].Identified = true
+				ref[i].Identified = true
+			}
+			var fast, slow sched.Frame
+			for build := 0; build < 2; build++ {
+				fast.BuildSlots(pop, F)
+				slow.Build(ref, F, func(tag *tagmodel.Tag) int {
+					if tag.Identified {
+						return -1
+					}
+					return tag.Rng.Intn(F)
+				})
+				if fast.Participants() != slow.Participants() {
+					t.Fatalf("participants %d, want %d", fast.Participants(), slow.Participants())
+				}
+				for i := 0; i < F; i++ {
+					want := make([]int, 0, 8)
+					for _, tag := range slow.Bucket(i) {
+						want = append(want, tag.Index)
+					}
+					sameBucket(t, "buildslots", i, fast.Bucket(i), want)
+				}
+			}
+		})
 	}
 }
 
 // TestBuildActiveMatchesScan runs a multi-frame inventory with tags
 // progressively identified between frames, differencing the compacting
-// active-list build against the historical full-population rescan: the
-// PRNG sequence and every bucket must match even as the active list
-// shrinks, and an identified tag must never resurface.
+// active-list build against the historical full-population rescan with
+// Intn draws: the PRNG sequence and every bucket must match even as the
+// active list shrinks, and an identified tag must never resurface. The
+// frame sizes mix powers of two, which the build draws by top bits, with
+// a 3-slot frame and a 1-slot frame, which it draws by Intn.
 // Buckets are checked for every slot of every frame, including the ones
 // beyond the materialised prefix in the prefix variant, so the scan
 // fallback is differenced against the same reference.
@@ -204,7 +206,7 @@ func testBuildActive(t *testing.T, prefix int) {
 	pop, ref := twinPops(t, 100, 31)
 	var frame sched.Frame
 	frame.Reset(pop)
-	for round, slots := range []int{512, 16, 512, 3, 128} {
+	for round, slots := range []int{512, 16, 512, 3, 128, 1, 2, 1 << 15} {
 		// Identify a few more tags each round to exercise the compaction.
 		if round > 0 {
 			for i := round; i < len(pop); i += 7 {

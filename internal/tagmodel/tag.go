@@ -1,5 +1,5 @@
 // Package tagmodel models passive RFID tags: a unique ID, the per-protocol
-// contention state (FSA slot choice, BT counter, QT prefix matching), a
+// contention state (ABS order, BT counter, QT prefix matching), a
 // private random stream, and airtime accounting.
 package tagmodel
 
@@ -25,7 +25,9 @@ type Tag struct {
 	// metrics).
 	Index int
 
-	// Slot is the slot chosen in the current FSA frame.
+	// Slot is the tag's order from the previous ABS round, or -1 for a
+	// newcomer (see btree.RunABS). The ALOHA engines keep their slot
+	// draws in their frame scheduler and never store them here.
 	Slot int
 
 	// Counter is the BT/ABS splitting counter.
