@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -95,15 +96,13 @@ func main() {
 // Σ 2^-(l·(m-1)) the audit layer accumulates from the Observe feed.
 func auditThreeSigma() bool {
 	a := audit.New(obs.NewRegistry(), audit.Options{ExemplarCap: 16})
-	sim.InstrumentAudit(a)
-	defer sim.UninstrumentAudit()
 	c := sim.Config{
 		Tags: 200, Seed: 42, Rounds: 80,
 		Algorithm: sim.AlgFSA, FrameSize: 64,
 		Detector: sim.DetQCD, Strength: 4,
 		Mode: sim.ModeStat,
 	}
-	if _, err := sim.Run(c); err != nil {
+	if _, err := sim.RunContext(audit.WithAuditor(context.Background(), a), c); err != nil {
 		fmt.Fprintf(os.Stderr, "ksequiv: audit run: %v\n", err)
 		return false
 	}

@@ -97,8 +97,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var auditor *rfid.Auditor
 	if *auditFlag {
-		auditor = rfid.EnableAudit(0)
-		defer rfid.DisableAudit()
+		auditor = rfid.NewAuditor(0)
+		ctx = rfid.WithAudit(ctx, auditor)
 	}
 	var bus *rfid.TelemetryBus
 	var progressDone chan struct{}

@@ -222,6 +222,8 @@ type Runner struct {
 	ID    string // e.g. "table7", "fig5", "lemma1"
 	Title string
 	Run   func(Options) (Renderable, error)
+
+	memo *memo // the reproduction run's aggregates Run reads and fills
 }
 
 // Registry lists every experiment in paper order. One call is one
@@ -266,6 +268,7 @@ func registry(m *memo) []Runner {
 	}
 	for i := range rs {
 		run := rs[i].Run
+		rs[i].memo = m
 		rs[i].Run = func(o Options) (Renderable, error) {
 			o.memo = m
 			return run(o)

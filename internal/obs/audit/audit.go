@@ -10,12 +10,14 @@
 // behaves exactly as modelled — and capture exemplars of the slots
 // where it did not.
 //
-// Auditing is opt-in and process-wide (sim.InstrumentAudit), mirroring
-// the simulator's metric instrumentation: disabled it costs one atomic
-// pointer load per round and allocates nothing on the slot path.
+// Auditing is opt-in per run: a run audits its verdicts when its
+// context carries an auditor (WithAuditor), as it records spans and
+// events when its context carries a span or a bus. Without one a run
+// costs one context lookup and allocates nothing on the slot path.
 package audit
 
 import (
+	"context"
 	"math"
 	"sort"
 	"strconv"
@@ -100,13 +102,10 @@ type Options struct {
 // valid disabled auditor.
 type Auditor struct {
 	reg *obs.Registry
-	cap int
 
-	mu     sync.Mutex
-	series map[string]*series
-	ring   []Exemplar
-	next   int
-	full   bool
+	mu        sync.Mutex
+	series    map[string]*series
+	exemplars obs.Ring[Exemplar]
 
 	exemplarsDropped atomic.Uint64
 }
@@ -131,10 +130,9 @@ func New(reg *obs.Registry, o Options) *Auditor {
 		o.ExemplarCap = 64
 	}
 	return &Auditor{
-		reg:    reg,
-		cap:    o.ExemplarCap,
-		series: make(map[string]*series),
-		ring:   make([]Exemplar, 0, o.ExemplarCap),
+		reg:       reg,
+		series:    make(map[string]*series),
+		exemplars: obs.NewRing[Exemplar](o.ExemplarCap),
 	}
 }
 
@@ -193,14 +191,9 @@ func ratio(num, den uint64) float64 {
 func (a *Auditor) addExemplar(ex Exemplar) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if !a.full && len(a.ring) < cap(a.ring) {
-		a.ring = append(a.ring, ex)
-		return
+	if a.exemplars.Push(ex) {
+		a.exemplarsDropped.Add(1)
 	}
-	a.full = true
-	a.ring[a.next] = ex
-	a.next = (a.next + 1) % len(a.ring)
-	a.exemplarsDropped.Add(1)
 }
 
 // Recorder returns a per-round hot-path handle feeding this auditor.
@@ -316,13 +309,7 @@ func (a *Auditor) Report() Report {
 	for _, s := range a.series {
 		all = append(all, s)
 	}
-	exemplars := make([]Exemplar, 0, len(a.ring))
-	if a.full {
-		exemplars = append(exemplars, a.ring[a.next:]...)
-		exemplars = append(exemplars, a.ring[:a.next]...)
-	} else {
-		exemplars = append(exemplars, a.ring...)
-	}
+	exemplars := a.exemplars.Items()
 	a.mu.Unlock()
 
 	sort.Slice(all, func(i, j int) bool {
@@ -353,4 +340,20 @@ func (a *Auditor) Report() Report {
 		})
 	}
 	return rep
+}
+
+// auditorKey carries an *Auditor through context.
+type auditorKey struct{}
+
+// WithAuditor returns a context whose runs fold their verdicts into a
+// (a nil a is fine and audits nothing downstream).
+func WithAuditor(ctx context.Context, a *Auditor) context.Context {
+	return context.WithValue(ctx, auditorKey{}, a)
+}
+
+// AuditorFrom returns the context's auditor, or nil (auditing off)
+// when none was attached.
+func AuditorFrom(ctx context.Context) *Auditor {
+	a, _ := ctx.Value(auditorKey{}).(*Auditor)
+	return a
 }

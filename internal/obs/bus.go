@@ -28,9 +28,7 @@ type Bus struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	history []StreamEvent // ring of the most recent events
-	next    int           // overwrite cursor once the ring is full
-	full    bool
+	history Ring[StreamEvent] // the most recent events, for replay
 	subs    map[*Subscription]struct{}
 	closed  bool
 	dropped uint64
@@ -39,11 +37,8 @@ type Bus struct {
 // NewBus returns a bus retaining at most historyCap events for replay
 // (minimum 1).
 func NewBus(historyCap int) *Bus {
-	if historyCap < 1 {
-		historyCap = 1
-	}
 	return &Bus{
-		history: make([]StreamEvent, 0, historyCap),
+		history: NewRing[StreamEvent](historyCap),
 		subs:    make(map[*Subscription]struct{}),
 	}
 }
@@ -78,13 +73,7 @@ func (b *Bus) Publish(typ string, data map[string]any) {
 	}
 	b.nextID++
 	ev := StreamEvent{ID: b.nextID, Type: typ, Data: data}
-	if !b.full && len(b.history) < cap(b.history) {
-		b.history = append(b.history, ev)
-	} else {
-		b.full = true
-		b.history[b.next] = ev
-		b.next = (b.next + 1) % len(b.history)
-	}
+	b.history.Push(ev)
 	for sub := range b.subs {
 		select {
 		case sub.ch <- ev:
@@ -102,18 +91,9 @@ func (b *Bus) Publish(typ string, data map[string]any) {
 // replayLocked returns the retained events with ID > afterID, oldest
 // first.
 func (b *Bus) replayLocked(afterID uint64) []StreamEvent {
-	var ordered []StreamEvent
-	if b.full {
-		ordered = append(ordered, b.history[b.next:]...)
-		ordered = append(ordered, b.history[:b.next]...)
-	} else {
-		ordered = b.history
-	}
-	out := make([]StreamEvent, 0, len(ordered))
-	for _, ev := range ordered {
-		if ev.ID > afterID {
-			out = append(out, ev)
-		}
+	out := b.history.Items()
+	for len(out) > 0 && out[0].ID <= afterID {
+		out = out[1:]
 	}
 	return out
 }

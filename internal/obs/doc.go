@@ -23,8 +23,8 @@
 // spans dropped and counted). Span contexts travel through context
 // (WithSpan / SpanFrom), so deep call stacks like sim.RunContext
 // record experiment, round and frame spans under the caller's span
-// without new parameters. A zero SpanContext, a nil store and a
-// disabled store are all inert and allocation-free. Traces export as
-// JSONL (WriteJSONL) or as Chrome trace-event JSON (WriteChromeTrace)
-// loadable in chrome://tracing or https://ui.perfetto.dev.
+// without new parameters. A zero SpanContext and a nil store are inert
+// and allocation-free. Traces export as JSONL (WriteJSONL) or as Chrome
+// trace-event JSON (WriteChromeTrace) loadable in chrome://tracing or
+// https://ui.perfetto.dev.
 package obs

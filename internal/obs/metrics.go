@@ -82,6 +82,9 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Add adds delta (negative values subtract).
 func (g *Gauge) Add(delta float64) {
+	// Inlined, delta may still be a caller's unrounded product (audit's
+	// p·(1-p)); the conversion keeps the sum from fusing with it.
+	delta = float64(delta)
 	for {
 		old := g.bits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + delta)

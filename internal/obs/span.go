@@ -9,10 +9,9 @@ package obs
 // dropped (and counted) rather than evicting the roots, which are the
 // joins everything else hangs off.
 //
-// The disabled path follows the audit-toggle discipline: a zero
-// SpanContext is inert at zero cost, and a disabled store answers
-// Start with one atomic load and no allocations, so instrumentation
-// can stay threaded through the hot path permanently.
+// The disabled path is a zero SpanContext, which a nil store hands
+// out: it is inert at zero cost and allocates nothing, so
+// instrumentation can stay threaded through the hot path permanently.
 
 import (
 	"context"
@@ -70,7 +69,6 @@ type traceBuf struct {
 // is a valid disabled store: every derived SpanContext is inert.
 type TraceStore struct {
 	epoch     time.Time
-	enabled   atomic.Bool
 	maxTraces int
 	maxSpans  int
 
@@ -85,7 +83,7 @@ type TraceStore struct {
 	order  []string // creation order, for eviction
 }
 
-// NewTraceStore returns an enabled store holding at most maxTraces
+// NewTraceStore returns a store holding at most maxTraces
 // traces of maxSpans spans each (minimums 1 and 16).
 func NewTraceStore(maxTraces, maxSpans int) *TraceStore {
 	if maxTraces < 1 {
@@ -94,26 +92,13 @@ func NewTraceStore(maxTraces, maxSpans int) *TraceStore {
 	if maxSpans < 16 {
 		maxSpans = 16
 	}
-	s := &TraceStore{
+	return &TraceStore{
 		epoch:     time.Now(),
 		maxTraces: maxTraces,
 		maxSpans:  maxSpans,
 		traces:    make(map[string]*traceBuf),
 	}
-	s.enabled.Store(true)
-	return s
 }
-
-// SetEnabled toggles recording at runtime; spans started while disabled
-// are never recorded.
-func (s *TraceStore) SetEnabled(on bool) {
-	if s != nil {
-		s.enabled.Store(on)
-	}
-}
-
-// Enabled reports whether spans are being recorded.
-func (s *TraceStore) Enabled() bool { return s != nil && s.enabled.Load() }
 
 // nowUS is microseconds elapsed on the store's clock.
 func (s *TraceStore) nowUS() float64 {
@@ -149,13 +134,13 @@ func ValidTraceID(id string) bool {
 
 // StartTrace registers (or re-opens) the trace bucket for id — a fresh
 // ID is minted when id is empty or malformed — and returns the root
-// span context for it. On a nil or disabled store the returned context
-// is inert and carries the (possibly minted) ID only.
+// span context for it. On a nil store the returned context is inert
+// and carries the (possibly minted) ID only.
 func (s *TraceStore) StartTrace(id string) SpanContext {
 	if !ValidTraceID(id) {
 		id = NewTraceID()
 	}
-	if s == nil || !s.enabled.Load() {
+	if s == nil {
 		return SpanContext{trace: id}
 	}
 	s.mu.Lock()
@@ -264,14 +249,13 @@ type SpanContext struct {
 func (sc SpanContext) Valid() bool { return sc.store != nil }
 
 // TraceID returns the context's trace identifier ("" for the zero
-// context; still set on an inert context minted by a disabled store).
+// context; still set on an inert context minted by a nil store).
 func (sc SpanContext) TraceID() string { return sc.trace }
 
-// Start begins a child span. On an invalid context this is free; on a
-// disabled store it costs one atomic load. The returned handle is inert
-// in both cases.
+// Start begins a child span. On an invalid context this is free and
+// the returned handle is inert.
 func (sc SpanContext) Start(cat, name string) SpanHandle {
-	if sc.store == nil || !sc.store.enabled.Load() {
+	if sc.store == nil {
 		return SpanHandle{}
 	}
 	return SpanHandle{
@@ -287,7 +271,7 @@ func (sc SpanContext) Start(cat, name string) SpanHandle {
 // itself (queue waits, cache-served cells). It returns the new span's
 // ID, or 0 when nothing was recorded.
 func (sc SpanContext) Complete(cat, name string, start, end time.Time, attrs ...SpanAttr) uint64 {
-	if sc.store == nil || !sc.store.enabled.Load() {
+	if sc.store == nil {
 		return 0
 	}
 	id := sc.store.nextSpan.Add(1)

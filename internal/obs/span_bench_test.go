@@ -19,22 +19,6 @@ func BenchmarkSpanDisabledAbsent(b *testing.B) {
 	}
 }
 
-func BenchmarkSpanDisabledToggledOff(b *testing.B) {
-	s := NewTraceStore(4, 64)
-	ctx := WithSpan(context.Background(), s.StartTrace("bench"))
-	s.SetEnabled(false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sc := SpanFrom(ctx)
-		h := sc.Start("jobs", "run")
-		if h.Live() {
-			h.End(SA("id", i))
-		} else {
-			h.End()
-		}
-	}
-}
-
 func BenchmarkSpanEnabled(b *testing.B) {
 	s := NewTraceStore(4, 64)
 	sc := s.StartTrace("bench")

@@ -125,19 +125,9 @@ func TestSpanDisabledPaths(t *testing.T) {
 		t.Errorf("nil-store context %+v", sc)
 	}
 
-	// Disabled store: one atomic load, no recording.
-	s := NewTraceStore(2, 16)
-	s.SetEnabled(false)
-	sc = s.StartTrace("t")
 	sc.Start("c", "n").End()
-	if s.Contains("t") || len(s.Spans("t")) != 0 {
-		t.Error("disabled store recorded spans")
-	}
-	s.SetEnabled(true)
-	sc = s.StartTrace("t")
-	sc.Start("c", "n").End()
-	if len(s.Spans("t")) != 1 {
-		t.Error("re-enabled store did not record")
+	if nilStore.Contains(sc.TraceID()) || nilStore.Spans(sc.TraceID()) != nil {
+		t.Error("nil store recorded spans")
 	}
 }
 

@@ -41,15 +41,4 @@ func TestDisabledPathAllocatesNothing(t *testing.T) {
 	}); got != 0 {
 		t.Fatalf("nil-store path allocates %v allocs/op, want 0", got)
 	}
-	reg := obs.NewRegistry()
-	reg.Gauge("g", "Gauge.").Set(1)
-	st := New(reg, Options{})
-	st.Sample(time.Unix(1000, 0))
-	st.SetEnabled(false)
-	if got := testing.AllocsPerRun(100, func() {
-		st.Sample(time.Time{})
-		st.Annotate("job", "failed")
-	}); got != 0 {
-		t.Fatalf("paused-store path allocates %v allocs/op, want 0", got)
-	}
 }

@@ -30,8 +30,8 @@ func BenchmarkSampleSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleDisabled measures the fully-disabled path: one atomic
-// load and out. Must be 0 allocs/op.
+// BenchmarkSampleDisabled measures the disabled path, a nil store: one
+// nil check and out. Must be 0 allocs/op.
 func BenchmarkSampleDisabled(b *testing.B) {
 	var s *Store
 	b.ReportAllocs()

@@ -14,16 +14,15 @@
 //
 // Bounds and cost: memory is slots × series × 8 bytes, fixed at
 // construction (retention / interval slots); once every series has
-// been seen a tick performs zero allocations. A nil *Store is a valid
+// been seen a tick performs zero allocations. A nil *Store is the one
 // disabled store — Sample, Annotate and every query are no-ops — so
-// instrumentation can call through unconditionally, and a constructed
-// store can be paused with SetEnabled(false) at the cost of one atomic
-// load per call, mirroring the span-store discipline.
+// instrumentation can call through unconditionally.
 package tsdb
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -148,10 +147,9 @@ type Result struct {
 // Store is the bounded history store. Construct with New; a nil *Store
 // is a valid disabled store.
 type Store struct {
-	reg     *obs.Registry
-	opts    Options
-	slots   int
-	enabled atomic.Bool
+	reg   *obs.Registry
+	opts  Options
+	slots int
 
 	mu     sync.Mutex
 	byID   map[seriesID]*series
@@ -168,14 +166,11 @@ type Store struct {
 	seriesCount   atomic.Int64 // len(byID) mirror for the lock-free gauge
 	seriesDropped atomic.Uint64
 
-	annMu    sync.Mutex
-	anns     []Annotation
-	annHead  int
-	annN     int
-	annTotal uint64
+	annMu sync.Mutex
+	anns  obs.Ring[Annotation]
 }
 
-// New builds an enabled store sampling reg. The caller drives Sample at
+// New builds a store sampling reg. The caller drives Sample at
 // Options.Interval; tests may call Sample with synthetic times.
 func New(reg *obs.Registry, o Options) *Store {
 	o = o.withDefaults()
@@ -190,9 +185,8 @@ func New(reg *obs.Registry, o Options) *Store {
 		byID:   make(map[seriesID]*series),
 		byName: make(map[string]*series),
 		times:  make([]int64, slots),
-		anns:   make([]Annotation, o.MaxAnnotations),
+		anns:   obs.NewRing[Annotation](o.MaxAnnotations),
 	}
-	s.enabled.Store(true)
 	return s
 }
 
@@ -210,17 +204,6 @@ func (s *Store) Retention() time.Duration {
 		return 0
 	}
 	return time.Duration(s.slots) * s.opts.Interval
-}
-
-// Enabled reports whether Sample is recording.
-func (s *Store) Enabled() bool { return s != nil && s.enabled.Load() }
-
-// SetEnabled pauses or resumes sampling; a paused store keeps its
-// retained history queryable.
-func (s *Store) SetEnabled(on bool) {
-	if s != nil {
-		s.enabled.Store(on)
-	}
 }
 
 // newSeriesLocked creates (or returns) the ring for id; s.mu held.
@@ -285,7 +268,7 @@ func (s *Store) Probe(name, labels, kind string, fn func() float64) {
 // Steady state (no new series) allocates nothing. Callers must pass
 // monotonically non-decreasing times.
 func (s *Store) Sample(now time.Time) {
-	if s == nil || !s.enabled.Load() {
+	if s == nil {
 		return
 	}
 	s.mu.Lock()
@@ -305,19 +288,13 @@ func (s *Store) Sample(now time.Time) {
 }
 
 // Annotate appends one timestamped mark to the bounded annotation
-// ring. A nil or disabled store drops it for the cost of one atomic
-// load, so callers need no guard.
+// ring. A nil store drops it, so callers need no guard.
 func (s *Store) Annotate(kind, text string) {
-	if s == nil || !s.enabled.Load() {
+	if s == nil {
 		return
 	}
 	s.annMu.Lock()
-	s.anns[s.annHead] = Annotation{T: time.Now(), Kind: kind, Text: text}
-	s.annHead = (s.annHead + 1) % len(s.anns)
-	if s.annN < len(s.anns) {
-		s.annN++
-	}
-	s.annTotal++
+	s.anns.Push(Annotation{T: time.Now(), Kind: kind, Text: text})
 	s.annMu.Unlock()
 }
 
@@ -328,15 +305,9 @@ func (s *Store) Annotations(since time.Time) []Annotation {
 		return nil
 	}
 	s.annMu.Lock()
-	defer s.annMu.Unlock()
-	out := make([]Annotation, 0, s.annN)
-	for i := 0; i < s.annN; i++ {
-		a := s.anns[(s.annHead-s.annN+i+2*len(s.anns))%len(s.anns)]
-		if !a.T.Before(since) {
-			out = append(out, a)
-		}
-	}
-	return out
+	anns := s.anns.Items()
+	s.annMu.Unlock()
+	return slices.DeleteFunc(anns, func(a Annotation) bool { return a.T.Before(since) })
 }
 
 // Series lists every retained series, registration order.
@@ -462,15 +433,23 @@ func (s *Store) windowStartLocked(window time.Duration) (first, n int) {
 	return s.n - 1, s.n
 }
 
-func (s *Store) rawLocked(ser *series, window time.Duration) []Point {
-	first, n := s.windowStartLocked(window)
-	out := make([]Point, 0, n-first)
+// eachValueLocked calls fn with every retained sample of ser from the
+// first-th oldest tick on, oldest first, skipping NaN gaps.
+func (s *Store) eachValueLocked(ser *series, first, n int, fn func(slot int, v float64)) {
 	for i := first; i < n; i++ {
 		slot := s.slotLocked(i)
 		if v := ser.vals[slot]; !math.IsNaN(v) {
-			out = append(out, Point{TMS: s.times[slot] / 1e6, V: v})
+			fn(slot, v)
 		}
 	}
+}
+
+func (s *Store) rawLocked(ser *series, window time.Duration) []Point {
+	first, n := s.windowStartLocked(window)
+	out := make([]Point, 0, n-first)
+	s.eachValueLocked(ser, first, n, func(slot int, v float64) {
+		out = append(out, Point{TMS: s.times[slot] / 1e6, V: v})
+	})
 	return out
 }
 
@@ -486,28 +465,34 @@ func increase(prev, cur float64) float64 {
 	return cur
 }
 
-func (s *Store) increaseLocked(ser *series, window time.Duration, perSecond bool) []Point {
-	first, n := s.windowStartLocked(window)
-	if first == 0 {
-		first = 1 // the first retained sample has no predecessor
-	}
-	out := make([]Point, 0, max(0, n-first))
+// eachIncreaseLocked calls fn with every reset-aware step of ser into
+// the first-th oldest tick and on, oldest first: the step into slot
+// from the tick before it (prev). Steps with a NaN end are skipped.
+func (s *Store) eachIncreaseLocked(ser *series, first, n int, fn func(slot, prev int, d float64)) {
+	first = max(first, 1) // the first retained sample has no predecessor
 	for i := first; i < n; i++ {
 		slot, prev := s.slotLocked(i), s.slotLocked(i-1)
 		v0, v1 := ser.vals[prev], ser.vals[slot]
 		if math.IsNaN(v0) || math.IsNaN(v1) {
 			continue
 		}
-		d := increase(v0, v1)
+		fn(slot, prev, increase(v0, v1))
+	}
+}
+
+func (s *Store) increaseLocked(ser *series, window time.Duration, perSecond bool) []Point {
+	first, n := s.windowStartLocked(window)
+	out := make([]Point, 0, max(0, n-max(first, 1)))
+	s.eachIncreaseLocked(ser, first, n, func(slot, prev int, d float64) {
 		if perSecond {
 			dt := float64(s.times[slot]-s.times[prev]) / float64(time.Second)
 			if dt <= 0 {
-				continue
+				return
 			}
 			d /= dt
 		}
 		out = append(out, Point{TMS: s.times[slot] / 1e6, V: d})
-	}
+	})
 	return out
 }
 
@@ -550,18 +535,11 @@ func (s *Store) Delta(name, labels, sub string, window time.Duration) (float64, 
 		return 0, false
 	}
 	first, n := s.windowStartLocked(window)
-	if first == 0 {
-		first = 1
-	}
 	total, steps := 0.0, 0
-	for i := first; i < n; i++ {
-		v0, v1 := ser.vals[s.slotLocked(i-1)], ser.vals[s.slotLocked(i)]
-		if math.IsNaN(v0) || math.IsNaN(v1) {
-			continue
-		}
-		total += increase(v0, v1)
+	s.eachIncreaseLocked(ser, first, n, func(_, _ int, d float64) {
+		total += d
 		steps++
-	}
+	})
 	return total, steps > 0
 }
 
@@ -580,16 +558,12 @@ func (s *Store) FractionAbove(name, labels string, window time.Duration, thr flo
 	}
 	first, n := s.windowStartLocked(window)
 	over, total := 0, 0
-	for i := first; i < n; i++ {
-		v := ser.vals[s.slotLocked(i)]
-		if math.IsNaN(v) {
-			continue
-		}
+	s.eachValueLocked(ser, first, n, func(_ int, v float64) {
 		total++
 		if v > thr {
 			over++
 		}
-	}
+	})
 	if total == 0 {
 		return 0, false
 	}

@@ -268,34 +268,17 @@ func TestDisabledAndNilStore(t *testing.T) {
 	nilStore.Sample(time.Now()) // must not panic
 	nilStore.Annotate("k", "t")
 	nilStore.Probe("x", "", KindGauge, func() float64 { return 0 })
-	if nilStore.Enabled() {
-		t.Fatal("nil store reports enabled")
-	}
 	if _, err := nilStore.Query("x", 0, ""); err == nil {
 		t.Fatal("nil store Query should error")
 	}
 	if got := nilStore.Series(); got != nil {
 		t.Fatalf("nil store Series = %v, want nil", got)
 	}
-
-	reg := obs.NewRegistry()
-	g := reg.Gauge("g", "Gauge.")
-	s := New(reg, Options{Interval: time.Second, Retention: 10 * time.Second})
-	g.Set(1)
-	s.Sample(time.Unix(1000, 0))
-	s.SetEnabled(false)
-	g.Set(2)
-	s.Sample(time.Unix(1001, 0)) // dropped
-	s.Annotate("k", "dropped")
-	res, err := s.Query("g", 0, ReduceRaw)
-	if err != nil {
-		t.Fatal(err)
+	if got := nilStore.Annotations(time.Time{}); got != nil {
+		t.Fatalf("nil store Annotations = %v, want nil", got)
 	}
-	if len(res.Points) != 1 || res.Points[0].V != 1 {
-		t.Fatalf("paused store retained %+v, want the single pre-pause point", res.Points)
-	}
-	if got := s.Annotations(time.Time{}); len(got) != 0 {
-		t.Fatalf("paused store recorded annotations: %v", got)
+	if _, ok := nilStore.Delta("x", "", "", 0); ok {
+		t.Fatal("nil store Delta reports samples")
 	}
 }
 

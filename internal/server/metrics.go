@@ -11,14 +11,10 @@ import (
 // registerMetrics wires every exposed series onto the server's single
 // obs registry: the job-latency histogram, the pool's load series, the
 // result cache's effectiveness series, the experiment index gauge, and
-// the simulator's own series (rounds, slots, frames, detector verdict
-// latency). /metrics is then one registry walk; no hand-written
-// exposition remains. The shared counter/gauge/histogram types live in
-// repro/internal/obs.
-//
-// sim.Instrument is process-global: the most recently constructed
-// Server receives the simulator series (tests constructing several
-// servers observe sim counts only on the newest one).
+// the simulator's own series (rounds, slots, frames, identified tags),
+// which the runner attaches to this server's runs only. /metrics is
+// then one registry walk; no hand-written exposition remains. The
+// shared counter/gauge/histogram types live in repro/internal/obs.
 func (s *Server) registerMetrics() {
 	s.lat = s.reg.Histogram("rfidd_job_latency_seconds",
 		"Queue wait plus run time per experiment.", obs.DefaultLatencyBuckets)
@@ -54,7 +50,7 @@ func (s *Server) registerMetrics() {
 	if s.spans != nil {
 		s.spans.Register(s.reg)
 	}
-	sim.Instrument(s.reg)
+	s.runner.Observers.Metrics = sim.NewMetrics(s.reg)
 }
 
 // originLat builds the three decomposition histograms for one origin.

@@ -105,16 +105,16 @@ type Options struct {
 	// are clamped to it.
 	SweepMaxCells int
 	// EnableAudit turns on shadow-oracle verdict auditing for every
-	// experiment (sim.InstrumentAudit is process-global: the most
-	// recently constructed audit-enabled Server receives the verdicts).
-	// The confusion matrix lands on /metrics and GET /v1/audit.
+	// experiment and sweep cell this server runs. The confusion matrix
+	// lands on this server's /metrics and GET /v1/audit.
 	EnableAudit bool
 	// AuditExemplars bounds the audit exemplar ring (default 64).
 	AuditExemplars int
 
 	// HistoryInterval paces the metrics-history sampler (default 1s;
 	// negative disables history and SLO evaluation entirely — the
-	// instrumented paths then cost one atomic load, like spans).
+	// store is then nil and the instrumented paths cost one nil check,
+	// like spans).
 	HistoryInterval time.Duration
 	// HistoryRetention bounds how far back the history rings reach
 	// (default 16m, covering the default SLO slow window).
@@ -263,7 +263,6 @@ func New(o Options) *Server {
 	s.wide = newWideLog()
 	if o.EnableAudit {
 		s.auditor = audit.New(s.reg, audit.Options{ExemplarCap: o.AuditExemplars})
-		sim.InstrumentAudit(s.auditor)
 	}
 	s.pool = jobs.NewPool(jobs.Options{
 		Workers:      o.Workers,
@@ -273,13 +272,14 @@ func New(o Options) *Server {
 		Logger:       o.Logger,
 	})
 	s.runner = &sweep.Runner{
-		Pool:    s.pool,
-		Cache:   s.cache,
-		Scratch: &sim.ScratchPool{},
-		Timeout: o.JobTimeout,
-		OnDone:  s.onDone,
-		// CacheLookup and WindowWait are wired in registerMetrics, where
-		// the histograms are created.
+		Pool:      s.pool,
+		Cache:     s.cache,
+		Scratch:   &sim.ScratchPool{},
+		Observers: sim.Observers{Auditor: s.auditor},
+		Timeout:   o.JobTimeout,
+		OnDone:    s.onDone,
+		// CacheLookup, WindowWait and Observers.Metrics are wired in
+		// registerMetrics, where the series are created.
 	}
 	s.registerMetrics()
 	s.startHistory()

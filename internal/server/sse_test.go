@@ -8,6 +8,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -473,7 +475,6 @@ func TestClientWatch(t *testing.T) {
 // matrix back over both /v1/audit and /metrics.
 func TestAuditEndpoint(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 4, EnableAudit: true})
-	t.Cleanup(sim.UninstrumentAudit) // New installed the process-global hook
 	ctx := context.Background()
 
 	cfg := fastCfg()
@@ -529,13 +530,75 @@ func TestAuditEndpointDisabled(t *testing.T) {
 	}
 }
 
+// TestServersKeepTheirOwnObservers: a server's runs reach only its own
+// auditor and sim_* series. Server A audits, server B does not; once A
+// has run an experiment and shut down, B's run must leave A's audit
+// report and series as they were, and each server's sim_rounds_total
+// counts its own rounds alone.
+func TestServersKeepTheirOwnObservers(t *testing.T) {
+	ctx := context.Background()
+	a, ca := startServer(t, Options{Workers: 1, QueueDepth: 4, EnableAudit: true})
+	b, cb := startServer(t, Options{Workers: 1, QueueDepth: 4})
+	cfg := fastCfg()
+	cfg.Strength = 4
+	cfg.Rounds = 3
+	run := func(c *Client, cfg sim.Config) {
+		t.Helper()
+		sub, err := c.Experiments().Submit(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Experiments().Wait(ctx, sub.ID, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exposition := func(s *Server) string {
+		var sb strings.Builder
+		s.Registry().WritePrometheus(&sb)
+		return sb.String()
+	}
+	simSeries := func(s *Server) (lines []string) {
+		for _, l := range strings.Split(exposition(s), "\n") {
+			if strings.HasPrefix(l, "sim_") {
+				lines = append(lines, l)
+			}
+		}
+		return lines
+	}
+
+	run(ca, cfg)
+	if err := a.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	report, series := a.auditor.Report(), simSeries(a)
+	if len(report.Detectors) != 1 || report.Detectors[0].Correct == 0 {
+		t.Fatalf("server A audited nothing of its own run: %+v", report.Detectors)
+	}
+
+	cfg.Seed++
+	run(cb, cfg)
+	if got := a.auditor.Report(); !reflect.DeepEqual(got, report) {
+		t.Errorf("server B's run reached server A's auditor:\nbefore %+v\nafter  %+v", report.Detectors, got.Detectors)
+	}
+	if got := simSeries(a); !slices.Equal(got, series) {
+		t.Errorf("server B's run moved server A's sim_* series:\nbefore %q\nafter  %q", series, got)
+	}
+	for name, s := range map[string]*Server{"A": a, "B": b} {
+		if got := metricValue(t, exposition(s), "sim_rounds_total"); got != float64(cfg.Rounds) {
+			t.Errorf("server %s counted %v rounds, want its own %d", name, got, cfg.Rounds)
+		}
+	}
+	if strings.Contains(exposition(b), "sim_audit_") {
+		t.Error("server B, which does not audit, exposes audit series")
+	}
+}
+
 // TestMetricsExpositionConformance is the whole-exposition conformance
 // gate: after real traffic (including audit series and histograms) the
 // full /metrics body must pass the Prometheus text-format linter, and
 // the endpoint must declare the 0.0.4 content type.
 func TestMetricsExpositionConformance(t *testing.T) {
 	_, c := startServer(t, Options{Workers: 1, QueueDepth: 4, EnableAudit: true})
-	t.Cleanup(sim.UninstrumentAudit)
 	ctx := context.Background()
 	sub, err := c.Experiments().Submit(ctx, fastCfg())
 	if err != nil {

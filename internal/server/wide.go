@@ -10,6 +10,7 @@ package server
 // view is the per-origin histogram set registered in metrics.go.
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -36,8 +37,7 @@ type wideEvent struct {
 // wideLog is a fixed-size ring of the most recent wide events.
 type wideLog struct {
 	mu    sync.Mutex
-	buf   []wideEvent
-	next  int // overwrite position once the ring is full
+	ring  obs.Ring[wideEvent]
 	total uint64
 }
 
@@ -46,17 +46,12 @@ type wideLog struct {
 const wideEventCap = 128
 
 func newWideLog() *wideLog {
-	return &wideLog{buf: make([]wideEvent, 0, wideEventCap)}
+	return &wideLog{ring: obs.NewRing[wideEvent](wideEventCap)}
 }
 
 func (l *wideLog) add(ev wideEvent) {
 	l.mu.Lock()
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, ev)
-	} else {
-		l.buf[l.next] = ev
-		l.next = (l.next + 1) % len(l.buf)
-	}
+	l.ring.Push(ev)
 	l.total++
 	l.mu.Unlock()
 }
@@ -64,19 +59,10 @@ func (l *wideLog) add(ev wideEvent) {
 // recent returns up to max events, newest first.
 func (l *wideLog) recent(max int) []wideEvent {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.buf)
-	if max > n {
-		max = n
-	}
-	out := make([]wideEvent, 0, max)
-	// Newest entry is just before the overwrite cursor (or the slice end
-	// while the ring is still filling).
-	for i := 0; i < max; i++ {
-		idx := (l.next - 1 - i + 2*n) % n
-		out = append(out, l.buf[idx])
-	}
-	return out
+	evs := l.ring.Items()
+	l.mu.Unlock()
+	slices.Reverse(evs)
+	return evs[:min(max, len(evs))]
 }
 
 // count returns how many wide events have ever been emitted.

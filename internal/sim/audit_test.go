@@ -9,14 +9,10 @@ import (
 	"repro/internal/obs/audit"
 )
 
-// withAuditor installs a fresh auditor for one test and guarantees the
-// process-global hook is cleared afterwards.
-func withAuditor(t *testing.T, o audit.Options) *audit.Auditor {
-	t.Helper()
+// audited returns a fresh auditor and a context that hands it to runs.
+func audited(o audit.Options) (*audit.Auditor, context.Context) {
 	a := audit.New(obs.NewRegistry(), o)
-	InstrumentAudit(a)
-	t.Cleanup(UninstrumentAudit)
-	return a
+	return a, audit.WithAuditor(context.Background(), a)
 }
 
 // TestAuditThreeSigmaQCD is the acceptance check for the shadow oracle:
@@ -25,13 +21,13 @@ func withAuditor(t *testing.T, o audit.Options) *audit.Auditor {
 // accumulated slot-by-slot (QCD Theorem 1). A detector drifting from
 // the paper's model — or an auditor mis-accounting it — fails this.
 func TestAuditThreeSigmaQCD(t *testing.T) {
-	a := withAuditor(t, audit.Options{ExemplarCap: 16})
+	a, ctx := audited(audit.Options{ExemplarCap: 16})
 	c := Config{
 		Tags: 200, Seed: 42, Rounds: 80,
 		Algorithm: AlgFSA, FrameSize: 64,
 		Detector: DetQCD, Strength: 4,
 	}
-	if _, err := Run(c); err != nil {
+	if _, err := RunContext(ctx, c); err != nil {
 		t.Fatal(err)
 	}
 	rep := a.Report()
@@ -82,15 +78,15 @@ func TestAuditDoesNotPerturbResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withAuditor(t, audit.Options{})
-	audited, err := Run(c)
+	_, ctx := audited(audit.Options{})
+	shadowed, err := RunContext(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Slots.Mean() != audited.Slots.Mean() ||
-		plain.TimeMicros.Mean() != audited.TimeMicros.Mean() ||
-		plain.Delay.Mean() != audited.Delay.Mean() ||
-		plain.Collided.Mean() != audited.Collided.Mean() {
+	if plain.Slots.Mean() != shadowed.Slots.Mean() ||
+		plain.TimeMicros.Mean() != shadowed.TimeMicros.Mean() ||
+		plain.Delay.Mean() != shadowed.Delay.Mean() ||
+		plain.Collided.Mean() != shadowed.Collided.Mean() {
 		t.Error("enabling the audit changed simulation results")
 	}
 }
@@ -98,11 +94,11 @@ func TestAuditDoesNotPerturbResults(t *testing.T) {
 // TestAuditOracleDetectorIsAllCorrect audits the oracle against itself:
 // every verdict must land in the correct cell.
 func TestAuditOracleDetectorIsAllCorrect(t *testing.T) {
-	a := withAuditor(t, audit.Options{})
+	a, ctx := audited(audit.Options{})
 	c := baseCfg()
 	c.Detector = DetOracle
 	c.Strength = 0
-	if _, err := Run(c); err != nil {
+	if _, err := RunContext(ctx, c); err != nil {
 		t.Fatal(err)
 	}
 	d := a.Report().Detectors[0]
@@ -167,7 +163,7 @@ func TestRunContextPublishesTelemetry(t *testing.T) {
 // TestAuditEventsOnBus runs audited with a bus: every false single
 // surfaces as an "audit" event with slot coordinates.
 func TestAuditEventsOnBus(t *testing.T) {
-	a := withAuditor(t, audit.Options{})
+	a, ctx := audited(audit.Options{})
 	bus := obs.NewBus(8192)
 	sub := bus.Subscribe(8192, 0)
 	c := Config{
@@ -175,7 +171,7 @@ func TestAuditEventsOnBus(t *testing.T) {
 		Algorithm: AlgFSA, FrameSize: 64,
 		Detector: DetQCD, Strength: 4,
 	}
-	if _, err := RunContext(obs.WithBus(context.Background(), bus), c); err != nil {
+	if _, err := RunContext(obs.WithBus(ctx, bus), c); err != nil {
 		t.Fatal(err)
 	}
 	bus.Close()

@@ -35,18 +35,18 @@ func BenchmarkRunRoundCaseII(b *testing.B) {
 
 // BenchmarkRunContextSpans measures what tracing costs one rfidd-style
 // experiment (an svc-cold FSA configuration: 300 tags, 10 rounds,
-// F=180, QCD-8, one worker): with no span context, with a span context
-// from a disabled store, and with an enabled store recording the
-// experiment, round and frame spans into a fresh trace per run.
+// F=180, QCD-8, one worker): with no span context, with the inert span
+// context a nil store (tracing off) hands out, and with a store
+// recording the experiment, round and frame spans into a fresh trace
+// per run.
 func BenchmarkRunContextSpans(b *testing.B) {
 	c := sim.Config{
 		Tags: 300, Seed: 1, Rounds: 10, Workers: 1,
 		Algorithm: sim.AlgFSA, FrameSize: 180,
 		Detector: sim.DetQCD, Strength: 8,
 	}
-	disabled := obs.NewTraceStore(4, 4096)
+	var disabled *obs.TraceStore
 	disabledCtx := obs.WithSpan(context.Background(), disabled.StartTrace("bench"))
-	disabled.SetEnabled(false)
 	enabled := obs.NewTraceStore(4, 4096)
 	for _, tc := range []struct {
 		name string

@@ -146,14 +146,14 @@ func TestStatAggregateBitIdenticalAcrossWorkers(t *testing.T) {
 // expectation model, and the batched Bernoulli coins must realise it —
 // measured false singles within 3σ of Σ 2^-(l·(m-1)).
 func TestStatAuditThreeSigma(t *testing.T) {
-	a := withAuditor(t, audit.Options{ExemplarCap: 16})
+	a, ctx := audited(audit.Options{ExemplarCap: 16})
 	c := Config{
 		Tags: 200, Seed: 42, Rounds: 80,
 		Algorithm: AlgFSA, FrameSize: 64,
 		Detector: DetQCD, Strength: 4,
 		Mode: ModeStat,
 	}
-	if _, err := Run(c); err != nil {
+	if _, err := RunContext(ctx, c); err != nil {
 		t.Fatal(err)
 	}
 	rep := a.Report()

@@ -1,22 +1,25 @@
 package sim
 
-// This file is the simulator's observability wiring: metric series and
-// per-round / per-frame span recording. All of it is dormant until
-// Instrument is called (metrics) or a span context travels in via
-// context (tracing); the dormant path costs one atomic pointer load
-// per round and allocates nothing, which the root obs benchmark guards.
+// This file is the simulator's observability wiring. A run's observers
+// arrive with the run, on its context: the span (obs.WithSpan), the
+// event bus (obs.WithBus), the metric series (WithMetrics) and the
+// verdict auditor (audit.WithAuditor). RunContextPool reads them once
+// per run and carries them to every round in its roundEnv; a run
+// without them records nothing, and there is no process-wide state.
 
 import (
-	"sync/atomic"
+	"context"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/obs/audit"
 )
 
-// simSeries are the simulator-level metric handles, registered on one
-// obs.Registry by Instrument.
-type simSeries struct {
+// Metrics are the simulator's metric series on one obs.Registry. Build
+// them once per registry with NewMetrics and hand them to runs with
+// WithMetrics.
+type Metrics struct {
 	rounds        *obs.Counter
 	slotsIdle     *obs.Counter
 	slotsSingle   *obs.Counter
@@ -25,32 +28,21 @@ type simSeries struct {
 	identified    *obs.Counter
 }
 
-// instr is the active instrumentation, nil when disabled. A single
-// atomic pointer so RunRound's hot path pays one load.
-var instr atomic.Pointer[simSeries]
-
-// Instrument registers the simulator's metric series on reg and starts
-// recording into them from every subsequent RunRound, process-wide.
-// Calling it again (e.g. with a fresh registry) re-points recording at
-// the new series; Uninstrument stops recording entirely.
-func Instrument(reg *obs.Registry) {
+// NewMetrics registers the simulator's metric series on reg.
+func NewMetrics(reg *obs.Registry) *Metrics {
 	const slotsHelp = "Slots simulated, by ground-truth type."
-	instr.Store(&simSeries{
+	return &Metrics{
 		rounds:        reg.Counter("sim_rounds_total", "Identification rounds completed."),
 		slotsIdle:     reg.Counter("sim_slots_total", slotsHelp, obs.L("type", "idle")),
 		slotsSingle:   reg.Counter("sim_slots_total", slotsHelp, obs.L("type", "single")),
 		slotsCollided: reg.Counter("sim_slots_total", slotsHelp, obs.L("type", "collided")),
 		frames:        reg.Counter("sim_frames_total", "Frames announced across all rounds."),
 		identified:    reg.Counter("sim_tags_identified_total", "Tags acknowledged across all rounds."),
-	})
+	}
 }
 
-// Uninstrument detaches the simulator from any registry; RunRound goes
-// back to recording nothing.
-func Uninstrument() { instr.Store(nil) }
-
-// record folds one finished session into the registered series.
-func (m *simSeries) record(s *metrics.Session) {
+// record folds one finished session into the series.
+func (m *Metrics) record(s *metrics.Session) {
 	m.rounds.Inc()
 	m.slotsIdle.Add(uint64(s.Census.Idle))
 	m.slotsSingle.Add(uint64(s.Census.Single))
@@ -59,18 +51,97 @@ func (m *simSeries) record(s *metrics.Session) {
 	m.identified.Add(uint64(s.TagsIdentified))
 }
 
-// frameSpans builds a metrics frame hook that records one "frame"
-// span per FSA frame under the round span sc. Span intervals are
-// wall-clock on the store's clock; the simulated timeline rides along
-// in sim_us.
-func frameSpans(sc obs.SpanContext) func(metrics.FrameInfo) {
-	last := time.Now()
-	return func(fi metrics.FrameInfo) {
+// metricsKey carries a *Metrics through context.
+type metricsKey struct{}
+
+// WithMetrics returns a context whose runs fold every finished round
+// into m (a nil m is fine and records nothing downstream).
+func WithMetrics(ctx context.Context, m *Metrics) context.Context {
+	return context.WithValue(ctx, metricsKey{}, m)
+}
+
+// metricsFrom returns the context's metric series, or nil.
+func metricsFrom(ctx context.Context) *Metrics {
+	m, _ := ctx.Value(metricsKey{}).(*Metrics)
+	return m
+}
+
+// Observers are the observers a long-lived caller, such as a service,
+// hands every run it starts. Either may be nil; the zero value
+// observes nothing.
+type Observers struct {
+	Metrics *Metrics
+	Auditor *audit.Auditor
+}
+
+// Attach returns ctx carrying o's non-nil observers.
+func (o Observers) Attach(ctx context.Context) context.Context {
+	if o.Metrics != nil {
+		ctx = WithMetrics(ctx, o.Metrics)
+	}
+	if o.Auditor != nil {
+		ctx = audit.WithAuditor(ctx, o.Auditor)
+	}
+	return ctx
+}
+
+// roundEnv carries one round's observers into runRound: the round's
+// index, the round span's context (zero = no frame spans), the event
+// bus, the run's metric series and its auditor (each nil = off), and,
+// once runRound has built it, the round's audit recorder. None of it
+// affects the simulated outcome.
+type roundEnv struct {
+	round   int
+	span    obs.SpanContext
+	bus     *obs.Bus
+	metrics *Metrics
+	auditor *audit.Auditor
+	rec     *audit.Recorder
+
+	lastFrame time.Time // the previous frame span's end
+}
+
+// frameHook returns the FSA reader's frame callback, or nil when no
+// frame observer is live (preserving the no-hook fast path in
+// EndFrame). Other algorithms get none: their frames are Gen-2 Queries
+// or EDFSA group frames, a few slots each, and would flood the
+// per-trace span cap. The env is copied to the heap only when a hook
+// is returned, so an unobserved round allocates nothing for it.
+func (env roundEnv) frameHook(c Config) func(metrics.FrameInfo) {
+	if c.Algorithm != AlgFSA || (!env.span.Valid() && env.rec == nil && env.bus == nil) {
+		return nil
+	}
+	e := new(roundEnv)
+	*e = env
+	e.lastFrame = time.Now()
+	return e.endFrame
+}
+
+// endFrame observes one completed FSA frame: a "frame" span under the
+// round span (wall-clock on the store's clock, the simulated timeline
+// in sim_us), the audit recorder's frame boundary and a "frame" event
+// on the bus.
+func (e *roundEnv) endFrame(fi metrics.FrameInfo) {
+	if e.span.Valid() {
 		now := time.Now()
-		sc.Complete("sim", "frame", last, now,
+		e.span.Complete("sim", "frame", e.lastFrame, now,
 			obs.SA("index", fi.Index), obs.SA("size", fi.Size), obs.SA("idle", fi.Idle),
 			obs.SA("single", fi.Single), obs.SA("collided", fi.Collided), obs.SA("sim_us", fi.EndMicros))
-		last = now
+		e.lastFrame = now
+	}
+	if e.rec != nil {
+		e.rec.EndFrame()
+	}
+	if e.bus != nil {
+		e.bus.Publish("frame", map[string]any{
+			"round":    e.round,
+			"frame":    fi.Index,
+			"size":     fi.Size,
+			"idle":     fi.Idle,
+			"single":   fi.Single,
+			"collided": fi.Collided,
+			"sim_us":   fi.EndMicros,
+		})
 	}
 }
 

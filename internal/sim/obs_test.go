@@ -12,11 +12,10 @@ import (
 
 func TestInstrumentRecordsSeries(t *testing.T) {
 	reg := obs.NewRegistry()
-	Instrument(reg)
-	t.Cleanup(Uninstrument)
+	ctx := WithMetrics(context.Background(), NewMetrics(reg))
 
 	c := baseCfg()
-	agg, err := Run(c)
+	agg, err := RunContext(ctx, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,23 +52,33 @@ func TestInstrumentRecordsSeries(t *testing.T) {
 	if want := uint64(agg.Slots.Mean() * float64(c.Rounds)); slots != want {
 		t.Errorf("sim_slots_total sums to %d, want the run's %d slots", slots, want)
 	}
-	// Instrumentation observes sessions, never individual verdicts.
+	// The series observe sessions, never individual verdicts.
 	if strings.Contains(text, "sim_detector_classify_seconds") {
 		t.Errorf("exposition still carries the per-verdict latency histogram:\n%s", text)
 	}
 }
 
-func TestUninstrumentStopsRecording(t *testing.T) {
-	reg := obs.NewRegistry()
-	Instrument(reg)
-	Uninstrument()
-	if _, err := Run(baseCfg()); err != nil {
+// TestRunsRecordOnlyIntoTheirOwnMetrics: a run folds its rounds into
+// the series its context carries and nowhere else, and a run without
+// series records nothing.
+func TestRunsRecordOnlyIntoTheirOwnMetrics(t *testing.T) {
+	a, b := NewMetrics(obs.NewRegistry()), NewMetrics(obs.NewRegistry())
+	c := baseCfg()
+	if _, err := RunContext(WithMetrics(context.Background(), a), c); err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	reg.WritePrometheus(&sb)
-	if !strings.Contains(sb.String(), "sim_rounds_total 0") {
-		t.Errorf("rounds recorded after Uninstrument:\n%s", sb.String())
+	if _, err := Run(c); err != nil {
+		t.Fatal(err)
+	}
+	c.Rounds = 2
+	if _, err := RunContext(WithMetrics(context.Background(), b), c); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := a.rounds.Value(), uint64(baseCfg().Rounds); got != want {
+		t.Errorf("first series counted %d rounds, want its own run's %d", got, want)
+	}
+	if got := b.rounds.Value(); got != 2 {
+		t.Errorf("second series counted %d rounds, want its own run's 2", got)
 	}
 }
 

@@ -339,27 +339,16 @@ func (p *ScratchPool) Put(rs *RoundScratch) {
 	p.free = append(p.free, rs)
 }
 
-// roundEnv carries per-round observability context into runRound: the
-// round's index, the round span's context (zero = no frame spans) and
-// the live event bus (nil = disabled). All of it is optional and none
-// of it affects the simulated outcome.
-type roundEnv struct {
-	round int
-	span  obs.SpanContext
-	bus   *obs.Bus
-}
-
-// runRound is RunRound with optional observability wiring. The mode
-// picks the slot backend: exact mode builds the population and the
-// detector, stat mode draws straight from the round-seeded stream into
-// the closed-form detector model, and the algorithm picks the driver.
-// The engines get the detector BuildDetector returned, so metric
-// instrumentation (Instrument) never changes the slot path: it only
-// folds the finished session into the registry. Auditing
-// (InstrumentAudit) is the one wrapper: it shadows every verdict with
-// the ground truth, which moves exact slots onto air's generic path.
-// The round span and the bus receive per-frame spans and events for
-// the FSA reader.
+// runRound is RunRound with the round's observers. The mode picks the
+// slot backend: exact mode builds the population and the detector,
+// stat mode draws straight from the round-seeded stream into the
+// closed-form detector model, and the algorithm picks the driver. The
+// engines get the detector BuildDetector returned, so the metric series
+// never change the slot path: they only fold the finished session. The
+// auditor is the one wrapper: it shadows every verdict with the ground
+// truth, which moves exact slots onto air's generic path. The round
+// span and the bus receive per-frame spans and events for the FSA
+// reader.
 func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metrics.Session, error) {
 	c = c.withDefaults()
 	if err := c.Validate(); err != nil {
@@ -371,8 +360,6 @@ func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metr
 	// and the session's slices are allocated at most once per scratch and
 	// reused for every slot of every round the scratch serves.
 	opt := aloha.Options{Scratch: &rs.aloha, ConfirmEmpty: c.ConfirmEmpty}
-	m := instr.Load()
-	a := activeAuditor.Load()
 	strength := 0
 	if c.Detector == DetQCD {
 		strength = c.Strength
@@ -381,17 +368,16 @@ func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metr
 	var b *aloha.Backend
 	var pop tagmodel.Population
 	var det detect.Detector
-	var rec *audit.Recorder
 	if c.Mode == ModeStat {
 		model, err := statModel(c)
 		if err != nil {
 			return nil, err
 		}
-		if a != nil {
-			rec = a.Recorder(model.Name, strength, env.round, env.bus)
-			opt.Observe = auditObserver(rec)
+		if env.auditor != nil {
+			env.rec = env.auditor.Recorder(model.Name, strength, env.round, env.bus)
+			opt.Observe = auditObserver(env.rec)
 		}
-		opt.FrameHook = frameHook(c, env, rec)
+		opt.FrameHook = env.frameHook(c)
 		rs.rng.Seed(roundSeed)
 		b = aloha.Stat(c.Tags, model, tm, &rs.rng, opt)
 	} else {
@@ -401,9 +387,9 @@ func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metr
 		if det, err = BuildDetector(c); err != nil {
 			return nil, err
 		}
-		if a != nil {
-			rec = a.Recorder(det.Name(), strength, env.round, env.bus)
-			det = auditedDetector{Detector: det, rec: rec}
+		if env.auditor != nil {
+			env.rec = env.auditor.Recorder(det.Name(), strength, env.round, env.bus)
+			det = auditedDetector{Detector: det, rec: env.rec}
 		}
 		if c.BER > 0 || c.CaptureProb > 0 {
 			// Same split draw as the historical rng.Split(), minus the
@@ -413,7 +399,7 @@ func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metr
 			opt.Impairment = &rs.imp
 		}
 		if c.framedALOHA() {
-			opt.FrameHook = frameHook(c, env, rec)
+			opt.FrameHook = env.frameHook(c)
 			b = aloha.Exact(pop, det, tm, opt)
 		}
 	}
@@ -439,8 +425,8 @@ func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metr
 	default:
 		return nil, fmt.Errorf("sim: unknown algorithm %q", c.Algorithm)
 	}
-	if m != nil {
-		m.record(s)
+	if env.metrics != nil {
+		env.metrics.record(s)
 	}
 	return s, nil
 }
@@ -531,7 +517,10 @@ func Run(c Config) (*Aggregate, error) {
 // When it carries an event bus (obs.WithBus), the run publishes one "round"
 // progress event per completed round and one "frame" event per FSA
 // frame (plus "audit" events when auditing is on), which is what the
-// server streams over SSE.
+// server streams over SSE. When it carries metric series (WithMetrics),
+// every finished round is folded into them; when it carries an auditor
+// (audit.WithAuditor), every slot verdict is shadowed by the oracle and
+// folded into it.
 func RunContext(ctx context.Context, c Config) (*Aggregate, error) {
 	return RunContextPool(ctx, c, nil)
 }
@@ -546,7 +535,7 @@ func RunContextPool(ctx context.Context, c Config, sp *ScratchPool) (*Aggregate,
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	bus := obs.BusFrom(ctx)
+	bus, m, a := obs.BusFrom(ctx), metricsFrom(ctx), audit.AuditorFrom(ctx)
 	expSpan := obs.SpanFrom(ctx).Start("sim", "experiment")
 	expCtx := expSpan.Context()
 	seeds := RoundSeeds(c.Seed, c.Rounds)
@@ -561,7 +550,8 @@ func RunContextPool(ctx context.Context, c Config, sp *ScratchPool) (*Aggregate,
 			return // cancelled: skip the rounds not yet started
 		}
 		rsp := expCtx.Start("sim", "round")
-		s, err := runRound(c, seeds[r], roundEnv{round: r, span: rsp.Context(), bus: bus}, rs)
+		env := roundEnv{round: r, span: rsp.Context(), bus: bus, metrics: m, auditor: a}
+		s, err := runRound(c, seeds[r], env, rs)
 		if s == nil {
 			if rsp.Live() {
 				rsp.End(obs.SA("round", r), obs.SA("error", fmt.Sprint(err)))

@@ -34,6 +34,9 @@ type Runner struct {
 	Cache *rescache.Cache
 	// Scratch, when set, recycles sim.RoundScratch across flights.
 	Scratch *sim.ScratchPool
+	// Observers are attached to every flight's run: the caller's metric
+	// series and auditor. The zero value observes nothing.
+	Observers sim.Observers
 	// Timeout, when positive, bounds each flight's run; a flight that
 	// exceeds it fails with context.DeadlineExceeded.
 	Timeout time.Duration
@@ -263,8 +266,8 @@ func (r *Runner) Leave(id string) int {
 }
 
 // execute is the one compute function: the configuration run on the
-// shared scratch pool, bounded by Timeout, and encoded once as the
-// aggregate summary.
+// shared scratch pool under the runner's observers and the leader's
+// bus, bounded by Timeout, and encoded once as the aggregate summary.
 func (r *Runner) execute(req Request) jobs.Func {
 	run := req.Config
 	run.Workers = req.Workers
@@ -278,7 +281,7 @@ func (r *Runner) execute(req Request) jobs.Func {
 			req.Start()
 		}
 		publishJob(req.Bus, req.ID, jobs.StatusQueued, jobs.StatusRunning)
-		agg, err := sim.RunContextPool(obs.WithBus(ctx, req.Bus), run, r.Scratch)
+		agg, err := sim.RunContextPool(r.Observers.Attach(obs.WithBus(ctx, req.Bus)), run, r.Scratch)
 		if err != nil {
 			return nil, err
 		}

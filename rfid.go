@@ -96,8 +96,8 @@ func RunRound(c Config, roundSeed uint64) (*Session, error) { return sim.RunRoun
 
 // ---- Observability: verdict auditing and live telemetry ----
 
-// Auditor accumulates the shadow-oracle verdict confusion matrix; see
-// EnableAudit and Auditor.Report.
+// Auditor accumulates the shadow-oracle verdict confusion matrix;
+// attach one to a run with WithAudit and read it via Auditor.Report.
 type Auditor = audit.Auditor
 
 // AuditReport is the auditor's JSON-ready snapshot: per-detector
@@ -108,21 +108,19 @@ type AuditReport = audit.Report
 // AuditExemplar is one captured misclassified slot.
 type AuditExemplar = audit.Exemplar
 
-// EnableAudit turns on shadow-oracle verdict auditing process-wide:
-// every subsequent run re-classifies each slot with the ground-truth
-// oracle alongside its configured detector and folds the result into
-// the returned Auditor (retaining at most exemplarCap misclassified
-// slots; <= 0 uses the default 64). Auditing only observes — audited
-// runs stay bit-identical to unaudited ones — and costs nothing once
-// DisableAudit is called.
-func EnableAudit(exemplarCap int) *Auditor {
-	a := audit.New(obs.NewRegistry(), audit.Options{ExemplarCap: exemplarCap})
-	sim.InstrumentAudit(a)
-	return a
+// NewAuditor returns an auditor retaining at most exemplarCap
+// misclassified slots (<= 0 uses the default 64).
+func NewAuditor(exemplarCap int) *Auditor {
+	return audit.New(obs.NewRegistry(), audit.Options{ExemplarCap: exemplarCap})
 }
 
-// DisableAudit turns shadow-oracle auditing back off.
-func DisableAudit() { sim.UninstrumentAudit() }
+// WithAudit returns a context that makes RunContext re-classify each
+// slot with the ground-truth oracle alongside its configured detector
+// and fold the result into a. Auditing only observes: audited runs stay
+// bit-identical to unaudited ones.
+func WithAudit(ctx context.Context, a *Auditor) context.Context {
+	return audit.WithAuditor(ctx, a)
+}
 
 // TelemetryBus is a bounded pub/sub stream of live experiment events
 // ("round" progress, "frame" censuses, "audit" hits); attach one to a
