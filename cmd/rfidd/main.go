@@ -20,6 +20,8 @@
 //	curl http://localhost:8080/debug/statusz                    # human status snapshot
 //	curl http://localhost:8080/v1/traces                        # service trace index
 //	curl http://localhost:8080/v1/traces/<id>                   # Chrome trace-event JSON
+//	curl http://localhost:8080/v1/metrics/history               # retained series index
+//	curl http://localhost:8080/v1/alerts                        # SLO alert status
 //
 // Observability: requests and worker lifecycle are logged through
 // log/slog (-log-format json for machine parsing, -log-level to
@@ -28,8 +30,13 @@
 // trace store (-span-traces traces of at most -span-capacity spans
 // each; -span-traces 0 disables tracing). /v1/traces/{id} and
 // /v1/experiments/{id}/trace export one trace, /debug/trace every
-// retained one. -pprof mounts the standard net/http/pprof handlers
-// under /debug/pprof/.
+// retained one. Event streams and the metrics history are always on:
+// every computed experiment, sweep and scenario streams its events
+// (-event-history sizes an experiment's replay ring), and the registry
+// is sampled every -history-interval into a ring reaching back
+// -history-retention, which backs /v1/metrics/history, the SLO alerts
+// (/v1/alerts, -slo-config) and statusz's trends. -pprof mounts the
+// standard net/http/pprof handlers under /debug/pprof/.
 //
 // On SIGINT/SIGTERM the daemon stops accepting work, drains queued and
 // in-flight experiments (up to -drain-timeout), then exits.
@@ -70,13 +77,13 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown drain limit")
 		spanTraces   = flag.Int("span-traces", 256, "trace store capacity in traces (0 disables tracing)")
 		spanCap      = flag.Int("span-capacity", 4096, "trace store capacity in spans per trace (further spans are dropped and counted)")
-		eventHistory = flag.Int("event-history", 256, "per-experiment SSE replay ring in events (0 disables streaming)")
+		eventHistory = flag.Int("event-history", 256, "per-experiment SSE replay ring in events")
 		eventBuffer  = flag.Int("event-buffer", 256, "events an SSE subscriber may lag before being dropped")
 		heartbeat    = flag.Duration("heartbeat", 15*time.Second, "SSE comment-heartbeat interval")
 		sweepCells   = flag.Int("sweep-max-cells", 0, "max cells one POST /v1/sweeps may expand to (0 = default)")
 		auditFlag    = flag.Bool("audit", false, "shadow every verdict with the ground-truth oracle (GET /v1/audit)")
 		auditCap     = flag.Int("audit-exemplars", 64, "audit misclassification exemplar ring capacity")
-		histInterval = flag.Duration("history-interval", time.Second, "metrics history sample interval (0 disables history and SLO alerting)")
+		histInterval = flag.Duration("history-interval", time.Second, "metrics history sample interval")
 		histRetain   = flag.Duration("history-retention", 16*time.Minute, "metrics history retention window")
 		sloConfig    = flag.String("slo-config", "", "JSON SLO policy file (empty = built-in defaults)")
 		pprof        = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
@@ -91,19 +98,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Options.EventHistory / TraceStoreTraces / HistoryInterval: 0 means
-	// default, negative disables, so a 0 flag value maps to -1.
-	eh := *eventHistory
-	if eh == 0 {
-		eh = -1
-	}
+	// Options.TraceStoreTraces: 0 means default, negative disables, so
+	// a 0 flag value maps to -1.
 	st := *spanTraces
 	if st == 0 {
 		st = -1
-	}
-	hi := *histInterval
-	if hi == 0 {
-		hi = -1
 	}
 	var sloCfg *slo.Config
 	if *sloConfig != "" {
@@ -121,13 +120,13 @@ func main() {
 		JobTimeout:        *jobTimeout,
 		TraceStoreTraces:  st,
 		TraceStoreSpans:   *spanCap,
-		EventHistory:      eh,
+		EventHistory:      *eventHistory,
 		EventBuffer:       *eventBuffer,
 		HeartbeatInterval: *heartbeat,
 		SweepMaxCells:     *sweepCells,
 		EnableAudit:       *auditFlag,
 		AuditExemplars:    *auditCap,
-		HistoryInterval:   hi,
+		HistoryInterval:   *histInterval,
 		HistoryRetention:  *histRetain,
 		SLOConfig:         sloCfg,
 		Logger:            logger,

@@ -16,16 +16,17 @@
 //
 // Rates ("recent" columns) come from the daemon's metrics history
 // (/v1/metrics/history), so the first frame shows real rates instead
-// of zeros and a reconnect never shows garbage deltas; when the daemon
-// runs with history disabled, rfidtop falls back to client-side deltas
-// between consecutive polls. Firing SLO alerts (/v1/alerts) get their
-// own pane, omitted when alerting is off.
+// of zeros and a reconnect never shows garbage deltas; a failed history
+// poll is reported like a failed /metrics poll. Firing SLO alerts
+// (/v1/alerts) get their own pane, omitted when the daemon rejected its
+// SLO policy.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -59,6 +60,7 @@ func main() {
 		interval: *interval,
 		pinned:   *sweepID,
 		plain:    *once,
+		out:      os.Stdout,
 		tail:     newTail(*tailLen),
 	}
 	n := *frames
@@ -81,9 +83,7 @@ type dash struct {
 	interval time.Duration
 	pinned   string // -sweep flag; "" = auto
 	plain    bool   // -once: no escape codes, no event tail
-
-	prev   map[string]float64 // last /metrics sample, for fallback rates
-	prevAt time.Time
+	out      io.Writer
 
 	tail       *tail
 	tailTarget string             // sweep currently tailed
@@ -102,10 +102,10 @@ func (d *dash) run(ctx context.Context, frames int) error {
 		if err := d.frame(ctx); err != nil {
 			// A dead daemon mid-session is worth showing, not exiting over
 			// (unless we never reached it at all).
-			if d.prev == nil {
+			if n == 0 {
 				return err
 			}
-			fmt.Printf("\x1b[31mpoll failed: %v\x1b[0m\n", err)
+			fmt.Fprintf(d.out, "\x1b[31mpoll failed: %v\x1b[0m\n", err)
 		}
 		n++
 		if frames > 0 && n >= frames {
@@ -132,7 +132,10 @@ func (d *dash) frame(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	rates := d.histRates(pctx, m)
+	rates, err := d.histRates(pctx, m)
+	if err != nil {
+		return err
+	}
 	alerts, alertsOn := d.alerts(pctx)
 	if !d.plain {
 		d.retarget(ctx, sweeps)
@@ -140,12 +143,10 @@ func (d *dash) frame(ctx context.Context) error {
 
 	var b strings.Builder
 	b.WriteString("\x1b[H\x1b[2J") // home + clear
-	now := time.Now()
-	dt := now.Sub(d.prevAt).Seconds()
 	fmt.Fprintf(&b, "\x1b[1mrfidtop\x1b[0m  %s  %s  (ctrl-c to quit)\n\n",
-		d.addr, now.Format("15:04:05"))
+		d.addr, time.Now().Format("15:04:05"))
 
-	d.poolSection(&b, m, dt, rates)
+	d.poolSection(&b, m, rates)
 	d.latencySection(&b, m)
 	d.cacheSection(&b, m)
 	if alertsOn {
@@ -156,21 +157,18 @@ func (d *dash) frame(ctx context.Context) error {
 		d.eventSection(&b)
 	}
 
-	d.prev, d.prevAt = m, now
 	out := b.String()
 	if d.plain {
 		out = stripANSI(out)
 	}
-	_, err = os.Stdout.WriteString(out)
+	_, err = io.WriteString(d.out, out)
 	return err
 }
 
-// histRates pulls the "recent" rate columns from the daemon's metrics
-// history, which is correct on the very first frame and across
-// reconnects. A daemon without history (404) yields ok=false and the
-// caller falls back to client-side deltas.
+// histRates are the "recent" rate columns, read from the daemon's
+// metrics history, which is correct on the very first frame and across
+// reconnects.
 type histRates struct {
-	ok         bool
 	jobsPerSec float64
 	busyFrac   float64
 }
@@ -179,20 +177,23 @@ type histRates struct {
 // from history.
 const histWindow = 30 * time.Second
 
-func (d *dash) histRates(ctx context.Context, m map[string]float64) histRates {
+func (d *dash) histRates(ctx context.Context, m map[string]float64) (histRates, error) {
 	resp, err := d.client.MetricsHistory(ctx, []string{
 		"rfidd_jobs_done_total",
 		"rfidd_worker_busy_seconds_total",
 	}, histWindow, "rate")
-	if err != nil || len(resp.Results) != 2 {
-		return histRates{}
+	if err != nil {
+		return histRates{}, err
 	}
-	r := histRates{ok: true, jobsPerSec: meanPoints(resp.Results[0].Points)}
+	if len(resp.Results) != 2 {
+		return histRates{}, fmt.Errorf("metrics history: %d results, want 2", len(resp.Results))
+	}
+	r := histRates{jobsPerSec: meanPoints(resp.Results[0].Points)}
 	if workers := m["rfidd_workers"]; workers > 0 {
 		// Rate of busy-seconds per wall second, split across the pool.
 		r.busyFrac = meanPoints(resp.Results[1].Points) / workers
 	}
-	return r
+	return r, nil
 }
 
 // meanPoints averages the finite points of one history result.
@@ -211,8 +212,8 @@ func meanPoints(pts []tsdb.Point) float64 {
 	return sum / float64(n)
 }
 
-// alerts fetches the SLO alert table; on=false when the daemon runs
-// with alerting disabled (404) or the poll fails.
+// alerts fetches the SLO alert table; on=false when the daemon rejected
+// its SLO policy (404) or the poll fails.
 func (d *dash) alerts(ctx context.Context) (server.AlertsResponse, bool) {
 	resp, err := d.client.Alerts(ctx)
 	if err != nil {
@@ -253,24 +254,13 @@ func (d *dash) retarget(ctx context.Context, sweeps []server.SweepResponse) {
 	}()
 }
 
-func (d *dash) poolSection(b *strings.Builder, m map[string]float64, dt float64, h histRates) {
-	workers := m["rfidd_workers"]
-	busyFrac, jobsPerSec := h.busyFrac, h.jobsPerSec
-	if !h.ok {
-		// No server-side history: fall back to deltas between polls
-		// (zero on the first frame by construction).
-		if d.prev != nil && dt > 0 && workers > 0 {
-			busyFrac = (m["rfidd_worker_busy_seconds_total"] - d.prev["rfidd_worker_busy_seconds_total"]) /
-				(dt * workers)
-		}
-		jobsPerSec = d.rate(m, "rfidd_jobs_done_total", dt)
-	}
+func (d *dash) poolSection(b *strings.Builder, m map[string]float64, h histRates) {
 	fmt.Fprintf(b, "\x1b[1mpool\x1b[0m     workers %.0f  busy %.0f  busy%%(recent) %s  queue %.0f (hiwater %.0f)\n",
-		workers, m["rfidd_workers_busy"], pct(busyFrac),
+		m["rfidd_workers"], m["rfidd_workers_busy"], pct(h.busyFrac),
 		m["rfidd_queue_depth"], m["rfidd_queue_depth_high_water"])
 	fmt.Fprintf(b, "         jobs done %.0f  failed %.0f  canceled %.0f  done/s %s\n\n",
 		m["rfidd_jobs_done_total"], m["rfidd_jobs_failed_total"],
-		m["rfidd_jobs_canceled_total"], rateStr(jobsPerSec))
+		m["rfidd_jobs_canceled_total"], rateStr(h.jobsPerSec))
 }
 
 // alertSection renders the SLO alert pane: a one-line summary plus a
@@ -345,14 +335,6 @@ func (d *dash) eventSection(b *strings.Builder) {
 	for _, l := range lines {
 		fmt.Fprintf(b, "         %s\n", l)
 	}
-}
-
-// rate is the per-second delta of a counter since the previous frame.
-func (d *dash) rate(m map[string]float64, key string, dt float64) float64 {
-	if d.prev == nil || dt <= 0 {
-		return 0
-	}
-	return (m[key] - d.prev[key]) / dt
 }
 
 // avgStr renders a histogram's overall mean as "1.2ms (n=34)".

@@ -14,6 +14,13 @@
 // context carries an auditor (WithAuditor), as it records spans and
 // events when its context carries a span or a bus. Without one a run
 // costs one context lookup and allocates nothing on the slot path.
+//
+// Parallel rounds finish in any order, so the order-dependent parts of
+// the report, the exemplar ring and the float sums of the expected
+// false singles, wait in each round's Recorder until the run flushes
+// the rounds in round order (Recorder.Flush). An audited run's report
+// is then the same at any worker count. The integer confusion counts
+// and the live "audit" events do not wait.
 package audit
 
 import (
@@ -101,7 +108,8 @@ type Options struct {
 // safe for concurrent use by parallel rounds; the nil *Auditor is a
 // valid disabled auditor.
 type Auditor struct {
-	reg *obs.Registry
+	reg         *obs.Registry
+	exemplarCap int
 
 	mu        sync.Mutex
 	series    map[string]*series
@@ -130,9 +138,10 @@ func New(reg *obs.Registry, o Options) *Auditor {
 		o.ExemplarCap = 64
 	}
 	return &Auditor{
-		reg:       reg,
-		series:    make(map[string]*series),
-		exemplars: obs.NewRing[Exemplar](o.ExemplarCap),
+		reg:         reg,
+		exemplarCap: o.ExemplarCap,
+		series:      make(map[string]*series),
+		exemplars:   obs.NewRing[Exemplar](o.ExemplarCap),
 	}
 }
 
@@ -187,15 +196,6 @@ func ratio(num, den uint64) float64 {
 	return float64(num) / float64(den)
 }
 
-// addExemplar appends one misclassified slot to the bounded ring.
-func (a *Auditor) addExemplar(ex Exemplar) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.exemplars.Push(ex) {
-		a.exemplarsDropped.Add(1)
-	}
-}
-
 // Recorder returns a per-round hot-path handle feeding this auditor.
 // strength is the QCD strength l (0 for detectors without one); bus, if
 // non-nil, receives one "audit" event per misclassified slot.
@@ -208,12 +208,18 @@ func (a *Auditor) Recorder(detector string, strength, round int, bus *obs.Bus) *
 
 // Recorder observes one round's verdicts. It is owned by a single
 // round (not concurrency-safe itself); all shared state it touches is.
+// It keeps the round's exemplars (at most the auditor's ExemplarCap,
+// newest kept) and expected-miss terms until Flush.
 type Recorder struct {
 	a   *Auditor
 	s   *series
 	bus *obs.Bus
 
 	round, frame, slot int
+
+	exemplars obs.Ring[Exemplar] // allocated at the round's first exemplar
+	dropped   uint64             // exemplars the round's own ring overwrote
+	terms     []float64          // 2^-(l·(m-1)) per true-collided slot, in slot order
 }
 
 // Observe folds one slot verdict into the confusion matrix. truth is
@@ -229,9 +235,7 @@ func (r *Recorder) Observe(truth, declared signal.SlotType, rx signal.Reception)
 		if l := r.s.strength; l > 0 && rx.Responders > 1 {
 			// QCD Theorem 1: this collision is missed iff all m
 			// responders drew the same integer, p = 2^-(l·(m-1)).
-			p := math.Pow(2, -float64(l)*float64(rx.Responders-1))
-			r.s.expMisses.Add(p)
-			r.s.expVar.Add(p * (1 - p))
+			r.terms = append(r.terms, math.Pow(2, -float64(l)*float64(rx.Responders-1)))
 		}
 	}
 	if cell == CellCorrect {
@@ -252,7 +256,12 @@ func (r *Recorder) Observe(truth, declared signal.SlotType, rx signal.Reception)
 	if l := r.s.strength; l > 0 && rx.Signal.Len() == 2*l {
 		ex.R = rx.Signal.Uint64Range(0, l)
 	}
-	r.a.addExemplar(ex)
+	if r.exemplars.Len() == 0 {
+		r.exemplars = obs.NewRing[Exemplar](r.a.exemplarCap)
+	}
+	if r.exemplars.Push(ex) {
+		r.dropped++
+	}
 	if r.bus != nil {
 		r.bus.Publish("audit", map[string]any{
 			"detector": ex.Detector, "l": ex.Strength,
@@ -268,6 +277,31 @@ func (r *Recorder) Observe(truth, declared signal.SlotType, rx signal.Reception)
 func (r *Recorder) EndFrame() {
 	r.frame++
 	r.slot = 0
+}
+
+// Flush folds the round's kept exemplars and expected-miss terms into
+// the auditor, in the order the round observed them, and empties the
+// recorder. A run flushes its rounds in round order once they have all
+// returned, so the report does not depend on which round finished
+// first. A nil recorder flushes nothing.
+func (r *Recorder) Flush() {
+	if r == nil {
+		return
+	}
+	for _, p := range r.terms {
+		r.s.expMisses.Add(p)
+		r.s.expVar.Add(p * (1 - p))
+	}
+	a := r.a
+	a.mu.Lock()
+	for _, ex := range r.exemplars.Items() {
+		if a.exemplars.Push(ex) {
+			r.dropped++
+		}
+	}
+	a.mu.Unlock()
+	a.exemplarsDropped.Add(r.dropped)
+	r.terms, r.exemplars, r.dropped = r.terms[:0], obs.Ring[Exemplar]{}, 0
 }
 
 // DetectorReport is the per-(detector, strength) summary of a Report.
@@ -298,8 +332,9 @@ type Report struct {
 	ExemplarsDropped uint64           `json:"exemplars_dropped"`
 }
 
-// Report snapshots the confusion matrix and exemplar ring. Detector
-// entries are sorted by name then strength, exemplars oldest first.
+// Report snapshots the confusion matrix and exemplar ring; exemplars
+// and expected false singles cover the flushed rounds. Detector entries
+// are sorted by name then strength, exemplars oldest first.
 func (a *Auditor) Report() Report {
 	if a == nil {
 		return Report{}

@@ -26,6 +26,7 @@ func TestObserveFillsConfusionMatrix(t *testing.T) {
 	rec.Observe(signal.Collided, signal.Single, rxOf(2))   // false single
 	rec.Observe(signal.Single, signal.Collided, rxOf(1))   // false collision
 	rec.Observe(signal.Single, signal.Idle, rxOf(1))       // false idle
+	rec.Flush()
 
 	rep := a.Report()
 	if len(rep.Detectors) != 1 {
@@ -58,6 +59,7 @@ func TestExpectedFalseSingleAccounting(t *testing.T) {
 	rec.Observe(signal.Collided, signal.Collided, rxOf(3))
 	// A single slot must not contribute.
 	rec.Observe(signal.Single, signal.Single, rxOf(1))
+	rec.Flush()
 
 	d := a.Report().Detectors[0]
 	p2, p3 := math.Pow(2, -4), math.Pow(2, -8)
@@ -99,6 +101,7 @@ func TestExemplarCapturesQCDPreamble(t *testing.T) {
 	rec.Observe(signal.Collided, signal.Single, signal.Reception{
 		Signal: pre, Energy: true, Responders: 2,
 	})
+	rec.Flush()
 
 	rep := a.Report()
 	if len(rep.Exemplars) != 1 {
@@ -128,6 +131,7 @@ func TestExemplarRingBoundsAndDrops(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rec.Observe(signal.Collided, signal.Single, rxOf(2))
 	}
+	rec.Flush()
 	rep := a.Report()
 	if len(rep.Exemplars) != 4 {
 		t.Fatalf("ring holds %d, want cap 4", len(rep.Exemplars))

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkEvaluateDisabled is the nil-engine path every sampler tick
-// pays when alerting is off; it must stay free.
+// pays when the SLO policy was rejected; it must stay free.
 func BenchmarkEvaluateDisabled(b *testing.B) {
 	var e *Engine
 	now := time.Now()

@@ -386,7 +386,7 @@ func (e *Engine) badFraction(o *objState, w time.Duration) (float64, bool) {
 // current contents and advances the alert state machines, emitting
 // transition events. Call it after each Sample tick.
 func (e *Engine) Evaluate(now time.Time) {
-	if e == nil || e.store == nil {
+	if e == nil {
 		return
 	}
 	e.mu.Lock()

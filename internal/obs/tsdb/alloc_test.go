@@ -29,16 +29,3 @@ func TestSampleSteadyStateAllocatesNothing(t *testing.T) {
 		t.Fatalf("steady-state Sample allocates %v allocs/op, want 0", got)
 	}
 }
-
-// TestDisabledPathAllocatesNothing pins the disabled contract: a nil
-// store (history off) costs callers nothing on the hot paths that
-// stay instrumented unconditionally.
-func TestDisabledPathAllocatesNothing(t *testing.T) {
-	var s *Store
-	if got := testing.AllocsPerRun(100, func() {
-		s.Sample(time.Time{})
-		s.Annotate("job", "failed")
-	}); got != 0 {
-		t.Fatalf("nil-store path allocates %v allocs/op, want 0", got)
-	}
-}

@@ -30,26 +30,6 @@ func BenchmarkSampleSteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleDisabled measures the disabled path, a nil store: one
-// nil check and out. Must be 0 allocs/op.
-func BenchmarkSampleDisabled(b *testing.B) {
-	var s *Store
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Sample(time.Time{})
-	}
-}
-
-// BenchmarkAnnotateDisabled measures the nil-store annotation path the
-// job/sweep hot paths hit when history is off. Must be 0 allocs/op.
-func BenchmarkAnnotateDisabled(b *testing.B) {
-	var s *Store
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Annotate("job", "failed")
-	}
-}
-
 // BenchmarkQueryRate measures a rate derivation over a full retention
 // window (960 points) — the statusz sparkline path.
 func BenchmarkQueryRate(b *testing.B) {

@@ -14,9 +14,7 @@
 //
 // Bounds and cost: memory is slots × series × 8 bytes, fixed at
 // construction (retention / interval slots); once every series has
-// been seen a tick performs zero allocations. A nil *Store is the one
-// disabled store — Sample, Annotate and every query are no-ops — so
-// instrumentation can call through unconditionally.
+// been seen a tick performs zero allocations.
 package tsdb
 
 import (
@@ -144,8 +142,7 @@ type Result struct {
 	Points []Point `json:"points"`
 }
 
-// Store is the bounded history store. Construct with New; a nil *Store
-// is a valid disabled store.
+// Store is the bounded history store. Construct with New.
 type Store struct {
 	reg   *obs.Registry
 	opts  Options
@@ -192,17 +189,11 @@ func New(reg *obs.Registry, o Options) *Store {
 
 // Interval returns the store's configured sample period.
 func (s *Store) Interval() time.Duration {
-	if s == nil {
-		return 0
-	}
 	return s.opts.Interval
 }
 
 // Retention returns the store's configured reach.
 func (s *Store) Retention() time.Duration {
-	if s == nil {
-		return 0
-	}
 	return time.Duration(s.slots) * s.opts.Interval
 }
 
@@ -251,9 +242,6 @@ func (s *Store) VisitSample(sm obs.Sample) {
 // values that exist nowhere in the registry (SLO good-event counts).
 // labels must be a rendered label set (obs.RenderLabels) or "".
 func (s *Store) Probe(name, labels, kind string, fn func() float64) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ser := s.newSeriesLocked(seriesID{name, labels, ""}, kind)
@@ -268,9 +256,6 @@ func (s *Store) Probe(name, labels, kind string, fn func() float64) {
 // Steady state (no new series) allocates nothing. Callers must pass
 // monotonically non-decreasing times.
 func (s *Store) Sample(now time.Time) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.cur = s.head
 	s.times[s.cur] = now.UnixNano()
@@ -288,11 +273,8 @@ func (s *Store) Sample(now time.Time) {
 }
 
 // Annotate appends one timestamped mark to the bounded annotation
-// ring. A nil store drops it, so callers need no guard.
+// ring.
 func (s *Store) Annotate(kind, text string) {
-	if s == nil {
-		return
-	}
 	s.annMu.Lock()
 	s.anns.Push(Annotation{T: time.Now(), Kind: kind, Text: text})
 	s.annMu.Unlock()
@@ -301,9 +283,6 @@ func (s *Store) Annotate(kind, text string) {
 // Annotations returns the retained annotations at or after since,
 // oldest first.
 func (s *Store) Annotations(since time.Time) []Annotation {
-	if s == nil {
-		return nil
-	}
 	s.annMu.Lock()
 	anns := s.anns.Items()
 	s.annMu.Unlock()
@@ -312,9 +291,6 @@ func (s *Store) Annotations(since time.Time) []Annotation {
 
 // Series lists every retained series, registration order.
 func (s *Store) Series() []SeriesInfo {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]SeriesInfo, 0, len(s.order))
@@ -373,9 +349,6 @@ func (s *Store) resolveLocked(name, labels string) (ser, sum, count *series) {
 // raw, histogram base names avg. Histogram base selectors support only
 // avg; plain series support raw/rate/delta.
 func (s *Store) Query(sel string, window time.Duration, reduce string) (Result, error) {
-	if s == nil {
-		return Result{}, fmt.Errorf("tsdb: history disabled")
-	}
 	name, labels := SplitSelector(sel)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -525,9 +498,6 @@ func (s *Store) reducePairLocked(sum, count *series, window time.Duration) []Poi
 // window (reset-aware) and whether the series had at least two samples
 // in it. sub selects a histogram sub-sample ("sum"/"count") or "".
 func (s *Store) Delta(name, labels, sub string, window time.Duration) (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ser := s.byID[seriesID{name, labels, sub}]
@@ -547,9 +517,6 @@ func (s *Store) Delta(name, labels, sub string, window time.Duration) (float64, 
 // whose value exceeds thr — the time-based error rate of a gauge
 // objective — and whether any samples were found.
 func (s *Store) FractionAbove(name, labels string, window time.Duration, thr float64) (float64, bool) {
-	if s == nil {
-		return 0, false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ser := s.byID[seriesID{name, labels, ""}]
@@ -573,9 +540,6 @@ func (s *Store) FractionAbove(name, labels string, window time.Duration, thr flo
 // Register exposes the store's own volume series on reg (they are then
 // sampled into the store like any other series).
 func (s *Store) Register(reg *obs.Registry) {
-	if s == nil {
-		return
-	}
 	reg.CounterFunc("obs_tsdb_ticks_total",
 		"History sampler ticks recorded.", s.ticks.Load)
 	reg.CounterFunc("obs_tsdb_samples_total",

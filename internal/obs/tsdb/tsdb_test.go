@@ -263,25 +263,6 @@ func TestAnnotationsRing(t *testing.T) {
 	}
 }
 
-func TestDisabledAndNilStore(t *testing.T) {
-	var nilStore *Store
-	nilStore.Sample(time.Now()) // must not panic
-	nilStore.Annotate("k", "t")
-	nilStore.Probe("x", "", KindGauge, func() float64 { return 0 })
-	if _, err := nilStore.Query("x", 0, ""); err == nil {
-		t.Fatal("nil store Query should error")
-	}
-	if got := nilStore.Series(); got != nil {
-		t.Fatalf("nil store Series = %v, want nil", got)
-	}
-	if got := nilStore.Annotations(time.Time{}); got != nil {
-		t.Fatalf("nil store Annotations = %v, want nil", got)
-	}
-	if _, ok := nilStore.Delta("x", "", "", 0); ok {
-		t.Fatal("nil store Delta reports samples")
-	}
-}
-
 func TestSeriesCap(t *testing.T) {
 	reg := obs.NewRegistry()
 	for i := 0; i < 5; i++ {

@@ -41,6 +41,9 @@ func FuzzSubmitKey(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	for _, seed := range hostileSweepBodies {
+		f.Add([]byte(seed))
+	}
 	opts := Options{}.withDefaults()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var exp SubmitRequest

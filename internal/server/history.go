@@ -28,12 +28,8 @@ const alertEventHistory = 256
 // startHistory wires the history store, runtime collector, SLO engine
 // and alert bus, then starts the sampler goroutine. Called from New
 // after registerMetrics so every registry series exists when the first
-// tick runs; a negative HistoryInterval leaves everything nil (the
-// disabled path).
+// tick runs.
 func (s *Server) startHistory() {
-	if s.opts.HistoryInterval < 0 {
-		return
-	}
 	s.runstats = obs.NewRuntimeCollector()
 	s.runstats.Register(s.reg)
 	s.hist = tsdb.New(s.reg, tsdb.Options{
@@ -79,9 +75,6 @@ func (s *Server) sampleLoop() {
 
 // stopHistory halts the sampler goroutine; idempotent.
 func (s *Server) stopHistory() {
-	if s.samplerStop == nil {
-		return
-	}
 	s.samplerOnce.Do(func() { close(s.samplerStop) })
 }
 
@@ -108,11 +101,6 @@ type AlertsResponse struct {
 }
 
 func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
-	if s.hist == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: "metrics history disabled (start the server with a non-negative history interval)"})
-		return
-	}
 	q := r.URL.Query()
 	selectors := q["series"]
 	if len(selectors) == 0 {
@@ -154,7 +142,7 @@ func (s *Server) handleMetricsHistory(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	if s.slos == nil {
 		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: "slo alerting disabled (history off or config rejected)"})
+			errorResponse{Error: "slo alerting disabled (config rejected)"})
 		return
 	}
 	alerts := s.slos.Alerts()
@@ -170,10 +158,5 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 // handleAlertEvents streams alert state transitions as SSE; the bus's
 // replay ring makes `?after=0` a complete transition log.
 func (s *Server) handleAlertEvents(w http.ResponseWriter, r *http.Request) {
-	if s.alertBus == nil {
-		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: "slo alerting disabled (history off)"})
-		return
-	}
 	s.streamSSE(w, r, s.alertBus)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"slices"
 	"strings"
 	"testing"
@@ -136,28 +137,71 @@ func TestAlertsEndpointServesObjectives(t *testing.T) {
 	}
 }
 
-func TestHistoryDisabledPaths(t *testing.T) {
+// TestNegativeSizesKeepStreamsAndHistoryOn pins that event streams and
+// the metrics history have no off switch: negative sizes take the
+// defaults, and every history, alert and record event route answers.
+func TestNegativeSizesKeepStreamsAndHistoryOn(t *testing.T) {
 	_, c := startServer(t, Options{
-		Workers: 1, QueueDepth: 4, CacheSize: 16,
-		HistoryInterval: -1,
+		Workers: 2, QueueDepth: 4, CacheSize: 16,
+		EventHistory: -1, HistoryInterval: -1,
 	})
 	ctx := context.Background()
-	for _, call := range []func() error{
-		func() error { _, err := c.HistoryIndex(ctx); return err },
-		func() error { _, err := c.Alerts(ctx); return err },
-	} {
-		if err := call(); err == nil || !strings.Contains(err.Error(), "HTTP 404") {
-			t.Fatalf("disabled endpoint error = %v, want HTTP 404", err)
-		}
-	}
-	// The service still works without history.
-	exp, err := c.Experiments().Submit(ctx, fastCfg())
+	sw, err := c.Sweeps().Submit(ctx, fig5MiniSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Experiments().Wait(ctx, exp.ID, 5*time.Millisecond); err != nil {
+	scn, err := c.Scenarios().Submit(ctx, smallScenario())
+	if err != nil {
 		t.Fatal(err)
 	}
+	for _, path := range []string{
+		"/v1/metrics/history",
+		"/v1/alerts",
+		"/v1/alerts/events",
+		"/v1/sweeps/" + sw.ID + "/events",
+		"/v1/scenarios/" + scn.ID + "/events",
+	} {
+		if code := statusOf(t, c.BaseURL+path); code != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, code)
+		}
+	}
+}
+
+// TestRejectedSLOPolicyKeepsHistory pins the one alerting "off": a
+// policy that fails validation leaves the engine nil, so /v1/alerts
+// answers 404, while history and the alert stream keep answering.
+func TestRejectedSLOPolicyKeepsHistory(t *testing.T) {
+	_, c := startServer(t, Options{Workers: 1, SLOConfig: &slo.Config{}})
+	ctx := context.Background()
+	if _, err := c.Alerts(ctx); err == nil || !strings.Contains(err.Error(), "HTTP 404") {
+		t.Fatalf("alerts under a rejected policy: err = %v, want HTTP 404", err)
+	}
+	for _, path := range []string{"/v1/metrics/history", "/v1/alerts/events"} {
+		if code := statusOf(t, c.BaseURL+path); code != http.StatusOK {
+			t.Errorf("GET %s = %d, want 200", path, code)
+		}
+	}
+	if body, err := c.Statusz(ctx); err != nil || !strings.Contains(body, "slo alerting disabled") {
+		t.Errorf("statusz under a rejected policy lacks the notice (err %v)", err)
+	}
+}
+
+// statusOf returns the status of a GET without reading the body, so an
+// endless event stream answers too.
+func statusOf(t *testing.T, url string) int {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }
 
 func TestStatuszShowsTrendsAndAlerts(t *testing.T) {

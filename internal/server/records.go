@@ -54,13 +54,12 @@ func (r ScenarioResponse) summary() ScenarioResponse     { r.Result = nil; retur
 // add, records and prune must be used with srv.mu held; the handlers
 // take it themselves.
 type kind[Q, P, T any, R response[R]] struct {
-	srv      *Server
-	route    string // "/v1/experiments"; the listing's key is its last segment
-	noun     string // "experiment": names the kind in errors and logs
-	prefix   string // "exp-": minted IDs are prefix + counter
-	cap      int
-	origin   string // latency-origin label of the kind's computed work; "" when none
-	noStream string // why a record may lack an event stream
+	srv    *Server
+	route  string // "/v1/experiments"; the listing's key is its last segment
+	noun   string // "experiment": names the kind in errors and logs
+	prefix string // "exp-": minted IDs are prefix + counter
+	cap    int
+	origin string // latency-origin label of the kind's computed work; "" when none
 
 	// prepare normalises a decoded body before srv.mu is taken, so it
 	// does the kind's costly per-body work; see writeSubmitError.
@@ -75,7 +74,7 @@ type kind[Q, P, T any, R response[R]] struct {
 
 	live   func(T) bool     // a live record stops the prune
 	view   func(T) R        // the GET body
-	bus    func(T) *obs.Bus // the record's event stream; nil when none
+	bus    func(T) *obs.Bus // the record's event stream; nil for a cached or joined experiment
 	cancel func(T) bool     // false answers 409 (nothing left to cancel)
 
 	byID  map[string]T
@@ -220,7 +219,7 @@ func (k *kind[Q, P, T, R]) handleEvents(w http.ResponseWriter, r *http.Request) 
 	bus := k.bus(rec)
 	if bus == nil {
 		writeJSON(w, http.StatusNotFound,
-			errorResponse{Error: "no event stream for " + r.PathValue("id") + " (" + k.noStream + ")"})
+			errorResponse{Error: "no event stream for " + r.PathValue("id") + " (cached or joined)"})
 		return
 	}
 	k.srv.streamSSE(w, r, bus)
@@ -271,12 +270,8 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return err == nil
 }
 
-// newBus returns a record's event bus, replaying up to ring events, or
-// nil when event streaming is disabled (EventHistory < 0).
+// newBus returns a record's event bus, replaying up to ring events.
 func (s *Server) newBus(ring int) *obs.Bus {
-	if s.opts.EventHistory <= 0 {
-		return nil
-	}
 	bus := obs.NewBus(ring)
 	bus.CountDropsInto(s.evDrops)
 	return bus

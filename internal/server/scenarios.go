@@ -64,9 +64,8 @@ type scenarioKind = kind[ScenarioSubmitRequest, scenario.Spec, *scenarioRec, Sce
 func (s *Server) newScenarios() *scenarioKind {
 	return &scenarioKind{
 		srv: s, route: "/v1/scenarios", noun: "scenario", prefix: "scn-", cap: scenarioRecordCap,
-		noStream: "streaming disabled",
-		prepare:  prepareScenario,
-		start:    s.startScenario,
+		prepare: prepareScenario,
+		start:   s.startScenario,
 		logAttrs: func(rec *scenarioRec, _ bool) []any {
 			return []any{"readers", rec.spec.Readers, "arrivals_per_second", rec.spec.ArrivalsPerSecond,
 				"duration_micros", rec.spec.DurationMicros}
@@ -117,7 +116,7 @@ func (s *Server) startScenario(r *http.Request, spec scenario.Spec) (*scenarioRe
 		return nil, "", false, err
 	}
 	s.hist.Annotate("scenario", fmt.Sprintf("%s started (%d readers, λ=%g/s)",
-		rec.id, spec.Readers, spec.ArrivalsPerSecond)) // nil-safe when history is off
+		rec.id, spec.Readers, spec.ArrivalsPerSecond))
 	return rec, rec.id, true, nil
 }
 

@@ -91,8 +91,7 @@ type Options struct {
 	EnablePprof bool
 
 	// EventHistory bounds each experiment's telemetry event ring, in
-	// events, for SSE Last-Event-ID replay (default 256; negative
-	// disables event streaming).
+	// events, for SSE Last-Event-ID replay (default 256).
 	EventHistory int
 	// EventBuffer bounds how far one SSE subscriber may lag, in
 	// events, before it is dropped as a slow consumer (default 256).
@@ -111,17 +110,13 @@ type Options struct {
 	// AuditExemplars bounds the audit exemplar ring (default 64).
 	AuditExemplars int
 
-	// HistoryInterval paces the metrics-history sampler (default 1s;
-	// negative disables history and SLO evaluation entirely — the
-	// store is then nil and the instrumented paths cost one nil check,
-	// like spans).
+	// HistoryInterval paces the metrics-history sampler (default 1s).
 	HistoryInterval time.Duration
 	// HistoryRetention bounds how far back the history rings reach
 	// (default 16m, covering the default SLO slow window).
 	HistoryRetention time.Duration
 	// SLOConfig is the burn-rate alerting policy evaluated over the
-	// history store; nil takes slo.DefaultConfig(). Ignored when
-	// history is disabled.
+	// history store; nil takes slo.DefaultConfig().
 	SLOConfig *slo.Config
 }
 
@@ -135,7 +130,7 @@ func (o Options) withDefaults() Options {
 	if o.TraceStoreSpans <= 0 {
 		o.TraceStoreSpans = 4096
 	}
-	if o.EventHistory == 0 {
+	if o.EventHistory <= 0 {
 		o.EventHistory = 256
 	}
 	if o.EventBuffer <= 0 {
@@ -150,7 +145,7 @@ func (o Options) withDefaults() Options {
 	if o.SweepMaxCells <= 0 || o.SweepMaxCells > sweep.HardMaxCells {
 		o.SweepMaxCells = sweep.DefaultMaxCells
 	}
-	if o.HistoryInterval == 0 {
+	if o.HistoryInterval <= 0 {
 		o.HistoryInterval = time.Second
 	}
 	if o.HistoryRetention <= 0 {
@@ -201,7 +196,7 @@ type experiment struct {
 	member    *sweep.Member   // nil for cache-served records
 	createdAt time.Time
 	traceID   string   // trace this record's request, queue wait and run belong to
-	bus       *obs.Bus // live telemetry of a led run; nil otherwise or when disabled
+	bus       *obs.Bus // live telemetry of a led run; nil otherwise
 }
 
 // leads reports whether the record leads its flight: the pool job is its own.
@@ -225,9 +220,9 @@ type Server struct {
 	wide       *wideLog             // recent wide events, for /debug/statusz
 	originLats map[string]originLat // latency decomposition by origin (job, sweep)
 
-	hist        *tsdb.Store           // metrics history; nil when disabled
-	slos        *slo.Engine           // burn-rate alerting; nil when disabled
-	alertBus    *obs.Bus              // alert transition events; nil when disabled
+	hist        *tsdb.Store           // metrics history
+	slos        *slo.Engine           // burn-rate alerting; nil when the policy was rejected
+	alertBus    *obs.Bus              // alert transition events
 	runstats    *obs.RuntimeCollector // goroutines/heap/GC series
 	samplerStop chan struct{}         // closes to stop the sampler goroutine
 	samplerOnce sync.Once
@@ -392,7 +387,7 @@ type experimentSubmit struct {
 func (s *Server) newExperiments() *experimentKind {
 	return &experimentKind{
 		srv: s, route: "/v1/experiments", noun: "experiment", prefix: "exp-", cap: experimentRecordCap,
-		origin: "job", noStream: "cached, joined or streaming disabled",
+		origin:  "job",
 		prepare: prepareExperiment,
 		start:   s.startExperiment,
 		logAttrs: func(e *experiment, queued bool) []any {

@@ -87,14 +87,13 @@ th { background: #eee; }
 {{end}}</table>{{else}}<p class="muted">none recorded yet</p>{{end}}
 
 <h2>trends <span class="muted">(history, last {{.TrendWindow}})</span></h2>
-{{if not .History}}<p class="muted">metrics history disabled</p>
-{{else if .Trends}}<table>
+{{if .Trends}}<table>
 <tr><th>series</th><th>trend</th><th>last</th></tr>
 {{range .Trends}}<tr><td>{{.Name}}</td><td class="spark">{{.Spark}}</td><td class="num">{{.Last}}</td></tr>
 {{end}}</table>{{else}}<p class="muted">no samples yet</p>{{end}}
 
 <h2>slo alerts</h2>
-{{if not .SLO}}<p class="muted">slo alerting disabled</p>
+{{if not .SLO}}<p class="muted">slo alerting disabled (policy rejected)</p>
 {{else}}<table>
 <tr><th>objective</th><th>state</th><th>target</th><th>burn fast</th><th>burn slow</th><th>since</th></tr>
 {{range .Alerts}}<tr><td>{{.Objective}}</td><td class="state-{{.State}}">{{.State}}</td>
@@ -136,7 +135,6 @@ type statuszData struct {
 	Wide        []wideEvent
 	WideTotal   uint64
 
-	History     bool
 	SLO         bool
 	TrendWindow time.Duration
 	Trends      []trendRow
@@ -250,19 +248,13 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 		}
 		d.Traces = sums
 	}
-	if s.hist != nil {
-		d.History = true
-		d.TrendWindow = s.hist.Retention()
-		if w := 5 * time.Minute; d.TrendWindow > w {
-			d.TrendWindow = w
-		}
-		d.Trends = s.statuszTrends(d.TrendWindow)
-		anns := s.hist.Annotations(time.Time{})
-		if len(anns) > 16 { // newest are appended last; show the tail
-			anns = anns[len(anns)-16:]
-		}
-		d.Annotations = anns
+	d.TrendWindow = min(s.hist.Retention(), 5*time.Minute)
+	d.Trends = s.statuszTrends(d.TrendWindow)
+	anns := s.hist.Annotations(time.Time{})
+	if len(anns) > 16 { // newest are appended last; show the tail
+		anns = anns[len(anns)-16:]
 	}
+	d.Annotations = anns
 	if s.slos != nil {
 		d.SLO = true
 		d.Alerts = s.slos.Alerts()

@@ -105,7 +105,7 @@ type sweepSubmit struct {
 func (s *Server) newSweeps() *sweepKind {
 	return &sweepKind{
 		srv: s, route: "/v1/sweeps", noun: "sweep", prefix: "swp-", cap: sweepRecordCap,
-		origin: sweep.Origin, noStream: "streaming disabled",
+		origin: sweep.Origin,
 		prepare: func(req SweepSubmitRequest) (sweepSubmit, error) {
 			p, err := s.opts.prepareSweep(req)
 			if err == nil {
@@ -160,15 +160,13 @@ func (s *Server) startSweep(r *http.Request, p sweepSubmit) (*sweep.Sweep, strin
 	sw := s.runner.Start(sctx, id, p.plan, p.bus)
 	// Mark the sweep's lifetime on the metrics history timeline, so a
 	// latency spike on a sparkline can be read against what was running.
-	if s.hist != nil {
-		s.hist.Annotate("sweep", fmt.Sprintf("%s started (%d cells)", id, p.plan.Len()))
-		go func() {
-			<-sw.Done()
-			snap := sw.Snapshot()
-			s.hist.Annotate("sweep", fmt.Sprintf("%s %s (%d done, %d failed)",
-				id, snap.Status, snap.Counts.Done, snap.Counts.Failed))
-		}()
-	}
+	s.hist.Annotate("sweep", fmt.Sprintf("%s started (%d cells)", id, p.plan.Len()))
+	go func() {
+		<-sw.Done()
+		snap := sw.Snapshot()
+		s.hist.Annotate("sweep", fmt.Sprintf("%s %s (%d done, %d failed)",
+			id, snap.Status, snap.Counts.Done, snap.Counts.Failed))
+	}()
 	return sw, id, true, nil
 }
 

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -266,5 +268,31 @@ func TestSweepRejectsBadSpecs(t *testing.T) {
 	}
 	if _, err := c.Sweeps().Get(ctx, "swp-404"); err == nil {
 		t.Error("unknown sweep id did not 404")
+	}
+}
+
+// hostileSweepBodies ask for ranges whose values no server could hold
+// or whose term-by-term expansion never ends (mul wraps to 0, step
+// wraps negative); FuzzSubmitKey seeds from them too.
+var hostileSweepBodies = []string{
+	`{"spec":{"base":{"Tags":30,"Algorithm":"fsa","FrameSize":16,"Detector":"qcd"},"axes":[{"field":"tags","range":{"from":1,"to":16777216}}]}}`,
+	`{"spec":{"base":{"Tags":30,"Algorithm":"fsa","FrameSize":16,"Detector":"qcd"},"axes":[{"field":"tags","range":{"from":1,"to":1099511627776}}]}}`,
+	`{"spec":{"base":{"Tags":30,"Algorithm":"fsa","FrameSize":16,"Detector":"qcd"},"axes":[{"field":"strength","range":{"from":1,"to":9223372036854775807,"mul":2}}]}}`,
+	`{"spec":{"base":{"Tags":30,"Algorithm":"fsa","FrameSize":16,"Detector":"qcd"},"axes":[{"field":"strength","range":{"from":9223372036854775806,"to":9223372036854775807,"step":2}}]}}`,
+}
+
+func TestHostileSweepRangesAre400(t *testing.T) {
+	_, c := startServer(t, Options{Workers: 1})
+	for _, body := range hostileSweepBodies {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		code, _, resp := postRaw(t, c.BaseURL+"/v1/sweeps", []byte(body))
+		runtime.ReadMemStats(&after)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s: %d %s, want 400", body, code, resp)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b > 32<<20 {
+			t.Errorf("%s: the request allocated %d MB", body, b>>20)
+		}
 	}
 }

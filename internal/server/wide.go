@@ -82,7 +82,7 @@ func (s *Server) onDone(d sweep.Done) {
 		lat.run.Observe(d.RunTime.Seconds())
 	}
 	if d.Origin == s.experiments.origin && d.Status == jobs.StatusFailed {
-		s.hist.Annotate("job", d.ID+" failed") // nil-safe when history is off
+		s.hist.Annotate("job", d.ID+" failed")
 	}
 	ev := wideEvent{Time: time.Now(), Done: d}
 	s.wide.add(ev)

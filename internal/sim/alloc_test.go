@@ -22,7 +22,7 @@ func TestPooledRoundSteadyStateAllocs(t *testing.T) {
 			c = c.withDefaults()
 			rs := new(RoundScratch)
 			run := func() {
-				if _, err := runRound(c, 12345, roundEnv{}, rs); err != nil {
+				if _, err := runRound(c, 12345, &roundEnv{}, rs); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -51,7 +51,7 @@ func TestStatRoundSteadyStateAllocs(t *testing.T) {
 			c = c.withDefaults()
 			rs := new(RoundScratch)
 			run := func() {
-				if _, err := runRound(c, 12345, roundEnv{}, rs); err != nil {
+				if _, err := runRound(c, 12345, &roundEnv{}, rs); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -191,5 +192,37 @@ func TestAuditEventsOnBus(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Error("no audit hits at l=4 (test has no power)")
+	}
+}
+
+// TestAuditReportReproduces pins that one run's audit report does not
+// depend on how its rounds were scheduled: exemplars (here enough to
+// wrap the ring) and the expected false-single sums are folded in round
+// order, so the report is the same at 1, 2 and 4 workers and on every
+// repeat.
+func TestAuditReportReproduces(t *testing.T) {
+	c := Config{
+		Tags: 200, Seed: 42, Rounds: 20,
+		Algorithm: AlgFSA, FrameSize: 120,
+		Detector: DetQCD, Strength: 4,
+	}
+	var want audit.Report
+	for _, workers := range []int{1, 2, 4, 2, 4, 4} {
+		a, ctx := audited(audit.Options{ExemplarCap: 16})
+		c.Workers = workers
+		if _, err := RunContext(ctx, c); err != nil {
+			t.Fatal(err)
+		}
+		got := a.Report()
+		if workers == 1 {
+			if got.ExemplarsDropped == 0 {
+				t.Fatalf("the exemplar ring never wrapped: %d kept", len(got.Exemplars))
+			}
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("report at %d workers differs from 1 worker:\n%+v\n%+v", workers, got, want)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func collect(cfg Config, seeds []uint64) (equivSamples, error) {
 	}
 	rs := new(RoundScratch)
 	for _, seed := range seeds {
-		sess, err := runRound(cfg, seed, roundEnv{}, rs)
+		sess, err := runRound(cfg, seed, &roundEnv{}, rs)
 		if err != nil {
 			return s, err
 		}

@@ -267,7 +267,7 @@ func buildPolicy(c Config) (aloha.FramePolicy, error) {
 func RunRound(c Config, roundSeed uint64) (*metrics.Session, error) {
 	// A fresh scratch per call: the returned session aliases it, so the
 	// public single-round API must never recycle one underneath a caller.
-	return runRound(c, roundSeed, roundEnv{}, new(RoundScratch))
+	return runRound(c, roundSeed, &roundEnv{}, new(RoundScratch))
 }
 
 // RoundScratch pools the complete working set of one identification
@@ -349,7 +349,7 @@ func (p *ScratchPool) Put(rs *RoundScratch) {
 // truth, which moves exact slots onto air's generic path. The round
 // span and the bus receive per-frame spans and events for the FSA
 // reader.
-func runRound(c Config, roundSeed uint64, env roundEnv, rs *RoundScratch) (*metrics.Session, error) {
+func runRound(c Config, roundSeed uint64, env *roundEnv, rs *RoundScratch) (*metrics.Session, error) {
 	c = c.withDefaults()
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -496,6 +496,7 @@ type roundResult struct {
 	fold roundFold
 	ok   bool
 	err  error
+	rec  *audit.Recorder // the round's audit buffer, flushed in round order
 }
 
 // Run executes Config.Rounds independent sessions, in parallel up to
@@ -551,18 +552,18 @@ func RunContextPool(ctx context.Context, c Config, sp *ScratchPool) (*Aggregate,
 		}
 		rsp := expCtx.Start("sim", "round")
 		env := roundEnv{round: r, span: rsp.Context(), bus: bus, metrics: m, auditor: a}
-		s, err := runRound(c, seeds[r], env, rs)
+		s, err := runRound(c, seeds[r], &env, rs)
 		if s == nil {
 			if rsp.Live() {
 				rsp.End(obs.SA("round", r), obs.SA("error", fmt.Sprint(err)))
 			}
-			results[r] = roundResult{err: err}
+			results[r] = roundResult{err: err, rec: env.rec}
 			return
 		}
 		if rsp.Live() {
 			rsp.End(roundAttrs(r, s)...)
 		}
-		results[r] = roundResult{fold: summarizeRound(s), ok: true}
+		results[r] = roundResult{fold: summarizeRound(s), ok: true, rec: env.rec}
 		done := completed.Add(1)
 		if bus.Enabled() {
 			bus.Publish("round", map[string]any{
@@ -575,6 +576,9 @@ func RunContextPool(ctx context.Context, c Config, sp *ScratchPool) (*Aggregate,
 			})
 		}
 	}))
+	for _, res := range results {
+		res.rec.Flush()
+	}
 
 	if ctxErr := ctx.Err(); ctxErr != nil {
 		// Fold whatever finished so the caller can flush partial results.

@@ -11,6 +11,7 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -81,21 +82,33 @@ type Range struct {
 	Mul  int `json:"mul,omitempty"`
 }
 
-// values materialises the progression.
-func (r Range) values() []int {
-	var out []int
+// count returns how many values a validated range holds, saturating
+// above HardMaxCells (no spec may ask for more). It builds nothing and
+// cannot overflow: the arithmetic span To−From is taken in uint64, and
+// a geometric term is multiplied only while the product stays ≤ To.
+func (r Range) count() int {
 	if r.Mul > 1 {
-		for v := r.From; v <= r.To; v *= r.Mul {
-			out = append(out, v)
+		n := 1
+		for v := r.From; v <= r.To/r.Mul; v *= r.Mul {
+			n++
 		}
-		return out
+		return n
 	}
-	step := r.Step
-	if step == 0 {
-		step = 1
-	}
-	for v := r.From; v <= r.To; v += step {
-		out = append(out, v)
+	step := uint64(max(r.Step, 1))
+	return int(min((uint64(r.To)-uint64(r.From))/step, HardMaxCells) + 1)
+}
+
+// values materialises a validated range, count() values long.
+func (r Range) values() []int {
+	out := make([]int, r.count())
+	v := r.From
+	for i := range out {
+		out[i] = v
+		if r.Mul > 1 {
+			v *= r.Mul
+		} else {
+			v += max(r.Step, 1)
+		}
 	}
 	return out
 }
@@ -194,11 +207,7 @@ func (a Axis) count() (int, error) {
 			if err := a.Range.validate(); err != nil {
 				return 0, fmt.Errorf("axis %q: %v", a.Field, err)
 			}
-			n := len(a.Range.values())
-			if n == 0 {
-				return 0, fmt.Errorf("axis %q: empty range", a.Field)
-			}
-			return n, nil
+			return a.Range.count(), nil
 		}
 		if len(a.Seeds) > 0 {
 			return len(a.Seeds), nil
@@ -226,30 +235,22 @@ func (a Axis) coords() []string {
 			out[i] = strconv.FormatUint(s, 10)
 		}
 		return out
-	case a.Range != nil:
-		vals := a.Range.values()
-		out := make([]string, len(vals))
-		for i, v := range vals {
-			out[i] = strconv.Itoa(v)
-		}
-		return out
 	default:
-		out := make([]string, len(a.Ints))
-		for i, v := range a.Ints {
+		ints := a.Ints
+		if a.Range != nil {
+			ints = a.Range.values()
+		}
+		out := make([]string, len(ints))
+		for i, v := range ints {
 			out[i] = strconv.Itoa(v)
 		}
 		return out
 	}
 }
 
-// apply sets the axis's vi-th value on cfg.
+// apply sets the axis's vi-th value on cfg. A range axis applies only
+// once Expand has built its values as Ints.
 func (a Axis) apply(cfg *sim.Config, vi int) {
-	intVal := func() int {
-		if a.Range != nil {
-			return a.Range.values()[vi]
-		}
-		return a.Ints[vi]
-	}
 	switch a.Field {
 	case FieldCase:
 		c := a.Cases[vi]
@@ -258,18 +259,18 @@ func (a Axis) apply(cfg *sim.Config, vi int) {
 			cfg.FrameSize = c.Frame
 		}
 	case FieldTags:
-		cfg.Tags = intVal()
+		cfg.Tags = a.Ints[vi]
 	case FieldFrame:
-		cfg.FrameSize = intVal()
+		cfg.FrameSize = a.Ints[vi]
 	case FieldStrength:
-		cfg.Strength = intVal()
+		cfg.Strength = a.Ints[vi]
 	case FieldRounds:
-		cfg.Rounds = intVal()
+		cfg.Rounds = a.Ints[vi]
 	case FieldSeed:
 		if len(a.Seeds) > 0 {
 			cfg.Seed = a.Seeds[vi]
 		} else {
-			cfg.Seed = uint64(intVal())
+			cfg.Seed = uint64(a.Ints[vi])
 		}
 	case FieldAlgorithm:
 		cfg.Algorithm = a.Strings[vi]
@@ -365,17 +366,22 @@ func (s Spec) Expand() ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	coords := make([][]string, len(s.Axes))
-	for i, a := range s.Axes {
-		coords[i] = a.coords()
+	// Build each range's values once, as the axis's Ints.
+	axes := slices.Clone(s.Axes)
+	coords := make([][]string, len(axes))
+	for i, a := range axes {
+		if a.Range != nil {
+			axes[i].Ints, axes[i].Range = a.Range.values(), nil
+		}
+		coords[i] = axes[i].coords()
 	}
 	cells := make([]Cell, 0, total)
-	idx := make([]int, len(s.Axes)) // odometer, last axis fastest
+	idx := make([]int, len(axes)) // odometer, last axis fastest
 	for i := 0; i < total; i++ {
 		cfg := s.Base
-		cell := Cell{Index: i, Coords: make([]string, len(s.Axes))}
+		cell := Cell{Index: i, Coords: make([]string, len(axes))}
 		var label strings.Builder
-		for ai, a := range s.Axes {
+		for ai, a := range axes {
 			a.apply(&cfg, idx[ai])
 			cell.Coords[ai] = coords[ai][idx[ai]]
 			if ai > 0 {

@@ -2,7 +2,9 @@ package sweep
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -241,4 +243,102 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(ca, cb) {
 		t.Fatal("round-tripped spec expands differently")
 	}
+}
+
+// loopValues is the progression built term by term, the reference the
+// closed-form count and values must match on ranges too small to
+// overflow.
+func loopValues(r Range) []int {
+	var out []int
+	if r.Mul > 1 {
+		for v := r.From; v <= r.To; v *= r.Mul {
+			out = append(out, v)
+		}
+		return out
+	}
+	for v := r.From; v <= r.To; v += max(r.Step, 1) {
+		out = append(out, v)
+	}
+	return out
+}
+
+func TestRangeCountMatchesLoop(t *testing.T) {
+	var ranges []Range
+	for from := -6; from <= 6; from++ {
+		for to := from; to <= from+40; to++ {
+			for _, step := range []int{0, 1, 2, 3, 7} {
+				ranges = append(ranges, Range{From: from, To: to, Step: step})
+			}
+			if from >= 1 {
+				for _, mul := range []int{2, 3, 5} {
+					ranges = append(ranges, Range{From: from, To: to, Mul: mul})
+				}
+			}
+		}
+	}
+	for _, r := range ranges {
+		if err := r.validate(); err != nil {
+			t.Fatalf("%+v: %v", r, err)
+		}
+		want := loopValues(r)
+		if got := r.count(); got != len(want) {
+			t.Fatalf("%+v: count %d, loop %d", r, got, len(want))
+		}
+		if got := r.values(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: values %v, loop %v", r, got, want)
+		}
+	}
+}
+
+// TestHostileRangesCountWithoutBuilding checks ranges whose values the
+// term-by-term loop could not hold or never finishes: counting them
+// must allocate next to nothing, and the spec must fail its cap or its
+// cells.
+func TestHostileRangesCountWithoutBuilding(t *testing.T) {
+	for _, tc := range []struct {
+		axis Axis
+		want string
+	}{
+		{Axis{Field: FieldTags, Range: &Range{From: 1, To: 1 << 24}}, "hard cap"},
+		{Axis{Field: FieldTags, Range: &Range{From: 1, To: 1 << 40}}, "hard cap"},
+		{Axis{Field: FieldStrength, Range: &Range{From: 1, To: math.MaxInt64, Mul: 2}}, "strength"},
+		{Axis{Field: FieldStrength, Range: &Range{From: math.MaxInt64 - 1, To: math.MaxInt64, Step: 2}}, "strength"},
+		{Axis{Field: FieldSeed, Range: &Range{From: math.MinInt64, To: math.MaxInt64}}, "hard cap"},
+	} {
+		s := Spec{Base: baseCfg(), Axes: []Axis{tc.axis}}
+		if b := allocBytes(func() { _, _ = s.CellCount() }); b > 1<<16 {
+			t.Errorf("%+v: CellCount allocates %d bytes", *tc.axis.Range, b)
+		}
+		if _, err := s.Expand(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: Expand error = %v, want one naming %q", *tc.axis.Range, err, tc.want)
+		}
+	}
+}
+
+// TestExpandBuildsRangeValuesOnce bounds the bytes a cap-sized range
+// sweep expands through. Building the range's values again for every
+// cell cost 4096 × 4096 ints, about 0.5 GB.
+func TestExpandBuildsRangeValuesOnce(t *testing.T) {
+	s := Spec{Base: baseCfg(), Axes: []Axis{{Field: FieldFrame, Range: &Range{From: 1, To: DefaultMaxCells}}}}
+	var cells []Cell
+	var err error
+	b := allocBytes(func() { cells, err = s.Expand() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != DefaultMaxCells || cells[DefaultMaxCells-1].Config.FrameSize != DefaultMaxCells {
+		t.Fatalf("expanded %d cells, last frame %d", len(cells), cells[len(cells)-1].Config.FrameSize)
+	}
+	if b > 50<<20 {
+		t.Fatalf("Expand allocated %d MB, want at most 50 MB", b>>20)
+	}
+}
+
+// allocBytes returns the bytes the process allocated while f ran.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
