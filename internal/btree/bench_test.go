@@ -38,3 +38,22 @@ func BenchmarkABSSteadyState(b *testing.B) {
 		RunABS(pop, det, tm)
 	}
 }
+
+// BenchmarkBTReuse5000 is the pooled round: a warmed Reuse identifying a
+// population drawn into a warmed PopScratch must allocate nothing.
+func BenchmarkBTReuse5000(b *testing.B) {
+	det := detect.NewQCD(8, 64)
+	var ps tagmodel.PopScratch
+	var r Reuse
+	var rng prng.Source
+	round := func() {
+		rng.Seed(1)
+		r.Run(ps.NewPopulation(5000, 64, &rng), det, tm)
+	}
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}

@@ -7,13 +7,16 @@
 // average (1.443·n collided, 0.442·n idle, n single), λ ≈ 0.35 (Lemma 2).
 //
 // Implementation note: the per-tag counters of the protocol description
-// are represented as a stack of groups — the group at depth d holds
-// exactly the tags whose counter is d. A split pushes, a non-collided
-// slot pops, and a misdetected collision merges the unacknowledged
-// responders into the next group (they and it both reach counter 0
-// together). This turns the naive O(n) per-slot scan into work
-// proportional to the tags actually touched, which is what makes the
-// 50000-tag case of Table VIII tractable.
+// are represented as segments of one array — the contending tags sit in
+// counter order, and a stack of segment ends marks where each counter's
+// group stops, the counter-0 group on top. A split partitions the
+// counter-0 segment in place and pushes one end, a non-collided slot
+// advances the front and pops, and a misdetected collision rotates the
+// unacknowledged responders behind the next group's tags (they and it
+// both reach counter 0 together). This turns the naive O(n) per-slot
+// scan into work proportional to the tags actually touched, which is
+// what makes the 50000-tag case of Table VIII tractable, and a Reuse
+// keeps the arrays from one round to the next.
 //
 // The package also provides ABS (Adaptive Binary Splitting, Myung & Lee):
 // across repeated inventory rounds the tags keep the slot order the
@@ -23,6 +26,7 @@ package btree
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/air"
 	"repro/internal/detect"
@@ -34,86 +38,34 @@ import (
 
 func slotCap(n int) int64 { return int64(n)*1000 + 1_000_000 }
 
-// groupStack is the counter representation: stack[head+d] holds the tags
-// whose counter is d. The backing arrays of dropped groups go on free
-// and back into later groups, so a session allocates only while its
-// largest groups are first being built, not once per slot.
-type groupStack struct {
-	stack [][]*tagmodel.Tag
-	head  int
-	free  [][]*tagmodel.Tag
+// Reuse pools the working set of BT and ABS rounds: the session, the
+// slot scratch and the counter groups. The groups are one array holding
+// every contending tag in counter order, a second array of the same
+// length that a split or merge stages tags in, and the stack of group
+// ends (deepest group first, so the top ends the counter-0 group). The
+// zero value is ready. A session returned by Run or RunABS aliases the
+// Reuse and is valid until its next run; not safe for concurrent use.
+type Reuse struct {
+	sess  metrics.Session
+	sc    air.SlotScratch
+	tags  []*tagmodel.Tag
+	spare []*tagmodel.Tag
+	ends  []int
+
+	// imp is the channel; nil is the ideal channel the paper's BT
+	// assumes. Only this package's tests set it, to reach the merge path
+	// through captures and bit errors.
+	imp *air.Impairment
 }
 
-func (g *groupStack) empty() bool { return g.head >= len(g.stack) }
-
-func (g *groupStack) top() []*tagmodel.Tag {
-	if g.empty() {
-		return nil
+// arena returns the group array sized for n tags, growing both arrays
+// only when a larger population arrives.
+func (r *Reuse) arena(n int) []*tagmodel.Tag {
+	if cap(r.tags) < n {
+		r.tags = make([]*tagmodel.Tag, n)
+		r.spare = make([]*tagmodel.Tag, n)
 	}
-	return g.stack[g.head]
-}
-
-// get returns an empty group, reusing a recycled backing array if any.
-func (g *groupStack) get() []*tagmodel.Tag {
-	if n := len(g.free); n > 0 {
-		grp := g.free[n-1]
-		g.free = g.free[:n-1]
-		return grp
-	}
-	return nil
-}
-
-// recycle keeps grp's backing array for a later get; grp must no longer
-// be referenced by the stack.
-func (g *groupStack) recycle(grp []*tagmodel.Tag) {
-	if cap(grp) > 0 {
-		g.free = append(g.free, grp[:0])
-	}
-}
-
-// pop removes the counter-0 group (a non-collided slot: everyone else
-// decrements by sliding the window) and recycles it.
-func (g *groupStack) pop() {
-	g.recycle(g.stack[g.head])
-	g.stack[g.head] = nil
-	g.head++
-}
-
-// split replaces the counter-0 group with two groups (the random-bit
-// split), recycling the old one; every deeper group's counter implicitly
-// increments. When the window reaches the front of the stack it grows
-// with headroom there, so a descent costs amortised O(1) per split.
-func (g *groupStack) split(zero, one []*tagmodel.Tag) {
-	g.recycle(g.stack[g.head])
-	g.stack[g.head] = one
-	if g.head == 0 {
-		grown := make([][]*tagmodel.Tag, 2*len(g.stack)+1)
-		g.head = len(grown) - len(g.stack)
-		copy(grown[g.head:], g.stack)
-		g.stack = grown
-	}
-	g.head--
-	g.stack[g.head] = zero
-}
-
-// mergeNext folds the unacknowledged counter-0 tags into the group below
-// before a pop, modelling a declared-non-collided slot whose responders
-// were not acknowledged: they stay at 0 while the next group decrements
-// to 0. They join after that group's own tags, in their current order.
-func (g *groupStack) mergeNext(responders []*tagmodel.Tag) {
-	next := g.head + 1
-	for _, t := range responders {
-		if t.Identified {
-			continue
-		}
-		if next >= len(g.stack) {
-			g.stack = append(g.stack, nil)
-		}
-		if g.stack[next] == nil {
-			g.stack[next] = g.get()
-		}
-		g.stack[next] = append(g.stack[next], t)
-	}
+	return r.tags[:n]
 }
 
 // Run identifies the whole population with counter-based binary splitting
@@ -122,65 +74,87 @@ func (g *groupStack) mergeNext(responders []*tagmodel.Tag) {
 // "#of frame" column of the paper's Table VIII, which for BT equals the
 // total slot count.
 func Run(pop tagmodel.Population, det detect.Detector, tm timing.Model) *metrics.Session {
-	g := &groupStack{stack: [][]*tagmodel.Tag{nil}}
-	for _, t := range pop {
-		if !t.Identified {
-			g.stack[0] = append(g.stack[0], t)
-		}
-	}
-	return run(g, len(pop), det, tm, nil)
+	return new(Reuse).Run(pop, det, tm)
 }
 
-func run(g *groupStack, n int, det detect.Detector, tm timing.Model, onIdentify func(*tagmodel.Tag)) *metrics.Session {
-	s := &metrics.Session{}
-	now := 0.0
-	var sc air.SlotScratch
-	var slots int64
-	remaining := 0
-	for i := g.head; i < len(g.stack); i++ {
-		remaining += len(g.stack[i])
+// Run is the package-level Run on r's working set.
+func (r *Reuse) Run(pop tagmodel.Population, det detect.Detector, tm timing.Model) *metrics.Session {
+	tags := r.arena(len(pop))
+	m := 0
+	for _, t := range pop {
+		if !t.Identified {
+			tags[m] = t
+			m++
+		}
 	}
+	r.ends = append(r.ends[:0], m)
+	return r.run(m, len(pop), det, tm, nil)
+}
 
-	for remaining > 0 {
+// run resolves the m tags r.tags[:m] holds, grouped by counter as r.ends
+// marks them. n sizes the slot cap.
+func (r *Reuse) run(m, n int, det detect.Detector, tm timing.Model, onIdentify func(*tagmodel.Tag)) *metrics.Session {
+	s := &r.sess
+	s.Reset()
+	tags, spare := r.tags[:m], r.spare[:m]
+	now := 0.0
+	var slots int64
+	// tags[lo:] are the unidentified tags, the counter-0 group first.
+	for lo := 0; lo < m; {
 		if slots > slotCap(n) {
 			panic(fmt.Sprintf("btree: exceeded slot cap identifying %d tags (detector %s)", n, det.Name()))
 		}
-		if g.empty() {
-			// All groups drained without identifying everyone (cannot
-			// happen: identified tags leave, others are merged/split).
-			panic("btree: group stack drained with tags remaining")
-		}
-		responders := g.top()
-		o := sc.RunSlot(det, responders, now, tm.TauMicros)
+		top := len(r.ends) - 1
+		end := r.ends[top]
+		responders := tags[lo:end]
+		o := r.sc.RunSlotImpaired(det, responders, r.imp, now, tm.TauMicros)
 		now += float64(float64(o.Bits) * tm.TauMicros)
 		s.Record(o, now)
 		s.Census.Frames++
 		slots++
-		if o.Identified != nil {
-			remaining--
-			if onIdentify != nil {
-				onIdentify(o.Identified)
-			}
+		if o.Identified != nil && onIdentify != nil {
+			onIdentify(o.Identified)
 		}
 
 		if o.Declared == signal.Collided {
 			// Binary split: every responder draws a random bit, in group
-			// order.
-			zero, one := g.get(), g.get()
+			// order. The zeros stay at the front, the ones follow them.
+			z, k := lo, 0
 			for _, t := range responders {
 				if t.Rng.Coin() == 0 {
-					zero = append(zero, t)
+					tags[z] = t
+					z++
 				} else {
-					one = append(one, t)
+					spare[k] = t
+					k++
 				}
 			}
-			g.split(zero, one)
-		} else {
-			// Non-collided: unacknowledged responders (phantom reads or
-			// misdetected collisions) stay at counter 0 and merge with the
-			// decrementing next group.
-			g.mergeNext(responders)
-			g.pop()
+			copy(tags[z:end], spare[:k])
+			r.ends = append(r.ends, z)
+			continue
+		}
+		// Non-collided: unacknowledged responders (phantom reads or
+		// misdetected collisions) stay at counter 0 while the next group
+		// decrements to 0; they join after that group's own tags, in
+		// their current order. The last group is never popped: it ends
+		// at m.
+		k := 0
+		for _, t := range responders {
+			if !t.Identified {
+				spare[k] = t
+				k++
+			}
+		}
+		next := end
+		if top > 0 {
+			next = r.ends[top-1]
+			r.ends = r.ends[:top]
+		}
+		lo = end
+		if k > 0 {
+			lo -= k
+			copy(tags[lo:], tags[end:next])
+			copy(tags[next-k:next], spare[:k])
 		}
 	}
 	return s
@@ -216,6 +190,11 @@ func PrepareABSNewcomers(newcomers tagmodel.Population) {
 // split only where they land. After the round every identified tag's Slot
 // holds its new order.
 func RunABS(pop tagmodel.Population, det detect.Detector, tm timing.Model) *metrics.Session {
+	return new(Reuse).RunABS(pop, det, tm)
+}
+
+// RunABS is the package-level RunABS on r's working set.
+func (r *Reuse) RunABS(pop tagmodel.Population, det detect.Detector, tm timing.Model) *metrics.Session {
 	maxOrder := 0
 	ordered := false
 	for _, t := range pop {
@@ -226,7 +205,6 @@ func RunABS(pop tagmodel.Population, det detect.Detector, tm timing.Model) *metr
 			}
 		}
 	}
-	g := &groupStack{}
 	counterOf := func(t *tagmodel.Tag) int {
 		switch {
 		case t.Slot != absUnordered:
@@ -237,20 +215,36 @@ func RunABS(pop tagmodel.Population, det detect.Detector, tm timing.Model) *metr
 			return 0
 		}
 	}
-	depth := maxOrder
-	if depth == 0 {
-		depth = 1
+	// A stable counting sort on the counters, drawn in population order:
+	// ends[c] first counts counter c's tags, then holds where the next
+	// one goes, and once every tag is placed, where group c ends.
+	depth := max(maxOrder, 1)
+	if cap(r.ends) < depth {
+		r.ends = make([]int, depth)
 	}
-	g.stack = make([][]*tagmodel.Tag, depth)
+	ends := r.ends[:depth]
+	clear(ends)
 	for _, t := range pop {
 		t.Identified = false
 		t.IdentifiedAtMicros = 0
-		c := counterOf(t)
-		g.stack[c] = append(g.stack[c], t)
+		t.Counter = counterOf(t)
+		ends[t.Counter]++
 	}
+	start := 0
+	for c, k := range ends {
+		ends[c] = start
+		start += k
+	}
+	tags := r.arena(len(pop))
+	for _, t := range pop {
+		tags[ends[t.Counter]] = t
+		ends[t.Counter]++
+	}
+	slices.Reverse(ends) // the counter-0 group on top
+	r.ends = ends
 
 	order := 0
-	return run(g, len(pop), det, tm, func(t *tagmodel.Tag) {
+	return r.run(len(pop), len(pop), det, tm, func(t *tagmodel.Tag) {
 		t.Slot = order
 		order++
 	})

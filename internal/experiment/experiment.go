@@ -6,6 +6,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -127,27 +128,36 @@ func (o Options) run(c epc.Case, alg, det string, strength int) (*sim.Aggregate,
 	return o.aggregate(o.baseConfig(c, alg, det, strength))
 }
 
-// memo holds the aggregates of one reproduction run, keyed by
-// rescache.ConfigKey, so a configuration several artifacts need (the
-// Table VI cases at strength 8 serve most of Section VI) is simulated
-// once. Aggregate and Config hold no slices or maps, so the stored values
-// are independent of every copy handed out.
+// memo holds what one reproduction run shares between its artifacts:
+// the aggregates, keyed by rescache.ConfigKey, so a configuration
+// several artifacts need (the Table VI cases at strength 8 serve most of
+// Section VI) is simulated once, and the round scratch pool every
+// simulated configuration draws its working sets from. Aggregate and
+// Config hold no slices or maps, so the stored values are independent of
+// every copy handed out. The pool lives as long as the run: it keeps one
+// working set per worker (more only while artifacts run at once), each
+// sized by the largest configuration it has served, and it is dropped
+// with the registry.
 type memo struct {
 	mu     sync.Mutex
 	aggs   map[string]sim.Aggregate
 	misses int // aggregates computed, one per distinct key when runs are sequential
+	pool   sim.ScratchPool
 }
 
 func newMemo() *memo { return &memo{aggs: map[string]sim.Aggregate{}} }
 
-// aggregate is every experiment's one way to a Monte-Carlo aggregate:
-// with a memo it validates cfg, serves the run's memoised aggregate for
-// cfg's canonical key and runs sim.Run only on a miss; without one it is
-// sim.Run. The caller owns the returned copy. Concurrent misses on one
-// key both compute, and store the same bit-identical aggregate.
+// aggregate is every experiment's one way to a Monte-Carlo aggregate.
+// With a memo it validates cfg, serves the run's memoised aggregate for
+// cfg's canonical key and simulates only on a miss, on working sets from
+// the run's scratch pool; without one it simulates on fresh working
+// sets. Either way the aggregate is sim.Run's, bit for bit. The caller
+// owns the returned copy. Concurrent misses on one key both compute,
+// and store the same bit-identical aggregate.
 func (o Options) aggregate(cfg sim.Config) (*sim.Aggregate, error) {
-	if o.memo == nil {
-		return sim.Run(cfg)
+	m := o.memo
+	if m == nil {
+		return sim.RunContextPool(context.Background(), cfg, nil)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -156,14 +166,13 @@ func (o Options) aggregate(cfg sim.Config) (*sim.Aggregate, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := o.memo
 	m.mu.Lock()
 	agg, ok := m.aggs[key]
 	m.mu.Unlock()
 	if ok {
 		return &agg, nil
 	}
-	fresh, err := sim.Run(cfg)
+	fresh, err := sim.RunContextPool(context.Background(), cfg, &m.pool)
 	if err != nil {
 		return nil, err
 	}
@@ -177,8 +186,8 @@ func (o Options) aggregate(cfg sim.Config) (*sim.Aggregate, error) {
 // each runs fn(0), …, fn(n-1), a driver's independent runs, as sim.Fan's
 // units over Workers. A unit writes only its own index's slot and the
 // caller folds the slots in index order, so results are identical at any
-// worker count. A unit must not call aggregate: sim.Run would fan its
-// rounds out inside this fan-out.
+// worker count. A unit must not call aggregate: the simulation would fan
+// its rounds out inside this fan-out.
 func (o Options) each(n int, fn func(i int)) {
 	sim.Fan(o.Workers, n, nil, sim.UnitFunc(func(i int, _ *sim.RoundScratch) { fn(i) }))
 }

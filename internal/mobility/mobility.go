@@ -180,6 +180,7 @@ func Run(proto Protocol, det detect.Detector, arr Arrivals, durationMicros float
 	}
 
 	fieldSizeSum := 0.0
+	var bt btree.Reuse // every reader round's working set
 	for now < durationMicros {
 		sync()
 		if len(field) == 0 {
@@ -200,10 +201,10 @@ func Run(proto Protocol, det detect.Detector, arr Arrivals, durationMicros float
 		}
 		var s *metrics.Session
 		if proto == ProtoABS {
-			s = btree.RunABS(pop, det, tm)
+			s = bt.RunABS(pop, det, tm)
 		} else {
 			pop.Reset()
-			s = btree.Run(pop, det, tm)
+			s = bt.Run(pop, det, tm)
 		}
 		// Credit reads that happened before each tag's departure.
 		for _, mt := range field {

@@ -16,6 +16,7 @@ func TestPooledRoundSteadyStateAllocs(t *testing.T) {
 		"qadaptive": {Tags: 100, Algorithm: AlgQAdaptive, Detector: DetQCD},
 		"edfsa":     {Tags: 100, Algorithm: AlgEDFSA, FrameSize: 64, Detector: DetQCD},
 		"qt":        {Tags: 100, Algorithm: AlgQT, Detector: DetCRCCD},
+		"bt":        {Tags: 100, Algorithm: AlgBT, Detector: DetQCD},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {

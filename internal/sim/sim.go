@@ -271,20 +271,22 @@ func RunRound(c Config, roundSeed uint64) (*metrics.Session, error) {
 }
 
 // RoundScratch pools the complete working set of one identification
-// round — the population (tags, ID dedup sets, per-tag PRNG streams),
+// round — the population (tags, ID dedup set, per-tag PRNG streams),
 // the framed-ALOHA backends' working set (slot buffers, frame scheduler
 // buckets, stat draw buffers, session), the query-tree arena and
-// session, and the impairment's PRNG stream. RunContext holds one per
-// worker, so an experiment allocates its round working set Workers
-// times instead of Rounds times; RunRound allocates a fresh one per
-// call. Sessions produced with a scratch alias it and are only valid
-// until the scratch's next round. Not safe for concurrent use.
+// session, BT's counter groups and session, and the impairment's PRNG
+// stream. RunContext holds one per worker, so an experiment allocates
+// its round working set Workers times instead of Rounds times; RunRound
+// allocates a fresh one per call. Sessions produced with a scratch alias
+// it and are only valid until the scratch's next round. Not safe for
+// concurrent use.
 type RoundScratch struct {
 	pop    tagmodel.PopScratch
 	aloha  aloha.Scratch
 	slot   air.SlotScratch // the query tree's slot buffers
 	qt     qtree.Reuse
 	sess   metrics.Session // the query tree's session
+	bt     btree.Reuse
 	imp    air.Impairment
 	impRng prng.Source
 	rng    prng.Source // stat mode's round stream
@@ -417,7 +419,7 @@ func runRound(c Config, roundSeed uint64, env *roundEnv, rs *RoundScratch) (*met
 	case AlgQAdaptive:
 		s = b.QAdaptive(aloha.DefaultQConfig())
 	case AlgBT:
-		s = btree.Run(pop, det, tm)
+		s = rs.bt.Run(pop, det, tm)
 	case AlgQT:
 		s = qtree.Run(pop, det, tm, qtree.Options{
 			Scratch: &rs.slot, Reuse: &rs.qt, Session: &rs.sess,

@@ -70,7 +70,7 @@ func NewPopulation(n, idBits int, rng *prng.Source) Population {
 }
 
 // PopScratch pools the storage a population draw needs — the tag and
-// random-stream arrays, the population slice, and the ID dedup sets —
+// random-stream arrays, the population slice, and the ID dedup set —
 // so a Monte-Carlo worker building one population per round allocates
 // that working set once instead of once per round. The zero value is
 // ready; not safe for concurrent use.
@@ -78,8 +78,55 @@ type PopScratch struct {
 	pop      Population
 	tags     []Tag
 	srcs     []prng.Source
-	seenWord map[uint64]bool
+	seenWord wordSet
 	seenKey  map[string]bool
+}
+
+// wordSet is a set of word-sized IDs: an open-addressed table of at
+// least twice as many slots as IDs, probed linearly from a
+// multiplicative hash, with 0 marking an empty slot and ID 0 kept in a
+// flag of its own. Resetting clears only the slots the next draw uses.
+type wordSet struct {
+	slots []uint64
+	shift uint // 64 − log2(len(slots))
+	zero  bool
+}
+
+// reset empties the set and sizes it for n IDs: the next power of two
+// at least 2n slots.
+func (s *wordSet) reset(n int) {
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	size := 1 << bits
+	if cap(s.slots) < size {
+		s.slots = make([]uint64, size)
+	} else {
+		s.slots = s.slots[:size]
+		clear(s.slots)
+	}
+	s.shift = 64 - bits
+	s.zero = false
+}
+
+// add inserts v and reports whether it was new.
+func (s *wordSet) add(v uint64) bool {
+	if v == 0 {
+		had := s.zero
+		s.zero = true
+		return !had
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := (v * 0x9e3779b97f4a7c15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = v
+			return true
+		case v:
+			return false
+		}
+	}
 }
 
 // NewPopulation is the package-level NewPopulation drawing from (and
@@ -122,19 +169,12 @@ func (ps *PopScratch) NewPopulation(n, idBits int, rng *prng.Source) Population 
 		// Word-sized IDs dedup on the raw integer — no Key() string per
 		// draw. The draw sequence is identical to randomID's single-chunk
 		// path, so populations are bit-for-bit the same as before.
-		if ps.seenWord == nil {
-			ps.seenWord = make(map[uint64]bool, n)
-		} else {
-			clear(ps.seenWord)
-		}
-		seen := ps.seenWord
+		seen := &ps.seenWord
+		seen.reset(n)
 		for len(pop) < n {
-			v := rng.Bits(idBits)
-			if seen[v] {
-				continue
+			if v := rng.Bits(idBits); seen.add(v) {
+				accept(bitstr.FromUint64(v, idBits))
 			}
-			seen[v] = true
-			accept(bitstr.FromUint64(v, idBits))
 		}
 		return pop
 	}
