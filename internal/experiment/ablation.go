@@ -3,14 +3,11 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/aloha"
 	"repro/internal/crc"
 	"repro/internal/detect"
 	"repro/internal/epc"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/tagmodel"
-	"repro/internal/timing"
 )
 
 // AblationDetector isolates where QCD's gain comes from by inserting the
@@ -143,12 +140,10 @@ func Floor(o Options) (Renderable, error) {
 		covered, identified int
 	}
 	runs := make([]run, len(sizes)*len(dets))
-	o.each(len(runs), func(i int) {
+	o.each(len(runs), func(i int, rs *sim.RoundScratch) {
 		n, det := sizes[i/2], dets[i%2]
-		floor, _ := floorWithTags(n, o.Seed)
-		micros, ident := floor.RunSequential(func(sub tagmodel.Population) float64 {
-			return aloha.Exact(sub, det, timing.Default, aloha.Options{}).FSA(aloha.NewFixed(maxi(1, len(sub)))).TimeMicros
-		})
+		floor := floorWithTags(n, o.Seed, rs)
+		micros, ident := floor.RunSequential(floorSession(det, rs))
 		runs[i] = run{micros, int(floor.Coverage() * float64(n)), ident}
 	})
 	for i, n := range sizes {
@@ -159,11 +154,4 @@ func Floor(o Options) (Renderable, error) {
 	}
 	t.AddNote("a 10m reader grid with 3m range covers ~28%% of the floor; uncovered tags are unreachable by design")
 	return t, nil
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -78,8 +78,8 @@ type Options struct {
 	// (default GOMAXPROCS). Results do not depend on it.
 	Workers int
 
-	// memo is the reproduction run's shared aggregates, set by the
-	// Registry runners; nil computes every aggregate afresh.
+	// memo is the reproduction run's aggregates and scratch pool, set by
+	// the Registry runners or, for a driver called alone, by normalize.
 	memo *memo
 }
 
@@ -92,6 +92,9 @@ func (o Options) normalize() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
+	}
+	if o.memo == nil {
+		o.memo = newMemo()
 	}
 	return o
 }
@@ -132,12 +135,12 @@ func (o Options) run(c epc.Case, alg, det string, strength int) (*sim.Aggregate,
 // the aggregates, keyed by rescache.ConfigKey, so a configuration
 // several artifacts need (the Table VI cases at strength 8 serve most of
 // Section VI) is simulated once, and the round scratch pool every
-// simulated configuration draws its working sets from. Aggregate and
-// Config hold no slices or maps, so the stored values are independent of
-// every copy handed out. The pool lives as long as the run: it keeps one
-// working set per worker (more only while artifacts run at once), each
-// sized by the largest configuration it has served, and it is dropped
-// with the registry.
+// simulated configuration and every unit of each draws its working sets
+// from. Aggregate and Config hold no slices or maps, so the stored
+// values are independent of every copy handed out. The pool lives as
+// long as the run: it keeps one working set per worker (more only while
+// artifacts run at once), each sized by the largest configuration it
+// has served, and it is dropped with the registry.
 type memo struct {
 	mu     sync.Mutex
 	aggs   map[string]sim.Aggregate
@@ -147,18 +150,14 @@ type memo struct {
 
 func newMemo() *memo { return &memo{aggs: map[string]sim.Aggregate{}} }
 
-// aggregate is every experiment's one way to a Monte-Carlo aggregate.
-// With a memo it validates cfg, serves the run's memoised aggregate for
-// cfg's canonical key and simulates only on a miss, on working sets from
-// the run's scratch pool; without one it simulates on fresh working
-// sets. Either way the aggregate is sim.Run's, bit for bit. The caller
-// owns the returned copy. Concurrent misses on one key both compute,
-// and store the same bit-identical aggregate.
+// aggregate is every experiment's one way to a Monte-Carlo aggregate. It
+// validates cfg, serves the run's memoised aggregate for cfg's canonical
+// key and simulates only on a miss, on working sets from the run's
+// scratch pool; the aggregate is sim.Run's, bit for bit. The caller owns
+// the returned copy. Concurrent misses on one key both compute, and
+// store the same bit-identical aggregate.
 func (o Options) aggregate(cfg sim.Config) (*sim.Aggregate, error) {
 	m := o.memo
-	if m == nil {
-		return sim.RunContextPool(context.Background(), cfg, nil)
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -183,25 +182,26 @@ func (o Options) aggregate(cfg sim.Config) (*sim.Aggregate, error) {
 	return fresh, nil
 }
 
-// each runs fn(0), …, fn(n-1), a driver's independent runs, as sim.Fan's
-// units over Workers. A unit writes only its own index's slot and the
-// caller folds the slots in index order, so results are identical at any
-// worker count. A unit must not call aggregate: the simulation would fan
-// its rounds out inside this fan-out.
-func (o Options) each(n int, fn func(i int)) {
-	sim.Fan(o.Workers, n, nil, sim.UnitFunc(func(i int, _ *sim.RoundScratch) { fn(i) }))
+// each runs fn(i, rs) for every i < n, a driver's independent runs, as
+// sim.Fan's units over Workers; rs is the unit's worker's scratch from
+// the run's pool. A unit writes only its own index's slot and the caller
+// folds the slots in index order, so results are identical at any worker
+// count. A unit must not call aggregate: the simulation would fan its
+// rounds out inside this fan-out.
+func (o Options) each(n int, fn func(i int, rs *sim.RoundScratch)) {
+	sim.Fan(o.Workers, n, &o.memo.pool, sim.UnitFunc(fn))
 }
 
 // perRound is the Monte-Carlo loop of the drivers that run their own
-// rounds: it runs fn(k, seed) for every configuration k < n and every
-// round as one unit of each, and returns the results by configuration,
-// each in round order. Round r of every configuration starts from
-// sim.RoundSeeds' r-th seed.
-func perRound[T any](o Options, n int, fn func(k int, seed uint64) T) [][]T {
+// rounds: it runs fn(k, seed, rs) for every configuration k < n and
+// every round as one unit of each, and returns the results by
+// configuration, each in round order. Round r of every configuration
+// starts from sim.RoundSeeds' r-th seed.
+func perRound[T any](o Options, n int, fn func(k int, seed uint64, rs *sim.RoundScratch) T) [][]T {
 	seeds := sim.RoundSeeds(o.Seed, o.Rounds)
 	flat := make([]T, n*len(seeds))
-	o.each(len(flat), func(i int) {
-		flat[i] = fn(i/len(seeds), seeds[i%len(seeds)])
+	o.each(len(flat), func(i int, rs *sim.RoundScratch) {
+		flat[i] = fn(i/len(seeds), seeds[i%len(seeds)], rs)
 	})
 	byConfig := make([][]T, n)
 	for k := range byConfig {

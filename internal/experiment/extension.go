@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/aloha"
-	"repro/internal/btree"
 	"repro/internal/crc"
 	"repro/internal/detect"
 	"repro/internal/epc"
@@ -12,8 +11,8 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/prng"
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/tagmodel"
 	"repro/internal/timing"
 )
 
@@ -42,9 +41,9 @@ func AblationEstimate(o Options) (Renderable, error) {
 	}
 	pols = append(pols, policy{"optimal (clairvoyant)", func() aloha.FramePolicy { return aloha.Optimal{N: c.Tags} }})
 
-	rounds := perRound(o, len(pols), func(k int, seed uint64) []float64 {
-		pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
-		s := aloha.Exact(pop, det, tm, aloha.Options{}).FSA(pols[k].mk())
+	rounds := perRound(o, len(pols), func(k int, seed uint64, rs *sim.RoundScratch) []float64 {
+		pop := rs.Population(c.Tags, epc.IDBits, prng.New(seed))
+		s := aloha.Exact(pop, det, tm, aloha.Options{Scratch: rs.Aloha()}).FSA(pols[k].mk())
 		return []float64{float64(s.Census.Slots()), s.Census.Throughput(), s.TimeMicros}
 	})
 	for k, p := range pols {
@@ -70,7 +69,7 @@ func Mobility(o Options) (Renderable, error) {
 	dets := []detect.Detector{detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits), detect.NewQCD(8, epc.IDBits)}
 	// Run i is (dwell i/4, protocol i/2%2, detector i%2).
 	res := make([]mobility.Result, len(dwellsMs)*len(protos)*len(dets))
-	o.each(len(res), func(i int) {
+	o.each(len(res), func(i int, _ *sim.RoundScratch) {
 		arr := mobility.Arrivals{RatePerSecond: rate, DwellMicros: dwellsMs[i/4] * 1000}
 		res[i] = mobility.Run(protos[i/2%2], dets[i%2], arr, duration, o.Seed)
 	})
@@ -106,12 +105,12 @@ func AblationEnergy(o Options) (Renderable, error) {
 	dets := []detect.Detector{detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits), detect.NewQCD(8, epc.IDBits)}
 	// Configuration k is (protocol k/2, detector k%2); a round yields
 	// every tag's transmitted bits, in population order.
-	rounds := perRound(o, len(protos)*len(dets), func(k int, seed uint64) []int64 {
-		pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
+	rounds := perRound(o, len(protos)*len(dets), func(k int, seed uint64, rs *sim.RoundScratch) []int64 {
+		pop := rs.Population(c.Tags, epc.IDBits, prng.New(seed))
 		if protos[k/2] == "fsa" {
-			aloha.Exact(pop, dets[k%2], tm, aloha.Options{}).FSA(aloha.NewFixed(c.Slots))
+			aloha.Exact(pop, dets[k%2], tm, aloha.Options{Scratch: rs.Aloha()}).FSA(aloha.NewFixed(c.Slots))
 		} else {
-			btree.Run(pop, dets[k%2], tm)
+			rs.BT().Run(pop, dets[k%2], tm)
 		}
 		bits := make([]int64, len(pop))
 		for i, tag := range pop {
@@ -149,7 +148,8 @@ func AblationOverhead(o Options) (Renderable, error) {
 		"case", "EI (paper methodology)", "EI (with command bits)")
 	// Per-slot command cost: a QueryRep opens every slot; a single slot
 	// additionally carries an ACK. Both schemes pay the same commands,
-	// which dilutes — but must not erase — the saving.
+	// which dilutes — but must not erase — the saving. Each product is
+	// rounded (explicit conversion) before it is summed.
 	const perSlot = epc.QueryRepBits
 	const perSingle = epc.AckBits
 	for _, c := range o.cases() {
@@ -162,8 +162,8 @@ func AblationOverhead(o Options) (Renderable, error) {
 			return nil, err
 		}
 		ei := (crcAgg.TimeMicros.Mean() - qcdAgg.TimeMicros.Mean()) / crcAgg.TimeMicros.Mean()
-		crcT := crcAgg.TimeMicros.Mean() + perSlot*crcAgg.Slots.Mean() + perSingle*crcAgg.Single.Mean()
-		qcdT := qcdAgg.TimeMicros.Mean() + perSlot*qcdAgg.Slots.Mean() + perSingle*qcdAgg.Single.Mean()
+		crcT := crcAgg.TimeMicros.Mean() + float64(perSlot*crcAgg.Slots.Mean()) + float64(perSingle*crcAgg.Single.Mean())
+		qcdT := qcdAgg.TimeMicros.Mean() + float64(perSlot*qcdAgg.Slots.Mean()) + float64(perSingle*qcdAgg.Single.Mean())
 		eiOver := (crcT - qcdT) / crcT
 		t.AddRow(c.Name, report.F(ei, 4), report.F(eiOver, 4))
 	}

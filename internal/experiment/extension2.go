@@ -10,9 +10,9 @@ import (
 	"repro/internal/detect"
 	"repro/internal/epc"
 	"repro/internal/gen2"
-	"repro/internal/metrics"
 	"repro/internal/prng"
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/tagmodel"
 	"repro/internal/timing"
 )
@@ -31,8 +31,8 @@ func Gen2(o Options) (Renderable, error) {
 		gen2.DefaultConfig(gen2.ReplyCRCCD, detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits)),
 		gen2.DefaultConfig(gen2.ReplyQCD, detect.NewQCD(8, epc.IDBits)),
 	}
-	rounds := perRound(o, len(configs), func(k int, seed uint64) []float64 {
-		pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
+	rounds := perRound(o, len(configs), func(k int, seed uint64, rs *sim.RoundScratch) []float64 {
+		pop := rs.Population(c.Tags, epc.IDBits, prng.New(seed))
 		res := gen2.Run(pop, configs[k], timing.Default)
 		return []float64{res.Session.TimeMicros, float64(res.WastedACKs), float64(res.Queries), float64(res.CommandBits)}
 	})
@@ -67,13 +67,13 @@ func Noise(o Options) (Renderable, error) {
 	bers := []float64{0, 1e-4, 1e-3, 3e-3, 1e-2}
 	dets := []detect.Detector{detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits), detect.NewQCD(8, epc.IDBits)}
 	// Configuration k is (BER k/2, detector k%2).
-	rounds := perRound(o, len(bers)*len(dets), func(k int, seed uint64) []float64 {
-		pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
+	rounds := perRound(o, len(bers)*len(dets), func(k int, seed uint64, rs *sim.RoundScratch) []float64 {
+		pop := rs.Population(c.Tags, epc.IDBits, prng.New(seed))
 		var im *air.Impairment
 		if ber := bers[k/2]; ber > 0 {
 			im = &air.Impairment{BER: ber, Rng: prng.New(seed ^ 0x9015e)}
 		}
-		return []float64{aloha.Exact(pop, dets[k%2], tm, aloha.Options{Impairment: im}).FSA(aloha.NewFixed(c.Slots)).TimeMicros}
+		return []float64{aloha.Exact(pop, dets[k%2], tm, aloha.Options{Impairment: im, Scratch: rs.Aloha()}).FSA(aloha.NewFixed(c.Slots)).TimeMicros}
 	})
 	for b, ber := range bers {
 		tCRC, tQCD := means(rounds[2*b])[0], means(rounds[2*b+1])[0]
@@ -93,13 +93,13 @@ func Capture(o Options) (Renderable, error) {
 	tm := timing.Default
 	det := detect.NewQCD(8, epc.IDBits)
 	probs := []float64{0, 0.25, 0.5, 0.75, 1.0}
-	rounds := perRound(o, len(probs), func(k int, seed uint64) []float64 {
-		pop := tagmodel.NewPopulation(c.Tags, epc.IDBits, prng.New(seed))
+	rounds := perRound(o, len(probs), func(k int, seed uint64, rs *sim.RoundScratch) []float64 {
+		pop := rs.Population(c.Tags, epc.IDBits, prng.New(seed))
 		var im *air.Impairment
 		if p := probs[k]; p > 0 {
 			im = &air.Impairment{CaptureProb: p, Rng: prng.New(seed ^ 0xca9)}
 		}
-		sess := aloha.Exact(pop, det, tm, aloha.Options{Impairment: im}).FSA(aloha.NewFixed(c.Slots))
+		sess := aloha.Exact(pop, det, tm, aloha.Options{Impairment: im, Scratch: rs.Aloha()}).FSA(aloha.NewFixed(c.Slots))
 		return []float64{float64(sess.Census.Slots()), sess.TimeMicros}
 	})
 	for k, p := range probs {
@@ -116,14 +116,6 @@ func Schedule(o Options) (Renderable, error) {
 	t := report.NewTable("Reader scheduling on the Table V floor (QCD-8, 3m range)",
 		"interference radius", "colors", "sequential", "scheduled makespan", "speedup")
 	det := detect.NewQCD(8, epc.IDBits)
-	tm := timing.Default
-	session := func(sub tagmodel.Population) float64 {
-		f := len(sub)
-		if f < 1 {
-			f = 1
-		}
-		return aloha.Exact(sub, det, tm, aloha.Options{}).FSA(aloha.NewFixed(f)).TimeMicros
-	}
 	const tags = 2000
 	radii := []float64{10, 15, 25, 40}
 	// Unit i < len(radii) schedules a fresh floor at radius i; the last
@@ -132,8 +124,8 @@ func Schedule(o Options) (Renderable, error) {
 	scheduled := make([]deploy.ScheduleResult, len(radii))
 	var seq float64
 	var un deploy.UnscheduledResult
-	o.each(len(radii)+2, func(i int) {
-		f, _ := floorWithTags(tags, o.Seed)
+	o.each(len(radii)+2, func(i int, rs *sim.RoundScratch) {
+		f, session := floorWithTags(tags, o.Seed, rs), floorSession(det, rs)
 		switch i - len(radii) {
 		case 0:
 			seq, _ = f.RunSequential(session)
@@ -161,13 +153,20 @@ func Schedule(o Options) (Renderable, error) {
 	return Multi{t, t2}, nil
 }
 
-func floorWithTags(n int, seed uint64) (*deploy.Floor, tagmodel.Population) {
+func floorWithTags(n int, seed uint64, rs *sim.RoundScratch) *deploy.Floor {
 	rng := prng.New(seed)
 	f := deploy.NewFloor(100)
 	f.PlaceReadersGrid(100, 3)
-	pop := tagmodel.NewPopulation(n, epc.IDBits, rng)
-	f.PlaceTags(pop, rng)
-	return f, pop
+	f.PlaceTags(rs.Population(n, epc.IDBits, rng), rng)
+	return f
+}
+
+// floorSession is one reader's FSA session under det on the floor, in a
+// frame as long as the tags in its range, on rs's working set.
+func floorSession(det detect.Detector, rs *sim.RoundScratch) deploy.SessionFn {
+	return func(sub tagmodel.Population) float64 {
+		return aloha.Exact(sub, det, timing.Default, aloha.Options{Scratch: rs.Aloha()}).FSA(aloha.NewFixed(max(1, len(sub)))).TimeMicros
+	}
 }
 
 // EDFSAExperiment compares enhanced dynamic FSA (Lee et al., the paper's
@@ -176,24 +175,21 @@ func EDFSAExperiment(o Options) (Renderable, error) {
 	o = o.normalize()
 	t := report.NewTable("EDFSA (frame cap 256) vs capped fixed FSA, 2000 tags",
 		"algorithm", "CRC-CD time", "QCD-8 time", "slots (QCD)", "λ (QCD)")
-	tm := timing.Default
-	edfsa := []bool{false, true}
-	dets := []detect.Detector{detect.NewCRCCD(crc.CRC32IEEE, epc.IDBits), detect.NewQCD(8, epc.IDBits)}
-	// Configuration k is (algorithm k/2, detector k%2).
-	rounds := perRound(o, len(edfsa)*len(dets), func(k int, seed uint64) []float64 {
-		pop := tagmodel.NewPopulation(2000, epc.IDBits, prng.New(seed))
-		var sess *metrics.Session
-		if edfsa[k/2] {
-			sess = aloha.Exact(pop, dets[k%2], tm, aloha.Options{}).EDFSA(aloha.EDFSAConfig{MaxFrame: 256})
-		} else {
-			sess = aloha.Exact(pop, dets[k%2], tm, aloha.Options{}).FSA(aloha.NewFixed(256))
+	for _, alg := range []struct{ id, name string }{{sim.AlgFSA, "fixed-256"}, {sim.AlgEDFSA, "edfsa-256"}} {
+		var aggs [2]*sim.Aggregate // CRC-CD, QCD
+		for d, det := range []string{sim.DetCRCCD, sim.DetQCD} {
+			agg, err := o.aggregate(sim.Config{
+				Tags: 2000, IDBits: epc.IDBits, Seed: o.Seed, Rounds: o.Rounds, Workers: o.Workers,
+				FrameSize: 256, Algorithm: alg.id, Detector: det,
+			})
+			if err != nil {
+				return nil, err
+			}
+			aggs[d] = agg
 		}
-		return []float64{sess.TimeMicros, float64(sess.Census.Slots()), sess.Census.Throughput()}
-	})
-	for a, name := range []string{"fixed-256", "edfsa-256"} {
-		crcM, qcdM := means(rounds[2*a]), means(rounds[2*a+1]) // time, slots, λ
-		t.AddRow(name, fmtMicros(crcM[0]), fmtMicros(qcdM[0]),
-			fmt.Sprintf("%d", int64(qcdM[1])), report.F(qcdM[2], 3))
+		qcd := aggs[1]
+		t.AddRow(alg.name, fmtMicros(aggs[0].TimeMicros.Mean()), fmtMicros(qcd.TimeMicros.Mean()),
+			fmt.Sprintf("%d", int64(qcd.Slots.Mean())), report.F(qcd.Throughput.Mean(), 3))
 	}
 	t.AddNote("grouping keeps per-frame occupancy near the λ=1/e point despite the hardware frame cap")
 	return t, nil

@@ -44,11 +44,12 @@ func TestSharedRunMatchesSoloRuns(t *testing.T) {
 }
 
 // TestConcurrentRunnersShareOneMemo: artifacts run at once from one
-// registry, reading overlapping configurations through the same memo,
-// render what each renders alone.
+// registry, reading overlapping configurations through the same memo and
+// drawing their units' working sets from its pool, render what each
+// renders alone.
 func TestConcurrentRunnersShareOneMemo(t *testing.T) {
 	o := Options{Rounds: 2, MaxCase: 1, Seed: 1}
-	ids := map[string]bool{"table7": true, "table9": true, "fig7": true, "fig8": true}
+	ids := map[string]bool{"table7": true, "table9": true, "fig7": true, "fig8": true, "capture": true, "schedule": true, "edfsa": true}
 	want := map[string]string{}
 	for id := range ids {
 		r, _ := ByID(id)
@@ -109,14 +110,14 @@ func TestMemoHandsOutCopies(t *testing.T) {
 // TestRegistriesShareNothing: one Registry call is one reproduction run.
 // Re-running an artifact from the same registry simulates nothing, while
 // a second Registry call, and ByID, simulate it afresh. Lemma 2 at one
-// case needs one aggregate, and a runner's memo counts the aggregates it
-// computed.
+// case needs one aggregate, EDFSA four (two algorithms under two
+// detectors), and a runner's memo counts the aggregates it computed.
 func TestRegistriesShareNothing(t *testing.T) {
 	o := Options{Rounds: 2, MaxCase: 1, Seed: 1}
-	runLemma2 := func(rs []Runner) int {
+	run := func(rs []Runner, id string) int {
 		t.Helper()
 		for _, r := range rs {
-			if r.ID == "lemma2" {
+			if r.ID == id {
 				before := r.memo.misses
 				if _, err := r.Run(o); err != nil {
 					t.Fatal(err)
@@ -124,23 +125,25 @@ func TestRegistriesShareNothing(t *testing.T) {
 				return r.memo.misses - before
 			}
 		}
-		t.Fatal("lemma2 not registered")
+		t.Fatalf("%s not registered", id)
 		return 0
 	}
 	first := Registry()
 	solo, _ := ByID("lemma2")
 	for _, step := range []struct {
-		name string
-		rs   []Runner
-		want int
+		name, id string
+		rs       []Runner
+		want     int
 	}{
-		{"first registry", first, 1},
-		{"first registry again", first, 0},
-		{"second registry", Registry(), 1},
-		{"ByID", []Runner{solo}, 1},
+		{"first registry", "lemma2", first, 1},
+		{"first registry again", "lemma2", first, 0},
+		{"second registry", "lemma2", Registry(), 1},
+		{"ByID", "lemma2", []Runner{solo}, 1},
+		{"first registry", "edfsa", first, 4},
+		{"first registry again", "edfsa", first, 0},
 	} {
-		if got := runLemma2(step.rs); got != step.want {
-			t.Errorf("%s: simulated %d aggregates, want %d", step.name, got, step.want)
+		if got := run(step.rs, step.id); got != step.want {
+			t.Errorf("%s, %s: simulated %d aggregates, want %d", step.name, step.id, got, step.want)
 		}
 	}
 }

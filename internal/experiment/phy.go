@@ -146,8 +146,9 @@ func eiForLink(c metrics.Census, l phy.Link) float64 {
 		unit = epc.IDBits + epc.CRCBits
 	)
 	slots := float64(c.Idle + c.Single + c.Collided)
-	tCRC := slots * l.TagBitsMicros(unit)
-	tQCD := float64(c.Idle+c.Collided)*l.TagBitsMicros(prm) +
-		float64(c.Single)*(l.TagBitsMicros(prm)+l.TagBitsMicros(id))
+	// Products rounded before the sums (explicit conversion): no fused add.
+	tCRC := float64(slots * l.TagBitsMicros(unit))
+	tQCD := float64(float64(c.Idle+c.Collided)*l.TagBitsMicros(prm)) +
+		float64(float64(c.Single)*(l.TagBitsMicros(prm)+l.TagBitsMicros(id)))
 	return (tCRC - tQCD) / tCRC
 }

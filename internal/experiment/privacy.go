@@ -7,6 +7,7 @@ import (
 	"repro/internal/privacy"
 	"repro/internal/prng"
 	"repro/internal/report"
+	"repro/internal/sim"
 )
 
 // Privacy evaluates the backward-channel protection of Section II's
@@ -22,7 +23,7 @@ func Privacy(o Options) (Renderable, error) {
 	// A round yields the rounds a fresh session took to full recovery,
 	// then the residual entropy after each of ks mixing rounds.
 	ks := []int{1, 4, 8, 16}
-	runs := perRound(o, 1, func(_ int, seed uint64) []float64 {
+	runs := perRound(o, 1, func(_ int, seed uint64, _ *sim.RoundScratch) []float64 {
 		out := make([]float64, 1+len(ks))
 		rng := prng.New(seed)
 		id := bitstr.FromUint64(rng.Bits(64), 64)

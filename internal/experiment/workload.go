@@ -7,6 +7,7 @@ import (
 	"repro/internal/prng"
 	"repro/internal/qtree"
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/tagmodel"
 	"repro/internal/timing"
 	"repro/internal/trace"
@@ -31,7 +32,7 @@ func Workloads(o Options) (Renderable, error) {
 	kinds := trace.Kinds()
 	// A round yields the shared prefix length and the slots of binary QT,
 	// 4-ary QT and FSA.
-	rounds := perRound(o, len(kinds), func(k int, seed uint64) []float64 {
+	rounds := perRound(o, len(kinds), func(k int, seed uint64, _ *sim.RoundScratch) []float64 {
 		build := func() tagmodel.Population {
 			pop, err := trace.Build(trace.Spec{Kind: kinds[k], N: n, IDBits: 96}, prng.New(seed))
 			if err != nil {

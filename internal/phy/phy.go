@@ -48,18 +48,20 @@ func NewPIE(t Tari, oneLen float64) PIE {
 }
 
 // SymbolMicros returns the duration of one symbol carrying the given bit.
+// Here and in every timing below, a product is rounded by an explicit
+// conversion before it is added, so no architecture fuses the two.
 func (p PIE) SymbolMicros(bit byte) float64 {
 	if bit == 0 {
 		return float64(p.Tari)
 	}
-	return float64(p.Tari) * p.OneLen
+	return float64(float64(p.Tari) * p.OneLen)
 }
 
 // Micros returns the duration of a command of zeros zero-bits and ones
 // one-bits (commands are specified by composition, not content, at this
 // resolution).
 func (p PIE) Micros(zeros, ones int) float64 {
-	return float64(zeros)*p.SymbolMicros(0) + float64(ones)*p.SymbolMicros(1)
+	return float64(float64(zeros)*p.SymbolMicros(0)) + float64(float64(ones)*p.SymbolMicros(1))
 }
 
 // MeanBitMicros is the expected symbol time for balanced random payloads,
@@ -122,7 +124,7 @@ func (b Backscatter) BitMicros() float64 {
 }
 
 // Micros times an n-bit tag transmission.
-func (b Backscatter) Micros(n int) float64 { return float64(n) * b.BitMicros() }
+func (b Backscatter) Micros(n int) float64 { return float64(float64(n) * b.BitMicros()) }
 
 // Link is a complete asymmetric link budget.
 type Link struct {
@@ -182,7 +184,7 @@ func (p PIE) EncodeMicros(bits []byte) float64 {
 // spec floor TRcal ≥ 1.1·RTcal, charged at 1.1).
 func (p PIE) PreambleMicros() float64 {
 	rtcal := p.SymbolMicros(0) + p.SymbolMicros(1)
-	trcal := 1.1 * rtcal
+	trcal := float64(1.1 * rtcal)
 	return 12.5 + p.SymbolMicros(0) + rtcal + trcal
 }
 
@@ -216,5 +218,5 @@ func (l Link) CommandMicros(n int) float64 {
 	if n == 0 {
 		return 0
 	}
-	return l.T2Micros + float64(n)*l.Reader.MeanBitMicros()
+	return l.T2Micros + float64(float64(n)*l.Reader.MeanBitMicros())
 }

@@ -300,6 +300,21 @@ type RoundScratch struct {
 // the scratch's next use.
 func (rs *RoundScratch) IndexFrame() *sched.IndexFrame { return &rs.idx }
 
+// Population draws n tags into the scratch's population storage, draw
+// for draw what tagmodel.NewPopulation(n, idBits, rng) draws. With Aloha
+// and BT it serves the Monte-Carlo loops that drive the engines
+// themselves (internal/experiment's); the aliasing rule above applies.
+func (rs *RoundScratch) Population(n, idBits int, rng *prng.Source) tagmodel.Population {
+	return rs.pop.NewPopulation(n, idBits, rng)
+}
+
+// Aloha lends out the framed-ALOHA backends' working set, for
+// aloha.Options.Scratch.
+func (rs *RoundScratch) Aloha() *aloha.Scratch { return &rs.aloha }
+
+// BT lends out BT's working set.
+func (rs *RoundScratch) BT() *btree.Reuse { return &rs.bt }
+
 // ScratchPool is a concurrency-safe free list of RoundScratch, letting
 // callers that run many experiments back to back (the sweep engine, a
 // busy service worker) reuse each scratch's population, slot, scheduler
