@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/report"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 // runScenario executes the -scenario code path and returns the exit
@@ -36,7 +35,7 @@ func runScenario(ctx context.Context, path string, workers int, jsonOut, progres
 		return 1
 	}
 
-	opts := scenario.Options{Scratch: &sim.ScratchPool{}}
+	var opts scenario.Options
 	printedProgress := false
 	if progress {
 		opts.OnEpoch = func(p scenario.Progress) {

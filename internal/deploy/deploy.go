@@ -50,7 +50,7 @@ const minNormal = 0x1p-1022
 func (r Reader) Covers(q Point) bool {
 	dx, dy := r.Pos.X-q.X, r.Pos.Y-q.Y
 	if r2 := r.Range * r.Range; r.Range > 0 && r2 >= minNormal && r2 <= math.MaxFloat64 {
-		d2 := dx*dx + dy*dy
+		d2 := float64(dx*dx) + float64(dy*dy)
 		if d2 < r2*(1-coversBand) {
 			return true
 		}

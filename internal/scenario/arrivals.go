@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"fmt"
 	"math"
+	"runtime/debug"
 	"slices"
 
 	"repro/internal/deploy"
@@ -43,10 +45,10 @@ func newCoverBand(rMin, rMax, shift float64) coverBand {
 	if !(rMin*rMin >= minNormal && rMax*rMax <= math.MaxFloat64) {
 		return b
 	}
-	if in := rMin*(1-slack) - shift; in > 0 && in*in >= minNormal {
+	if in := float64(rMin*(1-slack)) - shift; in > 0 && in*in >= minNormal {
 		b.in2 = in * in
 	}
-	out := rMax*(1+slack) + shift
+	out := float64(rMax*(1+slack)) + shift
 	b.out2 = out * out
 	return b
 }
@@ -70,11 +72,11 @@ func newCoverIndex(f *deploy.Floor, side, cellSize float64) *coverIndex {
 		}
 		for cx := lo(r.Pos.X); cx <= hi(r.Pos.X); cx++ {
 			for cy := lo(r.Pos.Y); cy <= hi(r.Pos.Y); cy++ {
-				x0, x1 := float64(cx)*cellSize, float64(cx+1)*cellSize
-				y0, y1 := float64(cy)*cellSize, float64(cy+1)*cellSize
+				x0, x1 := float64(float64(cx)*cellSize), float64(float64(cx+1)*cellSize)
+				y0, y1 := float64(float64(cy)*cellSize), float64(float64(cy+1)*cellSize)
 				dx := math.Max(0, math.Max(x0-r.Pos.X, r.Pos.X-x1))
 				dy := math.Max(0, math.Max(y0-r.Pos.Y, r.Pos.Y-y1))
-				if dx*dx+dy*dy <= r.Range*r.Range {
+				if float64(dx*dx)+float64(dy*dy) <= r.Range*r.Range {
 					i := cy*c.cells + cx
 					c.cellReaders[i] = append(c.cellReaders[i], int32(r.ID))
 				}
@@ -124,7 +126,7 @@ func (c *coverIndex) coverPair(dst []int32, x, y float64) (n int, same bool) {
 	for _, id := range c.cellReaders[cy*c.cells+cx] {
 		r := &c.readers[id]
 		dx, dy := r.Pos.X-x, r.Pos.Y-y
-		d2 := dx*dx + dy*dy
+		d2 := float64(dx*dx) + float64(dy*dy)
 		in := d2 < c.band.in2
 		if !in && !(d2 > c.band.out2) {
 			same = false
@@ -202,9 +204,16 @@ type arrivalStream struct {
 	cov      *coverIndex
 }
 
+// fillHook, when set, runs at the start of every fill. It is a test seam
+// for a failing generator and is nil outside tests.
+var fillHook func()
+
 // fill draws every arrival due by at into b. The per-arrival draw order
 // is x, y, the dwell when exponential, then the next gap.
 func (a *arrivalStream) fill(b *arrivalBatch, at float64) {
+	if fillHook != nil {
+		fillHook()
+	}
 	b.at = at
 	b.tags, b.lists = b.tags[:0], b.lists[:0]
 	for a.next <= at {
@@ -230,6 +239,9 @@ type arrivalFeed struct {
 	bufs      [2]arrivalBatch
 	turn      int                // the buffer the next prefetch fills
 	req, done chan *arrivalBatch // nil inline
+	// panicked is the generator's panic value and stack, written before
+	// done closes.
+	panicked any
 }
 
 // start sizes the buffers for capHint arrivals and, in async mode,
@@ -248,8 +260,16 @@ func (f *arrivalFeed) start(capHint int, async bool) {
 	}
 }
 
+// generate is the generator goroutine. A panic in it closes done, and
+// next panics with its value and stack on the engine goroutine, where the
+// caller's recover (the job pool's) sees it.
 func (f *arrivalFeed) generate() {
 	defer close(f.done)
+	defer func() {
+		if v := recover(); v != nil {
+			f.panicked = fmt.Sprintf("%v\n\nstack of the arrival generator that panicked:\n%s", v, debug.Stack())
+		}
+	}()
 	for b := range f.req {
 		f.stream.fill(b, b.at)
 		f.done <- b
@@ -276,7 +296,10 @@ func (f *arrivalFeed) next(at float64) *arrivalBatch {
 		f.stream.fill(&f.bufs[0], at)
 		return &f.bufs[0]
 	}
-	b := <-f.done
+	b, ok := <-f.done
+	if !ok {
+		panic(f.panicked)
+	}
 	if b.at != at {
 		panic("scenario: prefetched arrivals for the wrong boundary")
 	}
@@ -284,7 +307,7 @@ func (f *arrivalFeed) next(at float64) *arrivalBatch {
 }
 
 // stop ends the generator and returns once it has exited, discarding
-// any batch still in flight.
+// any batch still in flight. It is safe after the generator panicked.
 func (f *arrivalFeed) stop() {
 	if f.req == nil {
 		return

@@ -3,8 +3,11 @@ package scenario
 import (
 	"context"
 	"math"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/prng"
@@ -59,6 +62,39 @@ func TestCancelledRunStopsGenerator(t *testing.T) {
 	}
 	if res.Epochs != 0 || res.Arrived != 0 {
 		t.Fatalf("cancelled before the first epoch, got %+v", res)
+	}
+}
+
+// TestGeneratorPanicReachesCaller makes the arrival generator panic on
+// its third batch at two workers: RunContext must panic on the caller's
+// goroutine with the generator's value and stack, and the generator must
+// be gone afterwards.
+func TestGeneratorPanicReachesCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	fills := 0
+	fillHook = func() {
+		if fills++; fills == 3 {
+			panic("arrival draw failed")
+		}
+	}
+	defer func() { fillHook = nil }()
+
+	spec := smallSpec()
+	spec.Workers = 2
+	v := func() (v any) {
+		defer func() { v = recover() }()
+		RunContext(context.Background(), spec, Options{})
+		return nil
+	}()
+	msg, _ := v.(string)
+	if !strings.HasPrefix(msg, "arrival draw failed") || !strings.Contains(msg, "stack of the arrival generator") {
+		t.Fatalf("recovered %v, want the generator's panic and stack", v)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the panic, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // Options carries the engine's environment: none of it affects results.
 type Options struct {
 	// Scratch lends per-worker sim.RoundScratch (its IndexFrame) to the
-	// reader sessions; nil allocates fresh scratch.
+	// reader sessions; nil gives the run a pool of its own.
 	Scratch *sim.ScratchPool
 	// OnEpoch receives a progress snapshot every EpochsPerProgress
 	// epochs, called from the engine goroutine between epochs.
@@ -126,18 +126,26 @@ func RunContext(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	}
 	e.wheel = NewWheel(spec.TickMicros, buckets)
 
+	// The run's workers are split between its two stages: with more than
+	// one, the arrival generator takes one and the sessions fan over the
+	// rest (DESIGN §9).
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	sessionWorkers := max(workers-1, 1)
+	if opts.Scratch == nil {
+		opts.Scratch = new(sim.ScratchPool)
 	}
 
 	// A group's arrival count is Poisson: four standard deviations above
 	// its mean sizes the batches, and a busier group grows them once.
 	perGroup := spec.ArrivalsPerSecond * spec.SessionMicros / 1e6
-	batchHint := int(math.Min(perGroup+4*math.Sqrt(perGroup)+16, 1<<14))
+	batchHint := int(math.Min(perGroup+float64(4*math.Sqrt(perGroup))+16, 1<<14))
 	e.arrivals.start(batchHint, workers > 1)
+	defer e.arrivals.stop()
 
-	epochSpan := float64(ncolors) * spec.SessionMicros
+	epochSpan := float64(float64(ncolors) * spec.SessionMicros)
 	now := 0.0
 	var err error
 	e.arrivals.prefetch(now)
@@ -147,17 +155,17 @@ func RunContext(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 			break
 		}
 		for c := 0; c < ncolors; c++ {
-			groupStart := now + float64(c)*spec.SessionMicros
+			groupStart := now + float64(float64(c)*spec.SessionMicros)
 			batch := e.arrivals.next(groupStart)
 			// Draw the next boundary's arrivals while this one admits
 			// and its colour class runs.
 			if c+1 < ncolors {
-				e.arrivals.prefetch(now + float64(c+1)*spec.SessionMicros)
+				e.arrivals.prefetch(now + float64(float64(c+1)*spec.SessionMicros))
 			} else if now+epochSpan < spec.DurationMicros {
 				e.arrivals.prefetch(now + epochSpan)
 			}
 			e.advanceTo(groupStart, batch)
-			e.runGroup(e.groups[c], groupStart, workers, opts.Scratch)
+			e.runGroup(e.groups[c], groupStart, sessionWorkers, opts.Scratch)
 			e.mergeGroup(e.groups[c])
 		}
 		now += epochSpan
@@ -170,7 +178,6 @@ func RunContext(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 		}
 	}
 	e.res.SimMicros = now
-	e.arrivals.stop()
 
 	// Drain: fire every remaining departure so tags still in the field
 	// classify by their read state, exactly as mobility.Run drains.
@@ -231,11 +238,12 @@ func (e *engine) onDepart(payload uint64) {
 // runGroup executes one colour class's sessions as sim.Fan's units, one
 // per reader. Readers of one class are non-interfering by construction,
 // and each session touches only its own reader's state plus read-only
-// store columns, so they run concurrently; results cannot depend on the
-// worker count because every reader consumes only its own PRNG stream,
-// and mergeGroup folds them in ascending reader order. The engine is the
-// unit, reading the group and its start from two fields, so the fan-out
-// (once per colour class per epoch) allocates nothing at one worker.
+// store columns, so they may run concurrently on the sessions' share of
+// the workers; results cannot depend on the worker count because every
+// reader consumes only its own PRNG stream, and mergeGroup folds them in
+// ascending reader order. The engine is the unit, reading the group and
+// its start from two fields, so the fan-out (once per colour class per
+// epoch) allocates nothing at one session worker.
 func (e *engine) runGroup(group []int, start float64, workers int, pool *sim.ScratchPool) {
 	e.group, e.groupStart = group, start
 	sim.Fan(workers, len(group), pool, e)

@@ -70,8 +70,9 @@ func checkConservation(t *testing.T, name string, res *Result) {
 	}
 }
 
-// TestGoldenDigests pins every golden spec's full result, at every worker
-// count, to the digest committed in testdata/golden.json. Any engine
+// TestGoldenDigests pins every golden spec's full result, at worker
+// counts covering every stage split (inline, async arrivals, fanned
+// sessions), to the digest committed in testdata/golden.json. Any engine
 // change that moves a single tally, census count or latency bit fails.
 // Regenerate with `go test ./internal/scenario -run TestGoldenDigests
 // -update` only when a result change is intended.
@@ -89,7 +90,7 @@ func TestGoldenDigests(t *testing.T) {
 	got := map[string]string{}
 	var pool sim.ScratchPool
 	for name, spec := range goldenSpecs() {
-		for _, workers := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 2, 3, 4} {
 			spec.Workers = workers
 			res, err := RunContext(context.Background(), spec, Options{Scratch: &pool})
 			if err != nil {

@@ -34,7 +34,7 @@ type ctxQueue struct {
 }
 
 func (q *ctxQueue) priority(c *collisionContext) float64 {
-	return q.wSize*c.est - q.wDepth*float64(c.depth)
+	return float64(q.wSize*c.est) - float64(q.wDepth*float64(c.depth))
 }
 
 // before reports strict heap order: higher priority first, then earlier

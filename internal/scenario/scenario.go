@@ -90,9 +90,10 @@ type Spec struct {
 	// Seed is the master seed; every stream (arrivals, per-reader
 	// draws) derives from it deterministically.
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers bounds the goroutines running one colour class's readers
-	// (0 = GOMAXPROCS). Scheduling only: results are bit-identical for
-	// any worker count.
+	// Workers bounds the run's goroutines (0 = GOMAXPROCS): above one,
+	// the arrival generator takes one and a colour class's readers fan
+	// over the rest. Scheduling only: results are bit-identical for any
+	// worker count.
 	Workers int `json:"workers,omitempty"`
 	// TickMicros is the time wheel resolution (default 256). Departures
 	// are quantised to it; arrivals are exact.

@@ -60,13 +60,15 @@ func TestRunProducesReads(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicAcrossWorkers is the PR's core contract: the
+// TestRunDeterministicAcrossWorkers is the engine's core contract: the
 // worker count schedules goroutines and nothing else, so every tally —
-// census, reads, latency moments — is bit-identical for any value.
+// census, reads, latency moments — is bit-identical for any value. The
+// counts cover every stage split: 1 runs both stages inline, 2 moves the
+// arrivals to their own goroutine, and 3 is the first to fan sessions.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	var pool sim.ScratchPool
 	var base *Result
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+	for _, workers := range []int{1, 2, 3, 4, runtime.GOMAXPROCS(0)} {
 		spec := smallSpec()
 		spec.Workers = workers
 		res, err := RunContext(context.Background(), spec, Options{Scratch: &pool})
